@@ -43,9 +43,7 @@ from .errors import (
 )
 from .frames import (
     VectorFrame,
-    canonical_dual,
     dual_reciprocity,
-    frame_operator,
     frame_part_pencils,
     partition_by_sign,
     verify_j_frame,
@@ -62,6 +60,7 @@ from .generator import GeneratorConfig, gen_problem
 from .problem_io import (
     ParsedProblem,
     dumps_canonical,
+    is_finite_number,
     jsonify,
     load_problem,
     load_report,
@@ -446,28 +445,23 @@ def run_dual(parsed: ParsedProblem, params: Params) -> tuple[dict, int, list[str
         try:
             frame = partition_by_sign(parsed.vectors, parsed.space, params.tol_def)
             rep = dual_reciprocity(frame, params.tol_def)
-            dual = canonical_dual(frame, params.tol_def)
         except (NeutralVector, NotAJFrame) as exc:
             return _rejection_result(exc), 1, [f"verdict=false (rejected: {exc})"]
-        s = frame_operator(frame).matrix
-        s_dual = frame_operator(dual).matrix
-        s_inv = np.linalg.inv(s)
-        op_residual = float(np.linalg.norm(s_dual - s_inv, 2) / np.linalg.norm(s_inv, 2))
         result = {
             "kind": "frame",
             "verdict": True,
-            "dual_vectors": dual.vectors,
+            "dual_vectors": rep.dual.vectors,
             "original_bounds": list(rep.original_bounds),
             "dual_bounds": list(rep.dual_bounds),
             "reciprocal_expected": list(rep.reciprocal_expected),
             "max_relative_deviation": rep.max_relative_deviation,
-            "dual_operator_residual": op_residual,
+            "dual_operator_residual": rep.dual_operator_residual,
         }
         lines = [
             f"dual bounds={rep.dual_bounds}",
             f"reciprocal expectation={rep.reciprocal_expected}",
             f"max relative deviation={rep.max_relative_deviation:.3e}",
-            f"dual operator residual={op_residual:.3e}",
+            f"dual operator residual={rep.dual_operator_residual:.3e}",
         ]
         return result, 0, lines
     raise InputError("problem has neither 'family' nor 'vectors'")
@@ -537,6 +531,11 @@ def run_oracle(report_doc: dict) -> tuple[dict, int, list[str]]:
     for key in ("tol_def", "tol_num", "tol_rank", "seed", "variant"):
         if key not in stored_params:
             raise SchemaError(f"missing parameter {key!r}", "$.parameters")
+    for key in ("tol_def", "tol_num", "tol_rank"):
+        if not (is_finite_number(stored_params[key]) and stored_params[key] > 0):
+            raise SchemaError("expected a positive finite number", f"$.parameters.{key}")
+    if not is_finite_number(stored_params["seed"]):
+        raise SchemaError("expected a finite number", "$.parameters.seed")
     params = Params(
         tol_def=float(stored_params["tol_def"]),
         tol_num=float(stored_params["tol_num"]),
@@ -581,7 +580,7 @@ def _compare_trees(stored, fresh, path: str, diffs: list[str]) -> None:
             diffs.append(f"{path}: {stored!r} vs {fresh!r}")
         return
     if isinstance(stored, (int, float)) and isinstance(fresh, (int, float)):
-        if not _compare(float(stored), float(fresh), 1e-9):
+        if not (is_finite_number(stored) and _compare(float(stored), float(fresh), 1e-9)):
             diffs.append(f"{path}: {stored!r} vs {fresh!r}")
         return
     if stored != fresh:

@@ -80,6 +80,15 @@ class KreinSpace:
         return hash((self.dim, self.symmetry.tobytes()))
 
 
+def _norm_or_inf(m: np.ndarray) -> float:
+    """Spectral norm of a defect matrix; inf where forming it overflowed.
+
+    A symmetric involution has norm 1, so a defect that overflows belongs to
+    a matrix that is no involution.
+    """
+    return operator_norm(m) if np.isfinite(m).all() else np.inf
+
+
 def make_krein_space(symmetry, tol_sym: float = TOL_SYM) -> KreinSpace:
     """Validate a fundamental symmetry and build the space around it.
 
@@ -93,14 +102,16 @@ def make_krein_space(symmetry, tol_sym: float = TOL_SYM) -> KreinSpace:
     if n == 0:
         raise DimensionMismatch("symmetry must be at least 1x1")
     scale = max(1.0, operator_norm(j))
-    sym_defect = operator_norm(j - j.T) / scale
+    if not np.isfinite(scale):
+        raise NotAnInvolution("symmetry norm overflows a double", np.inf, np.inf)
+    sym_defect = _norm_or_inf(j - j.T) / scale
     if sym_defect > tol_sym:
         raise NotAnInvolution(
             f"symmetry defect {sym_defect:.3e} exceeds tolerance {tol_sym:.1e}",
             symmetry_defect=sym_defect,
         )
     j = 0.5 * (j + j.T)
-    inv_defect = operator_norm(j @ j - np.eye(n)) / scale
+    inv_defect = _norm_or_inf(j @ j - np.eye(n)) / scale
     if inv_defect > tol_sym:
         raise NotAnInvolution(
             f"involution defect {inv_defect:.3e} exceeds tolerance {tol_sym:.1e}",

@@ -324,13 +324,18 @@ class ReciprocityReport:
     (1/A-, 1/B-, 1/B+, 1/A+).  It is exact when the two part spans are
     J-orthogonal (for instance eigenspaces of the symmetry), since S then
     acts on each part separately; for tilted spans the measured dual bounds
-    deviate, and ``max_relative_deviation`` records by how much.
+    deviate, and ``max_relative_deviation`` records by how much.  ``dual``
+    is the canonical dual frame the bounds were measured on;
+    ``dual_operator_residual`` compares its own frame operator with S^{-1}
+    (relative spectral norm), which it equals up to rounding.
     """
 
+    dual: VectorFrame
     original_bounds: Bounds4
     dual_bounds: Bounds4
     reciprocal_expected: Bounds4
     max_relative_deviation: float
+    dual_operator_residual: float
 
 
 def _reciprocal_pattern(bounds: Bounds4) -> Bounds4:
@@ -357,11 +362,16 @@ def dual_reciprocity(frame: VectorFrame, tol_def: float = TOL_DEF) -> Reciprocit
     dual = canonical_dual(frame, tol_def)
     dual_bounds = optimal_j_frame_bounds(dual, tol_def)
     expected = _reciprocal_pattern(original)
+    s_inv = np.linalg.inv(frame_operator(frame).matrix)
+    s_dual = frame_operator(dual).matrix
     return ReciprocityReport(
+        dual=dual,
         original_bounds=original,
         dual_bounds=dual_bounds,
         reciprocal_expected=expected,
         max_relative_deviation=_max_rel_dev(dual_bounds, expected),
+        dual_operator_residual=float(np.linalg.norm(s_dual - s_inv, 2)
+                                     / np.linalg.norm(s_inv, 2)),
     )
 
 

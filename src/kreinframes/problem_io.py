@@ -1,18 +1,31 @@
 """Strict JSON problem/report files and canonical serialization.
 
 The documented schema lives in ``docs/format.md``.  Validation is
-deliberately unforgiving: unknown keys, non-finite numbers, and shape
-mismatches are rejected with the JSON path of the offense.  Serialization is
-canonical — fixed key order, two-space indent, shortest round-trip floats,
-trailing newline — so saving the same document twice gives identical bytes.
+deliberately unforgiving: unknown keys, non-finite numbers (a number that
+overflows a double, such as ``1e400`` or a 400-digit integer, counts as
+infinite), and shape mismatches are rejected with the JSON path of the
+offense.  A matrix is validated in one vectorized pass; only a matrix that
+fails it is walked element by element to name the offense.
+
+Serialization is canonical: two-space indent, non-ASCII and control
+characters as ``\\uXXXX`` escapes, keys in insertion order, shortest
+round-trip floats, and a trailing newline.  The text is exactly
+``json.dumps(jsonify(doc), indent=2, allow_nan=False) + "\\n"``, so saving
+the same document twice gives identical bytes.  ``dumps_canonical`` builds
+it in one walk and hands each run of scalars, such as a matrix row, to the C
+encoder of :mod:`json` in a single call.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
+import itertools
 import json
+import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +37,11 @@ PROBLEM_KEYS = {"dimension", "J", "family", "vectors", "operator", "comment"}
 REPORT_KEYS = {"report_version", "command", "problem", "parameters", "result"}
 REPORT_VERSION = 1
 
+_INDENT = "  "
+# list elements of exactly these types go to the C encoder as one run
+_SCALAR_TYPES = frozenset({float, int, bool, str, type(None)})
+_NUMBER_TYPES = frozenset({float, int})
+
 
 def _reject_constant(name: str):
     raise ParseError(f"non-finite JSON constant {name!r} is not allowed")
@@ -32,15 +50,35 @@ def _reject_constant(name: str):
 def loads_strict(text: str) -> dict:
     try:
         doc = json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer beyond the interpreter's digit limit
         raise ParseError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError("invalid JSON: nested too deeply") from exc
     if not isinstance(doc, dict):
         raise SchemaError("top-level value must be an object")
     return doc
 
 
+def _read_document(path) -> dict:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc}") from exc
+    return loads_strict(text)
+
+
 def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def is_finite_number(x) -> bool:
+    """A JSON number that fits a double: not NaN, not infinite, no overflow."""
+    if not _is_number(x):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an integer beyond the range of a double
+        return False
 
 
 def _check_keys(obj: dict, allowed: set[str], required: set[str], path: str) -> None:
@@ -52,9 +90,7 @@ def _check_keys(obj: dict, allowed: set[str], required: set[str], path: str) -> 
             raise SchemaError(f"missing required field {key!r}", path)
 
 
-def _check_matrix(rows, n_cols: int | None, path: str, min_rows: int = 1) -> np.ndarray:
-    if not isinstance(rows, list) or len(rows) < min_rows:
-        raise SchemaError(f"expected a list of at least {min_rows} rows", path)
+def _check_rows(rows: list, path: str) -> None:
     width = None
     for i, row in enumerate(rows):
         if not isinstance(row, list) or not row:
@@ -66,9 +102,29 @@ def _check_matrix(rows, n_cols: int | None, path: str, min_rows: int = 1) -> np.
         for jdx, x in enumerate(row):
             if not _is_number(x):
                 raise SchemaError("expected a number", f"{path}[{i}][{jdx}]")
+
+
+def _check_matrix(rows, n_cols: int | None, path: str) -> np.ndarray:
+    if not isinstance(rows, list) or not rows:
+        raise SchemaError("expected a list of at least 1 rows", path)
+    # one pass at C speed for the common case: equal-width lists of plain
+    # floats and ints; anything else takes the walk that names the offense
+    if not (set(map(type, rows)) == {list}
+            and len(set(map(len, rows))) == 1 and rows[0]
+            and set(map(type, itertools.chain.from_iterable(rows))) <= _NUMBER_TYPES):
+        _check_rows(rows, path)
+    width = len(rows[0])
     if n_cols is not None and width != n_cols:
         raise SchemaError(f"row length {width}, expected {n_cols}", path)
-    return np.array(rows, dtype=float)
+    try:
+        matrix = np.array(rows, dtype=float)
+    except OverflowError:  # an integer beyond the range of a double
+        matrix = None
+    if matrix is None or not np.isfinite(matrix).all():
+        i, jdx = next((i, jdx) for i, row in enumerate(rows)
+                      for jdx, x in enumerate(row) if not is_finite_number(x))
+        raise SchemaError("expected a finite number", f"{path}[{i}][{jdx}]")
+    return matrix
 
 
 @dataclass(frozen=True)
@@ -130,6 +186,8 @@ def parse_problem(doc: dict, path: str = "$") -> ParsedProblem:
             basis = _check_matrix(entry["basis"], n, f"{epath}.basis")
             if not _is_number(entry["weight"]):
                 raise SchemaError("weight must be a number", f"{epath}.weight")
+            if not is_finite_number(entry["weight"]):
+                raise SchemaError("weight must be a finite number", f"{epath}.weight")
             decoded.append((basis, float(entry["weight"])))
         entries = tuple(decoded)
 
@@ -161,8 +219,7 @@ def parse_problem(doc: dict, path: str = "$") -> ParsedProblem:
 
 
 def load_problem(path) -> ParsedProblem:
-    text = Path(path).read_text(encoding="utf-8")
-    return parse_problem(loads_strict(text))
+    return parse_problem(_read_document(path))
 
 
 def parse_report(doc: dict) -> dict:
@@ -183,8 +240,26 @@ def parse_report(doc: dict) -> dict:
 
 
 def load_report(path) -> dict:
-    text = Path(path).read_text(encoding="utf-8")
-    return parse_report(loads_strict(text))
+    return parse_report(_read_document(path))
+
+
+def _non_finite(x: float) -> ParseError:
+    return ParseError(f"refusing to serialize non-finite number {x!r}")
+
+
+def _plain_lists(arr: np.ndarray):
+    """``arr.tolist()`` if that holds only bools, ints and finite floats, else None.
+
+    Floating arrays are checked in one vectorized pass that names the first
+    non-finite element in the order ``tolist`` visits them.
+    """
+    if arr.dtype.kind not in "biuf" or arr.dtype.itemsize > 8:
+        return None
+    if arr.dtype.kind == "f":
+        bad = ~np.isfinite(arr)
+        if bad.any():
+            raise _non_finite(float(arr[bad][0]))
+    return arr.tolist()
 
 
 def jsonify(obj):
@@ -200,12 +275,13 @@ def jsonify(obj):
     if isinstance(obj, (float, np.floating)):
         x = float(obj)
         if not np.isfinite(x):
-            raise ParseError(f"refusing to serialize non-finite number {x!r}")
+            raise _non_finite(x)
         return x
     if isinstance(obj, enum.Enum):
         return obj.value
     if isinstance(obj, np.ndarray):
-        return jsonify(obj.tolist())
+        lists = _plain_lists(obj)
+        return jsonify(obj.tolist()) if lists is None else lists
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: jsonify(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
@@ -216,7 +292,86 @@ def jsonify(obj):
 
 
 def dumps_canonical(doc) -> str:
-    return json.dumps(jsonify(doc), indent=2, allow_nan=False) + "\n"
+    """The canonical text of ``doc``: ``json.dumps(jsonify(doc), indent=2,
+    allow_nan=False) + "\\n"``, with the same errors, built in one walk."""
+    out: list[str] = []
+    _write(doc, 0, out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(obj, level: int, out: list[str]) -> None:
+    """Append the text of ``obj`` nested ``level`` deep; the branches follow ``jsonify``."""
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None or isinstance(obj, bool):
+        out.append("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(int.__repr__(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if not math.isfinite(x):
+            raise _non_finite(x)
+        out.append(float.__repr__(x))
+    elif isinstance(obj, enum.Enum):
+        # the value goes into the document as it is, so json decides its text
+        text = json.dumps(obj.value, indent=2, allow_nan=False)
+        out.append(text.replace("\n", "\n" + _INDENT * level))
+    elif isinstance(obj, np.ndarray):
+        lists = _plain_lists(obj)
+        _write(obj.tolist() if lists is None else lists, level, out)
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        _write_items([(f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj)],
+                     level, out)
+    elif isinstance(obj, dict):
+        if all(type(k) is str for k in obj):
+            _write_items(obj.items(), level, out)
+        else:  # str(k) can merge keys; jsonify keeps the first place and the last value
+            _write(jsonify(obj), level, out)
+    elif isinstance(obj, (list, tuple)):
+        _write_list(obj, level, out)
+    else:
+        raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
+
+
+def _write_items(items, level: int, out: list[str]) -> None:
+    inner = "\n" + _INDENT * (level + 1)
+    opening = "{"
+    for key, value in items:
+        out.append(opening + inner + encode_basestring_ascii(key) + ": ")
+        _write(value, level + 1, out)
+        opening = ","
+    out.append("{}" if opening == "{" else "\n" + _INDENT * level + "}")
+
+
+@functools.lru_cache(maxsize=32)
+def _run_encoder(level: int) -> json.JSONEncoder:
+    """The C-backed encoder of a run of scalars in a list nested ``level`` deep."""
+    return json.JSONEncoder(check_circular=False, allow_nan=False,
+                            separators=(",\n" + _INDENT * (level + 1), ": "))
+
+
+def _write_list(items, level: int, out: list[str]) -> None:
+    if not items:
+        out.append("[]")
+        return
+    inner = "\n" + _INDENT * (level + 1)
+    if set(map(type, items)) <= _SCALAR_TYPES:
+        try:
+            text = _run_encoder(level).encode(items)
+        except ValueError:
+            for x in items:
+                if type(x) is float and not math.isfinite(x):
+                    raise _non_finite(x) from None
+            raise
+        out.append("[" + inner + text[1:-1] + "\n" + _INDENT * level + "]")
+        return
+    opening = "["
+    for x in items:
+        out.append(opening + inner)
+        _write(x, level + 1, out)
+        opening = ","
+    out.append("\n" + _INDENT * level + "]")
 
 
 def save_json(doc, path) -> None:

@@ -249,6 +249,91 @@ def test_malformed_json_is_input_error(capsys, tmp_path):
     assert code == 2
 
 
+OVERFLOW_CASES = (
+    ("verify", "fusion_dim6.json", ("family", "entries", 0, "weight"), "$.family.entries[0].weight"),
+    ("bounds", "fusion_dim6.json", ("family", "entries", 1, "basis", 0, 2),
+     "$.family.entries[1].basis[0][2]"),
+    ("classify", "fusion_dim6.json", ("J", "rows", 3, 4), "$.J.rows[3][4]"),
+    ("verify-frame", "eigen_frame.json", ("vectors", 1, 0), "$.vectors[1][0]"),
+    ("transform", "neutral_image.json", ("operator", 2, 1), "$.operator[2][1]"),
+)
+MARKER = 1234567.0
+
+
+def _with_literal(doc: dict, where: tuple, literal: str) -> str:
+    """The JSON text of ``doc`` with the number at ``where`` spelled ``literal``."""
+    node = doc
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = MARKER
+    text = json.dumps(doc)
+    assert text.count(repr(MARKER)) == 1
+    return text.replace(repr(MARKER), literal)
+
+
+@pytest.mark.parametrize("literal", ["1e400", "-1e400", "1" + "0" * 400])
+@pytest.mark.parametrize("command, fixture, where, path", OVERFLOW_CASES)
+def test_overflowing_number_is_input_error_with_path(capsys, tmp_path, literal,
+                                                     command, fixture, where, path):
+    doc = json.loads((FIXTURES / fixture).read_text())
+    bad = tmp_path / "overflow.json"
+    bad.write_text(_with_literal(doc, where, literal))
+    code, report, err = run_cli(capsys, command, bad)
+    assert code == 2
+    assert report is None
+    assert f"{path}: " in err and "finite number" in err
+
+
+def _saved_report(capsys, tmp_path) -> tuple[Path, dict]:
+    report_file = tmp_path / "report.json"
+    run_cli(capsys, "verify", FIXTURES / "fusion_dim6.json", "-o", report_file)
+    return report_file, json.loads(report_file.read_text())
+
+
+def test_oracle_rejects_overflowing_number_in_embedded_problem(capsys, tmp_path):
+    report_file, doc = _saved_report(capsys, tmp_path)
+    report_file.write_text(_with_literal(doc, ("problem", "family", "entries", 0, "basis", 0, 0),
+                                         "1e400"))
+    code, _, err = run_cli(capsys, "oracle", report_file)
+    assert code == 2
+    assert "$.problem.family.entries[0].basis[0][0]: expected a finite number" in err
+
+
+@pytest.mark.parametrize("key, literal, message", [
+    ("tol_def", "1e400", "expected a positive finite number"),
+    ("tol_num", "1" + "0" * 400, "expected a positive finite number"),
+    ("tol_rank", "0", "expected a positive finite number"),
+    ("tol_def", "-1.0", "expected a positive finite number"),
+    ("seed", "1e400", "expected a finite number"),
+])
+def test_oracle_rejects_bad_stored_parameter(capsys, tmp_path, key, literal, message):
+    report_file, doc = _saved_report(capsys, tmp_path)
+    report_file.write_text(_with_literal(doc, ("parameters", key), literal))
+    code, _, err = run_cli(capsys, "oracle", report_file)
+    assert code == 2
+    assert f"$.parameters.{key}: {message}" in err
+
+
+def test_oracle_detects_overflowing_stored_result(capsys, tmp_path):
+    report_file, doc = _saved_report(capsys, tmp_path)
+    for literal in ("1e400", "1" + "0" * 400):
+        report_file.write_text(_with_literal(doc, ("result", "bounds", 3), literal))
+        code, _, err = run_cli(capsys, "oracle", report_file)
+        assert code == 3
+        assert "result.bounds[3]" in err
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe not utf-8", b"[" * 100_000,
+                                     b'{"dimension": ' + b"1" * 5000 + b"}"])
+def test_unreadable_input_is_input_error(capsys, tmp_path, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    for command in ("verify", "oracle"):
+        code, report, err = run_cli(capsys, command, bad)
+        assert code == 2
+        assert report is None
+
+
 def test_missing_file_is_input_error(capsys, tmp_path):
     code, report, err = run_cli(capsys, "verify", tmp_path / "nope.json")
     assert code == 2

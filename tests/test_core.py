@@ -38,6 +38,17 @@ def test_make_krein_space_rejects_non_involution():
     assert excinfo.value.involution_defect > 0
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("rows", [
+    [[1e308, 0.0], [0.0, -1.0]],
+    [[0.0, 1e308], [-1e308, 0.0]],
+    [[1e308, 1e308], [1e308, 1e308]],
+])
+def test_make_krein_space_rejects_matrices_whose_defects_overflow(rows):
+    with pytest.raises(kf.NotAnInvolution):
+        kf.make_krein_space(np.array(rows))
+
+
 def test_projectors_resolve_identity():
     space = kf.make_krein_space(np.diag([1.0, -1.0, -1.0]))
     p_plus = space.positive_projector

@@ -188,6 +188,17 @@ def test_reciprocity_exact_for_eigen_frame(minkowski2):
     assert np.allclose(report.reciprocal_expected, EIGEN_DUAL_BOUNDS, atol=EXACT_TOL)
 
 
+def test_reciprocity_report_carries_the_canonical_dual():
+    frame = _tilted_frame()
+    report = kf.dual_reciprocity(frame)
+    dual = kf.canonical_dual(frame)
+    assert np.array_equal(report.dual.vectors, dual.vectors)
+    assert np.array_equal(report.dual.signs, dual.signs)
+    s_inv = np.linalg.inv(kf.frame_operator(frame).matrix)
+    assert report.dual_operator_residual <= 1e-12
+    assert np.allclose(kf.frame_operator(report.dual).matrix, s_inv, atol=1e-12)
+
+
 def test_reciprocity_fails_for_tilted_frame():
     """Pins measured behaviour: the reciprocal-bounds pattern is not exact.
 

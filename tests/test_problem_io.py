@@ -1,11 +1,21 @@
 """Strict JSON problem/report parsing and canonical serialization."""
 
+import dataclasses
+import enum
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import kreinframes as kf
+from kreinframes import cli
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+COMMANDS = ("classify", "verify", "verify-frame", "bounds", "dual", "transform")
 
 
 def _minimal_family_doc():
@@ -61,6 +71,80 @@ def test_parse_rejects_wrong_row_length():
     doc["family"]["entries"][0]["basis"] = [[1.0, 0.0, 0.0]]
     with pytest.raises(kf.SchemaError):
         kf.parse_problem(doc)
+
+
+def _doc_with(**sections):
+    doc = {"dimension": 2, "J": {"type": "diagonal", "signs": [1, -1]}}
+    doc.update(sections)
+    return doc
+
+
+@pytest.mark.parametrize("sections, message", [
+    ({"vectors": [[1.0, True]]}, "$.vectors[0][1]: expected a number"),
+    ({"vectors": [["1.0", 0.0]]}, "$.vectors[0][0]: expected a number"),
+    ({"vectors": [[1.0, None]]}, "$.vectors[0][1]: expected a number"),
+    ({"vectors": [[1.0, 0.0], [1.0]]}, "$.vectors[1]: row length 1 differs from 2"),
+    ({"vectors": [[1.0, 0.0], []]}, "$.vectors[1]: expected a non-empty list of numbers"),
+    ({"vectors": [[1.0, 0.0, 0.0]]}, "$.vectors: row length 3, expected 2"),
+    ({"vectors": [[[1.0, 0.0]]]}, "$.vectors[0][0]: expected a number"),
+    ({"vectors": [1.0, 2.0]}, "$.vectors[0]: expected a non-empty list of numbers"),
+    ({"vectors": []}, "$.vectors: expected a list of at least 1 rows"),
+    ({"J": {"type": "matrix", "rows": [[1.0, 0.0], [0.0]]}},
+     "$.J.rows[1]: row length 1 differs from 2"),
+    ({"family": {"entries": [{"basis": [[1.0, False]], "weight": 1.0}]}},
+     "$.family.entries[0].basis[0][1]: expected a number"),
+    ({"operator": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]}, "$.operator: 3 rows, expected 2"),
+    # a structural error ahead of an overflow keeps its message
+    ({"vectors": [[10**400, 0.0], [1.0]]}, "$.vectors[1]: row length 1 differs from 2"),
+    ({"vectors": [[10**400, 0.0, 1.0]]}, "$.vectors: row length 3, expected 2"),
+])
+def test_matrix_errors_keep_message_and_path(sections, message):
+    with pytest.raises(kf.SchemaError) as caught:
+        kf.parse_problem(_doc_with(**sections))
+    assert str(caught.value) == message
+
+
+def test_parse_accepts_numpy_scalars_in_memory():
+    parsed = kf.parse_problem(_doc_with(vectors=[[np.float64(1.0), np.float64(0.5)], [0.0, 2]]))
+    assert parsed.vectors.dtype == float
+    assert parsed.vectors.tolist() == [[1.0, 0.5], [0.0, 2.0]]
+
+
+OVERFLOWS = ("1e400", "-1e400", "1" + "0" * 400)
+
+
+@pytest.mark.parametrize("literal", OVERFLOWS)
+@pytest.mark.parametrize("template, path", [
+    ('{{"dimension": 2, "J": {{"type": "matrix", "rows": [[1.0, 0.0], [0.0, {x}]]}}}}',
+     "$.J.rows[1][1]"),
+    ('{{"dimension": 2, "J": {{"type": "diagonal", "signs": [1, -1]}}, '
+     '"family": {{"entries": [{{"basis": [[{x}, 0.0]], "weight": 1.0}}]}}}}',
+     "$.family.entries[0].basis[0][0]"),
+    ('{{"dimension": 2, "J": {{"type": "diagonal", "signs": [1, -1]}}, '
+     '"family": {{"entries": [{{"basis": [[1.0, 0.0]], "weight": {x}}}]}}}}',
+     "$.family.entries[0].weight"),
+    ('{{"dimension": 2, "J": {{"type": "diagonal", "signs": [1, -1]}}, '
+     '"vectors": [[1.0, 0.0], [0.5, {x}]]}}', "$.vectors[1][1]"),
+    ('{{"dimension": 2, "J": {{"type": "diagonal", "signs": [1, -1]}}, '
+     '"operator": [[{x}, 0.0], [0.0, 1.0]]}}', "$.operator[0][0]"),
+])
+def test_numbers_overflowing_a_double_are_rejected_with_path(literal, template, path):
+    doc = kf.loads_strict(template.format(x=literal))
+    with pytest.raises(kf.SchemaError) as caught:
+        kf.parse_problem(doc)
+    assert caught.value.path == path
+    assert "finite number" in str(caught.value)
+
+
+def test_parse_rejects_non_finite_in_memory():
+    with pytest.raises(kf.SchemaError, match=r"\$\.vectors\[0\]\[0\]: expected a finite number"):
+        kf.parse_problem(_doc_with(vectors=[[float("nan"), 0.0]]))
+
+
+@pytest.mark.parametrize("text", ["[" * 100_000 + "]" * 100_000, "1" * 5000])
+def test_loads_strict_rejects_unparseable_depth_and_digits(text):
+    with pytest.raises(kf.ParseError):
+        kf.loads_strict('{"x": ' + text + "}")
 
 
 def test_parse_rejects_bad_sign_values():
@@ -146,3 +230,184 @@ def test_parse_report_requires_envelope_keys():
     unversioned["report_version"] = 99
     with pytest.raises(kf.SchemaError):
         kf.parse_report(unversioned)
+
+
+# ---------------------------------------------------------------------------
+# byte identity of dumps_canonical with the definition it replaced
+
+
+def jsonify_reference(obj):
+    """The element-by-element ``jsonify`` that defined the canonical form."""
+    if obj is None or isinstance(obj, (bool, str)):
+        return obj
+    if isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if not np.isfinite(x):
+            raise kf.ParseError(f"refusing to serialize non-finite number {x!r}")
+        return x
+    if isinstance(obj, enum.Enum):
+        return obj.value
+    if isinstance(obj, np.ndarray):
+        return jsonify_reference(obj.tolist())
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: jsonify_reference(getattr(obj, f.name))
+                for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        return {str(k): jsonify_reference(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonify_reference(v) for v in obj]
+    raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
+
+
+def dumps_reference(doc) -> str:
+    return json.dumps(jsonify_reference(doc), indent=2, allow_nan=False) + "\n"
+
+
+def _outcome(fn, doc):
+    try:
+        return "ok", fn(doc)
+    except (kf.ParseError, TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class Colour(enum.Enum):
+    RED = "red"
+    BLUE = "bl\u00fc"
+
+
+class Rank(enum.IntEnum):
+    LOW = 1
+    HIGH = 10**20
+
+
+class Shape(enum.Enum):
+    PAIR = (2, 3.5)
+    GRID = ((1.0, -0.0), ("x", None))
+
+
+@dataclasses.dataclass(frozen=True)
+class Node:
+    left: object
+    right: object
+
+
+EXTREME_FLOATS = (-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, 2.2250738585072014e-308)
+NON_FINITE = (float("nan"), float("inf"), float("-inf"))
+
+finite_floats = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                          st.sampled_from(EXTREME_FLOATS))
+numbers = st.one_of(
+    finite_floats,
+    st.integers(),
+    st.integers(min_value=-10**400, max_value=10**400),
+    st.booleans(),
+    finite_floats.map(np.float64),
+    st.integers(min_value=-2**63, max_value=2**63 - 1).map(np.int64),
+)
+texts = st.text(st.characters(codec=None, exclude_categories=("Cs",)), max_size=8)
+scalars = st.one_of(st.none(), numbers, texts,
+                    st.sampled_from(list(Colour) + list(Rank) + list(Shape)))
+arrays = st.one_of(
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=4),
+               elements=finite_floats),
+    hnp.arrays(np.float64, st.tuples(st.just(0), st.integers(0, 3))),
+    hnp.arrays(np.int64, hnp.array_shapes(min_dims=1, max_dims=2, max_side=3)),
+    hnp.arrays(np.bool_, st.integers(0, 3)),
+    hnp.arrays(np.float32, st.integers(1, 3), elements=st.floats(-1e6, 1e6, width=32)),
+)
+keys = st.one_of(texts, st.integers(-3, 3), st.booleans(), st.none(),
+                 st.sampled_from([1.5, -0.0, "1", "True"]))
+
+
+def _trees(leaves):
+    return st.recursive(
+        st.one_of(leaves, arrays, st.lists(numbers, max_size=6)),
+        lambda children: st.one_of(
+            st.lists(children, max_size=4),
+            st.lists(children, max_size=3).map(tuple),
+            st.dictionaries(keys, children, max_size=4),
+            st.builds(Node, children, children),
+        ),
+        max_leaves=12,
+    )
+
+
+@seed(3)
+@settings(max_examples=300, deadline=None)
+@given(_trees(scalars))
+def test_dumps_canonical_is_the_reference_encoding(doc):
+    expected = dumps_reference(doc)
+    assert kf.dumps_canonical(doc) == expected
+    assert json.dumps(kf.jsonify(doc), indent=2, allow_nan=False) + "\n" == expected
+
+
+@seed(4)
+@settings(max_examples=200, deadline=None)
+@given(_trees(st.one_of(scalars, st.sampled_from(NON_FINITE),
+                        st.sampled_from(NON_FINITE).map(np.float64),
+                        hnp.arrays(np.float64, hnp.array_shapes(max_dims=2), elements=st.floats())
+                        .map(lambda a: a.T),
+                        st.sampled_from([object(), 1j, {1, 2}, np.bool_(True),
+                                         np.array([1j]), np.array(["a"], dtype=object)]))))
+def test_dumps_canonical_raises_what_the_reference_raises(doc):
+    assert _outcome(kf.dumps_canonical, doc) == _outcome(dumps_reference, doc)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("wrap", [
+    lambda x: x,
+    lambda x: [1.0, 2, x],
+    lambda x: {"a": [[0.5, x]]},
+    lambda x: np.float64(x),
+    lambda x: np.array([[1.0, 2.0], [3.0, x]]),
+    lambda x: np.array([[1.0, 2.0], [x, 4.0]]).T,
+    lambda x: (Node(1.0, [x]),),
+    lambda x: {3: x},
+])
+def test_non_finite_anywhere_is_a_parse_error(bad, wrap):
+    doc = wrap(bad)
+    with pytest.raises(kf.ParseError, match="non-finite") as caught:
+        kf.dumps_canonical(doc)
+    with pytest.raises(kf.ParseError) as reference:
+        dumps_reference(doc)
+    assert str(caught.value) == str(reference.value)
+    with pytest.raises(kf.ParseError):
+        kf.jsonify(doc)
+
+
+@pytest.mark.parametrize("doc", [object(), [1.0, {2, 3}], {"a": 1j}, [np.bool_(False)],
+                                 np.array([1 + 2j]), Node(None, [b"bytes"])])
+def test_unsupported_types_are_type_errors(doc):
+    with pytest.raises(TypeError) as caught:
+        kf.dumps_canonical(doc)
+    with pytest.raises(TypeError) as reference:
+        dumps_reference(doc)
+    assert str(caught.value) == str(reference.value)
+
+
+def test_cli_reports_are_the_reference_encoding(capsys, monkeypatch, tmp_path):
+    emitted = []
+
+    def recording(doc):
+        emitted.append(doc)
+        return kf.dumps_canonical(doc)
+
+    monkeypatch.setattr(cli, "dumps_canonical", recording)
+    checked = 0
+    for fixture in sorted(FIXTURES.glob("*.json")):
+        for command in COMMANDS:
+            report_file = tmp_path / f"{fixture.stem}.{command}.json"
+            for argv in ([command, str(fixture), "-o", str(report_file)],
+                         ["oracle", str(report_file)]):
+                emitted.clear()
+                code = cli.main(argv)
+                out = capsys.readouterr().out
+                if code == 2:
+                    assert out == "" and not emitted
+                    break
+                assert len(emitted) == 1
+                assert out == dumps_reference(emitted[0])
+                checked += 1
+    assert checked >= 40
