@@ -13,6 +13,7 @@ __all__ = [
     "operator_norm",
     "smallest_singular_value",
     "orth_columns",
+    "scaled_below_overflow",
     "rank_from_singular_values",
     "definite_pair_extrema",
     "same_span",
@@ -60,15 +61,39 @@ def rank_from_singular_values(s: np.ndarray, tol_rank: float) -> int:
     return int(np.sum(s > tol_rank * s[0]))
 
 
+# Entries above this magnitude can overflow a column norm or a product.
+OVERFLOW_GUARD = 2.0**500
+
+
+def scaled_below_overflow(m: np.ndarray) -> np.ndarray:
+    """``m`` itself, or, when an entry exceeds ``OVERFLOW_GUARD``, ``m`` times the
+    power of two that brings its largest magnitude into [0.5, 1).
+
+    Scaling by a power of two is exact (up to entries that fall into the
+    subnormal range, far below any rank cutoff relative to the largest), so
+    it leaves every column space, and every result that is homogeneous in
+    ``m``, unchanged; inputs below the guard are returned as they are.
+    """
+    if m.size == 0:
+        return m
+    peak = float(np.max(np.abs(m)))
+    if peak <= OVERFLOW_GUARD:
+        return m
+    return np.ldexp(m, -int(np.frexp(peak)[1]))
+
+
 def orth_columns(m: np.ndarray, tol_rank: float) -> np.ndarray:
     """Orthonormal basis (columns) of the column space of ``m``.
 
     Uses QR with column pivoting so the rank decision matches the pivot
     magnitudes; the relative cutoff is ``tol_rank`` times the largest pivot.
+    Input near the double limit is first rescaled by an exact power of two
+    (:func:`scaled_below_overflow`), because the Householder reflections
+    would otherwise overflow.
     """
     if m.size == 0:
         return np.zeros((m.shape[0], 0))
-    q, r, _ = sla.qr(m, mode="economic", pivoting=True)
+    q, r, _ = sla.qr(scaled_below_overflow(m), mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))
     if diag.size == 0 or diag[0] == 0.0:
         return np.zeros((m.shape[0], 0))

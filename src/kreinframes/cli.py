@@ -20,6 +20,7 @@ the default for all three tolerance flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import dataclass
@@ -664,10 +665,15 @@ def _summarize(lines: list[str]) -> None:
         print(line, file=sys.stderr)
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process and reused by every call of :func:`main`."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return 0 if code in (None, 0) else 2

@@ -57,8 +57,8 @@ from .subspaces import (
     classify,
     j_orthogonal_complement,
     j_projection,
-    orthogonal_projection,
     reduced_min_modulus,
+    regular_gram,
     span,
     subspace_sum,
 )
@@ -306,12 +306,13 @@ def fusion_operator_parts(family: WeightedSubspaceFamily,
 
 
 def bessel_bound(family: WeightedSubspaceFamily) -> float:
-    """Smallest C with sum_i v_i^2 ||pi_i f||^2 <= C ||f||^2."""
-    n = family.space.dim
-    acc = np.zeros((n, n))
-    for w, sub in zip(family.weights, family.subspaces):
-        acc += w**2 * (sub.basis @ sub.basis.T)
-    return float(np.linalg.eigvalsh(0.5 * (acc + acc.T))[-1])
+    """Smallest C with sum_i v_i^2 ||pi_i f||^2 <= C ||f||^2.
+
+    That sum is ``f^T T T^T f`` with T the synthesis matrix, so C is the
+    largest eigenvalue of ``T T^T``.
+    """
+    t = fusion_synthesis(family)
+    return float(np.linalg.eigvalsh(t @ t.T)[-1])
 
 
 @dataclass(frozen=True)
@@ -443,10 +444,15 @@ def verify_j_fusion_frame(family: WeightedSubspaceFamily, tol_def: float = TOL_D
 
 
 def optimal_fusion_bounds(family: WeightedSubspaceFamily, tol_def: float = TOL_DEF) -> Bounds4:
+    return _verified(family, tol_def).bounds
+
+
+def _verified(family: WeightedSubspaceFamily, tol_def: float) -> JFusionReport:
+    """The report of a family that must verify; raises :class:`NotAJFusionFrame`."""
     report = verify_j_fusion_frame(family, tol_def)
     if not report.is_j_fusion_frame:
         raise NotAJFusionFrame("; ".join(report.reasons) or "fusion verification failed")
-    return report.bounds
+    return report
 
 
 def fusion_bound_estimates(family: WeightedSubspaceFamily,
@@ -485,9 +491,13 @@ def canonical_dual_fusion(family: WeightedSubspaceFamily, tol_def: float = TOL_D
     ``S^{-1} Q_{W_i} f`` lies in ``S^{-1} W_i``.  Its own frame operator is
     *not* S^{-1} in general (see :func:`fusion_dual_diagnostics`).
     """
-    report = verify_j_fusion_frame(family, tol_def)
-    if not report.is_j_fusion_frame:
-        raise NotAJFusionFrame("; ".join(report.reasons) or "fusion verification failed")
+    _verified(family, tol_def)
+    return _canonical_dual_of_verified(family, tol_def)
+
+
+def _canonical_dual_of_verified(family: WeightedSubspaceFamily, tol_def: float
+                                ) -> tuple[WeightedSubspaceFamily, Operator]:
+    """:func:`canonical_dual_fusion` of a family already verified at ``tol_def``."""
     s = fusion_frame_operator(family, "qproj", tol_def).matrix
     svals = np.linalg.svd(s, compute_uv=False)
     if svals[-1] <= tol_def * svals[0]:
@@ -525,7 +535,7 @@ class FusionDualReport:
 def fusion_dual_diagnostics(family: WeightedSubspaceFamily,
                             tol_def: float = TOL_DEF) -> FusionDualReport:
     original_bounds = optimal_fusion_bounds(family, tol_def)
-    dual, inverse = canonical_dual_fusion(family, tol_def)
+    dual, inverse = _canonical_dual_of_verified(family, tol_def)
     dual_bounds = optimal_fusion_bounds(dual, tol_def)
     expected = _reciprocal_pattern(original_bounds)
     s_dual = fusion_frame_operator(dual, "qproj", tol_def).matrix
@@ -595,10 +605,13 @@ def adjoint_identity_residual(family: WeightedSubspaceFamily, variant: str = "qp
 class RpsEntry:
     """Projection-alignment residuals for one entry relative to its part span.
 
-    ``r`` measures how far composing the two natural projectors is from the
-    Euclidean projector onto the entry; ``r_prime`` measures the difference
-    between the indefinite and Euclidean projectors on vectors of the part
-    span, as :func:`~kreinframes.subspaces.check_rjpp` does for a pair.
+    With pi_W, pi_M the Euclidean projectors onto the entry W and its part
+    span M and Q_W the indefinite projector onto W,
+    ``r = || J pi_W J pi_M - pi_W ||`` measures how far composing the two
+    natural projectors is from the Euclidean projector onto the entry, and
+    ``r_prime = || (Q_W - pi_W) pi_M ||`` the difference between the
+    indefinite and Euclidean projectors on vectors of the part span, as
+    :func:`~kreinframes.subspaces.check_rjpp` does for a pair.
     ``r_prime`` vanishes exactly when the entry is J-orthogonal to its
     Euclidean complement in the part span: always for an entry that fills
     its part span or lies in an eigenspace of J, but generically not for a
@@ -614,17 +627,40 @@ class RpsEntry:
 
 def check_rps_corollary(family: WeightedSubspaceFamily,
                         tol_def: float = TOL_DEF) -> tuple[RpsEntry, ...]:
+    """Projection-alignment residuals of every entry against its part span.
+
+    Both spectral norms are taken in entry coordinates, never on n x n
+    projectors.  With B and B_M orthonormal bases of the entry and its part
+    span and G = B^T J B:
+
+    * ``(Q_W - pi_W) pi_M = B [G^{-1} (JB)^T B_M - B^T B_M] B_M^T``, and
+      multiplying by matrices with orthonormal columns (B on the left, B_M^T
+      on the right) keeps the spectral norm, so ``r_prime`` is the norm of
+      the k x k_M bracket.
+    * ``J pi_W J pi_M - pi_W = [JB, B] Y`` with ``Y`` the rows
+      ``(JB)^T B_M B_M^T`` over ``-B^T``.  A Householder QR
+      ``[JB, B] = V R`` (no pivoting, no rank decision) gives V with
+      orthonormal columns even when ``JW = W`` makes the block
+      rank-deficient, so ``r = || R Y ||``, a 2k x n problem.
+
+    Each entry must be regular: :class:`~kreinframes.errors.NotRegular` is
+    raised, as :func:`~kreinframes.subspaces.j_projection` raises it, when
+    the Gram margin of an entry is at most ``tol_def``.
+    """
     j = family.space.symmetry
     out = []
     for i, (sigma, sub) in enumerate(zip(family.signs, family.subspaces)):
         part_span = family.positive_span if sigma > 0 else family.negative_span
         label = "positive" if sigma > 0 else "negative"
-        pi_part = orthogonal_projection(part_span).matrix
-        pi_w = sub.basis @ sub.basis.T
-        pi_jw = j @ pi_w @ j
-        q_w = j_projection(sub, tol_def).matrix
-        r = operator_norm(pi_jw @ pi_part - pi_w)
-        r_prime = operator_norm((q_w - pi_w) @ pi_part)
+        g = regular_gram(sub, tol_def)
+        b = sub.basis
+        b_m = part_span.basis
+        jb = j @ b
+        jb_t_bm = jb.T @ b_m
+        r_prime = operator_norm(np.linalg.solve(g, jb_t_bm) - b.T @ b_m)
+        r_factor = np.linalg.qr(np.hstack([jb, b]), mode="r")
+        k = sub.dim
+        r = operator_norm(r_factor[:, :k] @ jb_t_bm @ b_m.T - r_factor[:, k:] @ b.T)
         out.append(RpsEntry(index=i, part=label, r=float(r), r_prime=float(r_prime)))
     return tuple(out)
 

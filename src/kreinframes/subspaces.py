@@ -172,11 +172,11 @@ def orthogonal_projection(subspace: Subspace) -> Operator:
     return Operator(subspace.space, b @ b.T)
 
 
-def j_projection(subspace: Subspace, tol_def: float = TOL_DEF) -> Operator:
-    """Projector onto W orthogonal with respect to the indefinite product.
+def regular_gram(subspace: Subspace, tol_def: float = TOL_DEF) -> np.ndarray:
+    """The Gram operator G = B^T J B of a regular subspace.
 
-    Q_W = B G^{-1} B^T J.  Defined only for regular subspaces; degenerate
-    Gram operators raise :class:`NotRegular`.
+    Raises :class:`NotRegular` when the smallest eigenvalue modulus of G is
+    at most ``tol_def``, so that G^{-1} (and with it Q_W) is not defined.
     """
     g = subspace.gram
     smin = float(np.min(np.abs(np.linalg.eigvalsh(g)))) if g.size else 0.0
@@ -185,6 +185,16 @@ def j_projection(subspace: Subspace, tol_def: float = TOL_DEF) -> Operator:
             f"subspace is degenerate: Gram smallest singular value {smin:.3e}",
             smallest_singular_value=smin,
         )
+    return g
+
+
+def j_projection(subspace: Subspace, tol_def: float = TOL_DEF) -> Operator:
+    """Projector onto W orthogonal with respect to the indefinite product.
+
+    Q_W = B G^{-1} B^T J.  Defined only for regular subspaces; degenerate
+    Gram operators raise :class:`NotRegular`.
+    """
+    g = regular_gram(subspace, tol_def)
     b = subspace.basis
     q = b @ np.linalg.solve(g, b.T @ subspace.space.symmetry)
     return Operator(subspace.space, q)

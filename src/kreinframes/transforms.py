@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._numeric import operator_norm, orth_columns
+from ._numeric import operator_norm, orth_columns, scaled_below_overflow
 from .core import TOL_DEF, TOL_RANK, KreinSpace, Operator, j_adjoint_matrix
 from .errors import (
     DimensionMismatch,
@@ -26,14 +26,19 @@ from .subspaces import Classification, Subspace, SubspaceKind, classify, j_proje
 
 
 def _operator_matrix(operator, space: KreinSpace) -> np.ndarray:
+    """The matrix of T, rescaled by a power of two when it is near the double limit.
+
+    Images T(W), ranks and the sign of every image are unchanged by a
+    positive scale of T, and the rescale keeps T W from overflowing.
+    """
     if isinstance(operator, Operator):
         if operator.space != space:
             raise DimensionMismatch("operator and family live in different spaces")
-        return operator.matrix
+        return scaled_below_overflow(operator.matrix)
     m = np.asarray(operator, dtype=float)
     if m.shape != (space.dim, space.dim):
         raise DimensionMismatch(f"operator matrix has shape {m.shape}, expected {(space.dim, space.dim)}")
-    return m
+    return scaled_below_overflow(m)
 
 
 def _image_subspace(t: np.ndarray, sub: Subspace, tol_rank: float) -> Subspace:
@@ -238,7 +243,9 @@ def projection_commutation_residual(operator, subspace: Subspace, tol_def: float
 
     Both V and T(V) must be regular so the indefinite projectors exist; the
     identity itself is exact, so the returned number is numerical noise for
-    well-conditioned inputs.
+    well-conditioned inputs.  The defect is homogeneous in T; for an
+    operator with an entry above 2^500 it is that of T rescaled by a power
+    of two (see :func:`_operator_matrix`).
     """
     t = _operator_matrix(operator, subspace.space)
     q_v = j_projection(subspace, tol_def).matrix

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import kreinframes as kf
-from kreinframes.cli import main
+from kreinframes.cli import _compare_trees, main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -351,3 +351,55 @@ def test_paper_variant_flag(capsys):
                               "--variant", "paper")
     assert code == 0
     assert report["parameters"]["variant"] == "paper"
+
+
+# ---------------------------------------------------------------------------
+# finite input near the double limit
+
+DIAG_J = {"type": "diagonal", "signs": [1, -1]}
+DOUBLE_MAX = float(np.finfo(float).max)
+
+
+def _near_limit_problem(scale: float) -> dict:
+    """A valid two-entry family and an operator, with entries of size ``scale``."""
+    return {
+        "dimension": 2,
+        "J": DIAG_J,
+        "family": {"entries": [{"basis": [[scale, 0.1 * scale]], "weight": 1.0},
+                               {"basis": [[0.0, 1.0]], "weight": 1.0}]},
+        "operator": [[scale, scale], [scale, -scale]],
+    }
+
+
+@pytest.mark.parametrize("command, expected", [
+    ("classify", 0), ("verify", 0), ("bounds", 0), ("dual", 0), ("transform", 1),
+])
+def test_near_limit_input_matches_unit_scale(capsys, tmp_path, command, expected):
+    """Bases and operators near the double limit give the report of the same problem at scale 1."""
+    results = []
+    for scale in (1e308, DOUBLE_MAX, 1.0):
+        problem = tmp_path / f"problem_{scale:g}.json"
+        problem.write_text(json.dumps(_near_limit_problem(scale)))
+        report_file = tmp_path / f"report_{scale:g}.json"
+        code, report, err = run_cli(capsys, command, problem, "-o", report_file)
+        assert code == expected, err
+        results.append(report["result"])
+        code, _, err = run_cli(capsys, "oracle", report_file)
+        assert code == 0, err
+    for result in results[:-1]:
+        diffs: list[str] = []
+        _compare_trees(results[-1], result, "result", diffs)
+        assert not diffs
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("command", ["verify-frame", "bounds", "dual"])
+def test_frame_with_overflowing_bound_is_refused(capsys, tmp_path, command):
+    """A frame whose bound exceeds the double range has no finite report: exit 2."""
+    doc = {"dimension": 2, "J": DIAG_J, "vectors": [[1e308, 1e307], [0.0, 1.0], [1.0, 0.0]]}
+    problem = tmp_path / "near_limit.json"
+    problem.write_text(json.dumps(doc))
+    code, report, err = run_cli(capsys, command, problem)
+    assert code == 2
+    assert report is None
+    assert "non-finite" in err

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import kreinframes as kf
 from kreinframes import SubspaceKind
+from kreinframes._numeric import operator_norm
 
 EXACT_TOL = 1e-12
 NUM_TOL = 1e-9
@@ -26,6 +29,32 @@ def _eigen_family(space=None):
     space = space or kf.make_krein_space(np.diag([1.0, -1.0]))
     return kf.family_from_spans(
         [np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])], [1.0, 1.0], space)
+
+
+def _rps_reference(family, tol_def=kf.TOL_DEF):
+    """The dense definition of the projection-alignment residuals (n x n projectors)."""
+    j = family.space.symmetry
+    out = []
+    for i, (sigma, sub) in enumerate(zip(family.signs, family.subspaces)):
+        part_span = family.positive_span if sigma > 0 else family.negative_span
+        label = "positive" if sigma > 0 else "negative"
+        pi_part = kf.orthogonal_projection(part_span).matrix
+        pi_w = sub.basis @ sub.basis.T
+        pi_jw = j @ pi_w @ j
+        q_w = kf.j_projection(sub, tol_def).matrix
+        r = operator_norm(pi_jw @ pi_part - pi_w)
+        r_prime = operator_norm((q_w - pi_w) @ pi_part)
+        out.append(kf.RpsEntry(index=i, part=label, r=float(r), r_prime=float(r_prime)))
+    return tuple(out)
+
+
+def _bessel_reference(family):
+    """The Bessel constant as the top eigenvalue of sum_i v_i^2 pi_i, summed entry by entry."""
+    n = family.space.dim
+    acc = np.zeros((n, n))
+    for w, sub in zip(family.weights, family.subspaces):
+        acc += w**2 * (sub.basis @ sub.basis.T)
+    return float(np.linalg.eigvalsh(0.5 * (acc + acc.T))[-1])
 
 
 def _skewed_family():
@@ -278,6 +307,92 @@ def test_rps_q_residual_positive_for_overlapping_entries(tilted_family):
     entries = kf.check_rps_corollary(tilted_family)
     assert max(e.r_prime for e in entries) > 1e-3
     assert all(np.isfinite(e.r) for e in entries)
+
+
+REFERENCE_REL_TOL = 1e-12
+NEAR_NEUTRAL = 0.9999999
+
+
+def _close_to_reference(new: float, ref: float, noise: float = 0.0) -> bool:
+    return abs(new - ref) <= REFERENCE_REL_TOL * max(1.0, abs(ref)) + noise
+
+
+def _r_prime_noise(family, index: int) -> float:
+    """First-order rounding error of r' on floating-point bases, n eps / margin.
+
+    r' applies G^{-1} to B^T J (B_M - B B^T B_M), whose entries are only
+    known to about eps, so any route to r' (the dense one too) carries noise
+    of this size: near-neutral entries (margin 1e-7) that fill their part
+    span, where r' = 0 exactly, come out between 1e-10 and 1e-9.
+    """
+    margin = family.entry_classifications[index].margin
+    return family.space.dim * np.finfo(float).eps / margin
+
+
+@st.composite
+def _generated_families(draw):
+    n = draw(st.integers(min_value=2, max_value=32))
+    p = draw(st.integers(min_value=0, max_value=n))
+    chunk = draw(st.integers(min_value=1, max_value=4))
+
+    def dims(part):
+        # chunks covering the part, plus one more so that entries overlap
+        return tuple(min(chunk, part) for _ in range(-(-part // chunk) + 1)) if part else ()
+
+    cfg = kf.GeneratorConfig(
+        kind="fusion",
+        seed=draw(st.integers(min_value=0, max_value=10_000)),
+        dim=n,
+        num_positive=p,
+        entry_dims_positive=dims(p),
+        entry_dims_negative=dims(n - p),
+        tilt=draw(st.sampled_from([0.0, 0.5, 0.99, NEAR_NEUTRAL])
+                  | st.floats(min_value=0.0, max_value=NEAR_NEUTRAL)),
+        rotate=draw(st.booleans()),
+    )
+    return kf.gen_family(cfg)
+
+
+@seed(4)
+@settings(max_examples=60, deadline=None)
+@given(family=_generated_families())
+def test_entry_coordinate_kernels_match_dense_reference(family):
+    """r, r' and the Bessel constant agree with their dense n x n definitions."""
+    for new, ref in zip(kf.check_rps_corollary(family), _rps_reference(family), strict=True):
+        assert (new.index, new.part) == (ref.index, ref.part)
+        assert _close_to_reference(new.r, ref.r), (new, ref)
+        assert _close_to_reference(new.r_prime, ref.r_prime,
+                                   _r_prime_noise(family, new.index)), (new, ref)
+    assert _close_to_reference(kf.bessel_bound(family), _bessel_reference(family))
+
+
+def test_rps_requires_regular_entries(tilted_family):
+    """An entry whose Gram margin is at most tol_def has no indefinite projector."""
+    margins = [c.margin for c in tilted_family.entry_classifications]
+    kf.check_rps_corollary(tilted_family, tol_def=0.5 * min(margins))
+    with pytest.raises(kf.NotRegular) as info:
+        kf.check_rps_corollary(tilted_family, tol_def=1.01 * min(margins))
+    smin = info.value.smallest_singular_value
+    assert smin <= 1.01 * min(margins)
+    assert any(smin == pytest.approx(m, rel=1e-12) for m in margins)
+    weakest = tilted_family.subspaces[int(np.argmin(margins))]
+    with pytest.raises(kf.NotRegular):
+        kf.j_projection(weakest, tol_def=1.01 * min(margins))
+
+
+def test_dual_diagnostics_verify_original_family_once(tilted_family, monkeypatch):
+    """One verification of the family and one of its dual, not three."""
+    calls = []
+    verify = kf.fusion.verify_j_fusion_frame
+
+    def counting(family, *args, **kwargs):
+        calls.append(family)
+        return verify(family, *args, **kwargs)
+
+    monkeypatch.setattr(kf.fusion, "verify_j_fusion_frame", counting)
+    diag = kf.fusion_dual_diagnostics(tilted_family)
+    assert len(calls) == 2
+    assert calls[0] is tilted_family and calls[1] is diag.dual
 
 
 def test_flatten_family_matches_fusion_verdict(tilted_family):
