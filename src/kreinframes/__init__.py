@@ -25,7 +25,6 @@ from .core import (
 from .errors import (
     DimensionMismatch,
     IndefiniteOrNeutralSubspace,
-    IndefiniteSpan,
     IndexOutOfRange,
     InfeasibleConfig,
     InputError,
@@ -67,7 +66,6 @@ from .fusion import (
     VARIANTS,
     EquivalenceReport,
     FusionDualReport,
-    FusionPartReport,
     JFusionReport,
     RpsEntry,
     WeightedSubspaceFamily,
@@ -147,8 +145,8 @@ __all__ = [
     "NotContained", "NotUniformlyDefinite", "NeutralVector",
     "NonPositiveWeight", "IndefiniteOrNeutralSubspace", "NotAJFrame",
     "NotAJFusionFrame", "SingularFrameOperator", "NotSurjective",
-    "NotPositiveDefinite", "IndexOutOfRange", "IndefiniteSpan",
-    "InfeasibleConfig", "ParseError", "SchemaError",
+    "NotPositiveDefinite", "IndexOutOfRange", "InfeasibleConfig",
+    "ParseError", "SchemaError",
     # subspaces
     "Subspace", "SubspaceKind", "Classification", "span",
     "subspace_from_basis", "classify", "gram_operator",
@@ -165,7 +163,7 @@ __all__ = [
     "WeightedSubspaceFamily", "make_weighted_family", "family_from_spans",
     "direct_sum_space", "fusion_synthesis", "fusion_analysis",
     "fusion_frame_operator", "fusion_operator_parts", "bessel_bound",
-    "FusionPartReport", "JFusionReport", "verify_j_fusion_frame",
+    "JFusionReport", "verify_j_fusion_frame",
     "optimal_fusion_bounds", "fusion_bound_estimates", "part_pencils",
     "canonical_dual_fusion", "FusionDualReport", "fusion_dual_diagnostics",
     "j_image_family", "adjoint_identity_residual", "RpsEntry",

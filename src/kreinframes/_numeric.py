@@ -11,12 +11,9 @@ __all__ = [
     "as_matrix",
     "as_vector",
     "operator_norm",
-    "smallest_singular_value",
     "orth_columns",
     "scaled_below_overflow",
-    "rank_from_singular_values",
     "definite_pair_extrema",
-    "same_span",
     "block_diag",
 ]
 
@@ -47,18 +44,6 @@ def operator_norm(m: np.ndarray) -> float:
     if m.size == 0:
         return 0.0
     return float(np.linalg.norm(m, 2))
-
-
-def smallest_singular_value(m: np.ndarray) -> float:
-    if m.size == 0:
-        return 0.0
-    return float(np.linalg.svd(m, compute_uv=False)[-1])
-
-
-def rank_from_singular_values(s: np.ndarray, tol_rank: float) -> int:
-    if s.size == 0:
-        return 0
-    return int(np.sum(s > tol_rank * s[0]))
 
 
 # Entries above this magnitude can overflow a column norm or a product.
@@ -122,13 +107,6 @@ def definite_pair_extrema(a: np.ndarray, g: np.ndarray, tol_def: float) -> tuple
         vals = np.real(vals[np.isfinite(vals)])
         vals = np.sort(vals)
     return float(vals[0]), float(vals[-1])
-
-
-def same_span(b1: np.ndarray, b2: np.ndarray, tol: float = 1e-8) -> bool:
-    """Whether two orthonormal column blocks span the same subspace."""
-    if b1.shape != b2.shape:
-        return False
-    return operator_norm(b1 @ b1.T - b2 @ b2.T) <= tol
 
 
 def block_diag(blocks) -> np.ndarray:

@@ -14,22 +14,22 @@ every reported bound, margin, and reduced modulus through the independent
 oracle routes and refuse to answer (exit 3) if the fast path disagrees.
 
 The environment variable KREINFRAME_TOLERANCE, when set to a float, becomes
-the default for all three tolerance flags.
+the default for both tolerance flags.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import oracles
-from .core import TOL_DEF, TOL_NUM, TOL_RANK
+from .core import TOL_DEF, TOL_RANK
 from .errors import (
     IndefiniteOrNeutralSubspace,
     InputError,
@@ -42,19 +42,12 @@ from .errors import (
     ParseError,
     SchemaError,
 )
-from .frames import (
-    VectorFrame,
-    dual_reciprocity,
-    frame_part_pencils,
-    partition_by_sign,
-    verify_j_frame,
-)
+from .frames import dual_reciprocity, partition_by_sign, verify_j_frame
 from .fusion import (
     WeightedSubspaceFamily,
     check_rps_corollary,
     family_from_spans,
     fusion_dual_diagnostics,
-    part_pencils,
     verify_j_fusion_frame,
 )
 from .generator import GeneratorConfig, gen_problem
@@ -76,22 +69,13 @@ ALGEBRAIC_TOL = 1e-10
 SAMPLED_TOL = 1e-4
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class Params:
+    """The parameters of a command, written into its report in this order."""
+
     tol_def: float
-    tol_num: float
     tol_rank: float
     seed: int
-    variant: str
-
-    def as_dict(self) -> dict:
-        return {
-            "tol_def": self.tol_def,
-            "tol_num": self.tol_num,
-            "tol_rank": self.tol_rank,
-            "seed": self.seed,
-            "variant": self.variant,
-        }
 
 
 def _env_tolerance() -> float | None:
@@ -110,18 +94,11 @@ def _env_tolerance() -> float | None:
 def _resolve_params(args: argparse.Namespace) -> Params:
     env = _env_tolerance()
     tol_def = args.tol_def if args.tol_def is not None else (env if env is not None else TOL_DEF)
-    tol_num = args.tol_num if args.tol_num is not None else (env if env is not None else TOL_NUM)
     tol_rank = args.tol_rank if args.tol_rank is not None else (env if env is not None else TOL_RANK)
-    for name, value in (("--tol-def", tol_def), ("--tol-num", tol_num), ("--tol-rank", tol_rank)):
+    for name, value in (("--tol-def", tol_def), ("--tol-rank", tol_rank)):
         if not np.isfinite(value) or value <= 0.0:
             raise InputError(f"{name} must be a positive float, got {value!r}")
-    return Params(
-        tol_def=tol_def,
-        tol_num=tol_num,
-        tol_rank=tol_rank,
-        seed=args.seed,
-        variant=args.variant,
-    )
+    return Params(tol_def=tol_def, tol_rank=tol_rank, seed=args.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -132,19 +109,22 @@ def _compare(fast: float, slow: float, tol: float) -> bool:
     return abs(fast - slow) <= tol * (1.0 + abs(fast))
 
 
-def _oracle_pencil_checks(pencils: dict, bounds, seed: int) -> tuple[list[dict], list[str]]:
+def _oracle_block(system, report, verdict: bool, params: Params) -> dict | None:
+    """Oracle cross-check of a verified frame or family (``system``) of dimension
+    at most ``ORACLE_DIM_LIMIT``: the bounds against both oracles on the pencils
+    the verification built, then the part-span moduli against sampling."""
+    if system.space.dim > ORACLE_DIM_LIMIT or not verdict:
+        return None
+    seed = params.seed
     checks = []
     failures = []
     slot_map = {"negative": (0, 1), "positive": (2, 3)}
-    for label, (numerator, denominator) in pencils.items():
+    for label, (numerator, denominator) in report.pencils.items():
         lo_slot, hi_slot = slot_map[label]
-        fast_pair = (bounds[lo_slot], bounds[hi_slot])
-        if fast_pair[0] is None:
-            continue
         alg = oracles.rayleigh_extrema(numerator, denominator)
         sam = oracles.rayleigh_extrema_sampled(numerator, denominator, seed=seed)
-        for which, fast, a, s in (("lower", fast_pair[0], alg[0], sam[0]),
-                                  ("upper", fast_pair[1], alg[1], sam[1])):
+        for which, fast, a, s in (("lower", report.bounds[lo_slot], alg[0], sam[0]),
+                                  ("upper", report.bounds[hi_slot], alg[1], sam[1])):
             alg_ok = _compare(fast, a, ALGEBRAIC_TOL)
             sam_ok = _compare(fast, s, SAMPLED_TOL)
             checks.append({
@@ -157,15 +137,13 @@ def _oracle_pencil_checks(pencils: dict, bounds, seed: int) -> tuple[list[dict],
             })
             if not (alg_ok and sam_ok):
                 failures.append(f"{label} {which} bound: fast={fast!r} algebraic={a!r} sampled={s!r}")
-    return checks, failures
-
-
-def _oracle_part_moduli(parts: dict, seed: int) -> tuple[list[dict], list[str]]:
-    checks = []
-    failures = []
-    for label, (gram, margin, gamma) in parts.items():
-        brute_margin = oracles.min_singular_brute(gram, seed=seed)
-        brute_gamma = oracles.gamma_brute(gram, seed=seed)
+    for label, part, span_obj in (("positive", report.positive, system.positive_span),
+                                  ("negative", report.negative, system.negative_span)):
+        if part is None:
+            continue
+        margin, gamma = part.classification.margin, part.classification.gamma
+        brute_margin = oracles.min_singular_brute(span_obj.gram, seed=seed)
+        brute_gamma = oracles.gamma_brute(span_obj.gram, seed=seed)
         margin_ok = _compare(margin, brute_margin, SAMPLED_TOL)
         gamma_ok = _compare(gamma, brute_gamma, SAMPLED_TOL)
         checks.append({
@@ -180,45 +158,11 @@ def _oracle_part_moduli(parts: dict, seed: int) -> tuple[list[dict], list[str]]:
         if not (margin_ok and gamma_ok):
             failures.append(f"{label} span moduli: margin {margin!r} vs {brute_margin!r}, "
                             f"gamma {gamma!r} vs {brute_gamma!r}")
-    return checks, failures
-
-
-def _fusion_oracle_block(family: WeightedSubspaceFamily, report, params: Params) -> dict | None:
-    if family.space.dim > ORACLE_DIM_LIMIT or not report.is_j_fusion_frame:
-        return None
-    pencils = part_pencils(family)
-    checks, failures = _oracle_pencil_checks(pencils, report.bounds, params.seed)
-    parts = {}
-    for label, part in (("positive", report.positive), ("negative", report.negative)):
-        if part is not None:
-            span_obj = family.positive_span if label == "positive" else family.negative_span
-            parts[label] = (span_obj.gram, part.classification.margin, part.classification.gamma)
-    moduli, more_failures = _oracle_part_moduli(parts, params.seed)
-    failures.extend(more_failures)
     if failures:
         raise InternalInconsistency(
             "fast path disagrees with oracle recomputation: " + "; ".join(failures)
         )
-    return {"checks": checks + moduli, "agreement": True}
-
-
-def _frame_oracle_block(frame: VectorFrame, report, params: Params) -> dict | None:
-    if frame.space.dim > ORACLE_DIM_LIMIT or not report.is_j_frame:
-        return None
-    pencils = frame_part_pencils(frame)
-    checks, failures = _oracle_pencil_checks(pencils, report.bounds, params.seed)
-    parts = {}
-    for label, part in (("positive", report.positive), ("negative", report.negative)):
-        if part is not None:
-            span_obj = frame.positive_span if label == "positive" else frame.negative_span
-            parts[label] = (span_obj.gram, part.classification.margin, part.classification.gamma)
-    moduli, more_failures = _oracle_part_moduli(parts, params.seed)
-    failures.extend(more_failures)
-    if failures:
-        raise InternalInconsistency(
-            "fast path disagrees with oracle recomputation: " + "; ".join(failures)
-        )
-    return {"checks": checks + moduli, "agreement": True}
+    return {"checks": checks, "agreement": True}
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +188,8 @@ def _build_family(parsed: ParsedProblem, params: Params) -> WeightedSubspaceFami
     )
 
 
-def _rejection_result(exc: KreinFrameError) -> dict:
+def _rejection(exc: KreinFrameError) -> tuple[dict, int, list[str]]:
+    """The output of a command whose input was refused at construction."""
     info: dict = {"reason": str(exc)}
     index = getattr(exc, "index", None)
     if index is not None:
@@ -254,7 +199,7 @@ def _rejection_result(exc: KreinFrameError) -> dict:
         info["witness"] = witness
     if hasattr(exc, "self_product"):
         info["self_product"] = exc.self_product
-    return {"verdict": False, "rejected": info}
+    return {"verdict": False, "rejected": info}, 1, [f"verdict=false (rejected: {exc})"]
 
 
 def run_classify(parsed: ParsedProblem, params: Params) -> tuple[dict, int, list[str]]:
@@ -309,8 +254,7 @@ def run_verify(parsed: ParsedProblem, params: Params) -> tuple[dict, int, list[s
     try:
         family = _build_family(parsed, params)
     except (IndefiniteOrNeutralSubspace, NonPositiveWeight) as exc:
-        result = _rejection_result(exc)
-        return result, 1, [f"verdict=false (rejected: {exc})"]
+        return _rejection(exc)
     report = verify_j_fusion_frame(family, params.tol_def, params.tol_rank)
     rps = check_rps_corollary(family, params.tol_def) if report.is_j_fusion_frame else None
     result = {
@@ -323,15 +267,9 @@ def run_verify(parsed: ParsedProblem, params: Params) -> tuple[dict, int, list[s
         "negative": report.negative,
         "reasons": list(report.reasons),
         "projection_alignment": rps,
-        "oracle": _fusion_oracle_block(family, report, params),
+        "oracle": _oracle_block(family, report, report.is_j_fusion_frame, params),
     }
-    code = 0 if report.is_j_fusion_frame else 1
-    lines = [f"verdict={'true' if report.is_j_fusion_frame else 'false'}"]
-    if report.is_j_fusion_frame:
-        lines.append(f"bounds={report.bounds}")
-    else:
-        lines.extend(report.reasons)
-    return result, code, lines
+    return result, 0 if report.is_j_fusion_frame else 1, _verdict_lines(report.is_j_fusion_frame, report)
 
 
 def run_verify_frame(parsed: ParsedProblem, params: Params) -> tuple[dict, int, list[str]]:
@@ -339,9 +277,9 @@ def run_verify_frame(parsed: ParsedProblem, params: Params) -> tuple[dict, int, 
     try:
         frame = partition_by_sign(parsed.vectors, parsed.space, params.tol_def)
     except NeutralVector as exc:
-        result = _rejection_result(exc)
+        result, code, lines = _rejection(exc)
         result["rejected"]["witness"] = parsed.vectors[exc.index]
-        return result, 1, [f"verdict=false (rejected: {exc})"]
+        return result, code, lines
     report = verify_j_frame(frame, params.tol_def, params.tol_rank)
     result = {
         "verdict": report.is_j_frame,
@@ -353,15 +291,19 @@ def run_verify_frame(parsed: ParsedProblem, params: Params) -> tuple[dict, int, 
         "positive": report.positive,
         "negative": report.negative,
         "reasons": list(report.reasons),
-        "oracle": _frame_oracle_block(frame, report, params),
+        "oracle": _oracle_block(frame, report, report.is_j_frame, params),
     }
-    code = 0 if report.is_j_frame else 1
-    lines = [f"verdict={'true' if report.is_j_frame else 'false'}"]
-    if report.is_j_frame:
+    return result, 0 if report.is_j_frame else 1, _verdict_lines(report.is_j_frame, report)
+
+
+def _verdict_lines(verdict: bool, report) -> list[str]:
+    """The summary of a verification: the bounds, or the reasons it failed."""
+    lines = [f"verdict={'true' if verdict else 'false'}"]
+    if verdict:
         lines.append(f"bounds={report.bounds}")
     else:
         lines.extend(report.reasons)
-    return result, code, lines
+    return lines
 
 
 def _sandwich_flags(bounds, estimates, slack: float = 1e-9) -> dict:
@@ -383,20 +325,20 @@ def run_bounds(parsed: ParsedProblem, params: Params) -> tuple[dict, int, list[s
         try:
             family = _build_family(parsed, params)
         except (IndefiniteOrNeutralSubspace, NonPositiveWeight) as exc:
-            return _rejection_result(exc), 1, [f"verdict=false (rejected: {exc})"]
+            return _rejection(exc)
         report = verify_j_fusion_frame(family, params.tol_def, params.tol_rank)
-        oracle_block = _fusion_oracle_block(family, report, params)
         kind = "fusion"
         verdict = report.is_j_fusion_frame
+        oracle_block = _oracle_block(family, report, verdict, params)
     elif parsed.vectors is not None:
         try:
             frame = partition_by_sign(parsed.vectors, parsed.space, params.tol_def)
         except NeutralVector as exc:
-            return _rejection_result(exc), 1, [f"verdict=false (rejected: {exc})"]
+            return _rejection(exc)
         report = verify_j_frame(frame, params.tol_def, params.tol_rank)
-        oracle_block = _frame_oracle_block(frame, report, params)
         kind = "frame"
         verdict = report.is_j_frame
+        oracle_block = _oracle_block(frame, report, verdict, params)
     else:
         raise InputError("problem has neither 'family' nor 'vectors'")
     result = {
@@ -412,59 +354,49 @@ def run_bounds(parsed: ParsedProblem, params: Params) -> tuple[dict, int, list[s
     return result, code, [f"{kind} bounds={report.bounds} estimates={report.bound_estimates}"]
 
 
+def _dual_output(head: dict, rep, tail: dict) -> tuple[dict, int, list[str]]:
+    """The ``dual`` output: ``head``, the bound comparison that frame and fusion
+    duals share (``rep`` is their diagnostics report), then ``tail``."""
+    result = {
+        **head,
+        "original_bounds": list(rep.original_bounds),
+        "dual_bounds": list(rep.dual_bounds),
+        "reciprocal_expected": list(rep.reciprocal_expected),
+        "max_relative_deviation": rep.max_relative_deviation,
+        "dual_operator_residual": rep.dual_operator_residual,
+        **tail,
+    }
+    lines = [
+        f"dual bounds={rep.dual_bounds}",
+        f"reciprocal expectation={rep.reciprocal_expected}",
+        f"max relative deviation={rep.max_relative_deviation:.3e}",
+        f"dual operator residual={rep.dual_operator_residual:.3e}",
+    ]
+    return result, 0, lines
+
+
 def run_dual(parsed: ParsedProblem, params: Params) -> tuple[dict, int, list[str]]:
     if parsed.entries is not None:
         try:
             family = _build_family(parsed, params)
             diag = fusion_dual_diagnostics(family, params.tol_def)
         except (IndefiniteOrNeutralSubspace, NonPositiveWeight, NotAJFusionFrame) as exc:
-            return _rejection_result(exc), 1, [f"verdict=false (rejected: {exc})"]
+            return _rejection(exc)
         dual_entries = [{
             "basis": sub.basis.T,
             "weight": float(w),
             "sign": int(s),
         } for sub, w, s in zip(diag.dual.subspaces, diag.dual.weights, diag.dual.signs)]
-        result = {
-            "kind": "fusion",
-            "verdict": True,
-            "dual_entries": dual_entries,
-            "original_bounds": list(diag.original_bounds),
-            "dual_bounds": list(diag.dual_bounds),
-            "reciprocal_expected": list(diag.reciprocal_expected),
-            "max_relative_deviation": diag.max_relative_deviation,
-            "dual_operator_residual": diag.dual_operator_residual,
-            "span_identity_residual": diag.span_identity_residual,
-        }
-        lines = [
-            f"dual bounds={diag.dual_bounds}",
-            f"reciprocal expectation={diag.reciprocal_expected}",
-            f"max relative deviation={diag.max_relative_deviation:.3e}",
-            f"dual operator residual={diag.dual_operator_residual:.3e}",
-        ]
-        return result, 0, lines
+        return _dual_output({"kind": "fusion", "verdict": True, "dual_entries": dual_entries},
+                            diag, {"span_identity_residual": diag.span_identity_residual})
     if parsed.vectors is not None:
         try:
             frame = partition_by_sign(parsed.vectors, parsed.space, params.tol_def)
             rep = dual_reciprocity(frame, params.tol_def)
         except (NeutralVector, NotAJFrame) as exc:
-            return _rejection_result(exc), 1, [f"verdict=false (rejected: {exc})"]
-        result = {
-            "kind": "frame",
-            "verdict": True,
-            "dual_vectors": rep.dual.vectors,
-            "original_bounds": list(rep.original_bounds),
-            "dual_bounds": list(rep.dual_bounds),
-            "reciprocal_expected": list(rep.reciprocal_expected),
-            "max_relative_deviation": rep.max_relative_deviation,
-            "dual_operator_residual": rep.dual_operator_residual,
-        }
-        lines = [
-            f"dual bounds={rep.dual_bounds}",
-            f"reciprocal expectation={rep.reciprocal_expected}",
-            f"max relative deviation={rep.max_relative_deviation:.3e}",
-            f"dual operator residual={rep.dual_operator_residual:.3e}",
-        ]
-        return result, 0, lines
+            return _rejection(exc)
+        return _dual_output({"kind": "frame", "verdict": True, "dual_vectors": rep.dual.vectors},
+                            rep, {})
     raise InputError("problem has neither 'family' nor 'vectors'")
 
 
@@ -474,7 +406,7 @@ def run_transform(parsed: ParsedProblem, params: Params) -> tuple[dict, int, lis
     try:
         family = _build_family(parsed, params)
     except (IndefiniteOrNeutralSubspace, NonPositiveWeight) as exc:
-        return _rejection_result(exc), 1, [f"verdict=false (rejected: {exc})"]
+        return _rejection(exc)
     check = image_fusion_check(parsed.operator, family, params.tol_def, params.tol_rank)
     entries = [{
         "index": e.index,
@@ -529,20 +461,18 @@ def run_oracle(report_doc: dict) -> tuple[dict, int, list[str]]:
     if command not in COMMAND_CORES:
         raise InputError(f"cannot re-derive reports for command {command!r}")
     stored_params = report_doc["parameters"]
-    for key in ("tol_def", "tol_num", "tol_rank", "seed", "variant"):
+    for key in ("tol_def", "tol_rank", "seed"):
         if key not in stored_params:
             raise SchemaError(f"missing parameter {key!r}", "$.parameters")
-    for key in ("tol_def", "tol_num", "tol_rank"):
+    for key in ("tol_def", "tol_rank"):
         if not (is_finite_number(stored_params[key]) and stored_params[key] > 0):
             raise SchemaError("expected a positive finite number", f"$.parameters.{key}")
     if not is_finite_number(stored_params["seed"]):
         raise SchemaError("expected a finite number", "$.parameters.seed")
     params = Params(
         tol_def=float(stored_params["tol_def"]),
-        tol_num=float(stored_params["tol_num"]),
         tol_rank=float(stored_params["tol_rank"]),
         seed=int(stored_params["seed"]),
-        variant=str(stored_params["variant"]),
     )
     parsed = parse_problem(report_doc["problem"], "$.problem")
     fresh_result, _, _ = COMMAND_CORES[command](parsed, params)
@@ -603,13 +533,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol-def", type=float, default=None,
                         help="definiteness decision tolerance (default 1e-10)")
-    common.add_argument("--tol-num", type=float, default=None,
-                        help="numerical residual tolerance (default 1e-9)")
     common.add_argument("--tol-rank", type=float, default=None,
                         help="relative rank cutoff (default 1e-10)")
     common.add_argument("--seed", type=int, default=0, help="seed for sampled oracles")
-    common.add_argument("--variant", choices=["qproj", "paper"], default="qproj",
-                        help="analysis/operator variant (default qproj)")
     common.add_argument("-o", "--output", default=None, help="also write the report here")
 
     for name, help_text in (
@@ -706,14 +632,14 @@ def main(argv=None) -> int:
         if args.command == "oracle":
             report_doc = load_report(args.problem)
             result, code, lines = run_oracle(report_doc)
-            out = make_report("oracle", report_doc["problem"], params.as_dict(), result)
+            out = make_report("oracle", report_doc["problem"], dataclasses.asdict(params), result)
             _emit(out, args.output)
             _summarize(lines)
             return code
 
         parsed = load_problem(args.problem)
         result, code, lines = COMMAND_CORES[args.command](parsed, params)
-        report = make_report(args.command, parsed.document, params.as_dict(), result)
+        report = make_report(args.command, parsed.document, dataclasses.asdict(params), result)
         _emit(report, args.output)
         _summarize(lines)
         return code

@@ -116,10 +116,6 @@ class IndexOutOfRange(InputError):
     """An index subset refers to entries outside the family."""
 
 
-class IndefiniteSpan(InputError):
-    """A span required to be uniformly definite is indefinite or degenerate."""
-
-
 class InfeasibleConfig(InputError):
     """Generator configuration cannot produce a valid instance."""
 

@@ -25,6 +25,7 @@ from .core import TOL_DEF, TOL_RANK, KreinSpace, Operator
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
+    InputError,
     NeutralVector,
     NotAJFrame,
     SingularFrameOperator,
@@ -71,25 +72,35 @@ class VectorFrame:
         return self.vectors.T
 
 
+def _require_finite(values, what: str) -> None:
+    if not np.isfinite(values).all():
+        raise InputError(f"{what} overflows a double")
+
+
 def partition_by_sign(vectors, space: KreinSpace, tol_def: float = TOL_DEF) -> VectorFrame:
     """Partition vectors by the sign of their self-product.
 
     A vector with ``|[f, f]| <= tol_def * ||f||^2`` (including the zero
-    vector) is neutral within tolerance and rejected.
+    vector) is neutral within tolerance and rejected.  A vector whose
+    self-product or squared norm overflows a double raises
+    :class:`InputError`: every bound of such a sequence overflows too.
     """
     v = as_matrix(np.atleast_2d(np.asarray(vectors, dtype=float)), "vectors")
     if v.shape[1] != space.dim:
         raise DimensionMismatch(f"vectors have length {v.shape[1]}, expected {space.dim}")
     signs = np.zeros(v.shape[0], dtype=int)
-    for i, f in enumerate(v):
-        self_product = float(f @ space.symmetry @ f)
-        if abs(self_product) <= tol_def * float(f @ f):
-            raise NeutralVector(
-                f"vector {i} is neutral within tolerance: [f, f] = {self_product:.3e}",
-                index=i,
-                self_product=self_product,
-            )
-        signs[i] = 1 if self_product > 0.0 else -1
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, f in enumerate(v):
+            self_product = float(f @ space.symmetry @ f)
+            norm_sq = float(f @ f)
+            _require_finite((self_product, norm_sq), f"the self-product of vector {i}")
+            if abs(self_product) <= tol_def * norm_sq:
+                raise NeutralVector(
+                    f"vector {i} is neutral within tolerance: [f, f] = {self_product:.3e}",
+                    index=i,
+                    self_product=self_product,
+                )
+            signs[i] = 1 if self_product > 0.0 else -1
     return VectorFrame(space=space, vectors=v, signs=signs)
 
 
@@ -123,7 +134,7 @@ def _validate_indices(frame: VectorFrame, indices) -> list[int]:
 
 @dataclass(frozen=True)
 class PartReport:
-    """Verification data for one sign class of a frame."""
+    """Verification data for one sign class of a frame or a fusion family."""
 
     indices: tuple[int, ...]
     classification: Classification
@@ -140,6 +151,12 @@ class PartReport:
 
 @dataclass(frozen=True)
 class JFrameReport:
+    """Verdict, bounds and estimates of a vector frame.
+
+    ``pencils`` holds the Rayleigh pencils the bounds were computed from, as
+    :func:`frame_part_pencils` returns them.
+    """
+
     is_j_frame: bool
     positive: PartReport | None
     negative: PartReport | None
@@ -148,51 +165,52 @@ class JFrameReport:
     bound_estimates: Bounds4
     condition_number: float | None
     reasons: tuple[str, ...]
+    pencils: dict = field(repr=False, compare=False)
 
 
-def _part_pencil(part_span: Subspace, vectors: np.ndarray) -> np.ndarray:
-    """Numerator matrix of the bound pencil in the coordinates of the span."""
-    g_vecs = part_span.basis.T @ part_span.space.symmetry @ vectors.T
-    return g_vecs @ g_vecs.T
+# One nonempty sign class: indices, span, signed Rayleigh pencil
+# (numerator, denominator) and synthesis matrix (columns are the weighted
+# members of the class).
+SignPart = tuple[tuple[int, ...], Subspace, tuple[np.ndarray, np.ndarray], np.ndarray]
+
+_PART_KINDS = (("positive", SubspaceKind.UNIFORMLY_POSITIVE),
+               ("negative", SubspaceKind.UNIFORMLY_NEGATIVE))
 
 
-def _part_ratio_range(part_span: Subspace, vectors: np.ndarray, positive: bool,
-                      tol_def: float) -> tuple[float, float]:
-    num = _part_pencil(part_span, vectors)
-    g = part_span.gram
-    if positive:
-        lo, hi = definite_pair_extrema(num, g, tol_def)
-        return lo, hi
-    lo, hi = definite_pair_extrema(num, -g, tol_def)
-    return -hi, -lo
+def _bessel_bound(synthesis: np.ndarray) -> float:
+    """Largest eigenvalue of ``T T^T``; refused when it exceeds the double range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = synthesis @ synthesis.T
+    _require_finite(gram, "the Bessel bound")
+    bessel = float(np.linalg.eigvalsh(gram)[-1])
+    _require_finite(bessel, "the Bessel bound")
+    return bessel
 
 
-def _part_estimates(part_span: Subspace, vectors: np.ndarray, positive: bool,
-                    tol_rank: float) -> tuple[float, float]:
-    synthesis = vectors.T
-    gamma_t = reduced_min_modulus(synthesis, tol_rank)
-    gamma_g = reduced_min_modulus(part_span.gram, tol_rank)
-    outer = operator_norm(synthesis) ** 2 / gamma_g
-    inner = gamma_t**2 * gamma_g**2
-    if positive:
-        return inner, outer
-    return -outer, -inner
+def _verify_sign_parts(space: KreinSpace, parts: dict[str, SignPart], synthesis: np.ndarray,
+                       tol_def: float, tol_rank: float) -> tuple[bool, dict]:
+    """The sign-partitioned check shared by vector frames and fusion families.
 
-
-def verify_j_frame(frame: VectorFrame, tol_def: float = TOL_DEF,
-                   tol_rank: float = TOL_RANK) -> JFrameReport:
-    """Check the two sign classes and compute bounds when both pass."""
-    space = frame.space
+    ``parts`` maps ``"positive"`` and ``"negative"`` to the :data:`SignPart`
+    of each nonempty sign class and ``synthesis`` is the synthesis matrix of
+    the whole system.  Each class must span a maximal uniformly definite
+    subspace of its sign; its bounds are the extreme eigenvalues of its
+    signed pencil, and its estimates come from reduced minimum moduli.
+    Returns the verdict and the report fields both report classes share.
+    Bounds or a Bessel constant beyond the double range raise
+    :class:`InputError`.
+    """
+    bessel = _bessel_bound(synthesis)
     reasons: list[str] = []
-
-    def build_part(indices, part_span, positive: bool) -> PartReport | None:
-        required = space.num_positive if positive else space.num_negative
-        label = "positive" if positive else "negative"
-        good_kind = SubspaceKind.UNIFORMLY_POSITIVE if positive else SubspaceKind.UNIFORMLY_NEGATIVE
-        if part_span is None:
+    reports: dict[str, PartReport | None] = {}
+    for label, good_kind in _PART_KINDS:
+        required = space.num_positive if label == "positive" else space.num_negative
+        if label not in parts:
             if required != 0:
                 reasons.append(f"{label} part is empty but signature requires dimension {required}")
-            return None
+            reports[label] = None
+            continue
+        indices, part_span, (numerator, denominator), part_synthesis = parts[label]
         cls = classify(part_span, tol_def, tol_rank)
         kind_ok = cls.kind is good_kind
         dim_ok = part_span.dim == required
@@ -200,12 +218,18 @@ def verify_j_frame(frame: VectorFrame, tol_def: float = TOL_DEF,
             reasons.append(f"{label} span is {cls.kind.value}, not uniformly {label}")
         if not dim_ok:
             reasons.append(f"{label} span has dimension {part_span.dim}, signature requires {required}")
-        vectors = frame.vectors[list(indices)]
         ratio = estimate = None
         if kind_ok:
-            ratio = _part_ratio_range(part_span, vectors, positive, tol_def)
-            estimate = _part_estimates(part_span, vectors, positive, tol_rank)
-        return PartReport(
+            with np.errstate(over="ignore", invalid="ignore"):
+                _require_finite(numerator + numerator.T, f"the {label} frame bound")
+            ratio = definite_pair_extrema(numerator, denominator, tol_def)
+            gamma_t = reduced_min_modulus(part_synthesis, tol_rank)
+            gamma_g = reduced_min_modulus(part_span.gram, tol_rank)
+            outer = operator_norm(part_synthesis) ** 2 / gamma_g
+            inner = gamma_t**2 * gamma_g**2
+            estimate = (inner, outer) if label == "positive" else (-outer, -inner)
+            _require_finite(ratio + estimate, f"the {label} frame bound")
+        reports[label] = PartReport(
             indices=tuple(indices),
             classification=cls,
             required_dim=required,
@@ -215,50 +239,66 @@ def verify_j_frame(frame: VectorFrame, tol_def: float = TOL_DEF,
             estimate_range=estimate,
         )
 
-    pos = build_part(frame.positive_indices, frame.positive_span, positive=True)
-    neg = build_part(frame.negative_indices, frame.negative_span, positive=False)
-    pos_ok = pos.ok if pos is not None else space.num_positive == 0
-    neg_ok = neg.ok if neg is not None else space.num_negative == 0
-    is_frame = pos_ok and neg_ok
+    pos, neg = reports["positive"], reports["negative"]
+    verdict = ((pos.ok if pos is not None else space.num_positive == 0)
+               and (neg.ok if neg is not None else space.num_negative == 0))
 
-    v = frame.vectors
-    bessel = float(np.linalg.eigvalsh(v.T @ v)[-1])
+    def pair(part: PartReport | None, attr: str, keep: bool):
+        value = getattr(part, attr) if (keep and part is not None) else None
+        return value if value is not None else (None, None)
 
-    def slot(part: PartReport | None):
-        rng = part.ratio_range if part is not None else None
-        est = part.estimate_range if part is not None else None
-        return rng, est
+    return verdict, {
+        "positive": pos,
+        "negative": neg,
+        "bessel_bound": bessel,
+        "bounds": (*pair(neg, "ratio_range", verdict), *pair(pos, "ratio_range", verdict)),
+        "bound_estimates": (*pair(neg, "estimate_range", True),
+                            *pair(pos, "estimate_range", True)),
+        "reasons": tuple(reasons),
+        "pencils": {label: part[2] for label, part in parts.items()},
+    }
 
-    neg_rng, neg_est = slot(neg)
-    pos_rng, pos_est = slot(pos)
-    bounds: Bounds4 = (
-        neg_rng[0] if (is_frame and neg_rng) else None,
-        neg_rng[1] if (is_frame and neg_rng) else None,
-        pos_rng[0] if (is_frame and pos_rng) else None,
-        pos_rng[1] if (is_frame and pos_rng) else None,
-    )
-    estimates: Bounds4 = (
-        neg_est[0] if neg_est else None,
-        neg_est[1] if neg_est else None,
-        pos_est[0] if pos_est else None,
-        pos_est[1] if pos_est else None,
-    )
 
+def _frame_parts(frame: VectorFrame) -> dict[str, SignPart]:
+    """The :data:`SignPart` of each nonempty sign class of a frame.
+
+    The pencil numerator is ``sum_i [x, f_i]^2`` in the coordinates of the
+    span; the negative class carries the negated pencil, whose eigenvalues
+    are the (negative) bound values themselves.
+    """
+    parts = {}
+    for label, indices, part_span in (("positive", frame.positive_indices, frame.positive_span),
+                                      ("negative", frame.negative_indices, frame.negative_span)):
+        if part_span is None:
+            continue
+        synthesis = frame.vectors[list(indices)].T
+        with np.errstate(over="ignore", invalid="ignore"):  # refused by _verify_sign_parts
+            g_vecs = part_span.basis.T @ frame.space.symmetry @ synthesis
+            numerator = g_vecs @ g_vecs.T
+        pencil = ((numerator, part_span.gram) if label == "positive"
+                  else (-numerator, -part_span.gram))
+        parts[label] = (indices, part_span, pencil, synthesis)
+    return parts
+
+
+def verify_j_frame(frame: VectorFrame, tol_def: float = TOL_DEF,
+                   tol_rank: float = TOL_RANK) -> JFrameReport:
+    """Check the two sign classes and compute bounds when both pass."""
+    verdict, fields = _verify_sign_parts(frame.space, _frame_parts(frame), frame.vectors.T,
+                                         tol_def, tol_rank)
     condition = None
-    if is_frame:
+    if verdict:
         svals = np.linalg.svd(frame_operator(frame).matrix, compute_uv=False)
         condition = float(svals[0] / svals[-1]) if svals[-1] > 0 else float("inf")
+    return JFrameReport(is_j_frame=verdict, condition_number=condition, **fields)
 
-    return JFrameReport(
-        is_j_frame=is_frame,
-        positive=pos,
-        negative=neg,
-        bessel_bound=bessel,
-        bounds=bounds,
-        bound_estimates=estimates,
-        condition_number=condition,
-        reasons=tuple(reasons),
-    )
+
+def _verified(frame: VectorFrame, tol_def: float) -> JFrameReport:
+    """The report of a frame that must verify; raises :class:`NotAJFrame`."""
+    report = verify_j_frame(frame, tol_def)
+    if not report.is_j_frame:
+        raise NotAJFrame("; ".join(report.reasons) or "frame verification failed")
+    return report
 
 
 def is_j_frame(frame: VectorFrame, tol_def: float = TOL_DEF) -> bool:
@@ -266,10 +306,7 @@ def is_j_frame(frame: VectorFrame, tol_def: float = TOL_DEF) -> bool:
 
 
 def optimal_j_frame_bounds(frame: VectorFrame, tol_def: float = TOL_DEF) -> Bounds4:
-    report = verify_j_frame(frame, tol_def)
-    if not report.is_j_frame:
-        raise NotAJFrame("; ".join(report.reasons) or "frame verification failed")
-    return report.bounds
+    return _verified(frame, tol_def).bounds
 
 
 def frame_bound_estimates(frame: VectorFrame, tol_rank: float = TOL_RANK) -> Bounds4:
@@ -285,16 +322,7 @@ def frame_part_pencils(frame: VectorFrame) -> dict[str, tuple[np.ndarray, np.nda
     range of the pencil equals the corresponding pair of optimal bounds
     directly (negative values for the negative part).
     """
-    out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    if frame.positive_span is not None:
-        vecs = frame.vectors[list(frame.positive_indices)]
-        out["positive"] = (_part_pencil(frame.positive_span, vecs),
-                           frame.positive_span.gram)
-    if frame.negative_span is not None:
-        vecs = frame.vectors[list(frame.negative_indices)]
-        out["negative"] = (-_part_pencil(frame.negative_span, vecs),
-                           -frame.negative_span.gram)
-    return out
+    return {label: part[2] for label, part in _frame_parts(frame).items()}
 
 
 def canonical_dual(frame: VectorFrame, tol_def: float = TOL_DEF) -> VectorFrame:
@@ -303,10 +331,13 @@ def canonical_dual(frame: VectorFrame, tol_def: float = TOL_DEF) -> VectorFrame:
     For a verified frame the dual keeps the sign pattern and its frame
     operator is exactly S^{-1}.
     """
-    report = verify_j_frame(frame, tol_def)
-    if not report.is_j_frame:
-        raise NotAJFrame("; ".join(report.reasons) or "frame verification failed")
-    s = frame_operator(frame).matrix
+    _verified(frame, tol_def)
+    return _canonical_dual_of_verified(frame, frame_operator(frame).matrix, tol_def)
+
+
+def _canonical_dual_of_verified(frame: VectorFrame, s: np.ndarray, tol_def: float) -> VectorFrame:
+    """:func:`canonical_dual` of a frame already verified at ``tol_def``; ``s`` is
+    the matrix of its frame operator."""
     svals = np.linalg.svd(s, compute_uv=False)
     if svals[-1] <= tol_def * svals[0]:
         raise SingularFrameOperator(
@@ -358,11 +389,12 @@ def _max_rel_dev(actual: Bounds4, expected: Bounds4) -> float:
 
 def dual_reciprocity(frame: VectorFrame, tol_def: float = TOL_DEF) -> ReciprocityReport:
     """Measure how far the canonical dual's bounds are from the reciprocal pattern."""
-    original = optimal_j_frame_bounds(frame, tol_def)
-    dual = canonical_dual(frame, tol_def)
-    dual_bounds = optimal_j_frame_bounds(dual, tol_def)
+    original = _verified(frame, tol_def).bounds
+    s = frame_operator(frame).matrix
+    dual = _canonical_dual_of_verified(frame, s, tol_def)
+    dual_bounds = _verified(dual, tol_def).bounds
     expected = _reciprocal_pattern(original)
-    s_inv = np.linalg.inv(frame_operator(frame).matrix)
+    s_inv = np.linalg.inv(s)
     s_dual = frame_operator(dual).matrix
     return ReciprocityReport(
         dual=dual,
@@ -388,9 +420,7 @@ def interlacing_identity(frame: VectorFrame, subset, f,
     J-selfadjointness of all three operators).
     """
     idx = _validate_indices(frame, subset)
-    report = verify_j_frame(frame, tol_def)
-    if not report.is_j_frame:
-        raise NotAJFrame("; ".join(report.reasons) or "frame verification failed")
+    _verified(frame, tol_def)
     complement = [i for i in range(frame.size) if i not in set(idx)]
     s = frame_operator(frame).matrix
     s1 = partial_frame_operator(frame, idx).matrix

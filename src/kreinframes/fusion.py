@@ -28,11 +28,10 @@ import numpy as np
 from ._numeric import (
     as_matrix,
     block_diag,
-    definite_pair_extrema,
     operator_norm,
     orth_columns,
 )
-from .core import TOL_DEF, TOL_NUM, TOL_RANK, KreinSpace, Operator
+from .core import TOL_DEF, TOL_RANK, KreinSpace, Operator
 from .errors import (
     DimensionMismatch,
     IndefiniteOrNeutralSubspace,
@@ -44,9 +43,13 @@ from .errors import (
 )
 from .frames import (
     Bounds4,
+    PartReport,
+    SignPart,
     VectorFrame,
+    _bessel_bound,
     _max_rel_dev,
     _reciprocal_pattern,
+    _verify_sign_parts,
     partition_by_sign,
     verify_j_frame,
 )
@@ -57,7 +60,6 @@ from .subspaces import (
     classify,
     j_orthogonal_complement,
     j_projection,
-    reduced_min_modulus,
     regular_gram,
     span,
     subspace_sum,
@@ -137,11 +139,14 @@ def make_weighted_family(subspaces, weights, tol_def: float = TOL_DEF) -> Weight
         if not np.isfinite(wi) or wi <= 0.0:
             raise NonPositiveWeight(f"weight {i} is {wi!r}, must be strictly positive",
                                     index=i, weight=float(wi))
+    return _signed_family(subs, w, tuple(classify(s, tol_def) for s in subs))
+
+
+def _signed_family(subs: tuple[Subspace, ...], weights: np.ndarray,
+                   classifications: tuple[Classification, ...]) -> WeightedSubspaceFamily:
+    """The family of validated entries and weights, signed by their classifications."""
     signs = np.zeros(len(subs), dtype=int)
-    classifications = []
-    for i, s in enumerate(subs):
-        cls = classify(s, tol_def)
-        classifications.append(cls)
+    for i, cls in enumerate(classifications):
         if cls.kind is SubspaceKind.UNIFORMLY_POSITIVE:
             signs[i] = 1
         elif cls.kind is SubspaceKind.UNIFORMLY_NEGATIVE:
@@ -154,11 +159,11 @@ def make_weighted_family(subspaces, weights, tol_def: float = TOL_DEF) -> Weight
                 self_product=float(cls.margin),
             )
     return WeightedSubspaceFamily(
-        space=space,
+        space=subs[0].space,
         subspaces=subs,
-        weights=w,
+        weights=weights,
         signs=signs,
-        entry_classifications=tuple(classifications),
+        entry_classifications=classifications,
     )
 
 
@@ -240,21 +245,10 @@ def fusion_analysis(family: WeightedSubspaceFamily, variant: str = "qproj",
     for sigma, w, sub in zip(family.signs, family.weights, family.subspaces):
         bt_j = sub.basis.T @ j
         if variant == "qproj":
-            g = sub.gram
-            _require_regular_entry(g, tol_def)
-            rows.append(w * np.linalg.solve(g, bt_j))
+            rows.append(w * np.linalg.solve(regular_gram(sub, tol_def), bt_j))
         else:
             rows.append(sigma * w * (sub.gram @ bt_j))
     return np.vstack(rows)
-
-
-def _require_regular_entry(g: np.ndarray, tol_def: float) -> None:
-    smin = float(np.min(np.abs(np.linalg.eigvalsh(g))))
-    if smin <= tol_def:
-        raise IndefiniteOrNeutralSubspace(
-            f"entry Gram operator is numerically singular (sigma_min={smin:.3e})",
-            index=-1,
-        )
 
 
 def fusion_frame_operator(family: WeightedSubspaceFamily, variant: str = "qproj",
@@ -309,138 +303,65 @@ def bessel_bound(family: WeightedSubspaceFamily) -> float:
     """Smallest C with sum_i v_i^2 ||pi_i f||^2 <= C ||f||^2.
 
     That sum is ``f^T T T^T f`` with T the synthesis matrix, so C is the
-    largest eigenvalue of ``T T^T``.
+    largest eigenvalue of ``T T^T``.  A constant beyond the double range
+    raises :class:`~kreinframes.errors.InputError`.
     """
-    t = fusion_synthesis(family)
-    return float(np.linalg.eigvalsh(t @ t.T)[-1])
-
-
-@dataclass(frozen=True)
-class FusionPartReport:
-    indices: tuple[int, ...]
-    classification: Classification
-    required_dim: int
-    dim_ok: bool
-    kind_ok: bool
-    ratio_range: tuple[float, float] | None
-    estimate_range: tuple[float, float] | None
-
-    @property
-    def ok(self) -> bool:
-        return self.dim_ok and self.kind_ok
+    return _bessel_bound(fusion_synthesis(family))
 
 
 @dataclass(frozen=True)
 class JFusionReport:
+    """Verdict, bounds and estimates of a weighted family.
+
+    ``pencils`` holds the Rayleigh pencils the bounds were computed from, as
+    :func:`part_pencils` returns them.
+    """
+
     is_j_fusion_frame: bool
-    positive: FusionPartReport | None
-    negative: FusionPartReport | None
+    positive: PartReport | None
+    negative: PartReport | None
     bessel_bound: float
     bounds: Bounds4
     bound_estimates: Bounds4
     complete: bool
     reasons: tuple[str, ...]
+    pencils: dict = field(repr=False, compare=False)
 
 
-def _fusion_part_numerator(family: WeightedSubspaceFamily, indices,
-                           part_basis: np.ndarray) -> np.ndarray:
-    """Compressed numerator sum_i v_i^2 [pi_i f, pi_i f] on the part span."""
+def _fusion_parts(family: WeightedSubspaceFamily) -> dict[str, SignPart]:
+    """The :data:`~kreinframes.frames.SignPart` of each nonempty sign class.
+
+    The pencil numerator is ``sum_i v_i^2 [pi_i f, pi_i f]`` compressed to
+    the part span.  On the negative class these per-entry products are
+    themselves negative, so with the denominator ``-gram`` the eigenvalues
+    are already the (negative) bound values; no extra sign flip.
+    """
     n = family.space.dim
-    acc = np.zeros((n, n))
-    for i in indices:
-        b = family.subspaces[i].basis
-        g = family.subspaces[i].gram
-        acc += family.weights[i] ** 2 * (b @ g @ b.T)
-    return part_basis.T @ acc @ part_basis
-
-
-def _fusion_part_data(family: WeightedSubspaceFamily, indices, part_span: Subspace,
-                      positive: bool, tol_def: float, tol_rank: float):
-    numerator = _fusion_part_numerator(family, indices, part_span.basis)
-    g = part_span.gram
-    if positive:
-        ratio = definite_pair_extrema(numerator, g, tol_def)
-    else:
-        # On the negative part the per-entry products [pi_i f, pi_i f] are
-        # themselves negative, so the eigenvalues of (numerator, -gram) are
-        # already the (negative) bound values; no extra sign flip.
-        ratio = definite_pair_extrema(numerator, -g, tol_def)
-    synthesis = np.hstack([family.weights[i] * family.subspaces[i].basis for i in indices])
-    gamma_t = reduced_min_modulus(synthesis, tol_rank)
-    gamma_g = reduced_min_modulus(g, tol_rank)
-    outer = operator_norm(synthesis) ** 2 / gamma_g
-    inner = gamma_t**2 * gamma_g**2
-    estimate = (inner, outer) if positive else (-outer, -inner)
-    return ratio, estimate
+    parts = {}
+    for label, indices, part_span in (("positive", family.positive_indices, family.positive_span),
+                                      ("negative", family.negative_indices, family.negative_span)):
+        if part_span is None:
+            continue
+        acc = np.zeros((n, n))
+        with np.errstate(over="ignore", invalid="ignore"):  # refused by _verify_sign_parts
+            for i in indices:
+                b = family.subspaces[i].basis
+                acc += family.weights[i] ** 2 * (b @ family.subspaces[i].gram @ b.T)
+            numerator = part_span.basis.T @ acc @ part_span.basis
+        denominator = part_span.gram if label == "positive" else -part_span.gram
+        synthesis = np.hstack([family.weights[i] * family.subspaces[i].basis for i in indices])
+        parts[label] = (indices, part_span, (numerator, denominator), synthesis)
+    return parts
 
 
 def verify_j_fusion_frame(family: WeightedSubspaceFamily, tol_def: float = TOL_DEF,
                           tol_rank: float = TOL_RANK) -> JFusionReport:
     """Check span maximality per sign and compute bounds when both pass."""
-    space = family.space
-    reasons: list[str] = []
-
-    def build_part(indices, part_span, positive: bool) -> FusionPartReport | None:
-        required = space.num_positive if positive else space.num_negative
-        label = "positive" if positive else "negative"
-        good_kind = SubspaceKind.UNIFORMLY_POSITIVE if positive else SubspaceKind.UNIFORMLY_NEGATIVE
-        if part_span is None:
-            if required != 0:
-                reasons.append(f"{label} part is empty but signature requires dimension {required}")
-            return None
-        cls = classify(part_span, tol_def, tol_rank)
-        kind_ok = cls.kind is good_kind
-        dim_ok = part_span.dim == required
-        if not kind_ok:
-            reasons.append(f"{label} span is {cls.kind.value}, not uniformly {label}")
-        if not dim_ok:
-            reasons.append(f"{label} span has dimension {part_span.dim}, signature requires {required}")
-        ratio = estimate = None
-        if kind_ok:
-            ratio, estimate = _fusion_part_data(family, indices, part_span, positive,
-                                                tol_def, tol_rank)
-        return FusionPartReport(
-            indices=tuple(indices),
-            classification=cls,
-            required_dim=required,
-            dim_ok=dim_ok,
-            kind_ok=kind_ok,
-            ratio_range=ratio,
-            estimate_range=estimate,
-        )
-
-    pos = build_part(family.positive_indices, family.positive_span, positive=True)
-    neg = build_part(family.negative_indices, family.negative_span, positive=False)
-    pos_ok = pos.ok if pos is not None else space.num_positive == 0
-    neg_ok = neg.ok if neg is not None else space.num_negative == 0
-    verdict = pos_ok and neg_ok
-
+    verdict, fields = _verify_sign_parts(family.space, _fusion_parts(family),
+                                         fusion_synthesis(family), tol_def, tol_rank)
     stacked = np.hstack([s.basis for s in family.subspaces])
-    complete = orth_columns(stacked, tol_rank).shape[1] == space.dim
-
-    bounds: Bounds4 = (
-        neg.ratio_range[0] if (verdict and neg and neg.ratio_range) else None,
-        neg.ratio_range[1] if (verdict and neg and neg.ratio_range) else None,
-        pos.ratio_range[0] if (verdict and pos and pos.ratio_range) else None,
-        pos.ratio_range[1] if (verdict and pos and pos.ratio_range) else None,
-    )
-    estimates: Bounds4 = (
-        neg.estimate_range[0] if (neg and neg.estimate_range) else None,
-        neg.estimate_range[1] if (neg and neg.estimate_range) else None,
-        pos.estimate_range[0] if (pos and pos.estimate_range) else None,
-        pos.estimate_range[1] if (pos and pos.estimate_range) else None,
-    )
-
-    return JFusionReport(
-        is_j_fusion_frame=verdict,
-        positive=pos,
-        negative=neg,
-        bessel_bound=bessel_bound(family),
-        bounds=bounds,
-        bound_estimates=estimates,
-        complete=complete,
-        reasons=tuple(reasons),
-    )
+    complete = orth_columns(stacked, tol_rank).shape[1] == family.space.dim
+    return JFusionReport(is_j_fusion_frame=verdict, complete=complete, **fields)
 
 
 def optimal_fusion_bounds(family: WeightedSubspaceFamily, tol_def: float = TOL_DEF) -> Bounds4:
@@ -469,16 +390,7 @@ def part_pencils(family: WeightedSubspaceFamily
     range of the pencil equals the corresponding pair of optimal bounds
     directly (negative values for the negative part).
     """
-    out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    if family.positive_span is not None:
-        num = _fusion_part_numerator(family, family.positive_indices,
-                                     family.positive_span.basis)
-        out["positive"] = (num, family.positive_span.gram)
-    if family.negative_span is not None:
-        num = _fusion_part_numerator(family, family.negative_indices,
-                                     family.negative_span.basis)
-        out["negative"] = (num, -family.negative_span.gram)
-    return out
+    return {label: part[2] for label, part in _fusion_parts(family).items()}
 
 
 def canonical_dual_fusion(family: WeightedSubspaceFamily, tol_def: float = TOL_DEF

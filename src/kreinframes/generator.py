@@ -19,10 +19,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._numeric import orth_columns
-from .core import TOL_RANK, make_krein_space
+from .core import TOL_RANK
 from .errors import InfeasibleConfig
 from .frames import VectorFrame, partition_by_sign
 from .fusion import WeightedSubspaceFamily, family_from_spans
+from .problem_io import parse_problem
 
 PLANTS = ("none", "neutral_entry", "deficient")
 KINDS = ("fusion", "frame")
@@ -259,27 +260,15 @@ def _listify(obj):
     return obj
 
 
-def _space_from_problem(problem: dict):
-    jspec = problem["J"]
-    if jspec["type"] == "diagonal":
-        return make_krein_space(np.diag(np.array(jspec["signs"], dtype=float)))
-    return make_krein_space(np.array(jspec["rows"], dtype=float))
-
-
 def gen_family(cfg: GeneratorConfig) -> WeightedSubspaceFamily:
     """Build the weighted family for a fusion config (raises on planted flaws
     that construction is supposed to reject)."""
     cfg = validate_config(cfg)
     if cfg.kind != "fusion":
         raise InfeasibleConfig("gen_family needs a fusion config")
-    problem = gen_problem(cfg)
-    space = _space_from_problem(problem)
-    entries = problem["family"]["entries"]
-    return family_from_spans(
-        [np.array(e["basis"], dtype=float) for e in entries],
-        [e["weight"] for e in entries],
-        space,
-    )
+    parsed = parse_problem(gen_problem(cfg))
+    return family_from_spans([rows for rows, _ in parsed.entries],
+                             [w for _, w in parsed.entries], parsed.space)
 
 
 def gen_frame(cfg: GeneratorConfig) -> VectorFrame:
@@ -287,6 +276,5 @@ def gen_frame(cfg: GeneratorConfig) -> VectorFrame:
     cfg = validate_config(cfg)
     if cfg.kind != "frame":
         raise InfeasibleConfig("gen_frame needs a frame config")
-    problem = gen_problem(cfg)
-    space = _space_from_problem(problem)
-    return partition_by_sign(np.array(problem["vectors"], dtype=float), space)
+    parsed = parse_problem(gen_problem(cfg))
+    return partition_by_sign(parsed.vectors, parsed.space)

@@ -21,7 +21,13 @@ from .errors import (
     InternalInconsistency,
     NotSurjective,
 )
-from .fusion import JFusionReport, WeightedSubspaceFamily, make_weighted_family, verify_j_fusion_frame
+from .fusion import (
+    JFusionReport,
+    WeightedSubspaceFamily,
+    _signed_family,
+    make_weighted_family,
+    verify_j_fusion_frame,
+)
 from .subspaces import Classification, Subspace, SubspaceKind, classify, j_projection, subspace_sum
 
 
@@ -99,6 +105,13 @@ def preservation_audit(operator, family: WeightedSubspaceFamily, tol_def: float 
     raises :class:`NotSurjective` because none of the audited statements are
     meaningful without it.
     """
+    return _transport(operator, family, tol_def, tol_rank)[0]
+
+
+def _transport(operator, family: WeightedSubspaceFamily, tol_def: float, tol_rank: float
+               ) -> tuple[PreservationReport, tuple[Subspace, ...], tuple[Classification, ...]]:
+    """:func:`preservation_audit`, with the entry images T W_i and their
+    classifications it computed, so that callers transport each entry once."""
     t = _operator_matrix(operator, family.space)
     svals = np.linalg.svd(t, compute_uv=False)
     if svals[0] == 0.0 or svals[-1] <= tol_rank * svals[0]:
@@ -106,11 +119,11 @@ def preservation_audit(operator, family: WeightedSubspaceFamily, tol_def: float 
             f"operator is numerically rank-deficient (sigma_min={svals[-1]:.3e})"
         )
 
+    images = tuple(_image_subspace(t, sub, tol_rank) for sub in family.subspaces)
+    classes = tuple(classify(image, tol_def) for image in images)
     sign_kind = {1: SubspaceKind.UNIFORMLY_POSITIVE, -1: SubspaceKind.UNIFORMLY_NEGATIVE}
     entries = []
-    for i, sub in enumerate(family.subspaces):
-        image = _image_subspace(t, sub, tol_rank)
-        cls = classify(image, tol_def)
+    for i, (sub, image, cls) in enumerate(zip(family.subspaces, images, classes)):
         expected = sign_kind[int(family.signs[i])]
         entries.append(PreservationEntry(
             index=i,
@@ -135,7 +148,7 @@ def preservation_audit(operator, family: WeightedSubspaceFamily, tol_def: float 
     pos_cls, pos_ok = span_image(family.positive_span, positive=True)
     neg_cls, neg_ok = span_image(family.negative_span, positive=False)
 
-    return PreservationReport(
+    report = PreservationReport(
         surjective=True,
         entries=tuple(entries),
         positive_span_image=pos_cls,
@@ -143,6 +156,7 @@ def preservation_audit(operator, family: WeightedSubspaceFamily, tol_def: float 
         positive_span_ok=bool(pos_ok),
         negative_span_ok=bool(neg_ok),
     )
+    return report, images, classes
 
 
 @dataclass(frozen=True)
@@ -152,7 +166,8 @@ class ImageCheckReport:
     ``decomposition_original`` groups image entries by the *original* signs;
     ``decomposition_image`` regroups them by the signs their images actually
     carry.  When the operator shuffles signs the original grouping routinely
-    fails while the image grouping holds whenever the image verdict does.
+    fails.  The image grouping is the sign partition of the image family
+    itself, so ``decomposition_image`` is ``image_verdict``.
     """
 
     sufficient: bool
@@ -165,59 +180,41 @@ class ImageCheckReport:
     image_report: JFusionReport | None
 
 
-def _decomposition_ok(images: list[Subspace], groups: tuple[list[int], list[int]],
-                      space: KreinSpace, tol_def: float) -> bool:
-    pos_idx, neg_idx = groups
-    if pos_idx:
-        pos_span = subspace_sum(images[i] for i in pos_idx)
-        cls = classify(pos_span, tol_def)
-        if not (cls.kind is SubspaceKind.UNIFORMLY_POSITIVE and cls.maximal_definite):
+def _original_decomposition_ok(images, family: WeightedSubspaceFamily, tol_def: float) -> bool:
+    """Whether the images, grouped by the original entry signs, span a maximal
+    uniformly positive and a maximal uniformly negative subspace."""
+    for indices, required, kind in (
+            (family.positive_indices, family.space.num_positive, SubspaceKind.UNIFORMLY_POSITIVE),
+            (family.negative_indices, family.space.num_negative, SubspaceKind.UNIFORMLY_NEGATIVE)):
+        if not indices:
+            if required != 0:
+                return False
+            continue
+        cls = classify(subspace_sum(images[i] for i in indices), tol_def)
+        if not (cls.kind is kind and cls.maximal_definite):
             return False
-    elif space.num_positive != 0:
-        return False
-    if neg_idx:
-        neg_span = subspace_sum(images[i] for i in neg_idx)
-        cls = classify(neg_span, tol_def)
-        if not (cls.kind is SubspaceKind.UNIFORMLY_NEGATIVE and cls.maximal_definite):
-            return False
-    elif space.num_negative != 0:
-        return False
     return True
 
 
 def image_fusion_check(operator, family: WeightedSubspaceFamily, tol_def: float = TOL_DEF,
                        tol_rank: float = TOL_RANK) -> ImageCheckReport:
     """Verify the image family and both sign-grouping decompositions."""
-    t = _operator_matrix(operator, family.space)
-    preservation = preservation_audit(t, family, tol_def, tol_rank)
+    preservation, images, classes = _transport(operator, family, tol_def, tol_rank)
 
     rejected_entry = None
     rejection_witness = None
     image_report = None
+    image_verdict = False
     try:
-        image_family = apply_operator(t, family, tol_def, tol_rank)
+        image_family = _signed_family(images, family.weights, classes)
     except IndefiniteOrNeutralSubspace as exc:
-        image_family = None
         rejected_entry = exc.index
         rejection_witness = exc.witness
-    if image_family is not None:
+    else:
         image_report = verify_j_fusion_frame(image_family, tol_def, tol_rank)
         image_verdict = image_report.is_j_fusion_frame
-    else:
-        image_verdict = False
 
-    images = [_image_subspace(t, sub, tol_rank) for sub in family.subspaces]
-    original_groups = (list(family.positive_indices), list(family.negative_indices))
-    decomposition_original = _decomposition_ok(images, original_groups, family.space, tol_def)
-
-    if image_family is not None:
-        image_groups = (
-            [i for i in range(family.size) if image_family.signs[i] > 0],
-            [i for i in range(family.size) if image_family.signs[i] < 0],
-        )
-        decomposition_image = _decomposition_ok(images, image_groups, family.space, tol_def)
-    else:
-        decomposition_image = False
+    decomposition_original = _original_decomposition_ok(images, family, tol_def)
 
     if preservation.sufficient and not image_verdict:
         raise InternalInconsistency(
@@ -229,7 +226,7 @@ def image_fusion_check(operator, family: WeightedSubspaceFamily, tol_def: float 
         sufficient=preservation.sufficient,
         image_verdict=image_verdict,
         decomposition_original=decomposition_original,
-        decomposition_image=decomposition_image,
+        decomposition_image=image_verdict,
         rejected_entry=rejected_entry,
         rejection_witness=rejection_witness,
         preservation=preservation,

@@ -26,7 +26,7 @@ def run_cli(capsys, *args):
 def test_verify_valid_fusion_family(capsys):
     code, report, err = run_cli(capsys, "verify", FIXTURES / "fusion_dim6.json")
     assert code == 0
-    assert report["report_version"] == 1
+    assert report["report_version"] == 2
     assert report["command"] == "verify"
     assert report["result"]["verdict"] is True
     assert report["result"]["oracle"]["agreement"] is True
@@ -221,9 +221,7 @@ def test_tolerance_env_override(capsys, monkeypatch):
     monkeypatch.setenv("KREINFRAME_TOLERANCE", "1e-7")
     code, report, _ = run_cli(capsys, "verify", FIXTURES / "fusion_dim6.json")
     assert code == 0
-    assert report["parameters"]["tol_def"] == 1e-7
-    assert report["parameters"]["tol_num"] == 1e-7
-    assert report["parameters"]["tol_rank"] == 1e-7
+    assert report["parameters"] == {"tol_def": 1e-7, "tol_rank": 1e-7, "seed": 0}
 
 
 def test_flag_beats_env(capsys, monkeypatch):
@@ -232,7 +230,7 @@ def test_flag_beats_env(capsys, monkeypatch):
                               "--tol-def", "1e-9")
     assert code == 0
     assert report["parameters"]["tol_def"] == 1e-9
-    assert report["parameters"]["tol_num"] == 1e-7
+    assert report["parameters"]["tol_rank"] == 1e-7
 
 
 def test_bad_env_tolerance_is_input_error(capsys, monkeypatch):
@@ -301,7 +299,7 @@ def test_oracle_rejects_overflowing_number_in_embedded_problem(capsys, tmp_path)
 
 @pytest.mark.parametrize("key, literal, message", [
     ("tol_def", "1e400", "expected a positive finite number"),
-    ("tol_num", "1" + "0" * 400, "expected a positive finite number"),
+    ("tol_rank", "1" + "0" * 400, "expected a positive finite number"),
     ("tol_rank", "0", "expected a positive finite number"),
     ("tol_def", "-1.0", "expected a positive finite number"),
     ("seed", "1e400", "expected a finite number"),
@@ -345,12 +343,30 @@ def test_unknown_subcommand_exits_two(capsys):
     assert code == 2
 
 
-def test_paper_variant_flag(capsys):
-    """The comparator variant is accepted and recorded; verdicts agree."""
-    code, report, _ = run_cli(capsys, "verify", FIXTURES / "fusion_dim6.json",
-                              "--variant", "paper")
-    assert code == 0
-    assert report["parameters"]["variant"] == "paper"
+@pytest.mark.parametrize("flag, value", [("--variant", "paper"), ("--variant", "qproj"),
+                                         ("--tol-num", "1e-9")])
+def test_removed_flags_exit_two(capsys, flag, value):
+    """``--variant`` and ``--tol-num`` were read by no command and are gone."""
+    code, report, err = run_cli(capsys, "verify", FIXTURES / "fusion_dim6.json", flag, value)
+    assert code == 2
+    assert report is None
+    assert flag in err
+
+
+def test_oracle_rejects_version_one_report(capsys, tmp_path):
+    report_file, doc = _saved_report(capsys, tmp_path)
+    doc["report_version"] = 1
+    doc["parameters"].update(tol_num=1e-9, variant="qproj")
+    report_file.write_text(json.dumps(doc))
+    code, report, err = run_cli(capsys, "oracle", report_file)
+    assert code == 2
+    assert report is None
+    assert "$.report_version: unsupported report_version 1" in err
+
+
+def test_report_parameters_are_the_live_ones(capsys):
+    _, report, _ = run_cli(capsys, "verify", FIXTURES / "fusion_dim6.json")
+    assert report["parameters"] == {"tol_def": 1e-10, "tol_rank": 1e-10, "seed": 0}
 
 
 # ---------------------------------------------------------------------------
@@ -392,14 +408,32 @@ def test_near_limit_input_matches_unit_scale(capsys, tmp_path, command, expected
         assert not diffs
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.parametrize("command", ["verify-frame", "bounds", "dual"])
-def test_frame_with_overflowing_bound_is_refused(capsys, tmp_path, command):
-    """A frame whose bound exceeds the double range has no finite report: exit 2."""
-    doc = {"dimension": 2, "J": DIAG_J, "vectors": [[1e308, 1e307], [0.0, 1.0], [1.0, 0.0]]}
+OVERFLOWING_BOUNDS = {
+    "bessel": ("vectors", [[1.2e154, 0.0], [1.2e154, 0.0], [0.0, 1.0]],
+               "input error: the Bessel bound overflows a double"),
+    "self_product": ("vectors", [[1e308, 1e307], [0.0, 1.0], [1.0, 0.0]],
+                     "input error: the self-product of vector 0 overflows a double"),
+    "weight": ("family", {"entries": [{"basis": [[1.0, 0.0]], "weight": 1.2e154},
+                                      {"basis": [[0.0, 1.0]], "weight": 1.0}]},
+               "input error: the positive frame bound overflows a double"),
+}
+OVERFLOW_REFUSALS = [pytest.param(command, section, value, message, id=f"{command}-{name}")
+                     for name, (section, value, message) in OVERFLOWING_BOUNDS.items()
+                     for command in ("verify" if section == "family" else "verify-frame",
+                                     "bounds", "dual")]
+
+
+@pytest.mark.parametrize("command, section, value, message", OVERFLOW_REFUSALS)
+def test_frame_with_overflowing_bound_is_refused(capsys, tmp_path, recwarn, command, section,
+                                                 value, message):
+    """A frame or family whose bound exceeds the double range has no finite report:
+    exit 2 with the overflow named, and no numpy warning on the way."""
+    doc = {"dimension": 2, "J": DIAG_J, section: value}
     problem = tmp_path / "near_limit.json"
     problem.write_text(json.dumps(doc))
     code, report, err = run_cli(capsys, command, problem)
     assert code == 2
     assert report is None
-    assert "non-finite" in err
+    assert err == message + "\n"
+    assert "RuntimeWarning" not in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]

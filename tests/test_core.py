@@ -119,3 +119,8 @@ def test_space_equality_is_by_symmetry():
     c = kf.make_krein_space(np.diag([-1.0, 1.0]))
     assert a == b
     assert a != c
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in kf.__all__ if not hasattr(kf, name)]
+    assert missing == []

@@ -199,6 +199,22 @@ def test_reciprocity_report_carries_the_canonical_dual():
     assert np.allclose(kf.frame_operator(report.dual).matrix, s_inv, atol=1e-12)
 
 
+def test_dual_reciprocity_verifies_frame_and_dual_once(monkeypatch):
+    """One verification of the frame and one of its dual, not three."""
+    calls = []
+    verify = kf.frames.verify_j_frame
+
+    def counting(frame, *args, **kwargs):
+        calls.append(frame)
+        return verify(frame, *args, **kwargs)
+
+    monkeypatch.setattr(kf.frames, "verify_j_frame", counting)
+    frame = _tilted_frame()
+    report = kf.dual_reciprocity(frame)
+    assert len(calls) == 2
+    assert calls[0] is frame and calls[1] is report.dual
+
+
 def test_reciprocity_fails_for_tilted_frame():
     """Pins measured behaviour: the reciprocal-bounds pattern is not exact.
 
