@@ -48,21 +48,24 @@ def operator_norm(m: np.ndarray) -> float:
 
 # Entries above this magnitude can overflow a column norm or a product.
 OVERFLOW_GUARD = 2.0**500
+# Products of entries all below this magnitude can underflow.
+UNDERFLOW_GUARD = 2.0**-500
 
 
-def scaled_below_overflow(m: np.ndarray) -> np.ndarray:
-    """``m`` itself, or, when an entry exceeds ``OVERFLOW_GUARD``, ``m`` times the
-    power of two that brings its largest magnitude into [0.5, 1).
+def scaled_below_overflow(m: np.ndarray, floor: float = 0.0) -> np.ndarray:
+    """``m`` itself, or, when an entry exceeds ``OVERFLOW_GUARD`` or every entry
+    is below ``floor`` (and one is nonzero), ``m`` times the power of two that
+    brings its largest magnitude into [0.5, 1).
 
     Scaling by a power of two is exact (up to entries that fall into the
     subnormal range, far below any rank cutoff relative to the largest), so
     it leaves every column space, and every result that is homogeneous in
-    ``m``, unchanged; inputs below the guard are returned as they are.
+    ``m``, unchanged; inputs between the guards are returned as they are.
     """
     if m.size == 0:
         return m
     peak = float(np.max(np.abs(m)))
-    if peak <= OVERFLOW_GUARD:
+    if floor <= peak <= OVERFLOW_GUARD or peak == 0.0:
         return m
     return np.ldexp(m, -int(np.frexp(peak)[1]))
 

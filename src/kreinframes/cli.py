@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: classify, verify, verify-frame, bounds, dual, transform, gen,
-oracle.  Every command writes a canonical JSON report to stdout (and to
-``-o PATH`` when given) and a short human summary to stderr.
+oracle.  Every command writes a JSON report to stdout (and to ``-o PATH``
+when given) and a short human summary to stderr.  The report echoes the
+input file's own text as its problem; the rest of it is canonical.
 
 Exit codes: 0 verdict true / success; 1 verdict false (a report is still
 emitted); 2 input error (parse, schema, shapes, infeasible configs);
@@ -59,7 +60,6 @@ from .problem_io import (
     load_problem,
     load_report,
     make_report,
-    parse_problem,
 )
 from .subspaces import classify, span, subspace_sum
 from .transforms import image_fusion_check
@@ -456,7 +456,8 @@ COMMAND_CORES = {
 }
 
 
-def run_oracle(report_doc: dict) -> tuple[dict, int, list[str]]:
+def run_oracle(report_doc: dict, parsed: ParsedProblem) -> tuple[dict, int, list[str]]:
+    """Re-derive the result of a validated report; ``parsed`` is its embedded problem."""
     command = report_doc["command"]
     if command not in COMMAND_CORES:
         raise InputError(f"cannot re-derive reports for command {command!r}")
@@ -474,7 +475,6 @@ def run_oracle(report_doc: dict) -> tuple[dict, int, list[str]]:
         tol_rank=float(stored_params["tol_rank"]),
         seed=int(stored_params["seed"]),
     )
-    parsed = parse_problem(report_doc["problem"], "$.problem")
     fresh_result, _, _ = COMMAND_CORES[command](parsed, params)
     diffs: list[str] = []
     _compare_trees(report_doc["result"], jsonify(fresh_result), "result", diffs)
@@ -630,16 +630,16 @@ def main(argv=None) -> int:
 
         params = _resolve_params(args)
         if args.command == "oracle":
-            report_doc = load_report(args.problem)
-            result, code, lines = run_oracle(report_doc)
-            out = make_report("oracle", report_doc["problem"], dataclasses.asdict(params), result)
+            report_doc, parsed = load_report(args.problem)
+            result, code, lines = run_oracle(report_doc, parsed)
+            out = make_report("oracle", parsed, dataclasses.asdict(params), result)
             _emit(out, args.output)
             _summarize(lines)
             return code
 
         parsed = load_problem(args.problem)
         result, code, lines = COMMAND_CORES[args.command](parsed, params)
-        report = make_report(args.command, parsed.document, dataclasses.asdict(params), result)
+        report = make_report(args.command, parsed, dataclasses.asdict(params), result)
         _emit(report, args.output)
         _summarize(lines)
         return code

@@ -20,7 +20,14 @@ from functools import cached_property
 
 import numpy as np
 
-from ._numeric import as_matrix, definite_pair_extrema, operator_norm
+from ._numeric import (
+    OVERFLOW_GUARD,
+    UNDERFLOW_GUARD,
+    as_matrix,
+    definite_pair_extrema,
+    operator_norm,
+    scaled_below_overflow,
+)
 from .core import TOL_DEF, TOL_RANK, KreinSpace, Operator
 from .errors import (
     DimensionMismatch,
@@ -81,26 +88,34 @@ def partition_by_sign(vectors, space: KreinSpace, tol_def: float = TOL_DEF) -> V
     """Partition vectors by the sign of their self-product.
 
     A vector with ``|[f, f]| <= tol_def * ||f||^2`` (including the zero
-    vector) is neutral within tolerance and rejected.  A vector whose
-    self-product or squared norm overflows a double raises
+    vector) is neutral within tolerance and rejected.  The test does not
+    depend on the scale of ``f``, so a vector whose entries all lie below
+    ``UNDERFLOW_GUARD`` (or one above ``OVERFLOW_GUARD``) takes it after an
+    exact power-of-two rescale, where its products cannot underflow.  A
+    vector whose self-product or squared norm overflows a double raises
     :class:`InputError`: every bound of such a sequence overflows too.
     """
     v = as_matrix(np.atleast_2d(np.asarray(vectors, dtype=float)), "vectors")
     if v.shape[1] != space.dim:
         raise DimensionMismatch(f"vectors have length {v.shape[1]}, expected {space.dim}")
     signs = np.zeros(v.shape[0], dtype=int)
+    peaks = np.max(np.abs(v), axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
         for i, f in enumerate(v):
             self_product = float(f @ space.symmetry @ f)
             norm_sq = float(f @ f)
             _require_finite((self_product, norm_sq), f"the self-product of vector {i}")
-            if abs(self_product) <= tol_def * norm_sq:
+            product, size = self_product, norm_sq
+            if not UNDERFLOW_GUARD <= peaks[i] <= OVERFLOW_GUARD:
+                g = scaled_below_overflow(f, UNDERFLOW_GUARD)
+                product, size = float(g @ space.symmetry @ g), float(g @ g)
+            if abs(product) <= tol_def * size:
                 raise NeutralVector(
                     f"vector {i} is neutral within tolerance: [f, f] = {self_product:.3e}",
                     index=i,
                     self_product=self_product,
                 )
-            signs[i] = 1 if self_product > 0.0 else -1
+            signs[i] = 1 if product > 0.0 else -1
     return VectorFrame(space=space, vectors=v, signs=signs)
 
 
@@ -154,7 +169,8 @@ class JFrameReport:
     """Verdict, bounds and estimates of a vector frame.
 
     ``pencils`` holds the Rayleigh pencils the bounds were computed from, as
-    :func:`frame_part_pencils` returns them.
+    :func:`frame_part_pencils` returns them.  A frame that verifies also
+    carries the matrix of its frame operator S and the singular values of S.
     """
 
     is_j_frame: bool
@@ -166,6 +182,8 @@ class JFrameReport:
     condition_number: float | None
     reasons: tuple[str, ...]
     pencils: dict = field(repr=False, compare=False)
+    operator: np.ndarray | None = field(default=None, repr=False, compare=False)
+    singular_values: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 # One nonempty sign class: indices, span, signed Rayleigh pencil
@@ -286,11 +304,27 @@ def verify_j_frame(frame: VectorFrame, tol_def: float = TOL_DEF,
     """Check the two sign classes and compute bounds when both pass."""
     verdict, fields = _verify_sign_parts(frame.space, _frame_parts(frame), frame.vectors.T,
                                          tol_def, tol_rank)
-    condition = None
+    s = svals = condition = None
     if verdict:
-        svals = np.linalg.svd(frame_operator(frame).matrix, compute_uv=False)
-        condition = float(svals[0] / svals[-1]) if svals[-1] > 0 else float("inf")
-    return JFrameReport(is_j_frame=verdict, condition_number=condition, **fields)
+        s = frame_operator(frame).matrix
+        svals = np.linalg.svd(s, compute_uv=False)
+        condition = _condition_number(frame, svals)
+    return JFrameReport(is_j_frame=verdict, condition_number=condition, operator=s,
+                        singular_values=svals, **fields)
+
+
+def _condition_number(frame: VectorFrame, svals: np.ndarray) -> float:
+    """``sigma_max / sigma_min`` of S, whose singular values are ``svals``.
+
+    The ratio does not depend on the scale of the frame, so a frame far from
+    unit scale, whose S underflows, is measured after an exact power-of-two
+    rescale.
+    """
+    scaled = scaled_below_overflow(frame.vectors, UNDERFLOW_GUARD)
+    if scaled is not frame.vectors:
+        unit = VectorFrame(space=frame.space, vectors=scaled, signs=frame.signs)
+        svals = np.linalg.svd(frame_operator(unit).matrix, compute_uv=False)
+    return float(svals[0] / svals[-1]) if svals[-1] > 0 else float("inf")
 
 
 def _verified(frame: VectorFrame, tol_def: float) -> JFrameReport:
@@ -331,19 +365,22 @@ def canonical_dual(frame: VectorFrame, tol_def: float = TOL_DEF) -> VectorFrame:
     For a verified frame the dual keeps the sign pattern and its frame
     operator is exactly S^{-1}.
     """
-    _verified(frame, tol_def)
-    return _canonical_dual_of_verified(frame, frame_operator(frame).matrix, tol_def)
+    return _canonical_dual_of_verified(frame, _verified(frame, tol_def), tol_def)
 
 
-def _canonical_dual_of_verified(frame: VectorFrame, s: np.ndarray, tol_def: float) -> VectorFrame:
-    """:func:`canonical_dual` of a frame already verified at ``tol_def``; ``s`` is
-    the matrix of its frame operator."""
-    svals = np.linalg.svd(s, compute_uv=False)
+def _canonical_dual_of_verified(frame: VectorFrame, report: JFrameReport,
+                                tol_def: float) -> VectorFrame:
+    """:func:`canonical_dual` of a frame whose verification at ``tol_def`` is
+    ``report``; its frame operator and singular values are reused.  A dual
+    whose S^{-1} exceeds the double range raises :class:`InputError`."""
+    svals = report.singular_values
+    with np.errstate(divide="ignore", over="ignore"):
+        _require_finite(1.0 / svals[-1], "the inverse frame operator")
     if svals[-1] <= tol_def * svals[0]:
         raise SingularFrameOperator(
             f"verified frame produced singular frame operator (sigma_min={svals[-1]:.3e})"
         )
-    dual_vectors = np.linalg.solve(s, frame.vectors.T).T
+    dual_vectors = np.linalg.solve(report.operator, frame.vectors.T).T
     return partition_by_sign(dual_vectors, frame.space, tol_def)
 
 
@@ -389,13 +426,14 @@ def _max_rel_dev(actual: Bounds4, expected: Bounds4) -> float:
 
 def dual_reciprocity(frame: VectorFrame, tol_def: float = TOL_DEF) -> ReciprocityReport:
     """Measure how far the canonical dual's bounds are from the reciprocal pattern."""
-    original = _verified(frame, tol_def).bounds
-    s = frame_operator(frame).matrix
-    dual = _canonical_dual_of_verified(frame, s, tol_def)
-    dual_bounds = _verified(dual, tol_def).bounds
+    report = _verified(frame, tol_def)
+    original = report.bounds
+    dual = _canonical_dual_of_verified(frame, report, tol_def)
+    dual_report = _verified(dual, tol_def)
+    dual_bounds = dual_report.bounds
     expected = _reciprocal_pattern(original)
-    s_inv = np.linalg.inv(s)
-    s_dual = frame_operator(dual).matrix
+    s_inv = np.linalg.inv(report.operator)
+    s_dual = dual_report.operator
     return ReciprocityReport(
         dual=dual,
         original_bounds=original,

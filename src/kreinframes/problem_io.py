@@ -14,6 +14,14 @@ round-trip floats, and a trailing newline.  The text is exactly
 the same document twice gives identical bytes.  ``dumps_canonical`` builds
 it in one walk and hands each run of scalars, such as a matrix row, to the C
 encoder of :mod:`json` in a single call.
+
+The one exception is the problem a report echoes.  A :class:`ParsedProblem`
+read from a file keeps the file's text, and a report built from it carries
+that text as the value of ``problem``, after validation, without the
+whitespace around it and with each non-ASCII character escaped as
+``\\uXXXX``: it re-parses to the validated document, and nothing is encoded
+twice.  A problem given as a dict, or parsed from a dict (as ``oracle``
+parses the problem of a stored report), is written in the canonical form.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ import functools
 import itertools
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -35,7 +44,7 @@ from .errors import ParseError, SchemaError
 
 PROBLEM_KEYS = {"dimension", "J", "family", "vectors", "operator", "comment"}
 REPORT_KEYS = {"report_version", "command", "problem", "parameters", "result"}
-REPORT_VERSION = 2
+REPORT_VERSION = 3
 
 _INDENT = "  "
 # list elements of exactly these types go to the C encoder as one run
@@ -59,12 +68,12 @@ def loads_strict(text: str) -> dict:
     return doc
 
 
-def _read_document(path) -> dict:
+def _read_text(path) -> str:
+    """The file's text as written: line ends are not translated."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"not UTF-8 text: {exc}") from exc
-    return loads_strict(text)
 
 
 def _is_number(x) -> bool:
@@ -129,7 +138,11 @@ def _check_matrix(rows, n_cols: int | None, path: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ParsedProblem:
-    """A validated problem document with arrays decoded."""
+    """A validated problem document with arrays decoded.
+
+    ``text`` is the JSON text ``document`` was read from, when it was read
+    from a file; a report built from this problem echoes it.
+    """
 
     dimension: int
     space: KreinSpace
@@ -138,6 +151,7 @@ class ParsedProblem:
     operator: np.ndarray | None
     comment: str | None
     document: dict = field(repr=False)
+    text: str | None = field(default=None, repr=False, compare=False)
 
 
 def parse_problem(doc: dict, path: str = "$") -> ParsedProblem:
@@ -219,10 +233,12 @@ def parse_problem(doc: dict, path: str = "$") -> ParsedProblem:
 
 
 def load_problem(path) -> ParsedProblem:
-    return parse_problem(_read_document(path))
+    text = _read_text(path)
+    return dataclasses.replace(parse_problem(loads_strict(text)), text=text)
 
 
-def parse_report(doc: dict) -> dict:
+def _parse_report(doc: dict) -> ParsedProblem:
+    """Validate a report document; returns its embedded problem, parsed."""
     _check_keys(doc, REPORT_KEYS, REPORT_KEYS, "$")
     if doc["report_version"] != REPORT_VERSION:
         raise SchemaError(f"unsupported report_version {doc['report_version']!r}",
@@ -235,12 +251,19 @@ def parse_report(doc: dict) -> dict:
         raise SchemaError("parameters must be an object", "$.parameters")
     if not isinstance(doc["result"], dict):
         raise SchemaError("result must be an object", "$.result")
-    parse_problem(doc["problem"], "$.problem")
+    return parse_problem(doc["problem"], "$.problem")
+
+
+def parse_report(doc: dict) -> dict:
+    """Validate a report document, its embedded problem included; returns ``doc``."""
+    _parse_report(doc)
     return doc
 
 
-def load_report(path) -> dict:
-    return parse_report(_read_document(path))
+def load_report(path) -> tuple[dict, ParsedProblem]:
+    """The report document at ``path`` and its embedded problem, both validated."""
+    doc = loads_strict(_read_text(path))
+    return doc, _parse_report(doc)
 
 
 def _non_finite(x: float) -> ParseError:
@@ -282,6 +305,8 @@ def jsonify(obj):
     if isinstance(obj, np.ndarray):
         lists = _plain_lists(obj)
         return jsonify(obj.tolist()) if lists is None else lists
+    if isinstance(obj, ParsedProblem):
+        return jsonify(obj.document)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: jsonify(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
@@ -293,7 +318,11 @@ def jsonify(obj):
 
 def dumps_canonical(doc) -> str:
     """The canonical text of ``doc``: ``json.dumps(jsonify(doc), indent=2,
-    allow_nan=False) + "\\n"``, with the same errors, built in one walk."""
+    allow_nan=False) + "\\n"``, with the same errors, built in one walk.
+
+    A :class:`ParsedProblem` that keeps its input text is written as that
+    text (see :func:`_echo`) instead of as the encoding of its document.
+    """
     out: list[str] = []
     _write(doc, 0, out)
     out.append("\n")
@@ -320,6 +349,11 @@ def _write(obj, level: int, out: list[str]) -> None:
     elif isinstance(obj, np.ndarray):
         lists = _plain_lists(obj)
         _write(obj.tolist() if lists is None else lists, level, out)
+    elif isinstance(obj, ParsedProblem):
+        if obj.text is None:
+            _write(obj.document, level, out)
+        else:
+            out.append(_echo(obj.text))
     elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         _write_items([(f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj)],
                      level, out)
@@ -332,6 +366,20 @@ def _write(obj, level: int, out: list[str]) -> None:
         _write_list(obj, level, out)
     else:
         raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
+
+
+_NON_ASCII = re.compile(r"[^\x00-\x7f]")
+
+
+def _echo(text: str) -> str:
+    """Validated JSON text as a value inside a report: without the JSON
+    whitespace around it, and ASCII.  A non-ASCII character can only stand
+    inside a string literal, where its ``\\uXXXX`` escape (a surrogate pair
+    above U+FFFF) reads back as the same character."""
+    text = text.strip(" \t\n\r")
+    if text.isascii():
+        return text
+    return _NON_ASCII.sub(lambda m: encode_basestring_ascii(m.group())[1:-1], text)
 
 
 def _write_items(items, level: int, out: list[str]) -> None:
@@ -378,11 +426,15 @@ def save_json(doc, path) -> None:
     Path(path).write_text(dumps_canonical(doc), encoding="utf-8")
 
 
-def make_report(command: str, problem_doc: dict, parameters: dict, result: dict) -> dict:
+def make_report(command: str, problem: ParsedProblem | dict, parameters: dict,
+                result: dict) -> dict:
+    """The report envelope.  ``problem`` is the parsed problem the command ran
+    on, or a problem document; :func:`dumps_canonical` writes a parsed problem
+    read from a file as its input text."""
     return {
         "report_version": REPORT_VERSION,
         "command": command,
-        "problem": problem_doc,
+        "problem": problem,
         "parameters": parameters,
         "result": result,
     }

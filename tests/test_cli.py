@@ -26,7 +26,7 @@ def run_cli(capsys, *args):
 def test_verify_valid_fusion_family(capsys):
     code, report, err = run_cli(capsys, "verify", FIXTURES / "fusion_dim6.json")
     assert code == 0
-    assert report["report_version"] == 2
+    assert report["report_version"] == 3
     assert report["command"] == "verify"
     assert report["result"]["verdict"] is True
     assert report["result"]["oracle"]["agreement"] is True
@@ -364,6 +364,33 @@ def test_oracle_rejects_version_one_report(capsys, tmp_path):
     assert "$.report_version: unsupported report_version 1" in err
 
 
+def test_oracle_rejects_version_two_report(capsys, tmp_path):
+    """Version 2 re-encoded the problem; version 3 echoes the input's text."""
+    report_file, doc = _saved_report(capsys, tmp_path)
+    doc["report_version"] = 2
+    report_file.write_text(json.dumps(doc, indent=2))
+    code, report, err = run_cli(capsys, "oracle", report_file)
+    assert code == 2
+    assert report is None
+    assert err == "input error: $.report_version: unsupported report_version 2\n"
+
+
+def test_oracle_validates_the_embedded_problem_once(capsys, tmp_path, monkeypatch):
+    report_file, _ = _saved_report(capsys, tmp_path)
+    calls = []
+    parse = kf.problem_io.parse_problem
+
+    def counting(doc, path="$"):
+        calls.append(path)
+        return parse(doc, path)
+
+    monkeypatch.setattr(kf.problem_io, "parse_problem", counting)
+    monkeypatch.setattr(kf.cli, "parse_problem", counting, raising=False)
+    code, _, _ = run_cli(capsys, "oracle", report_file)
+    assert code == 0
+    assert calls == ["$.problem"]
+
+
 def test_report_parameters_are_the_live_ones(capsys):
     _, report, _ = run_cli(capsys, "verify", FIXTURES / "fusion_dim6.json")
     assert report["parameters"] == {"tol_def": 1e-10, "tol_rank": 1e-10, "seed": 0}
@@ -421,6 +448,26 @@ OVERFLOW_REFUSALS = [pytest.param(command, section, value, message, id=f"{comman
                      for name, (section, value, message) in OVERFLOWING_BOUNDS.items()
                      for command in ("verify" if section == "family" else "verify-frame",
                                      "bounds", "dual")]
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e-160])
+def test_frame_of_tiny_vectors(capsys, tmp_path, recwarn, scale):
+    """Tiny vectors are signed as at unit scale; the frame verifies and its
+    report re-derives, and the dual, whose S^-1 overflows, is refused."""
+    doc = {"dimension": 2, "J": DIAG_J, "vectors": [[scale, 0.0], [0.0, scale], [scale, 0.0]]}
+    problem = tmp_path / "tiny.json"
+    problem.write_text(json.dumps(doc))
+    report_file = tmp_path / "report.json"
+    code, report, _ = run_cli(capsys, "verify-frame", problem, "-o", report_file)
+    assert code == 0
+    assert report["result"]["signs"] == [1, -1, 1]
+    assert report["result"]["condition_number"] == pytest.approx(2.0, rel=1e-12)
+    assert run_cli(capsys, "oracle", report_file)[0] == 0
+    code, report, err = run_cli(capsys, "dual", problem)
+    assert code == 2
+    assert report is None
+    assert err == "input error: the inverse frame operator overflows a double\n"
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.parametrize("command, section, value, message", OVERFLOW_REFUSALS)

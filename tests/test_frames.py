@@ -215,6 +215,48 @@ def test_dual_reciprocity_verifies_frame_and_dual_once(monkeypatch):
     assert calls[0] is frame and calls[1] is report.dual
 
 
+def test_dual_reciprocity_builds_each_frame_operator_once(monkeypatch):
+    """S of the frame and S of its dual, each built once by its verification."""
+    calls = []
+    build = kf.frames.frame_operator
+
+    def counting(frame):
+        calls.append(frame)
+        return build(frame)
+
+    monkeypatch.setattr(kf.frames, "frame_operator", counting)
+    frame = _tilted_frame()
+    report = kf.dual_reciprocity(frame)
+    assert len(calls) == 2
+    assert calls[0] is frame and calls[1] is report.dual
+
+
+TINY_FRAME = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e-160, 2.0**-600, 2.0**505])
+def test_sign_test_does_not_depend_on_scale(minkowski2, scale):
+    """Far from unit scale the self-products underflow (or grow past 2^1000),
+    yet signs, verdict and condition number are those of the unit frame."""
+    unit = kf.verify_j_frame(kf.partition_by_sign(TINY_FRAME, minkowski2))
+    frame = kf.partition_by_sign(scale * TINY_FRAME, minkowski2)
+    assert list(frame.signs) == [1, -1, 1]
+    report = kf.verify_j_frame(frame)
+    assert report.is_j_frame
+    assert report.condition_number == pytest.approx(unit.condition_number, rel=1e-12)
+    with pytest.raises(kf.NeutralVector) as excinfo:
+        kf.partition_by_sign(scale * np.array([[1.0, 1.0]]), minkowski2)
+    assert excinfo.value.index == 0
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e-160])
+def test_dual_whose_inverse_operator_overflows_is_refused(minkowski2, scale):
+    frame = kf.partition_by_sign(scale * TINY_FRAME, minkowski2)
+    for derive in (kf.canonical_dual, kf.dual_reciprocity):
+        with pytest.raises(kf.InputError, match="^the inverse frame operator overflows a double$"):
+            derive(frame)
+
+
 def test_reciprocity_fails_for_tilted_frame():
     """Pins measured behaviour: the reciprocal-bounds pattern is not exact.
 

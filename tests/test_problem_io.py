@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -211,7 +211,7 @@ def test_save_and_load_problem(tmp_path):
 def test_make_report_envelope():
     problem = _minimal_family_doc()
     report = kf.make_report("verify", problem, {"seed": 0}, {"verdict": True})
-    assert report["report_version"] == 2
+    assert report["report_version"] == 3
     assert report["command"] == "verify"
     assert report["problem"] == problem
     assert report["parameters"] == {"seed": 0}
@@ -388,6 +388,9 @@ def test_unsupported_types_are_type_errors(doc):
 
 
 def test_cli_reports_are_the_reference_encoding(capsys, monkeypatch, tmp_path):
+    """The envelope and ``result`` of every report are the reference encoding;
+    the problem is the input's own text, or, in an ``oracle`` report, the
+    reference encoding of the stored problem."""
     emitted = []
 
     def recording(doc):
@@ -408,6 +411,83 @@ def test_cli_reports_are_the_reference_encoding(capsys, monkeypatch, tmp_path):
                     assert out == "" and not emitted
                     break
                 assert len(emitted) == 1
-                assert out == dumps_reference(emitted[0])
+                report = emitted[0]
+                if argv[0] == "oracle":
+                    assert report["problem"].text is None
+                    assert out == dumps_reference({**report,
+                                                   "problem": report["problem"].document})
+                else:
+                    envelope = dumps_reference({**report, "problem": None})
+                    text = fixture.read_text().strip()
+                    assert out == envelope.replace('\n  "problem": null,\n',
+                                                   f'\n  "problem": {text},\n', 1)
                 checked += 1
     assert checked >= 40
+
+
+# ---------------------------------------------------------------------------
+# the problem echo: the input's own text, spliced into the report
+
+SPLICE_CASES = [("eigen_frame", "verify-frame"), ("tilted_frame", "dual"),
+                ("fusion_dim6", "verify"), ("skewed_pair", "bounds"),
+                ("r3_family", "classify"), ("neutral_image", "transform")]
+# literal spellings of one number, placed in an extra vector or entry weight
+NUMBER_SPELLINGS = ["1e5", "1E+2", "-0.0", "2.50E-3", "123456789012345678901234567890",
+                    "0.1000000000000000055511151231257827"]
+COMMENTS = st.one_of(st.text(max_size=8),
+                     st.sampled_from(["na\u00efve", "\U0001d4d5rame \U0001f600",
+                                      "\u2028 \\ \" \x7f"]))
+LAYOUTS = [
+    {"separators": (",", ":")},
+    {},
+    {"indent": 2},
+    {"indent": 4, "separators": (" ,", " : ")},
+    {"indent": "\t"},
+]
+SENTINEL = "@number@"
+
+
+@st.composite
+def problem_texts(draw):
+    """A problem file's text in some layout, and the command to run on it."""
+    name, command = draw(st.sampled_from(SPLICE_CASES))
+    doc = json.loads((FIXTURES / f"{name}.json").read_text())
+    if "vectors" in doc:
+        doc["vectors"].append([SENTINEL] + [0.0] * (doc["dimension"] - 1))
+    else:
+        doc["family"]["entries"].append(
+            {"basis": [[1.0] + [0.0] * (doc["dimension"] - 1)], "weight": SENTINEL})
+    doc["comment"] = draw(COMMENTS)
+    text = json.dumps(doc, ensure_ascii=draw(st.booleans()), **draw(st.sampled_from(LAYOUTS)))
+    text = text.replace(json.dumps(SENTINEL), draw(st.sampled_from(NUMBER_SPELLINGS)))
+    if draw(st.booleans()):  # a duplicate key: the later value is the one parsed
+        text = '{"comment": "shadowed", "dimension": 99,' + text[1:]
+    if draw(st.booleans()):
+        text = text.replace("\n", "\r\n")
+    blank = st.text(alphabet=" \t\r\n", max_size=3)
+    return draw(blank) + text + draw(blank), command
+
+
+@seed(6)
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(problem_texts())
+def test_report_echoes_the_input_text(capsys, tmp_path, case):
+    text, command = case
+    problem = tmp_path / "problem.json"
+    problem.write_text(text, encoding="utf-8", newline="")
+    report_file = tmp_path / "report.json"
+    code = cli.main([command, str(problem), "-o", str(report_file)])
+    out = capsys.readouterr().out
+    assert code in (0, 1)
+    assert out.isascii()
+    assert report_file.read_bytes().decode() == out
+    echoed = json.loads(out)["problem"]
+    expected = json.loads(text)
+    assert echoed == expected
+    assert json.dumps(echoed) == json.dumps(expected)  # -0.0 and int/float kept apart
+    ascii_text = "".join(c if c.isascii() else json.dumps(c)[1:-1]
+                         for c in text.strip(" \t\r\n"))
+    assert f'\n  "problem": {ascii_text},\n  "parameters": ' in out
+    assert cli.main(["oracle", str(report_file)]) == 0
+    capsys.readouterr()
