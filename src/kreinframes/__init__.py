@@ -63,7 +63,6 @@ from .frames import (
     verify_j_frame,
 )
 from .fusion import (
-    VARIANTS,
     EquivalenceReport,
     FusionDualReport,
     JFusionReport,
@@ -168,7 +167,7 @@ __all__ = [
     "canonical_dual_fusion", "FusionDualReport", "fusion_dual_diagnostics",
     "j_image_family", "adjoint_identity_residual", "RpsEntry",
     "check_rps_corollary", "EquivalenceReport", "equivalence_check",
-    "flatten_family", "VARIANTS",
+    "flatten_family",
     # transforms
     "apply_operator", "PreservationEntry", "PreservationReport",
     "preservation_audit", "ImageCheckReport", "image_fusion_check",

@@ -89,26 +89,20 @@ def orth_columns(m: np.ndarray, tol_rank: float) -> np.ndarray:
     return q[:, :rank]
 
 
-def definite_pair_extrema(a: np.ndarray, g: np.ndarray, tol_def: float) -> tuple[float, float]:
+def definite_pair_extrema(a: np.ndarray, g: np.ndarray) -> tuple[float, float]:
     """Extreme eigenvalues of the pencil ``(a, g)`` with ``g`` positive definite.
 
-    Solves the symmetric-definite generalized problem with LAPACK; when ``g``
-    is barely definite (margin below 1e-6) the Cholesky-based routine loses
-    accuracy, so fall back to the QZ route and keep the real finite spectrum.
+    Reduces by the Cholesky congruence ``g = L L^T`` to the symmetric matrix
+    ``L^-1 a L^-T``, which has the eigenvalues of the pencil.  A ``g`` without
+    a Cholesky factor raises :class:`NotPositiveDefinite`.
     """
-    a = 0.5 * (a + a.T)
-    g = 0.5 * (g + g.T)
-    gmin = float(np.min(np.linalg.eigvalsh(g))) if g.size else 0.0
-    if gmin <= tol_def:
-        raise NotPositiveDefinite(
-            f"pencil right-hand side is not positive definite (min eigenvalue {gmin:.3e})"
-        )
-    if gmin >= 1e-6:
-        vals = sla.eigh(a, g, eigvals_only=True)
-    else:
-        vals, _ = sla.eig(a, g, right=True)
-        vals = np.real(vals[np.isfinite(vals)])
-        vals = np.sort(vals)
+    try:
+        chol = np.linalg.cholesky(0.5 * (g + g.T))
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefinite("pencil right-hand side is not positive definite") from None
+    half = sla.solve_triangular(chol, 0.5 * (a + a.T), lower=True)
+    reduced = sla.solve_triangular(chol, half.T, lower=True)
+    vals = np.linalg.eigvalsh(0.5 * (reduced + reduced.T))
     return float(vals[0]), float(vals[-1])
 
 

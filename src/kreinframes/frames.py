@@ -240,7 +240,7 @@ def _verify_sign_parts(space: KreinSpace, parts: dict[str, SignPart], synthesis:
         if kind_ok:
             with np.errstate(over="ignore", invalid="ignore"):
                 _require_finite(numerator + numerator.T, f"the {label} frame bound")
-            ratio = definite_pair_extrema(numerator, denominator, tol_def)
+            ratio = definite_pair_extrema(numerator, denominator)
             gamma_t = reduced_min_modulus(part_synthesis, tol_rank)
             gamma_g = reduced_min_modulus(part_span.gram, tol_rank)
             outer = operator_norm(part_synthesis) ** 2 / gamma_g
@@ -318,13 +318,17 @@ def _condition_number(frame: VectorFrame, svals: np.ndarray) -> float:
 
     The ratio does not depend on the scale of the frame, so a frame far from
     unit scale, whose S underflows, is measured after an exact power-of-two
-    rescale.
+    rescale.  A ratio that overflows a double (``[[1, 0], [0, 1e-200]]``
+    under ``diag(1, -1)`` has 1e400) raises :class:`InputError`.
     """
     scaled = scaled_below_overflow(frame.vectors, UNDERFLOW_GUARD)
     if scaled is not frame.vectors:
         unit = VectorFrame(space=frame.space, vectors=scaled, signs=frame.signs)
         svals = np.linalg.svd(frame_operator(unit).matrix, compute_uv=False)
-    return float(svals[0] / svals[-1]) if svals[-1] > 0 else float("inf")
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        condition = float(svals[0] / svals[-1])
+    _require_finite(condition, "the condition number of the frame operator")
+    return condition
 
 
 def _verified(frame: VectorFrame, tol_def: float) -> JFrameReport:

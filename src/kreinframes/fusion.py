@@ -6,13 +6,9 @@ indefinite product on W_i.  The family is a valid fusion frame when the
 positive entries together span a maximal uniformly positive subspace and the
 negative entries a maximal uniformly negative one.
 
-The frame operator used throughout is S = sum_i sigma_i v_i^2 Q_{W_i}, built
-from the indefinite-orthogonal projectors Q_{W_i}; it factors exactly as
-S = T A where T is the synthesis map from the direct sum and A the projector
-variant of the analysis map.  A second, projector-composition variant of the
-analysis/operator pair is kept purely as a comparator (it fails to be
-selfadjoint for the indefinite product on tilted entries); see ``variant``
-arguments.
+The frame operator is S = sum_i v_i^2 Q_{W_i}, built from the
+indefinite-orthogonal projectors Q_{W_i}; it factors exactly as S = T A where
+T is the synthesis map from the direct sum and A the analysis map.
 
 Bound conventions match :mod:`kreinframes.frames`: ascending four-tuples
 ``(B-, A-, A+, B+)`` with ``None`` slots for missing parts.
@@ -35,7 +31,6 @@ from .core import TOL_DEF, TOL_RANK, KreinSpace, Operator
 from .errors import (
     DimensionMismatch,
     IndefiniteOrNeutralSubspace,
-    InputError,
     KreinFrameError,
     NonPositiveWeight,
     NotAJFusionFrame,
@@ -64,9 +59,6 @@ from .subspaces import (
     span,
     subspace_sum,
 )
-
-VARIANTS = ("qproj", "paper")
-
 
 @dataclass(frozen=True)
 class WeightedSubspaceFamily:
@@ -225,58 +217,32 @@ def fusion_synthesis(family: WeightedSubspaceFamily) -> np.ndarray:
     return np.hstack(blocks)
 
 
-def fusion_analysis(family: WeightedSubspaceFamily, variant: str = "qproj",
-                    tol_def: float = TOL_DEF) -> np.ndarray:
+def fusion_analysis(family: WeightedSubspaceFamily, tol_def: float = TOL_DEF) -> np.ndarray:
     """Analysis matrix (sum k_i x n), per-entry coordinate blocks.
 
-    ``qproj``: row block ``v_i G_i^{-1} B_i^T J`` — the coordinates of
+    Row block ``v_i G_i^{-1} B_i^T J`` holds the coordinates of
     ``v_i Q_{W_i} f``.  This is the exact adjoint of the synthesis against
     the indefinite direct-sum pairing (block-diagonal entry Grams), and
     ``synthesis @ analysis`` reproduces the frame operator.
-
-    ``paper``: row block ``sigma_i v_i G_i B_i^T J`` — kept as a comparator;
-    it is not an adjoint of the synthesis for any of the natural pairings
-    unless every entry basis is orthonormal for the indefinite product too.
     """
-    if variant not in VARIANTS:
-        raise InputError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
     j = family.space.symmetry
-    rows = []
-    for sigma, w, sub in zip(family.signs, family.weights, family.subspaces):
-        bt_j = sub.basis.T @ j
-        if variant == "qproj":
-            rows.append(w * np.linalg.solve(regular_gram(sub, tol_def), bt_j))
-        else:
-            rows.append(sigma * w * (sub.gram @ bt_j))
-    return np.vstack(rows)
+    return np.vstack([w * np.linalg.solve(regular_gram(sub, tol_def), sub.basis.T @ j)
+                      for w, sub in zip(family.weights, family.subspaces)])
 
 
-def fusion_frame_operator(family: WeightedSubspaceFamily, variant: str = "qproj",
-                          tol_def: float = TOL_DEF) -> Operator:
-    """The fusion frame operator.
+def fusion_frame_operator(family: WeightedSubspaceFamily, tol_def: float = TOL_DEF) -> Operator:
+    """The fusion frame operator S = sum_i v_i^2 Q_{W_i}.
 
-    ``qproj`` (the operative choice): S = sum_i v_i^2 Q_{W_i}.  No explicit
-    entry sign appears: Q_{W_i} already acts negatively on a uniformly
-    negative W_i ([Qf, f] = [Qf, Qf] < 0), which is what makes S equal
-    ``T @ A`` exactly, the identity on a fundamental decomposition with unit
-    weights, and S+ - S- with both parts positive for the indefinite
+    No explicit entry sign appears: Q_{W_i} already acts negatively on a
+    uniformly negative W_i ([Qf, f] = [Qf, Qf] < 0), which is what makes S
+    equal ``T @ A`` exactly, the identity on a fundamental decomposition with
+    unit weights, and S+ - S- with both parts positive for the indefinite
     product.
-
-    ``paper`` (comparator): sum_i sigma_i v_i^2 pi_{J W_i}, the literal
-    signed projector-composition reading; not selfadjoint on tilted entries
-    and equal to J (not the identity) on a fundamental decomposition.
     """
-    if variant not in VARIANTS:
-        raise InputError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
     n = family.space.dim
-    j = family.space.symmetry
     acc = np.zeros((n, n))
-    for sigma, w, sub in zip(family.signs, family.weights, family.subspaces):
-        if variant == "qproj":
-            acc += w**2 * j_projection(sub, tol_def).matrix
-        else:
-            pi = sub.basis @ sub.basis.T
-            acc += sigma * w**2 * (j @ pi @ j)
+    for w, sub in zip(family.weights, family.subspaces):
+        acc += w**2 * j_projection(sub, tol_def).matrix
     return Operator(family.space, acc)
 
 
@@ -410,7 +376,7 @@ def canonical_dual_fusion(family: WeightedSubspaceFamily, tol_def: float = TOL_D
 def _canonical_dual_of_verified(family: WeightedSubspaceFamily, tol_def: float
                                 ) -> tuple[WeightedSubspaceFamily, Operator]:
     """:func:`canonical_dual_fusion` of a family already verified at ``tol_def``."""
-    s = fusion_frame_operator(family, "qproj", tol_def).matrix
+    s = fusion_frame_operator(family, tol_def).matrix
     svals = np.linalg.svd(s, compute_uv=False)
     if svals[-1] <= tol_def * svals[0]:
         raise SingularFrameOperator(
@@ -450,7 +416,7 @@ def fusion_dual_diagnostics(family: WeightedSubspaceFamily,
     dual, inverse = _canonical_dual_of_verified(family, tol_def)
     dual_bounds = optimal_fusion_bounds(dual, tol_def)
     expected = _reciprocal_pattern(original_bounds)
-    s_dual = fusion_frame_operator(dual, "qproj", tol_def).matrix
+    s_dual = fusion_frame_operator(dual, tol_def).matrix
     op_residual = operator_norm(s_dual - inverse.matrix) / operator_norm(inverse.matrix)
 
     span_residual = 0.0
@@ -488,18 +454,17 @@ def j_image_family(family: WeightedSubspaceFamily, tol_def: float = TOL_DEF) -> 
     return make_weighted_family(subs, family.weights, tol_def)
 
 
-def adjoint_identity_residual(family: WeightedSubspaceFamily, variant: str = "qproj",
-                              seed: int = 0, ntrials: int = 50,
-                              tol_def: float = TOL_DEF) -> float:
+def adjoint_identity_residual(family: WeightedSubspaceFamily, seed: int = 0,
+                              ntrials: int = 50, tol_def: float = TOL_DEF) -> float:
     """Max normalized defect of [T c, f] = [c, A f] over random pairs.
 
     The pairing on the direct sum is the intrinsic indefinite one
-    (``indefinite_product``, block-diagonal entry Grams).  Zero for the
-    ``qproj`` variant; generically large for the ``paper`` variant.
+    (``indefinite_product``, block-diagonal entry Grams); the defect is zero
+    up to rounding.
     """
     dsum = direct_sum_space(family)
     t = fusion_synthesis(family)
-    a = fusion_analysis(family, variant, tol_def)
+    a = fusion_analysis(family, tol_def)
     j = family.space.symmetry
     rng = np.random.default_rng(seed)
     worst = 0.0

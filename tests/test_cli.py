@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import strategies as st
 
 import kreinframes as kf
 from kreinframes.cli import _compare_trees, main
@@ -26,7 +28,7 @@ def run_cli(capsys, *args):
 def test_verify_valid_fusion_family(capsys):
     code, report, err = run_cli(capsys, "verify", FIXTURES / "fusion_dim6.json")
     assert code == 0
-    assert report["report_version"] == 3
+    assert report["report_version"] == 4
     assert report["command"] == "verify"
     assert report["result"]["verdict"] is True
     assert report["result"]["oracle"]["agreement"] is True
@@ -364,15 +366,17 @@ def test_oracle_rejects_version_one_report(capsys, tmp_path):
     assert "$.report_version: unsupported report_version 1" in err
 
 
-def test_oracle_rejects_version_two_report(capsys, tmp_path):
-    """Version 2 re-encoded the problem; version 3 echoes the input's text."""
+@pytest.mark.parametrize("version", [2, 3])
+def test_oracle_rejects_superseded_report_version(capsys, tmp_path, version):
+    """Version 2 re-encoded the problem; version 3 took near-neutral bounds
+    through a QZ route, so they move on recomputation."""
     report_file, doc = _saved_report(capsys, tmp_path)
-    doc["report_version"] = 2
+    doc["report_version"] = version
     report_file.write_text(json.dumps(doc, indent=2))
     code, report, err = run_cli(capsys, "oracle", report_file)
     assert code == 2
     assert report is None
-    assert err == "input error: $.report_version: unsupported report_version 2\n"
+    assert err == f"input error: $.report_version: unsupported report_version {version}\n"
 
 
 def test_oracle_validates_the_embedded_problem_once(capsys, tmp_path, monkeypatch):
@@ -443,6 +447,9 @@ OVERFLOWING_BOUNDS = {
     "weight": ("family", {"entries": [{"basis": [[1.0, 0.0]], "weight": 1.2e154},
                                       {"basis": [[0.0, 1.0]], "weight": 1.0}]},
                "input error: the positive frame bound overflows a double"),
+    "condition_number": ("vectors", [[1.0, 0.0], [0.0, 1e-200]],
+                         "input error: the condition number of the frame operator "
+                         "overflows a double"),
 }
 OVERFLOW_REFUSALS = [pytest.param(command, section, value, message, id=f"{command}-{name}")
                      for name, (section, value, message) in OVERFLOWING_BOUNDS.items()
@@ -484,3 +491,61 @@ def test_frame_with_overflowing_bound_is_refused(capsys, tmp_path, recwarn, comm
     assert err == message + "\n"
     assert "RuntimeWarning" not in err
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+# ---------------------------------------------------------------------------
+# near-neutral input: ill-conditioned, valid, and never an internal inconsistency
+
+
+def _verify_then_oracle(capsys, tmp_path, problem: Path, kind: str) -> list[int]:
+    """Exit codes of the verifying command of ``kind`` and ``bounds`` on
+    ``problem``, each followed by ``oracle`` on the report it saved."""
+    codes = []
+    for command in ("verify" if kind == "fusion" else "verify-frame", "bounds"):
+        report_file = tmp_path / f"{command}.json"
+        code, _, err = run_cli(capsys, command, problem, "-o", report_file)
+        assert code != 3, err
+        codes.append(code)
+        code, _, err = run_cli(capsys, "oracle", report_file)
+        assert code == 0, err
+    return codes
+
+
+@pytest.mark.parametrize("kind", ["fusion", "frame"])
+@pytest.mark.parametrize("instance_seed", range(8))
+def test_near_neutral_sweep_exits_zero(capsys, tmp_path, kind, instance_seed):
+    """``gen --n 6 --p 3 --tilt 0.9999999 --rotate``: the bounds of these parts
+    carry rounding far above 1e-10 relative, and the cross-check allows it."""
+    problem = tmp_path / "problem.json"
+    frame_counts = ["--num-pos", 6, "--num-neg", 6] if kind == "frame" else []
+    code, _, _ = run_cli(capsys, "gen", "--kind", kind, "--n", 6, "--p", 3, *frame_counts,
+                         "--tilt", 0.9999999, "--rotate", "--seed", instance_seed,
+                         "-o", problem)
+    assert code == 0
+    assert _verify_then_oracle(capsys, tmp_path, problem, kind) == [0, 0]
+
+
+@seed(3)
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    kind=st.sampled_from(["fusion", "frame"]),
+    dim=st.integers(min_value=2, max_value=8),
+    p_offset=st.integers(min_value=0, max_value=6),
+    neutrality=st.floats(min_value=0.0, max_value=9.0),
+    rotate=st.booleans(),
+    plant=st.sampled_from(["none", "deficient"]),
+    instance_seed=st.integers(min_value=0, max_value=10_000),
+)
+def test_generated_exit_codes_follow_the_plant(capsys, tmp_path, kind, dim, p_offset,
+                                               neutrality, rotate, plant, instance_seed):
+    """Tilts from 0 to 1 - 1e-9 (``neutrality`` is -log10(1 - tilt)): a sound
+    problem exits 0 and a deficient one 1, and no run exits 3."""
+    low = 2 if plant == "deficient" else 0
+    num_positive = low + p_offset % (dim - low + 1)
+    cfg = kf.GeneratorConfig(kind=kind, seed=instance_seed, dim=dim, num_positive=num_positive,
+                             tilt=1.0 - 10.0**-neutrality, plant=plant, rotate=rotate)
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps(kf.gen_problem(cfg)))
+    expected = 0 if plant == "none" else 1
+    assert _verify_then_oracle(capsys, tmp_path, problem, kind) == [expected, expected]

@@ -97,3 +97,49 @@ def test_completeness_check(minkowski3):
             kf.span(np.array([[0.0, 0, 1.0]]), minkowski3)]
     assert oracles.completeness_check(full, minkowski3)
     assert not oracles.completeness_check(full[:1], minkowski3)
+
+
+# ---------------------------------------------------------------------------
+# both pencil routes against a 50-digit referee
+
+PENCIL_BOUND_FACTOR = 16.0
+
+
+def _generated_pencils():
+    """The part pencils of generated problems, n <= 8, tilts up to 1 - 1e-8."""
+    for kind in ("fusion", "frame"):
+        for n in (4, 6, 8):
+            for tilt in (0.0, 0.5, 0.99, 1 - 1e-6, 1 - 1e-7, 1 - 1e-8):
+                for instance_seed in range(8):
+                    counts = ({"num_vectors_positive": n, "num_vectors_negative": n}
+                              if kind == "frame" else {})
+                    cfg = kf.GeneratorConfig(kind=kind, seed=instance_seed, dim=n,
+                                             num_positive=n // 2, tilt=tilt, rotate=True,
+                                             **counts)
+                    pencils = (kf.part_pencils(kf.gen_family(cfg)) if kind == "fusion"
+                               else kf.frame_part_pencils(kf.gen_frame(cfg)))
+                    yield from pencils.values()
+
+
+def test_pencil_routes_stay_within_their_error_bound():
+    """The Cholesky route of the bounds and the spectral route of the oracle each
+    stay within 16 times the first-order bound ``eps (||A|| + |lam| ||G||) /
+    lambda_min(G)`` of the exact extrema of the stored pencil."""
+    mpmath = pytest.importorskip("mpmath")
+    from kreinframes._numeric import definite_pair_extrema
+
+    eps = np.finfo(float).eps
+    worst = 0.0
+    with mpmath.workdps(50):
+        for a, g in _generated_pencils():
+            a, g = 0.5 * (a + a.T), 0.5 * (g + g.T)
+            chol_inv = mpmath.inverse(mpmath.cholesky(mpmath.matrix(g.tolist())))
+            reduced = chol_inv * mpmath.matrix(a.tolist()) * chol_inv.T
+            exact = sorted(float(x) for x in mpmath.eigsy(reduced, eigvals_only=True))
+            norm_a, norm_g = np.linalg.norm(a, 2), np.linalg.norm(g, 2)
+            g_min = np.linalg.eigvalsh(g)[0]
+            for route in (definite_pair_extrema(a, g), oracles.rayleigh_extrema(a, g)):
+                for value, lam in zip(route, (exact[0], exact[-1])):
+                    bound = eps * (norm_a + abs(lam) * norm_g) / g_min
+                    worst = max(worst, abs(value - lam) / bound)
+    assert worst <= PENCIL_BOUND_FACTOR

@@ -108,4 +108,4 @@ def test_image_partition_implication(instance_seed, scale_exp):
 @given(instance_seed=st.integers(min_value=0, max_value=10_000))
 def test_adjoint_identity_for_generated_families(instance_seed):
     fam = _family_for(instance_seed, 5, 2)
-    assert kf.adjoint_identity_residual(fam, "qproj", seed=instance_seed) <= 1e-11
+    assert kf.adjoint_identity_residual(fam, seed=instance_seed) <= 1e-11
