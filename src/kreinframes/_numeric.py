@@ -1,9 +1,8 @@
-"""Private numerical helpers shared across modules."""
+"""Private numerical helpers shared across modules (numpy's LAPACK only)."""
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import DimensionMismatch, NotPositiveDefinite
 
@@ -11,7 +10,9 @@ __all__ = [
     "as_matrix",
     "as_vector",
     "operator_norm",
+    "column_space",
     "orth_columns",
+    "null_space",
     "scaled_below_overflow",
     "definite_pair_extrema",
     "block_diag",
@@ -40,16 +41,49 @@ def as_vector(a, n: int | None = None, name: str = "vector") -> np.ndarray:
 
 
 def operator_norm(m: np.ndarray) -> float:
-    """Spectral norm; 0.0 for empty matrices."""
+    """Spectral norm; 0.0 for empty and zero matrices, inf for non-finite ones
+    and where the norm exceeds the double range.
+
+    Taken without an SVD: the largest eigenvalue modulus of ``m`` when it is
+    symmetric, else the square root of the largest eigenvalue of the smaller
+    Gram (``m^T m`` or ``m m^T``), whose relative error is a small multiple
+    of eps.  ``m`` is first scaled by the power of two that brings its
+    largest entry into [0.5, 1), so the Gram can neither overflow nor
+    underflow, and the scale is undone exactly.
+    """
     if m.size == 0:
         return 0.0
-    return float(np.linalg.norm(m, 2))
+    peak = float(np.max(np.abs(m)))
+    if peak == 0.0:
+        return 0.0
+    if not np.isfinite(peak):
+        return np.inf
+    exponent = int(np.frexp(peak)[1])
+    s = np.ldexp(m, -exponent)
+    if s.shape[0] == s.shape[1] and np.array_equal(s, s.T):
+        eigvals = np.linalg.eigvalsh(s)
+        top = max(-eigvals[0], eigvals[-1])
+    else:
+        gram = s.T @ s if s.shape[1] <= s.shape[0] else s @ s.T
+        top = np.sqrt(np.linalg.eigvalsh(gram)[-1])
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(top, exponent))
 
 
 # Entries above this magnitude can overflow a column norm or a product.
 OVERFLOW_GUARD = 2.0**500
 # Products of entries all below this magnitude can underflow.
 UNDERFLOW_GUARD = 2.0**-500
+
+
+def _rescale_exponent(m: np.ndarray, floor: float) -> int:
+    """The power of two :func:`scaled_below_overflow` divides ``m`` by (0 if none)."""
+    if m.size == 0:
+        return 0
+    peak = float(np.max(np.abs(m)))
+    if floor <= peak <= OVERFLOW_GUARD or peak == 0.0:
+        return 0
+    return int(np.frexp(peak)[1])
 
 
 def scaled_below_overflow(m: np.ndarray, floor: float = 0.0) -> np.ndarray:
@@ -62,52 +96,79 @@ def scaled_below_overflow(m: np.ndarray, floor: float = 0.0) -> np.ndarray:
     it leaves every column space, and every result that is homogeneous in
     ``m``, unchanged; inputs between the guards are returned as they are.
     """
+    exponent = _rescale_exponent(m, floor)
+    return np.ldexp(m, -exponent) if exponent else m
+
+
+def _rank(svals: np.ndarray, tol_rank: float) -> int:
+    """The number of singular values (descending) above ``tol_rank`` times the largest."""
+    return int(np.sum(svals > tol_rank * svals[0])) if svals.size and svals[0] > 0.0 else 0
+
+
+def column_space(m: np.ndarray, tol_rank: float) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal basis (columns) of the column space of ``m``, and the
+    singular values of ``m`` in descending order.
+
+    One thin SVD ``m = U diag(s) V^T``, the rank-revealing factorization
+    (Golub and Van Loan, *Matrix Computations*, section 5.4): the rank counts
+    the singular values above ``tol_rank`` times the largest, and the basis is
+    the leading columns of U.  LAPACK's ``gesdd`` reduces a tall ``m`` by a
+    Householder QR first and takes the SVD of R (T. F. Chan, *ACM TOMS* 8,
+    1982).  Input near the double limit is first rescaled by an exact power
+    of two (:func:`scaled_below_overflow`), because the reflections would
+    otherwise overflow; the singular values are returned at the scale of
+    ``m``.
+    """
     if m.size == 0:
-        return m
-    peak = float(np.max(np.abs(m)))
-    if floor <= peak <= OVERFLOW_GUARD or peak == 0.0:
-        return m
-    return np.ldexp(m, -int(np.frexp(peak)[1]))
+        return np.zeros((m.shape[0], 0)), np.zeros(0)
+    exponent = _rescale_exponent(m, 0.0)
+    u, svals, _ = np.linalg.svd(np.ldexp(m, -exponent) if exponent else m,
+                                full_matrices=False)
+    rank = _rank(svals, tol_rank)
+    if exponent:
+        with np.errstate(over="ignore"):  # beyond the double range: inf
+            svals = np.ldexp(svals, exponent)
+    return u[:, :rank], svals
 
 
 def orth_columns(m: np.ndarray, tol_rank: float) -> np.ndarray:
-    """Orthonormal basis (columns) of the column space of ``m``.
+    """Orthonormal basis (columns) of the column space of ``m``; the basis of
+    :func:`column_space`, with its relative rank cutoff ``tol_rank``."""
+    return column_space(m, tol_rank)[0]
 
-    Uses QR with column pivoting so the rank decision matches the pivot
-    magnitudes; the relative cutoff is ``tol_rank`` times the largest pivot.
-    Input near the double limit is first rescaled by an exact power of two
-    (:func:`scaled_below_overflow`), because the Householder reflections
-    would otherwise overflow.
-    """
-    if m.size == 0:
-        return np.zeros((m.shape[0], 0))
-    q, r, _ = sla.qr(scaled_below_overflow(m), mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    if diag.size == 0 or diag[0] == 0.0:
-        return np.zeros((m.shape[0], 0))
-    rank = int(np.sum(diag > tol_rank * diag[0]))
-    return q[:, :rank]
+
+def null_space(m: np.ndarray, tol_rank: float) -> np.ndarray:
+    """Orthonormal basis (columns) of the null space of ``m``: the right
+    singular vectors of one full SVD beyond the rank (as :func:`column_space`
+    counts it)."""
+    _, svals, vt = np.linalg.svd(m)
+    return vt[_rank(svals, tol_rank):].T
 
 
 def definite_pair_extrema(a: np.ndarray, g: np.ndarray) -> tuple[float, float]:
     """Extreme eigenvalues of the pencil ``(a, g)`` with ``g`` positive definite.
 
     Reduces by the Cholesky congruence ``g = L L^T`` to the symmetric matrix
-    ``L^-1 a L^-T``, which has the eigenvalues of the pencil.  A ``g`` without
-    a Cholesky factor raises :class:`NotPositiveDefinite`.
+    ``L^-1 a L^-T``, which has the eigenvalues of the pencil; both solves
+    with L are LU solves, backward stable like triangular ones.  A ``g``
+    without a Cholesky factor raises :class:`NotPositiveDefinite`.
     """
     try:
         chol = np.linalg.cholesky(0.5 * (g + g.T))
     except np.linalg.LinAlgError:
         raise NotPositiveDefinite("pencil right-hand side is not positive definite") from None
-    half = sla.solve_triangular(chol, 0.5 * (a + a.T), lower=True)
-    reduced = sla.solve_triangular(chol, half.T, lower=True)
+    half = np.linalg.solve(chol, 0.5 * (a + a.T))
+    reduced = np.linalg.solve(chol, half.T)
     vals = np.linalg.eigvalsh(0.5 * (reduced + reduced.T))
     return float(vals[0]), float(vals[-1])
 
 
 def block_diag(blocks) -> np.ndarray:
+    """The block-diagonal matrix of ``blocks`` (each made at least 2-D)."""
     blocks = [np.atleast_2d(b) for b in blocks]
-    if not blocks:
-        return np.zeros((0, 0))
-    return sla.block_diag(*blocks)
+    out = np.zeros((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)))
+    row = col = 0
+    for b in blocks:
+        out[row:row + b.shape[0], col:col + b.shape[1]] = b
+        row, col = row + b.shape[0], col + b.shape[1]
+    return out

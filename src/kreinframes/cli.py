@@ -32,6 +32,7 @@ import functools
 import os
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,6 +75,11 @@ from .transforms import image_fusion_check
 ORACLE_DIM_LIMIT = 8
 ALGEBRAIC_TOL = 1e-10
 SAMPLED_TOL = 1e-4
+# Relative tolerance of an ``oracle`` re-run on every stored number whose
+# rounding error has no larger bound (see :func:`run_oracle`).
+ORACLE_TOL = 1e-9
+# The slots of the bound four-tuple (B-, A-, A+, B+) that each part fills.
+BOUND_SLOTS = {"negative": (0, 1), "positive": (2, 3)}
 # Multiple of the first-order error bound of a definite pencil's eigenvalue
 # within which the Cholesky and spectral routes must agree; against an mpmath
 # referee on 576 generated pencils (n <= 8, tilts up to 1 - 1e-8) neither
@@ -89,6 +95,18 @@ class Params:
     tol_def: float
     tol_rank: float
     seed: int
+
+
+class Outcome(NamedTuple):
+    """What a command core returns: the ``result`` of the report, the exit
+    code and the summary lines, and the relative tolerance at which ``oracle``
+    compares each stored number, by its path such as ``result.bounds[2]``,
+    whose rounding error may exceed ``ORACLE_TOL``."""
+
+    result: dict
+    code: int
+    lines: list[str]
+    tolerances: dict[str, float] | None = None
 
 
 def _env_tolerance() -> float | None:
@@ -142,9 +160,8 @@ def _oracle_block(system, report, verdict: bool, params: Params) -> dict | None:
     seed = params.seed
     checks = []
     failures = []
-    slot_map = {"negative": (0, 1), "positive": (2, 3)}
     for label, (numerator, denominator) in report.pencils.items():
-        lo_slot, hi_slot = slot_map[label]
+        lo_slot, hi_slot = BOUND_SLOTS[label]
         alg = oracles.rayleigh_extrema(numerator, denominator)
         sam = oracles.rayleigh_extrema_sampled(numerator, denominator, seed=seed)
         scales = (operator_norm(numerator), operator_norm(denominator),
@@ -191,6 +208,97 @@ def _oracle_block(system, report, verdict: bool, params: Params) -> dict | None:
     return {"checks": checks, "agreement": True}
 
 
+def _stored_bound_tolerances(key: str, report, dim: int, scale: float = 1.0) -> dict[str, float]:
+    """``oracle`` tolerances of the bounds stored at ``result.<key>``, which
+    ``report`` computed on a system in dimension ``dim``, of the estimates
+    stored at ``result.bound_estimates``, and of both where a result repeats
+    them per part (``<part>.ratio_range``, ``<part>.estimate_range``).
+
+    A bound ``lam`` of a part with Gram margin ``m`` carries the rounding of
+    forming its pencil as well as of reducing it: each Gram entry is an
+    inner product of length ``dim`` of unit vectors, and the numerator is
+    bounded by the Bessel bound ``beta``, so its first-order error is
+    ``dim eps (beta + |lam|) / m``, times ``scale`` for a system whose input
+    already carries relative rounding of that size.  The estimates
+    ``gamma_T^2 gamma_G^2`` and ``||T||^2 / gamma_G`` carry relative errors
+    ``2 dim eps (||T|| / gamma_T + 1 / gamma_G)`` and
+    ``dim eps (2 + 1 / gamma_G)``, with ``gamma_G = m`` on a definite part.
+    Each error, times ``PENCIL_BOUND_FACTOR``, relative to ``1 + |x|`` and
+    at least ``ORACLE_TOL``, is the tolerance.  A bound's is never below the
+    algebraic tolerance of its pencil (``||A|| <= beta``, ``||G|| <= 1``),
+    which does not cover bases that differ by rounding: a pivoted-QR and an
+    SVD basis of the same span moved a bound of a part with margin 1e-7 by
+    1.3e6 times the first-order error of reducing its pencil.
+    """
+    tols = {}
+
+    def hold(path: str, x: float, error: float) -> None:
+        tols[path] = max(ORACLE_TOL, PENCIL_BOUND_FACTOR * error / (1.0 + abs(x)))
+
+    for label, part in (("negative", report.negative), ("positive", report.positive)):
+        if part is None or part.ratio_range is None:
+            continue
+        margin = part.classification.margin
+        for i, (slot, lam) in enumerate(zip(BOUND_SLOTS[label], part.ratio_range)):
+            error = dim * EPS * scale * (report.bessel_bound + abs(lam)) / margin
+            hold(f"result.{label}.ratio_range[{i}]", lam, error)
+            if report.bounds[slot] is not None:
+                hold(f"result.{key}[{slot}]", lam, error)
+        inner, outer = sorted(abs(x) for x in part.estimate_range)
+        if inner == 0.0:  # underflowed: nothing to scale a tolerance by
+            continue
+        norm_ratio = margin * np.sqrt(margin * outer / inner)  # ||T|| / gamma_T
+        relative = (2 * dim * EPS * scale * (norm_ratio + 1.0 / margin),  # inner
+                    dim * EPS * scale * (2.0 + 1.0 / margin))  # outer
+        # (inner, outer) on the positive part, (-outer, -inner) on the negative
+        order = relative if label == "positive" else relative[::-1]
+        for i, (slot, x, rel) in enumerate(zip(BOUND_SLOTS[label], part.estimate_range, order)):
+            hold(f"result.{label}.estimate_range[{i}]", x, rel * abs(x))
+            hold(f"result.bound_estimates[{slot}]", x, rel * abs(x))
+    return tols
+
+
+def _verify_tolerances(report, family: WeightedSubspaceFamily, rps) -> dict[str, float]:
+    """``oracle`` tolerances of a ``verify`` result: the bounds, and each
+    r' at its first-order rounding error n eps / margin, with margin the
+    Gram margin of the entry (r' of an entry that fills a barely definite
+    part span is rounding noise of that size)."""
+    tols = _stored_bound_tolerances("bounds", report, family.space.dim)
+    noise = family.space.dim * EPS
+    for i, cls in enumerate(family.entry_classifications if rps else ()):
+        tols[f"result.projection_alignment[{i}].r_prime"] = max(ORACLE_TOL, noise / cls.margin)
+    return tols
+
+
+def _dual_tolerances(rep, dim: int, condition: float) -> dict[str, float]:
+    """``oracle`` tolerances of a ``dual`` result: the bounds of the system
+    and of its dual, and the numbers derived from them, whose first-order
+    errors follow from the absolute errors of those bounds.  The dual is
+    built through S^-1, so its input carries rounding ``condition`` (that of
+    S) times larger."""
+    tols = {**_stored_bound_tolerances("original_bounds", rep.report, dim),
+            **_stored_bound_tolerances("dual_bounds", rep.dual_report, dim, condition)}
+
+    def errors(key, bounds):
+        return [None if x is None else tols[f"result.{key}[{i}]"] * (1.0 + abs(x))
+                for i, x in enumerate(bounds)]
+
+    original = errors("original_bounds", rep.original_bounds)
+    dual = errors("dual_bounds", rep.dual_bounds)
+    deviation = 0.0
+    # slot i of the reciprocal pattern is 1 / (original slot j)
+    for i, j in enumerate((1, 0, 3, 2)):
+        o, e, d = rep.original_bounds[j], rep.reciprocal_expected[i], rep.dual_bounds[i]
+        if o is None or d is None:
+            continue
+        err_e = original[j] / o**2
+        tols[f"result.reciprocal_expected[{i}]"] = max(ORACLE_TOL, err_e / (1.0 + abs(e)))
+        deviation = max(deviation, (dual[i] + err_e * (1.0 + abs(d - e) / abs(e))) / abs(e))
+    tols["result.max_relative_deviation"] = max(
+        ORACLE_TOL, deviation / (1.0 + rep.max_relative_deviation))
+    return tols
+
+
 # ---------------------------------------------------------------------------
 # command cores (shared between the CLI handlers and the `oracle` re-runner)
 
@@ -214,7 +322,7 @@ def _build_family(parsed: ParsedProblem, params: Params) -> WeightedSubspaceFami
     )
 
 
-def _rejection(exc: KreinFrameError) -> tuple[dict, int, list[str]]:
+def _rejection(exc: KreinFrameError) -> Outcome:
     """The output of a command whose input was refused at construction."""
     info: dict = {"reason": str(exc)}
     index = getattr(exc, "index", None)
@@ -225,10 +333,10 @@ def _rejection(exc: KreinFrameError) -> tuple[dict, int, list[str]]:
         info["witness"] = witness
     if hasattr(exc, "self_product"):
         info["self_product"] = exc.self_product
-    return {"verdict": False, "rejected": info}, 1, [f"verdict=false (rejected: {exc})"]
+    return Outcome({"verdict": False, "rejected": info}, 1, [f"verdict=false (rejected: {exc})"])
 
 
-def run_classify(parsed: ParsedProblem, params: Params) -> tuple[dict, int, list[str]]:
+def run_classify(parsed: ParsedProblem, params: Params) -> Outcome:
     _need(parsed, "family")
     space = parsed.space
     entries = []
@@ -271,11 +379,11 @@ def run_classify(parsed: ParsedProblem, params: Params) -> tuple[dict, int, list
             )
         result["oracle"] = {"agreement": True}
     kinds = ",".join(e["classification"].kind.value for e in entries)
-    return result, 0, [f"classified {len(entries)} entries: {kinds}",
-                       f"complete={result['complete']}"]
+    return Outcome(result, 0, [f"classified {len(entries)} entries: {kinds}",
+                               f"complete={result['complete']}"])
 
 
-def run_verify(parsed: ParsedProblem, params: Params) -> tuple[dict, int, list[str]]:
+def run_verify(parsed: ParsedProblem, params: Params) -> Outcome:
     _need(parsed, "family")
     try:
         family = _build_family(parsed, params)
@@ -295,17 +403,19 @@ def run_verify(parsed: ParsedProblem, params: Params) -> tuple[dict, int, list[s
         "projection_alignment": rps,
         "oracle": _oracle_block(family, report, report.is_j_fusion_frame, params),
     }
-    return result, 0 if report.is_j_fusion_frame else 1, _verdict_lines(report.is_j_fusion_frame, report)
+    return Outcome(result, 0 if report.is_j_fusion_frame else 1,
+                   _verdict_lines(report.is_j_fusion_frame, report),
+                   _verify_tolerances(report, family, rps))
 
 
-def run_verify_frame(parsed: ParsedProblem, params: Params) -> tuple[dict, int, list[str]]:
+def run_verify_frame(parsed: ParsedProblem, params: Params) -> Outcome:
     _need(parsed, "vectors")
     try:
         frame = partition_by_sign(parsed.vectors, parsed.space, params.tol_def)
     except NeutralVector as exc:
-        result, code, lines = _rejection(exc)
-        result["rejected"]["witness"] = parsed.vectors[exc.index]
-        return result, code, lines
+        outcome = _rejection(exc)
+        outcome.result["rejected"]["witness"] = parsed.vectors[exc.index]
+        return outcome
     report = verify_j_frame(frame, params.tol_def, params.tol_rank)
     result = {
         "verdict": report.is_j_frame,
@@ -319,7 +429,9 @@ def run_verify_frame(parsed: ParsedProblem, params: Params) -> tuple[dict, int, 
         "reasons": list(report.reasons),
         "oracle": _oracle_block(frame, report, report.is_j_frame, params),
     }
-    return result, 0 if report.is_j_frame else 1, _verdict_lines(report.is_j_frame, report)
+    return Outcome(result, 0 if report.is_j_frame else 1,
+                   _verdict_lines(report.is_j_frame, report),
+                   _stored_bound_tolerances("bounds", report, frame.space.dim))
 
 
 def _verdict_lines(verdict: bool, report) -> list[str]:
@@ -346,7 +458,7 @@ def _sandwich_flags(bounds, estimates, slack: float = 1e-9) -> dict:
     return ok
 
 
-def run_bounds(parsed: ParsedProblem, params: Params) -> tuple[dict, int, list[str]]:
+def run_bounds(parsed: ParsedProblem, params: Params) -> Outcome:
     if parsed.entries is not None:
         try:
             family = _build_family(parsed, params)
@@ -376,13 +488,16 @@ def run_bounds(parsed: ParsedProblem, params: Params) -> tuple[dict, int, list[s
         "reasons": list(report.reasons),
         "oracle": oracle_block,
     }
-    code = 0 if verdict else 1
-    return result, code, [f"{kind} bounds={report.bounds} estimates={report.bound_estimates}"]
+    return Outcome(result, 0 if verdict else 1,
+                   [f"{kind} bounds={report.bounds} estimates={report.bound_estimates}"],
+                   _stored_bound_tolerances("bounds", report, parsed.space.dim))
 
 
-def _dual_output(head: dict, rep, tail: dict) -> tuple[dict, int, list[str]]:
+def _dual_output(head: dict, rep, tail: dict, dim: int, condition: float) -> Outcome:
     """The ``dual`` output: ``head``, the bound comparison that frame and fusion
-    duals share (``rep`` is their diagnostics report), then ``tail``."""
+    duals share (``rep`` is their diagnostics report), then ``tail``; the
+    system has dimension ``dim`` and a frame operator of condition number
+    ``condition``."""
     result = {
         **head,
         "original_bounds": list(rep.original_bounds),
@@ -398,10 +513,10 @@ def _dual_output(head: dict, rep, tail: dict) -> tuple[dict, int, list[str]]:
         f"max relative deviation={rep.max_relative_deviation:.3e}",
         f"dual operator residual={rep.dual_operator_residual:.3e}",
     ]
-    return result, 0, lines
+    return Outcome(result, 0, lines, _dual_tolerances(rep, dim, condition))
 
 
-def run_dual(parsed: ParsedProblem, params: Params) -> tuple[dict, int, list[str]]:
+def run_dual(parsed: ParsedProblem, params: Params) -> Outcome:
     if parsed.entries is not None:
         try:
             family = _build_family(parsed, params)
@@ -414,7 +529,8 @@ def run_dual(parsed: ParsedProblem, params: Params) -> tuple[dict, int, list[str
             "sign": int(s),
         } for sub, w, s in zip(diag.dual.subspaces, diag.dual.weights, diag.dual.signs)]
         return _dual_output({"kind": "fusion", "verdict": True, "dual_entries": dual_entries},
-                            diag, {"span_identity_residual": diag.span_identity_residual})
+                            diag, {"span_identity_residual": diag.span_identity_residual},
+                            parsed.space.dim, diag.condition_number)
     if parsed.vectors is not None:
         try:
             frame = partition_by_sign(parsed.vectors, parsed.space, params.tol_def)
@@ -422,11 +538,11 @@ def run_dual(parsed: ParsedProblem, params: Params) -> tuple[dict, int, list[str
         except (NeutralVector, NotAJFrame) as exc:
             return _rejection(exc)
         return _dual_output({"kind": "frame", "verdict": True, "dual_vectors": rep.dual.vectors},
-                            rep, {})
+                            rep, {}, parsed.space.dim, rep.report.condition_number)
     raise InputError("problem has neither 'family' nor 'vectors'")
 
 
-def run_transform(parsed: ParsedProblem, params: Params) -> tuple[dict, int, list[str]]:
+def run_transform(parsed: ParsedProblem, params: Params) -> Outcome:
     _need(parsed, "family")
     _need(parsed, "operator")
     try:
@@ -460,7 +576,6 @@ def run_transform(parsed: ParsedProblem, params: Params) -> tuple[dict, int, lis
         "entries": entries,
         "image_bounds": list(check.image_report.bounds) if check.image_report else None,
     }
-    code = 0 if check.image_verdict else 1
     lines = [
         f"image verdict={'true' if check.image_verdict else 'false'}",
         f"sufficient hypotheses={'true' if check.sufficient else 'false'}",
@@ -469,7 +584,9 @@ def run_transform(parsed: ParsedProblem, params: Params) -> tuple[dict, int, lis
     ]
     if rejection is not None:
         lines.append(f"entry {rejection['index']} image is not uniformly definite")
-    return result, code, lines
+    tolerances = (_stored_bound_tolerances("image_bounds", check.image_report, parsed.space.dim)
+                  if check.image_report else None)
+    return Outcome(result, 0 if check.image_verdict else 1, lines, tolerances)
 
 
 COMMAND_CORES = {
@@ -482,8 +599,15 @@ COMMAND_CORES = {
 }
 
 
-def run_oracle(report_doc: dict, parsed: ParsedProblem) -> tuple[dict, int, list[str]]:
-    """Re-derive the result of a validated report; ``parsed`` is its embedded problem."""
+def run_oracle(report_doc: dict, parsed: ParsedProblem) -> Outcome:
+    """Re-derive the result of a validated report; ``parsed`` is its embedded problem.
+
+    Every stored number must agree with its recomputation within
+    ``ORACLE_TOL`` relative, or within the tolerance its rounding error
+    needs where that is larger: a bound within the rounding of forming and
+    reducing its pencil (:func:`_stored_bound_tolerances`), an r' within
+    n eps / margin (see :class:`Outcome`).
+    """
     command = report_doc["command"]
     if command not in COMMAND_CORES:
         raise InputError(f"cannot re-derive reports for command {command!r}")
@@ -501,9 +625,9 @@ def run_oracle(report_doc: dict, parsed: ParsedProblem) -> tuple[dict, int, list
         tol_rank=float(stored_params["tol_rank"]),
         seed=int(stored_params["seed"]),
     )
-    fresh_result, _, _ = COMMAND_CORES[command](parsed, params)
+    fresh = COMMAND_CORES[command](parsed, params)
     diffs: list[str] = []
-    _compare_trees(report_doc["result"], jsonify(fresh_result), "result", diffs)
+    _compare_trees(report_doc["result"], jsonify(fresh.result), "result", diffs, fresh.tolerances)
     agreement = not diffs
     result = {
         "checked_command": command,
@@ -514,30 +638,36 @@ def run_oracle(report_doc: dict, parsed: ParsedProblem) -> tuple[dict, int, list
         raise InternalInconsistency(
             "stored report disagrees with recomputation: " + "; ".join(diffs[:10])
         )
-    return result, 0, [f"recomputed {command}: agreement"]
+    return Outcome(result, 0, [f"recomputed {command}: agreement"])
 
 
-def _compare_trees(stored, fresh, path: str, diffs: list[str]) -> None:
+def _compare_trees(stored, fresh, path: str, diffs: list[str],
+                   tolerances: dict[str, float] | None = None) -> None:
+    """Append to ``diffs`` every difference between two result trees; numbers
+    are compared at ``tolerances[path]``, or ``ORACLE_TOL`` where it has none,
+    relative to the recomputed value, so that no stored value is judged on
+    its own scale."""
     if isinstance(stored, dict) and isinstance(fresh, dict):
         for key in sorted(set(stored) | set(fresh)):
             if key not in stored or key not in fresh:
                 diffs.append(f"{path}.{key}: present on one side only")
                 continue
-            _compare_trees(stored[key], fresh[key], f"{path}.{key}", diffs)
+            _compare_trees(stored[key], fresh[key], f"{path}.{key}", diffs, tolerances)
         return
     if isinstance(stored, list) and isinstance(fresh, list):
         if len(stored) != len(fresh):
             diffs.append(f"{path}: length {len(stored)} vs {len(fresh)}")
             return
         for i, (a, b) in enumerate(zip(stored, fresh)):
-            _compare_trees(a, b, f"{path}[{i}]", diffs)
+            _compare_trees(a, b, f"{path}[{i}]", diffs, tolerances)
         return
     if isinstance(stored, bool) or isinstance(fresh, bool):
         if stored is not fresh:
             diffs.append(f"{path}: {stored!r} vs {fresh!r}")
         return
     if isinstance(stored, (int, float)) and isinstance(fresh, (int, float)):
-        if not (is_finite_number(stored) and _compare(float(stored), float(fresh), 1e-9)):
+        tol = (tolerances or {}).get(path, ORACLE_TOL)
+        if not (is_finite_number(stored) and _compare(float(fresh), float(stored), tol)):
             diffs.append(f"{path}: {stored!r} vs {fresh!r}")
         return
     if stored != fresh:
@@ -657,14 +787,14 @@ def main(argv=None) -> int:
         params = _resolve_params(args)
         if args.command == "oracle":
             report_doc, parsed = load_report(args.problem)
-            result, code, lines = run_oracle(report_doc, parsed)
+            result, code, lines, _ = run_oracle(report_doc, parsed)
             out = make_report("oracle", parsed, dataclasses.asdict(params), result)
             _emit(out, args.output)
             _summarize(lines)
             return code
 
         parsed = load_problem(args.problem)
-        result, code, lines = COMMAND_CORES[args.command](parsed, params)
+        result, code, lines, _ = COMMAND_CORES[args.command](parsed, params)
         report = make_report(args.command, parsed, dataclasses.asdict(params), result)
         _emit(report, args.output)
         _summarize(lines)

@@ -24,6 +24,7 @@ from ._numeric import (
     OVERFLOW_GUARD,
     UNDERFLOW_GUARD,
     as_matrix,
+    column_space,
     definite_pair_extrema,
     operator_norm,
     scaled_below_overflow,
@@ -37,7 +38,7 @@ from .errors import (
     NotAJFrame,
     SingularFrameOperator,
 )
-from .subspaces import Classification, Subspace, SubspaceKind, classify, reduced_min_modulus, span
+from .subspaces import Classification, Subspace, SubspaceKind, classify, smallest_nonzero_modulus
 
 Bounds4 = tuple[float | None, float | None, float | None, float | None]
 
@@ -63,16 +64,25 @@ class VectorFrame:
         return tuple(int(i) for i in np.flatnonzero(self.signs < 0))
 
     @cached_property
-    def positive_span(self) -> Subspace | None:
-        if not self.positive_indices:
-            return None
-        return span(self.vectors[list(self.positive_indices)], self.space)
+    def _class_spans(self) -> dict[str, tuple[Subspace, np.ndarray]]:
+        """The span of each nonempty sign class (``"positive"``, ``"negative"``)
+        and the singular values of the class's synthesis matrix, both from one
+        SVD of that matrix (:func:`~kreinframes._numeric.column_space`)."""
+        spans = {}
+        for label, indices in (("positive", self.positive_indices),
+                               ("negative", self.negative_indices)):
+            if indices:
+                basis, svals = column_space(self.vectors[list(indices)].T, TOL_RANK)
+                spans[label] = (Subspace(space=self.space, basis=basis), svals)
+        return spans
 
-    @cached_property
+    @property
+    def positive_span(self) -> Subspace | None:
+        return self._class_spans["positive"][0] if "positive" in self._class_spans else None
+
+    @property
     def negative_span(self) -> Subspace | None:
-        if not self.negative_indices:
-            return None
-        return span(self.vectors[list(self.negative_indices)], self.space)
+        return self._class_spans["negative"][0] if "negative" in self._class_spans else None
 
     def synthesis_matrix(self) -> np.ndarray:
         """n x m matrix whose columns are the frame vectors."""
@@ -187,8 +197,8 @@ class JFrameReport:
 
 
 # One nonempty sign class: indices, span, signed Rayleigh pencil
-# (numerator, denominator) and synthesis matrix (columns are the weighted
-# members of the class).
+# (numerator, denominator) and the singular values, in descending order, of
+# its synthesis matrix (whose columns are the weighted members of the class).
 SignPart = tuple[tuple[int, ...], Subspace, tuple[np.ndarray, np.ndarray], np.ndarray]
 
 _PART_KINDS = (("positive", SubspaceKind.UNIFORMLY_POSITIVE),
@@ -213,7 +223,9 @@ def _verify_sign_parts(space: KreinSpace, parts: dict[str, SignPart], synthesis:
     of each nonempty sign class and ``synthesis`` is the synthesis matrix of
     the whole system.  Each class must span a maximal uniformly definite
     subspace of its sign; its bounds are the extreme eigenvalues of its
-    signed pencil, and its estimates come from reduced minimum moduli.
+    signed pencil, and its estimates come from reduced minimum moduli: of
+    the synthesis, from its singular values, and of the span's Gram, from
+    the eigenvalues :func:`classify` computed.
     Returns the verdict and the report fields both report classes share.
     Bounds or a Bessel constant beyond the double range raise
     :class:`InputError`.
@@ -228,7 +240,7 @@ def _verify_sign_parts(space: KreinSpace, parts: dict[str, SignPart], synthesis:
                 reasons.append(f"{label} part is empty but signature requires dimension {required}")
             reports[label] = None
             continue
-        indices, part_span, (numerator, denominator), part_synthesis = parts[label]
+        indices, part_span, (numerator, denominator), synthesis_svals = parts[label]
         cls = classify(part_span, tol_def, tol_rank)
         kind_ok = cls.kind is good_kind
         dim_ok = part_span.dim == required
@@ -241,9 +253,9 @@ def _verify_sign_parts(space: KreinSpace, parts: dict[str, SignPart], synthesis:
             with np.errstate(over="ignore", invalid="ignore"):
                 _require_finite(numerator + numerator.T, f"the {label} frame bound")
             ratio = definite_pair_extrema(numerator, denominator)
-            gamma_t = reduced_min_modulus(part_synthesis, tol_rank)
-            gamma_g = reduced_min_modulus(part_span.gram, tol_rank)
-            outer = operator_norm(part_synthesis) ** 2 / gamma_g
+            gamma_t = smallest_nonzero_modulus(synthesis_svals, tol_rank)
+            gamma_g = cls.gamma
+            outer = float(synthesis_svals[0]) ** 2 / gamma_g
             inner = gamma_t**2 * gamma_g**2
             estimate = (inner, outer) if label == "positive" else (-outer, -inner)
             _require_finite(ratio + estimate, f"the {label} frame bound")
@@ -285,17 +297,14 @@ def _frame_parts(frame: VectorFrame) -> dict[str, SignPart]:
     are the (negative) bound values themselves.
     """
     parts = {}
-    for label, indices, part_span in (("positive", frame.positive_indices, frame.positive_span),
-                                      ("negative", frame.negative_indices, frame.negative_span)):
-        if part_span is None:
-            continue
-        synthesis = frame.vectors[list(indices)].T
+    for label, (part_span, svals) in frame._class_spans.items():
+        indices = frame.positive_indices if label == "positive" else frame.negative_indices
         with np.errstate(over="ignore", invalid="ignore"):  # refused by _verify_sign_parts
-            g_vecs = part_span.basis.T @ frame.space.symmetry @ synthesis
+            g_vecs = part_span.basis.T @ frame.space.symmetry @ frame.vectors[list(indices)].T
             numerator = g_vecs @ g_vecs.T
         pencil = ((numerator, part_span.gram) if label == "positive"
                   else (-numerator, -part_span.gram))
-        parts[label] = (indices, part_span, pencil, synthesis)
+        parts[label] = (indices, part_span, pencil, svals)
     return parts
 
 
@@ -399,7 +408,9 @@ class ReciprocityReport:
     deviate, and ``max_relative_deviation`` records by how much.  ``dual``
     is the canonical dual frame the bounds were measured on;
     ``dual_operator_residual`` compares its own frame operator with S^{-1}
-    (relative spectral norm), which it equals up to rounding.
+    (relative spectral norm), which it equals up to rounding.  ``report``
+    and ``dual_report`` are the verifications of the frame and of its dual
+    that the bounds come from.
     """
 
     dual: VectorFrame
@@ -408,6 +419,8 @@ class ReciprocityReport:
     reciprocal_expected: Bounds4
     max_relative_deviation: float
     dual_operator_residual: float
+    report: JFrameReport = field(repr=False, compare=False)
+    dual_report: JFrameReport = field(repr=False, compare=False)
 
 
 def _reciprocal_pattern(bounds: Bounds4) -> Bounds4:
@@ -444,8 +457,9 @@ def dual_reciprocity(frame: VectorFrame, tol_def: float = TOL_DEF) -> Reciprocit
         dual_bounds=dual_bounds,
         reciprocal_expected=expected,
         max_relative_deviation=_max_rel_dev(dual_bounds, expected),
-        dual_operator_residual=float(np.linalg.norm(s_dual - s_inv, 2)
-                                     / np.linalg.norm(s_inv, 2)),
+        dual_operator_residual=operator_norm(s_dual - s_inv) / operator_norm(s_inv),
+        report=report,
+        dual_report=dual_report,
     )
 
 

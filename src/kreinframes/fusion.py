@@ -316,17 +316,24 @@ def _fusion_parts(family: WeightedSubspaceFamily) -> dict[str, SignPart]:
             numerator = part_span.basis.T @ acc @ part_span.basis
         denominator = part_span.gram if label == "positive" else -part_span.gram
         synthesis = np.hstack([family.weights[i] * family.subspaces[i].basis for i in indices])
-        parts[label] = (indices, part_span, (numerator, denominator), synthesis)
+        svals = np.linalg.svd(synthesis, compute_uv=False)
+        parts[label] = (indices, part_span, (numerator, denominator), svals)
     return parts
 
 
 def verify_j_fusion_frame(family: WeightedSubspaceFamily, tol_def: float = TOL_DEF,
                           tol_rank: float = TOL_RANK) -> JFusionReport:
-    """Check span maximality per sign and compute bounds when both pass."""
+    """Check span maximality per sign and compute bounds when both pass.
+
+    A family that verifies is complete as a theorem: a uniformly positive
+    and a uniformly negative subspace meet only in 0, so spans of dimensions
+    p and q add up to the whole space.  Only a family that fails takes the
+    rank of its stacked bases.
+    """
     verdict, fields = _verify_sign_parts(family.space, _fusion_parts(family),
                                          fusion_synthesis(family), tol_def, tol_rank)
-    stacked = np.hstack([s.basis for s in family.subspaces])
-    complete = orth_columns(stacked, tol_rank).shape[1] == family.space.dim
+    complete = verdict or orth_columns(np.hstack([s.basis for s in family.subspaces]),
+                                       tol_rank).shape[1] == family.space.dim
     return JFusionReport(is_j_fusion_frame=verdict, complete=complete, **fields)
 
 
@@ -370,12 +377,14 @@ def canonical_dual_fusion(family: WeightedSubspaceFamily, tol_def: float = TOL_D
     *not* S^{-1} in general (see :func:`fusion_dual_diagnostics`).
     """
     _verified(family, tol_def)
-    return _canonical_dual_of_verified(family, tol_def)
+    dual, inverse, _ = _canonical_dual_of_verified(family, tol_def)
+    return dual, inverse
 
 
 def _canonical_dual_of_verified(family: WeightedSubspaceFamily, tol_def: float
-                                ) -> tuple[WeightedSubspaceFamily, Operator]:
-    """:func:`canonical_dual_fusion` of a family already verified at ``tol_def``."""
+                                ) -> tuple[WeightedSubspaceFamily, Operator, float]:
+    """:func:`canonical_dual_fusion` of a family already verified at ``tol_def``,
+    with the condition number of S."""
     s = fusion_frame_operator(family, tol_def).matrix
     svals = np.linalg.svd(s, compute_uv=False)
     if svals[-1] <= tol_def * svals[0]:
@@ -388,7 +397,7 @@ def _canonical_dual_of_verified(family: WeightedSubspaceFamily, tol_def: float
         cols = s_inv @ sub.basis
         dual_subs.append(Subspace(space=family.space, basis=orth_columns(cols, TOL_RANK)))
     dual = make_weighted_family(dual_subs, family.weights, tol_def)
-    return dual, Operator(family.space, s_inv)
+    return dual, Operator(family.space, s_inv), float(svals[0] / svals[-1])
 
 
 @dataclass(frozen=True)
@@ -398,6 +407,9 @@ class FusionDualReport:
     ``dual_operator_residual`` compares the dual family's own frame operator
     with S^{-1} (relative spectral norm); ``span_identity_residual`` checks
     the exact identities S^{-1} M+/- = (M-/+)^[perp], which do hold.
+    ``condition_number`` is that of S; ``report`` and ``dual_report`` are
+    the verifications of the family and of its dual that the bounds come
+    from.
     """
 
     dual: WeightedSubspaceFamily
@@ -408,13 +420,18 @@ class FusionDualReport:
     max_relative_deviation: float
     dual_operator_residual: float
     span_identity_residual: float
+    condition_number: float
+    report: JFusionReport = field(repr=False, compare=False)
+    dual_report: JFusionReport = field(repr=False, compare=False)
 
 
 def fusion_dual_diagnostics(family: WeightedSubspaceFamily,
                             tol_def: float = TOL_DEF) -> FusionDualReport:
-    original_bounds = optimal_fusion_bounds(family, tol_def)
-    dual, inverse = _canonical_dual_of_verified(family, tol_def)
-    dual_bounds = optimal_fusion_bounds(dual, tol_def)
+    report = _verified(family, tol_def)
+    original_bounds = report.bounds
+    dual, inverse, condition = _canonical_dual_of_verified(family, tol_def)
+    dual_report = _verified(dual, tol_def)
+    dual_bounds = dual_report.bounds
     expected = _reciprocal_pattern(original_bounds)
     s_dual = fusion_frame_operator(dual, tol_def).matrix
     op_residual = operator_norm(s_dual - inverse.matrix) / operator_norm(inverse.matrix)
@@ -443,6 +460,9 @@ def fusion_dual_diagnostics(family: WeightedSubspaceFamily,
         max_relative_deviation=_max_rel_dev(dual_bounds, expected),
         dual_operator_residual=float(op_residual),
         span_identity_residual=float(span_residual),
+        condition_number=condition,
+        report=report,
+        dual_report=dual_report,
     )
 
 

@@ -90,13 +90,17 @@ def rayleigh_extrema(a, g) -> tuple[float, float]:
 
 
 def _sampled_extrema(a: np.ndarray, g: np.ndarray, rng: np.random.Generator,
-                     nsamples: int) -> tuple[float, float]:
+                     nsamples: int, extra: np.ndarray | None = None) -> tuple[float, float]:
+    """Extrema of the ratio over random unit samples and the rows of ``extra``,
+    each side refined from its most extreme point."""
     def ratio(c: np.ndarray) -> np.ndarray:
         num = np.einsum("ij,jk,ik->i", c, a, c)
         den = np.einsum("ij,jk,ik->i", c, g, c)
         return num / den
 
     samples = _unit_rows(rng.standard_normal((nsamples, a.shape[0])))
+    if extra is not None:
+        samples = np.vstack([samples, _unit_rows(extra)])
     vals = ratio(samples)
     lo = _refine(ratio, samples[int(np.argmin(vals))], rng, minimize=True)
     hi = _refine(ratio, samples[int(np.argmax(vals))], rng, minimize=False)
@@ -111,13 +115,20 @@ def rayleigh_extrema_sampled(a, g, seed: int = 0, nsamples: int = 10000) -> tupl
     of each side.  On a barely definite g either search alone misses
     extrema by more than 1e-4 relative: the given coordinates on generated
     near-neutral frames, the whitened ones on generated near-neutral fusion
-    families.  Every sample is a value of the ratio, so neither search can
-    pass the true extrema.
+    families.  The whitened search also evaluates the ratio at the two
+    extremal eigenvectors of the whitened numerator: where the two extreme
+    eigenvalues nearly coincide (a relative gap of 1e-4 to 1e-2), the
+    refinement cannot cross the flat valley between their eigenvectors in
+    its budget and misses the extremum by up to the gap, whichever basis
+    the pencil is written in.  Every sample, these two included, is a value
+    of the ratio, so no search can pass the true extrema.
     """
     a, g, w = _pencil(a, g)
     rng = np.random.default_rng(seed)
     lo, hi = _sampled_extrema(a, g, rng, nsamples)
-    wlo, whi = _sampled_extrema(w.T @ a @ w, w.T @ g @ w, rng, nsamples)
+    reduced = w.T @ a @ w
+    extremal = np.linalg.eigh(0.5 * (reduced + reduced.T))[1][:, [0, -1]].T
+    wlo, whi = _sampled_extrema(reduced, w.T @ g @ w, rng, nsamples, extremal)
     return min(lo, wlo), max(hi, whi)
 
 
@@ -126,7 +137,7 @@ def gamma_brute(matrix, seed: int = 0, nsamples: int = 10000,
     """Reduced minimum modulus by brute force.
 
     Minimizes ``||M x||`` over unit vectors of the row space of M (the
-    orthogonal complement of the kernel), found by pivoted QR.  Returns 0.0
+    orthogonal complement of the kernel), found by a thin SVD.  Returns 0.0
     for the zero matrix — callers should treat that value as a flag that the
     notion degenerates rather than as a meaningful modulus.
     """

@@ -13,9 +13,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg as sla
 
-from ._numeric import as_matrix, operator_norm, orth_columns
+from ._numeric import as_matrix, null_space, operator_norm, orth_columns
 from .core import TOL_DEF, TOL_NUM, TOL_RANK, KreinSpace, Operator
 from .errors import (
     DimensionMismatch,
@@ -65,8 +64,8 @@ class Subspace:
 def span(vectors, space: KreinSpace, tol_rank: float = TOL_RANK) -> Subspace:
     """Subspace spanned by the given vectors (rows of a 2-D array or a list).
 
-    The spanning set is reduced to an orthonormal basis by pivoted QR with a
-    relative rank cutoff of ``tol_rank``.
+    The spanning set is reduced to an orthonormal basis by a thin SVD with a
+    relative rank cutoff of ``tol_rank`` (:func:`~kreinframes._numeric.column_space`).
     """
     m = as_matrix(np.atleast_2d(np.asarray(vectors, dtype=float)), "spanning vectors")
     if m.shape[1] != space.dim:
@@ -108,8 +107,12 @@ class Classification:
     eigenvalues: np.ndarray
 
 
-def _gamma_from_eigs(eigvals: np.ndarray, tol_rank: float) -> float:
-    mods = np.sort(np.abs(eigvals))
+def smallest_nonzero_modulus(values: np.ndarray, tol_rank: float) -> float:
+    """The smallest modulus among ``values`` above ``tol_rank`` times the
+    largest; 0.0 when every value is zero.  On the singular values of M this
+    is the reduced minimum modulus of M, on the eigenvalues of a symmetric M
+    too."""
+    mods = np.sort(np.abs(values))
     if mods.size == 0 or mods[-1] <= 0.0:
         return 0.0
     nonzero = mods[mods > tol_rank * mods[-1]]
@@ -122,7 +125,7 @@ def classify(subspace: Subspace, tol_def: float = TOL_DEF,
     eigvals, eigvecs = np.linalg.eigh(subspace.gram)
     margin = float(np.min(np.abs(eigvals)))
     regular = margin > tol_def
-    gamma = _gamma_from_eigs(eigvals, tol_rank)
+    gamma = smallest_nonzero_modulus(eigvals, tol_rank)
 
     pos = eigvals > tol_def
     neg = eigvals < -tol_def
@@ -201,13 +204,12 @@ def j_projection(subspace: Subspace, tol_def: float = TOL_DEF) -> Operator:
 
 
 def j_orthogonal_complement(subspace: Subspace, tol_rank: float = TOL_RANK) -> Subspace:
-    """The orthogonal companion W^[perp] = {x : [x, w] = 0 for all w in W}."""
-    b = subspace.basis
-    j = subspace.space.symmetry
-    ns = sla.null_space(b.T @ j, rcond=tol_rank)
-    if ns.shape[1] == 0:
+    """The orthogonal companion W^[perp] = {x : [x, w] = 0 for all w in W}:
+    the null space of ``B^T J``, from one SVD."""
+    basis = null_space(subspace.basis.T @ subspace.space.symmetry, tol_rank)
+    if basis.shape[1] == 0:
         raise ZeroSubspace("orthogonal companion is trivial")
-    return Subspace(space=subspace.space, basis=orth_columns(ns, tol_rank))
+    return Subspace(space=subspace.space, basis=basis)
 
 
 def is_contained(inner: Subspace, outer: Subspace, tol: float = TOL_NUM) -> bool:
@@ -308,11 +310,7 @@ def reduced_min_modulus(operator, tol_rank: float = TOL_RANK) -> float:
     m = operator.matrix if isinstance(operator, Operator) else as_matrix(operator, "operator")
     if m.size == 0:
         return 0.0
-    svals = np.linalg.svd(m, compute_uv=False)
-    if svals[0] <= 0.0:
-        return 0.0
-    nonzero = svals[svals > tol_rank * svals[0]]
-    return float(nonzero[-1]) if nonzero.size else 0.0
+    return smallest_nonzero_modulus(np.linalg.svd(m, compute_uv=False), tol_rank)
 
 
 def subspace_sum(parts, tol_rank: float = TOL_RANK) -> Subspace:

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, report envelopes, oracle re-runs."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
 import kreinframes as kf
+from kreinframes import cli
 from kreinframes.cli import _compare_trees, main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -28,7 +30,7 @@ def run_cli(capsys, *args):
 def test_verify_valid_fusion_family(capsys):
     code, report, err = run_cli(capsys, "verify", FIXTURES / "fusion_dim6.json")
     assert code == 0
-    assert report["report_version"] == 4
+    assert report["report_version"] == 5
     assert report["command"] == "verify"
     assert report["result"]["verdict"] is True
     assert report["result"]["oracle"]["agreement"] is True
@@ -199,6 +201,63 @@ def test_oracle_detects_tampered_verdict(capsys, tmp_path):
     assert code == 3
 
 
+def _near_neutral_problem(tmp_path, kind: str) -> Path:
+    """A generated problem at n = 16, above the oracle block's dimension limit,
+    whose parts are barely definite (tilt 0.9999999); a family has one entry
+    that fills each part span and one that does not."""
+    dims = {"entry_dims_positive": (8, 4), "entry_dims_negative": (8, 4)} if kind == "fusion" else {}
+    cfg = kf.GeneratorConfig(kind=kind, seed=1, dim=16, num_positive=8, tilt=0.9999999,
+                             rotate=True, **dims)
+    problem = tmp_path / f"{kind}.json"
+    problem.write_text(json.dumps(kf.gen_problem(cfg)))
+    return problem
+
+
+def _leaf(doc: dict, path: str):
+    """The container and key of the number at ``path``, such as ``result.bounds[2]``."""
+    keys = [int(k) if k.isdigit() else k for k in re.split(r"[.\[\]]+", path) if k]
+    for key in keys[:-1]:
+        doc = doc[key]
+    return doc, keys[-1]
+
+
+@pytest.mark.parametrize("kind, command, key", [
+    ("frame", "verify-frame", "bounds"),
+    ("frame", "verify-frame", "estimate_range"),
+    ("frame", "bounds", "bounds"),
+    ("frame", "dual", "dual_bounds"),
+    ("frame", "dual", "reciprocal_expected"),
+    ("fusion", "verify", "bounds"),
+    ("fusion", "verify", "r_prime"),
+    ("fusion", "bounds", "bound_estimates"),
+    ("fusion", "dual", "original_bounds"),
+    ("fusion", "dual", "max_relative_deviation"),
+])
+def test_oracle_allows_each_number_its_rounding_error(capsys, tmp_path, kind, command, key):
+    """On barely definite parts ``oracle`` judges a bound at the rounding of
+    forming and reducing its pencil, an estimate at the rounding of the
+    moduli it is made of, r' at n eps / margin, and the numbers a dual
+    derives from bounds at the errors those carry: a stored value moved by
+    half its tolerance, which is more than ``ORACLE_TOL`` allows, still
+    agrees; one moved by twice its tolerance does not."""
+    problem = _near_neutral_problem(tmp_path, kind)
+    report_file = tmp_path / "report.json"
+    code, _, err = run_cli(capsys, command, problem, "-o", report_file)
+    assert code == 0, err
+    outcome = cli.COMMAND_CORES[command](kf.load_problem(problem), cli.Params(1e-10, 1e-10, 0))
+    path, tol = max(((p, t) for p, t in outcome.tolerances.items() if key in p),
+                    key=lambda item: item[1])
+    assert tol > 2 * cli.ORACLE_TOL
+    doc = json.loads(report_file.read_text())
+    container, leaf = _leaf(doc, path)
+    stored = container[leaf]
+    for factor, expected in ((0.5, 0), (2.0, 3)):
+        container[leaf] = stored + factor * tol * (1.0 + abs(stored))
+        report_file.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "oracle", report_file)
+        assert code == expected, err
+
+
 # ---------------------------------------------------------------------------
 # parameters, output, and failure modes
 
@@ -366,10 +425,11 @@ def test_oracle_rejects_version_one_report(capsys, tmp_path):
     assert "$.report_version: unsupported report_version 1" in err
 
 
-@pytest.mark.parametrize("version", [2, 3])
+@pytest.mark.parametrize("version", [2, 3, 4])
 def test_oracle_rejects_superseded_report_version(capsys, tmp_path, version):
     """Version 2 re-encoded the problem; version 3 took near-neutral bounds
-    through a QZ route, so they move on recomputation."""
+    through a QZ route, so they move on recomputation; version 4 took bases
+    from a pivoted QR, so dual-entry bases move by a rotation."""
     report_file, doc = _saved_report(capsys, tmp_path)
     doc["report_version"] = version
     report_file.write_text(json.dumps(doc, indent=2))

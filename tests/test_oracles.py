@@ -29,8 +29,9 @@ def test_rayleigh_extrema_matches_generalized_eigenvalues():
     a = _random_spd(rng, 4)
     g = _random_spd(rng, 4)
     lo, hi = oracles.rayleigh_extrema(a, g)
-    import scipy.linalg
-    eigs = scipy.linalg.eigh(a, g, eigvals_only=True)
+    # a third route, shared with neither the Cholesky nor the spectral one:
+    # the (real) eigenvalues of the nonsymmetric G^-1 A
+    eigs = np.sort(np.linalg.eigvals(np.linalg.solve(g, a)).real)
     assert lo == pytest.approx(eigs[0], rel=ALGEBRAIC_TOL)
     assert hi == pytest.approx(eigs[-1], rel=ALGEBRAIC_TOL)
 
@@ -55,6 +56,35 @@ def test_sampled_extrema_bracket_exact_values():
         # sampling can never escape the exact range
         assert slo >= lo - 1e-12
         assert shi <= hi + 1e-12
+
+
+def _nearly_degenerate_pencil(rng, k, gap, barely_definite):
+    """A pencil whose two lowest and two highest eigenvalues are ``gap`` apart."""
+    values = np.sort(rng.uniform(0.2, 4.0, k))
+    values[1], values[-2] = values[0] + gap, values[-1] - gap
+    q, _ = np.linalg.qr(rng.standard_normal((k, k)))
+    v, _ = np.linalg.qr(rng.standard_normal((k, k)))
+    g_values = np.sort(rng.uniform(0.5, 1.5, k))
+    if barely_definite:
+        g_values[0] = 1e-7
+    g = v @ np.diag(g_values) @ v.T
+    chol = np.linalg.cholesky(g)
+    return chol @ (q @ np.diag(values) @ q.T) @ chol.T, g
+
+
+def test_sampled_extrema_reach_nearly_degenerate_extremes():
+    """Extreme eigenvalues 1e-4 to 1e-2 apart leave a flat valley between
+    their eigenvectors that the shrinking-radius refinement cannot cross in
+    its budget; the search still comes within SAMPLED_TOL of them."""
+    rng = np.random.default_rng(SEED + 4)
+    for case in range(12):
+        a, g = _nearly_degenerate_pencil(rng, int(rng.integers(3, 9)),
+                                         10.0 ** rng.uniform(-4.0, -2.0), case % 2 == 1)
+        lo, hi = oracles.rayleigh_extrema(a, g)
+        for instance_seed in range(4):
+            slo, shi = oracles.rayleigh_extrema_sampled(a, g, seed=instance_seed)
+            assert abs(slo - lo) <= SAMPLED_TOL * (1 + abs(lo))
+            assert abs(shi - hi) <= SAMPLED_TOL * (1 + abs(hi))
 
 
 def test_min_max_singular_brute_vs_svd():
