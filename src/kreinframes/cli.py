@@ -76,8 +76,15 @@ ORACLE_DIM_LIMIT = 8
 ALGEBRAIC_TOL = 1e-10
 SAMPLED_TOL = 1e-4
 # Relative tolerance of an ``oracle`` re-run on every stored number whose
-# rounding error has no larger bound (see :func:`run_oracle`).
+# rounding error has no larger bound (see :func:`run_oracle`), and the
+# largest it allows any number.
 ORACLE_TOL = 1e-9
+ORACLE_TOL_CAP = 1e-6
+# Multiple of eps (beta + |lam|) / margin within which ``oracle`` holds a
+# stored bound (see :func:`_bound_tolerances`); over 1040 generated problems
+# (n = 4..256, tilts up to 1 - 1e-7) an SVD and a pivoted-QR basis of each
+# part span moved no bound by more than 17.4 times it.
+BOUND_ROUNDING_FACTOR = 64.0
 # The slots of the bound four-tuple (B-, A-, A+, B+) that each part fills.
 BOUND_SLOTS = {"negative": (0, 1), "positive": (2, 3)}
 # Multiple of the first-order error bound of a definite pencil's eigenvalue
@@ -154,7 +161,12 @@ def _algebraic_tolerance(lam: float, norm_a: float, norm_g: float, g_min: float)
 def _oracle_block(system, report, verdict: bool, params: Params) -> dict | None:
     """Oracle cross-check of a verified frame or family (``system``) of dimension
     at most ``ORACLE_DIM_LIMIT``: the bounds against both oracles on the pencils
-    the verification built, then the part-span moduli against sampling."""
+    the verification built, then the part-span moduli against sampling.  The
+    sampled pencil search is seeded, among its random samples, with the
+    extremal eigenvectors of the spectral reduction that the algebraic oracle
+    also uses; every sample is still a value of the ratio, so the search
+    cannot pass the true extrema, but on those seeds it re-checks the
+    algebraic route rather than searching independently of it."""
     if system.space.dim > ORACLE_DIM_LIMIT or not verdict:
         return None
     seed = params.seed
@@ -208,53 +220,34 @@ def _oracle_block(system, report, verdict: bool, params: Params) -> dict | None:
     return {"checks": checks, "agreement": True}
 
 
-def _stored_bound_tolerances(key: str, report, dim: int, scale: float = 1.0) -> dict[str, float]:
-    """``oracle`` tolerances of the bounds stored at ``result.<key>``, which
-    ``report`` computed on a system in dimension ``dim``, of the estimates
-    stored at ``result.bound_estimates``, and of both where a result repeats
-    them per part (``<part>.ratio_range``, ``<part>.estimate_range``).
+def _held(error: float) -> float:
+    """The ``oracle`` tolerance of a number whose first-order rounding error,
+    relative to ``1 + |x|``, is ``error``: never below ``ORACLE_TOL``, and
+    never above ``ORACLE_TOL_CAP``, since past that ``oracle`` would rather
+    refuse a number it cannot tell from noise than accept one far off."""
+    return min(ORACLE_TOL_CAP, max(ORACLE_TOL, error))
+
+
+def _bound_tolerances(key: str, report) -> dict[str, float]:
+    """``oracle`` tolerances of the bounds that ``report`` computed, stored at
+    ``result.<key>`` and, where a result repeats them per part, at
+    ``result.<part>.ratio_range``.
 
     A bound ``lam`` of a part with Gram margin ``m`` carries the rounding of
-    forming its pencil as well as of reducing it: each Gram entry is an
-    inner product of length ``dim`` of unit vectors, and the numerator is
-    bounded by the Bessel bound ``beta``, so its first-order error is
-    ``dim eps (beta + |lam|) / m``, times ``scale`` for a system whose input
-    already carries relative rounding of that size.  The estimates
-    ``gamma_T^2 gamma_G^2`` and ``||T||^2 / gamma_G`` carry relative errors
-    ``2 dim eps (||T|| / gamma_T + 1 / gamma_G)`` and
-    ``dim eps (2 + 1 / gamma_G)``, with ``gamma_G = m`` on a definite part.
-    Each error, times ``PENCIL_BOUND_FACTOR``, relative to ``1 + |x|`` and
-    at least ``ORACLE_TOL``, is the tolerance.  A bound's is never below the
-    algebraic tolerance of its pencil (``||A|| <= beta``, ``||G|| <= 1``),
-    which does not cover bases that differ by rounding: a pivoted-QR and an
-    SVD basis of the same span moved a bound of a part with margin 1e-7 by
-    1.3e6 times the first-order error of reducing its pencil.
+    the part-span basis its pencil is written in, as well as of reducing
+    that pencil; with the numerator bounded by the Bessel bound ``beta``,
+    its first-order error is ``eps (beta + |lam|) / m``, and the tolerance
+    is ``BOUND_ROUNDING_FACTOR`` times that, relative to ``1 + |lam|``.
     """
     tols = {}
-
-    def hold(path: str, x: float, error: float) -> None:
-        tols[path] = max(ORACLE_TOL, PENCIL_BOUND_FACTOR * error / (1.0 + abs(x)))
-
     for label, part in (("negative", report.negative), ("positive", report.positive)):
         if part is None or part.ratio_range is None:
             continue
         margin = part.classification.margin
         for i, (slot, lam) in enumerate(zip(BOUND_SLOTS[label], part.ratio_range)):
-            error = dim * EPS * scale * (report.bessel_bound + abs(lam)) / margin
-            hold(f"result.{label}.ratio_range[{i}]", lam, error)
-            if report.bounds[slot] is not None:
-                hold(f"result.{key}[{slot}]", lam, error)
-        inner, outer = sorted(abs(x) for x in part.estimate_range)
-        if inner == 0.0:  # underflowed: nothing to scale a tolerance by
-            continue
-        norm_ratio = margin * np.sqrt(margin * outer / inner)  # ||T|| / gamma_T
-        relative = (2 * dim * EPS * scale * (norm_ratio + 1.0 / margin),  # inner
-                    dim * EPS * scale * (2.0 + 1.0 / margin))  # outer
-        # (inner, outer) on the positive part, (-outer, -inner) on the negative
-        order = relative if label == "positive" else relative[::-1]
-        for i, (slot, x, rel) in enumerate(zip(BOUND_SLOTS[label], part.estimate_range, order)):
-            hold(f"result.{label}.estimate_range[{i}]", x, rel * abs(x))
-            hold(f"result.bound_estimates[{slot}]", x, rel * abs(x))
+            error = BOUND_ROUNDING_FACTOR * EPS * (report.bessel_bound + abs(lam)) / margin
+            tols[f"result.{label}.ratio_range[{i}]"] = tols[f"result.{key}[{slot}]"] = _held(
+                error / (1.0 + abs(lam)))
     return tols
 
 
@@ -263,39 +256,10 @@ def _verify_tolerances(report, family: WeightedSubspaceFamily, rps) -> dict[str,
     r' at its first-order rounding error n eps / margin, with margin the
     Gram margin of the entry (r' of an entry that fills a barely definite
     part span is rounding noise of that size)."""
-    tols = _stored_bound_tolerances("bounds", report, family.space.dim)
+    tols = _bound_tolerances("bounds", report)
     noise = family.space.dim * EPS
     for i, cls in enumerate(family.entry_classifications if rps else ()):
-        tols[f"result.projection_alignment[{i}].r_prime"] = max(ORACLE_TOL, noise / cls.margin)
-    return tols
-
-
-def _dual_tolerances(rep, dim: int, condition: float) -> dict[str, float]:
-    """``oracle`` tolerances of a ``dual`` result: the bounds of the system
-    and of its dual, and the numbers derived from them, whose first-order
-    errors follow from the absolute errors of those bounds.  The dual is
-    built through S^-1, so its input carries rounding ``condition`` (that of
-    S) times larger."""
-    tols = {**_stored_bound_tolerances("original_bounds", rep.report, dim),
-            **_stored_bound_tolerances("dual_bounds", rep.dual_report, dim, condition)}
-
-    def errors(key, bounds):
-        return [None if x is None else tols[f"result.{key}[{i}]"] * (1.0 + abs(x))
-                for i, x in enumerate(bounds)]
-
-    original = errors("original_bounds", rep.original_bounds)
-    dual = errors("dual_bounds", rep.dual_bounds)
-    deviation = 0.0
-    # slot i of the reciprocal pattern is 1 / (original slot j)
-    for i, j in enumerate((1, 0, 3, 2)):
-        o, e, d = rep.original_bounds[j], rep.reciprocal_expected[i], rep.dual_bounds[i]
-        if o is None or d is None:
-            continue
-        err_e = original[j] / o**2
-        tols[f"result.reciprocal_expected[{i}]"] = max(ORACLE_TOL, err_e / (1.0 + abs(e)))
-        deviation = max(deviation, (dual[i] + err_e * (1.0 + abs(d - e) / abs(e))) / abs(e))
-    tols["result.max_relative_deviation"] = max(
-        ORACLE_TOL, deviation / (1.0 + rep.max_relative_deviation))
+        tols[f"result.projection_alignment[{i}].r_prime"] = _held(noise / cls.margin)
     return tols
 
 
@@ -431,7 +395,7 @@ def run_verify_frame(parsed: ParsedProblem, params: Params) -> Outcome:
     }
     return Outcome(result, 0 if report.is_j_frame else 1,
                    _verdict_lines(report.is_j_frame, report),
-                   _stored_bound_tolerances("bounds", report, frame.space.dim))
+                   _bound_tolerances("bounds", report))
 
 
 def _verdict_lines(verdict: bool, report) -> list[str]:
@@ -490,14 +454,12 @@ def run_bounds(parsed: ParsedProblem, params: Params) -> Outcome:
     }
     return Outcome(result, 0 if verdict else 1,
                    [f"{kind} bounds={report.bounds} estimates={report.bound_estimates}"],
-                   _stored_bound_tolerances("bounds", report, parsed.space.dim))
+                   _bound_tolerances("bounds", report))
 
 
-def _dual_output(head: dict, rep, tail: dict, dim: int, condition: float) -> Outcome:
+def _dual_output(head: dict, rep, tail: dict) -> Outcome:
     """The ``dual`` output: ``head``, the bound comparison that frame and fusion
-    duals share (``rep`` is their diagnostics report), then ``tail``; the
-    system has dimension ``dim`` and a frame operator of condition number
-    ``condition``."""
+    duals share (``rep`` is their diagnostics report), then ``tail``."""
     result = {
         **head,
         "original_bounds": list(rep.original_bounds),
@@ -513,7 +475,7 @@ def _dual_output(head: dict, rep, tail: dict, dim: int, condition: float) -> Out
         f"max relative deviation={rep.max_relative_deviation:.3e}",
         f"dual operator residual={rep.dual_operator_residual:.3e}",
     ]
-    return Outcome(result, 0, lines, _dual_tolerances(rep, dim, condition))
+    return Outcome(result, 0, lines)
 
 
 def run_dual(parsed: ParsedProblem, params: Params) -> Outcome:
@@ -529,8 +491,7 @@ def run_dual(parsed: ParsedProblem, params: Params) -> Outcome:
             "sign": int(s),
         } for sub, w, s in zip(diag.dual.subspaces, diag.dual.weights, diag.dual.signs)]
         return _dual_output({"kind": "fusion", "verdict": True, "dual_entries": dual_entries},
-                            diag, {"span_identity_residual": diag.span_identity_residual},
-                            parsed.space.dim, diag.condition_number)
+                            diag, {"span_identity_residual": diag.span_identity_residual})
     if parsed.vectors is not None:
         try:
             frame = partition_by_sign(parsed.vectors, parsed.space, params.tol_def)
@@ -538,7 +499,7 @@ def run_dual(parsed: ParsedProblem, params: Params) -> Outcome:
         except (NeutralVector, NotAJFrame) as exc:
             return _rejection(exc)
         return _dual_output({"kind": "frame", "verdict": True, "dual_vectors": rep.dual.vectors},
-                            rep, {}, parsed.space.dim, rep.report.condition_number)
+                            rep, {})
     raise InputError("problem has neither 'family' nor 'vectors'")
 
 
@@ -584,7 +545,7 @@ def run_transform(parsed: ParsedProblem, params: Params) -> Outcome:
     ]
     if rejection is not None:
         lines.append(f"entry {rejection['index']} image is not uniformly definite")
-    tolerances = (_stored_bound_tolerances("image_bounds", check.image_report, parsed.space.dim)
+    tolerances = (_bound_tolerances("image_bounds", check.image_report)
                   if check.image_report else None)
     return Outcome(result, 0 if check.image_verdict else 1, lines, tolerances)
 
@@ -604,9 +565,11 @@ def run_oracle(report_doc: dict, parsed: ParsedProblem) -> Outcome:
 
     Every stored number must agree with its recomputation within
     ``ORACLE_TOL`` relative, or within the tolerance its rounding error
-    needs where that is larger: a bound within the rounding of forming and
-    reducing its pencil (:func:`_stored_bound_tolerances`), an r' within
-    n eps / margin (see :class:`Outcome`).
+    needs where that is larger, up to ``ORACLE_TOL_CAP``: a bound within
+    the rounding of its part-span basis and pencil
+    (:func:`_bound_tolerances`), an r' within n eps / margin
+    (:func:`_verify_tolerances`).  Every other number, ``dual`` results
+    included, is held to ``ORACLE_TOL``.
     """
     command = report_doc["command"]
     if command not in COMMAND_CORES:

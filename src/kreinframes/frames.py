@@ -408,9 +408,7 @@ class ReciprocityReport:
     deviate, and ``max_relative_deviation`` records by how much.  ``dual``
     is the canonical dual frame the bounds were measured on;
     ``dual_operator_residual`` compares its own frame operator with S^{-1}
-    (relative spectral norm), which it equals up to rounding.  ``report``
-    and ``dual_report`` are the verifications of the frame and of its dual
-    that the bounds come from.
+    (relative spectral norm), which it equals up to rounding.
     """
 
     dual: VectorFrame
@@ -419,8 +417,6 @@ class ReciprocityReport:
     reciprocal_expected: Bounds4
     max_relative_deviation: float
     dual_operator_residual: float
-    report: JFrameReport = field(repr=False, compare=False)
-    dual_report: JFrameReport = field(repr=False, compare=False)
 
 
 def _reciprocal_pattern(bounds: Bounds4) -> Bounds4:
@@ -458,8 +454,6 @@ def dual_reciprocity(frame: VectorFrame, tol_def: float = TOL_DEF) -> Reciprocit
         reciprocal_expected=expected,
         max_relative_deviation=_max_rel_dev(dual_bounds, expected),
         dual_operator_residual=operator_norm(s_dual - s_inv) / operator_norm(s_inv),
-        report=report,
-        dual_report=dual_report,
     )
 
 

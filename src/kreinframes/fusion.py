@@ -377,14 +377,12 @@ def canonical_dual_fusion(family: WeightedSubspaceFamily, tol_def: float = TOL_D
     *not* S^{-1} in general (see :func:`fusion_dual_diagnostics`).
     """
     _verified(family, tol_def)
-    dual, inverse, _ = _canonical_dual_of_verified(family, tol_def)
-    return dual, inverse
+    return _canonical_dual_of_verified(family, tol_def)
 
 
 def _canonical_dual_of_verified(family: WeightedSubspaceFamily, tol_def: float
-                                ) -> tuple[WeightedSubspaceFamily, Operator, float]:
-    """:func:`canonical_dual_fusion` of a family already verified at ``tol_def``,
-    with the condition number of S."""
+                                ) -> tuple[WeightedSubspaceFamily, Operator]:
+    """:func:`canonical_dual_fusion` of a family already verified at ``tol_def``."""
     s = fusion_frame_operator(family, tol_def).matrix
     svals = np.linalg.svd(s, compute_uv=False)
     if svals[-1] <= tol_def * svals[0]:
@@ -397,7 +395,7 @@ def _canonical_dual_of_verified(family: WeightedSubspaceFamily, tol_def: float
         cols = s_inv @ sub.basis
         dual_subs.append(Subspace(space=family.space, basis=orth_columns(cols, TOL_RANK)))
     dual = make_weighted_family(dual_subs, family.weights, tol_def)
-    return dual, Operator(family.space, s_inv), float(svals[0] / svals[-1])
+    return dual, Operator(family.space, s_inv)
 
 
 @dataclass(frozen=True)
@@ -407,9 +405,6 @@ class FusionDualReport:
     ``dual_operator_residual`` compares the dual family's own frame operator
     with S^{-1} (relative spectral norm); ``span_identity_residual`` checks
     the exact identities S^{-1} M+/- = (M-/+)^[perp], which do hold.
-    ``condition_number`` is that of S; ``report`` and ``dual_report`` are
-    the verifications of the family and of its dual that the bounds come
-    from.
     """
 
     dual: WeightedSubspaceFamily
@@ -420,18 +415,13 @@ class FusionDualReport:
     max_relative_deviation: float
     dual_operator_residual: float
     span_identity_residual: float
-    condition_number: float
-    report: JFusionReport = field(repr=False, compare=False)
-    dual_report: JFusionReport = field(repr=False, compare=False)
 
 
 def fusion_dual_diagnostics(family: WeightedSubspaceFamily,
                             tol_def: float = TOL_DEF) -> FusionDualReport:
-    report = _verified(family, tol_def)
-    original_bounds = report.bounds
-    dual, inverse, condition = _canonical_dual_of_verified(family, tol_def)
-    dual_report = _verified(dual, tol_def)
-    dual_bounds = dual_report.bounds
+    original_bounds = optimal_fusion_bounds(family, tol_def)
+    dual, inverse = _canonical_dual_of_verified(family, tol_def)
+    dual_bounds = optimal_fusion_bounds(dual, tol_def)
     expected = _reciprocal_pattern(original_bounds)
     s_dual = fusion_frame_operator(dual, tol_def).matrix
     op_residual = operator_norm(s_dual - inverse.matrix) / operator_norm(inverse.matrix)
@@ -460,9 +450,6 @@ def fusion_dual_diagnostics(family: WeightedSubspaceFamily,
         max_relative_deviation=_max_rel_dev(dual_bounds, expected),
         dual_operator_residual=float(op_residual),
         span_identity_residual=float(span_residual),
-        condition_number=condition,
-        report=report,
-        dual_report=dual_report,
     )
 
 

@@ -121,7 +121,9 @@ def rayleigh_extrema_sampled(a, g, seed: int = 0, nsamples: int = 10000) -> tupl
     refinement cannot cross the flat valley between their eigenvectors in
     its budget and misses the extremum by up to the gap, whichever basis
     the pencil is written in.  Every sample, these two included, is a value
-    of the ratio, so no search can pass the true extrema.
+    of the ratio, so no search can pass the true extrema.  The two come from
+    the same spectral reduction as :func:`rayleigh_extrema`, so on them this
+    search re-checks that route rather than searching independently of it.
     """
     a, g, w = _pencil(a, g)
     rng = np.random.default_rng(seed)
