@@ -289,6 +289,39 @@ def _verify_sign_parts(space: KreinSpace, parts: dict[str, SignPart], synthesis:
     }
 
 
+def _require_invertible(svals: np.ndarray, tol_def: float, what: str) -> None:
+    """Refuse the canonical dual of a verified ``what`` (a frame or a fusion
+    frame) whose frame operator, with singular values ``svals`` in descending
+    order, is singular at ``tol_def`` (:class:`SingularFrameOperator`) or has
+    an inverse beyond the double range (:class:`InputError`)."""
+    with np.errstate(divide="ignore", over="ignore"):
+        _require_finite(1.0 / svals[-1], "the inverse frame operator")
+    if svals[-1] <= tol_def * svals[0]:
+        raise SingularFrameOperator(
+            f"verified {what} produced singular frame operator (sigma_min={svals[-1]:.3e})"
+        )
+
+
+def _dual_comparison(original: Bounds4, dual_bounds: Bounds4, s_inv: np.ndarray,
+                     s_dual: np.ndarray) -> dict:
+    """The fields that :class:`ReciprocityReport` and the fusion dual report
+    share: the ``original`` and ``dual_bounds`` against the reciprocal
+    pattern of ``original``, and the dual's own frame operator ``s_dual``
+    against ``s_inv``."""
+    bm, am, ap, bp = original
+    expected = tuple(None if x is None else 1.0 / x for x in (am, bm, bp, ap))
+    deviation = max((abs(a - e) / max(abs(e), 1e-300)
+                     for a, e in zip(dual_bounds, expected) if a is not None and e is not None),
+                    default=0.0)
+    return {
+        "original_bounds": original,
+        "dual_bounds": dual_bounds,
+        "reciprocal_expected": expected,
+        "max_relative_deviation": deviation,
+        "dual_operator_residual": operator_norm(s_dual - s_inv) / operator_norm(s_inv),
+    }
+
+
 def _frame_parts(frame: VectorFrame) -> dict[str, SignPart]:
     """The :data:`SignPart` of each nonempty sign class of a frame.
 
@@ -386,13 +419,7 @@ def _canonical_dual_of_verified(frame: VectorFrame, report: JFrameReport,
     """:func:`canonical_dual` of a frame whose verification at ``tol_def`` is
     ``report``; its frame operator and singular values are reused.  A dual
     whose S^{-1} exceeds the double range raises :class:`InputError`."""
-    svals = report.singular_values
-    with np.errstate(divide="ignore", over="ignore"):
-        _require_finite(1.0 / svals[-1], "the inverse frame operator")
-    if svals[-1] <= tol_def * svals[0]:
-        raise SingularFrameOperator(
-            f"verified frame produced singular frame operator (sigma_min={svals[-1]:.3e})"
-        )
+    _require_invertible(report.singular_values, tol_def, "frame")
     dual_vectors = np.linalg.solve(report.operator, frame.vectors.T).T
     return partition_by_sign(dual_vectors, frame.space, tol_def)
 
@@ -419,42 +446,13 @@ class ReciprocityReport:
     dual_operator_residual: float
 
 
-def _reciprocal_pattern(bounds: Bounds4) -> Bounds4:
-    bm, am, ap, bp = bounds
-
-    def inv(x):
-        return None if x is None else 1.0 / x
-
-    return (inv(am), inv(bm), inv(bp), inv(ap))
-
-
-def _max_rel_dev(actual: Bounds4, expected: Bounds4) -> float:
-    dev = 0.0
-    for a, e in zip(actual, expected):
-        if a is None or e is None:
-            continue
-        dev = max(dev, abs(a - e) / max(abs(e), 1e-300))
-    return dev
-
-
 def dual_reciprocity(frame: VectorFrame, tol_def: float = TOL_DEF) -> ReciprocityReport:
     """Measure how far the canonical dual's bounds are from the reciprocal pattern."""
     report = _verified(frame, tol_def)
-    original = report.bounds
     dual = _canonical_dual_of_verified(frame, report, tol_def)
     dual_report = _verified(dual, tol_def)
-    dual_bounds = dual_report.bounds
-    expected = _reciprocal_pattern(original)
-    s_inv = np.linalg.inv(report.operator)
-    s_dual = dual_report.operator
-    return ReciprocityReport(
-        dual=dual,
-        original_bounds=original,
-        dual_bounds=dual_bounds,
-        reciprocal_expected=expected,
-        max_relative_deviation=_max_rel_dev(dual_bounds, expected),
-        dual_operator_residual=operator_norm(s_dual - s_inv) / operator_norm(s_inv),
-    )
+    return ReciprocityReport(dual=dual, **_dual_comparison(
+        report.bounds, dual_report.bounds, np.linalg.inv(report.operator), dual_report.operator))
 
 
 def interlacing_identity(frame: VectorFrame, subset, f,

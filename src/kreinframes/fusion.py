@@ -8,7 +8,8 @@ negative entries a maximal uniformly negative one.
 
 The frame operator is S = sum_i v_i^2 Q_{W_i}, built from the
 indefinite-orthogonal projectors Q_{W_i}; it factors exactly as S = T A where
-T is the synthesis map from the direct sum and A the analysis map.
+T is the synthesis map from the direct sum and A the analysis map, and is
+computed as that product.
 
 Bound conventions match :mod:`kreinframes.frames`: ascending four-tuples
 ``(B-, A-, A+, B+)`` with ``None`` slots for missing parts.
@@ -34,7 +35,6 @@ from .errors import (
     KreinFrameError,
     NonPositiveWeight,
     NotAJFusionFrame,
-    SingularFrameOperator,
 )
 from .frames import (
     Bounds4,
@@ -42,8 +42,8 @@ from .frames import (
     SignPart,
     VectorFrame,
     _bessel_bound,
-    _max_rel_dev,
-    _reciprocal_pattern,
+    _dual_comparison,
+    _require_invertible,
     _verify_sign_parts,
     partition_by_sign,
     verify_j_frame,
@@ -54,7 +54,6 @@ from .subspaces import (
     SubspaceKind,
     classify,
     j_orthogonal_complement,
-    j_projection,
     regular_gram,
     span,
     subspace_sum,
@@ -223,46 +222,45 @@ def fusion_analysis(family: WeightedSubspaceFamily, tol_def: float = TOL_DEF) ->
     Row block ``v_i G_i^{-1} B_i^T J`` holds the coordinates of
     ``v_i Q_{W_i} f``.  This is the exact adjoint of the synthesis against
     the indefinite direct-sum pairing (block-diagonal entry Grams), and
-    ``synthesis @ analysis`` reproduces the frame operator.
+    ``synthesis @ analysis`` is the frame operator.  J is applied once, to
+    the stacked bases.
     """
-    j = family.space.symmetry
-    return np.vstack([w * np.linalg.solve(regular_gram(sub, tol_def), sub.basis.T @ j)
-                      for w, sub in zip(family.weights, family.subspaces)])
+    bt_j = np.hstack([sub.basis for sub in family.subspaces]).T @ family.space.symmetry
+    blocks = np.split(bt_j, family.offsets[1:-1])
+    return np.vstack([w * np.linalg.solve(regular_gram(sub, tol_def), rows)
+                      for w, sub, rows in zip(family.weights, family.subspaces, blocks)])
+
+
+def _sign_columns(family: WeightedSubspaceFamily) -> np.ndarray:
+    """The sign of the entry each column of the synthesis matrix belongs to."""
+    return np.repeat(family.signs, family.entry_dims)
 
 
 def fusion_frame_operator(family: WeightedSubspaceFamily, tol_def: float = TOL_DEF) -> Operator:
-    """The fusion frame operator S = sum_i v_i^2 Q_{W_i}.
+    """The fusion frame operator S = sum_i v_i^2 Q_{W_i}, taken as ``T @ A``.
 
     No explicit entry sign appears: Q_{W_i} already acts negatively on a
-    uniformly negative W_i ([Qf, f] = [Qf, Qf] < 0), which is what makes S
-    equal ``T @ A`` exactly, the identity on a fundamental decomposition with
-    unit weights, and S+ - S- with both parts positive for the indefinite
-    product.
+    uniformly negative W_i ([Qf, f] = [Qf, Qf] < 0), which makes S the
+    identity on a fundamental decomposition with unit weights, and S+ - S-
+    with both parts positive for the indefinite product.
     """
-    n = family.space.dim
-    acc = np.zeros((n, n))
-    for w, sub in zip(family.weights, family.subspaces):
-        acc += w**2 * j_projection(sub, tol_def).matrix
-    return Operator(family.space, acc)
+    return Operator(family.space, fusion_synthesis(family) @ fusion_analysis(family, tol_def))
 
 
 def fusion_operator_parts(family: WeightedSubspaceFamily,
                           tol_def: float = TOL_DEF) -> tuple[Operator, Operator]:
     """(S+, S-) with S = S+ - S- and both parts positive for [.,.].
 
-    S+ sums the positive entries' weighted J-projections; S- is minus the
-    negative entries' sum, which flips its sign behaviour to J-positive.
+    S+ is ``T A`` restricted to the positive entries' coordinates; S- is
+    minus the same product over the negative entries, which flips its sign
+    behaviour to J-positive.
     """
-    n = family.space.dim
-    plus = np.zeros((n, n))
-    minus = np.zeros((n, n))
-    for sigma, w, sub in zip(family.signs, family.weights, family.subspaces):
-        q = w**2 * j_projection(sub, tol_def).matrix
-        if sigma > 0:
-            plus += q
-        else:
-            minus -= q
-    return Operator(family.space, plus), Operator(family.space, minus)
+    t = fusion_synthesis(family)
+    a = fusion_analysis(family, tol_def)
+    columns = _sign_columns(family)
+    plus, minus = columns > 0, columns < 0
+    return (Operator(family.space, t[:, plus] @ a[plus]),
+            Operator(family.space, -(t[:, minus] @ a[minus])))
 
 
 def bessel_bound(family: WeightedSubspaceFamily) -> float:
@@ -294,29 +292,30 @@ class JFusionReport:
     pencils: dict = field(repr=False, compare=False)
 
 
-def _fusion_parts(family: WeightedSubspaceFamily) -> dict[str, SignPart]:
-    """The :data:`~kreinframes.frames.SignPart` of each nonempty sign class.
+def _fusion_parts(family: WeightedSubspaceFamily, synthesis: np.ndarray) -> dict[str, SignPart]:
+    """The :data:`~kreinframes.frames.SignPart` of each nonempty sign class,
+    from the family's synthesis matrix T.
 
     The pencil numerator is ``sum_i v_i^2 [pi_i f, pi_i f]`` compressed to
-    the part span.  On the negative class these per-entry products are
-    themselves negative, so with the denominator ``-gram`` the eigenvalues
-    are already the (negative) bound values; no extra sign flip.
+    the part span: with T_part the columns of T of the class and B_M the
+    span's basis, it is ``Y blockdiag(G_i) Y^T`` with ``Y = B_M^T T_part``.
+    On the negative class these per-entry products are themselves negative,
+    so with the denominator ``-gram`` the eigenvalues are already the
+    (negative) bound values; no extra sign flip.
     """
-    n = family.space.dim
+    columns = _sign_columns(family)
     parts = {}
-    for label, indices, part_span in (("positive", family.positive_indices, family.positive_span),
-                                      ("negative", family.negative_indices, family.negative_span)):
+    for label, sign, indices, part_span in (
+            ("positive", 1, family.positive_indices, family.positive_span),
+            ("negative", -1, family.negative_indices, family.negative_span)):
         if part_span is None:
             continue
-        acc = np.zeros((n, n))
+        part_synthesis = synthesis[:, columns == sign]
         with np.errstate(over="ignore", invalid="ignore"):  # refused by _verify_sign_parts
-            for i in indices:
-                b = family.subspaces[i].basis
-                acc += family.weights[i] ** 2 * (b @ family.subspaces[i].gram @ b.T)
-            numerator = part_span.basis.T @ acc @ part_span.basis
+            y = part_span.basis.T @ part_synthesis
+            numerator = y @ block_diag([family.subspaces[i].gram for i in indices]) @ y.T
         denominator = part_span.gram if label == "positive" else -part_span.gram
-        synthesis = np.hstack([family.weights[i] * family.subspaces[i].basis for i in indices])
-        svals = np.linalg.svd(synthesis, compute_uv=False)
+        svals = np.linalg.svd(part_synthesis, compute_uv=False)
         parts[label] = (indices, part_span, (numerator, denominator), svals)
     return parts
 
@@ -330,8 +329,9 @@ def verify_j_fusion_frame(family: WeightedSubspaceFamily, tol_def: float = TOL_D
     p and q add up to the whole space.  Only a family that fails takes the
     rank of its stacked bases.
     """
-    verdict, fields = _verify_sign_parts(family.space, _fusion_parts(family),
-                                         fusion_synthesis(family), tol_def, tol_rank)
+    synthesis = fusion_synthesis(family)
+    verdict, fields = _verify_sign_parts(family.space, _fusion_parts(family, synthesis),
+                                         synthesis, tol_def, tol_rank)
     complete = verdict or orth_columns(np.hstack([s.basis for s in family.subspaces]),
                                        tol_rank).shape[1] == family.space.dim
     return JFusionReport(is_j_fusion_frame=verdict, complete=complete, **fields)
@@ -363,7 +363,8 @@ def part_pencils(family: WeightedSubspaceFamily
     range of the pencil equals the corresponding pair of optimal bounds
     directly (negative values for the negative part).
     """
-    return {label: part[2] for label, part in _fusion_parts(family).items()}
+    parts = _fusion_parts(family, fusion_synthesis(family))
+    return {label: part[2] for label, part in parts.items()}
 
 
 def canonical_dual_fusion(family: WeightedSubspaceFamily, tol_def: float = TOL_DEF
@@ -382,18 +383,21 @@ def canonical_dual_fusion(family: WeightedSubspaceFamily, tol_def: float = TOL_D
 
 def _canonical_dual_of_verified(family: WeightedSubspaceFamily, tol_def: float
                                 ) -> tuple[WeightedSubspaceFamily, Operator]:
-    """:func:`canonical_dual_fusion` of a family already verified at ``tol_def``."""
+    """:func:`canonical_dual_fusion` of a family already verified at ``tol_def``.
+
+    Each dual entry's basis is the Q factor of ``S^{-1} B_i`` with a positive
+    diagonal in R, which is unique because S^{-1} is invertible: no rank
+    decision, and a basis that moves only as much as S^{-1} B_i does.
+    """
     s = fusion_frame_operator(family, tol_def).matrix
-    svals = np.linalg.svd(s, compute_uv=False)
-    if svals[-1] <= tol_def * svals[0]:
-        raise SingularFrameOperator(
-            f"verified fusion frame produced singular frame operator (sigma_min={svals[-1]:.3e})"
-        )
+    _require_invertible(np.linalg.svd(s, compute_uv=False), tol_def, "fusion frame")
     s_inv = np.linalg.inv(s)
+    mapped = s_inv @ np.hstack([sub.basis for sub in family.subspaces])
     dual_subs = []
-    for sub in family.subspaces:
-        cols = s_inv @ sub.basis
-        dual_subs.append(Subspace(space=family.space, basis=orth_columns(cols, TOL_RANK)))
+    for cols in np.split(mapped, family.offsets[1:-1], axis=1):
+        q, r = np.linalg.qr(cols)
+        basis = q * np.where(np.diagonal(r) < 0.0, -1.0, 1.0)
+        dual_subs.append(Subspace(space=family.space, basis=basis))
     dual = make_weighted_family(dual_subs, family.weights, tol_def)
     return dual, Operator(family.space, s_inv)
 
@@ -422,9 +426,7 @@ def fusion_dual_diagnostics(family: WeightedSubspaceFamily,
     original_bounds = optimal_fusion_bounds(family, tol_def)
     dual, inverse = _canonical_dual_of_verified(family, tol_def)
     dual_bounds = optimal_fusion_bounds(dual, tol_def)
-    expected = _reciprocal_pattern(original_bounds)
     s_dual = fusion_frame_operator(dual, tol_def).matrix
-    op_residual = operator_norm(s_dual - inverse.matrix) / operator_norm(inverse.matrix)
 
     span_residual = 0.0
     for source, other in ((family.positive_span, family.negative_span),
@@ -444,12 +446,8 @@ def fusion_dual_diagnostics(family: WeightedSubspaceFamily,
     return FusionDualReport(
         dual=dual,
         inverse=inverse,
-        original_bounds=original_bounds,
-        dual_bounds=dual_bounds,
-        reciprocal_expected=expected,
-        max_relative_deviation=_max_rel_dev(dual_bounds, expected),
-        dual_operator_residual=float(op_residual),
         span_identity_residual=float(span_residual),
+        **_dual_comparison(original_bounds, dual_bounds, inverse.matrix, s_dual),
     )
 
 

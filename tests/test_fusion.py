@@ -57,6 +57,31 @@ def _bessel_reference(family):
     return float(np.linalg.eigvalsh(0.5 * (acc + acc.T))[-1])
 
 
+def _projector_sum(family, sign=0):
+    """The defining formula of the frame operator, ``sum_i v_i^2 Q_{W_i}``, one
+    dense n x n indefinite projector per entry, over the entries of the given
+    sign (every entry for 0).  The library takes S as ``T @ A`` instead."""
+    n = family.space.dim
+    acc = np.zeros((n, n))
+    for sigma, w, sub in zip(family.signs, family.weights, family.subspaces):
+        if sign in (0, sigma):
+            acc += w**2 * kf.j_projection(sub).matrix
+    return acc
+
+
+def _numerator_reference(family, label):
+    """The part pencil numerator through the dense n x n accumulator
+    ``B_M^T (sum_i v_i^2 B_i G_i B_i^T) B_M``."""
+    indices, part_span = ((family.positive_indices, family.positive_span) if label == "positive"
+                          else (family.negative_indices, family.negative_span))
+    n = family.space.dim
+    acc = np.zeros((n, n))
+    for i in indices:
+        b = family.subspaces[i].basis
+        acc += family.weights[i] ** 2 * (b @ family.subspaces[i].gram @ b.T)
+    return part_span.basis.T @ acc @ part_span.basis
+
+
 def _skewed_family():
     from pathlib import Path
     parsed = kf.load_problem(
@@ -149,10 +174,12 @@ def test_paper_variant_on_eigen_family_is_symmetry():
 
 
 def test_operator_equals_synthesis_times_analysis(tilted_family):
+    """S is T A, and T A is the projector sum that defines S."""
     s = kf.fusion_frame_operator(tilted_family).matrix
     t = kf.fusion_synthesis(tilted_family)
     a = kf.fusion_analysis(tilted_family)
     assert np.linalg.norm(s - t @ a) <= 1e-12 * np.linalg.norm(s)
+    assert np.linalg.norm(s - _projector_sum(tilted_family)) <= 1e-12 * np.linalg.norm(s)
 
 
 def test_operator_is_j_selfadjoint(tilted_family):
@@ -165,7 +192,10 @@ def test_operator_splits_into_definite_parts(tilted_family):
     """S = S+ - S- with both parts positive for the indefinite product."""
     s = kf.fusion_frame_operator(tilted_family).matrix
     plus, minus = kf.fusion_operator_parts(tilted_family)
-    assert np.linalg.norm(s - (plus.matrix - minus.matrix)) <= 1e-12 * np.linalg.norm(s)
+    scale = np.linalg.norm(s)
+    assert np.linalg.norm(s - (plus.matrix - minus.matrix)) <= 1e-12 * scale
+    assert np.linalg.norm(plus.matrix - _projector_sum(tilted_family, 1)) <= 1e-12 * scale
+    assert np.linalg.norm(minus.matrix + _projector_sum(tilted_family, -1)) <= 1e-12 * scale
     space = tilted_family.space
     rng = np.random.default_rng(SEED)
     for _ in range(25):
@@ -235,6 +265,25 @@ def test_part_pencils_reproduce_bounds(tilted_family):
     assert hi == pytest.approx(report.bounds[1], rel=1e-10)
 
 
+def _overlapping_family(n, tilt, seed=0):
+    """A generated family of 2-dimensional, overlapping entries in signature
+    (n/2, n/2), rotated for odd seeds."""
+    p = n // 2
+    return kf.gen_family(kf.GeneratorConfig(
+        kind="fusion", seed=seed, dim=n, num_positive=p,
+        entry_dims_positive=(2,) * (p // 2 + 1), entry_dims_negative=(2,) * ((n - p) // 2 + 1),
+        tilt=tilt, rotate=seed % 2 == 1))
+
+
+@pytest.mark.parametrize("tilt", [0.5, 0.9999999])
+@pytest.mark.parametrize("n, seed", [(6, 0), (16, 1)])
+def test_part_pencil_numerators_match_dense_accumulator(n, seed, tilt):
+    family = _overlapping_family(n, tilt, seed)
+    for label, (numerator, _) in kf.part_pencils(family).items():
+        reference = _numerator_reference(family, label)
+        assert np.linalg.norm(numerator - reference) <= 1e-12 * np.linalg.norm(reference)
+
+
 def test_incomplete_family_fails(minkowski3):
     subs = [np.array([[1.0, 0.0, 0.0]]), np.array([[0.0, 0.0, 1.0]])]
     fam = kf.family_from_spans(subs, [1.0, 1.0], minkowski3)
@@ -284,6 +333,23 @@ def test_dual_operator_deviates_for_tilted_family(tilted_family):
         [np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])], [2.0, 1.0], space)
     diag2 = kf.fusion_dual_diagnostics(fam)
     assert diag2.dual_operator_residual > 1e-2
+
+
+@pytest.mark.parametrize("n", [6, 16])
+def test_dual_bases_are_sign_fixed_qr_factors(n):
+    """Each dual basis is the Q of S^{-1} B_i with a positive diagonal in R.
+
+    At tilt 0 the singular values of S^{-1} B_i are degenerate, so a
+    rank-revealing SVD may return any rotation of the same span; the
+    sign-fixed QR is unique and moves only as much as S^{-1} B_i does.
+    """
+    family = _overlapping_family(n, 0.0)
+    s_ref = _projector_sum(family)
+    diag = kf.fusion_dual_diagnostics(family)
+    for sub, dual_sub in zip(family.subspaces, diag.dual.subspaces, strict=True):
+        q, r = np.linalg.qr(np.linalg.solve(s_ref, sub.basis))
+        q = q * np.where(np.diagonal(r) < 0.0, -1.0, 1.0)
+        assert np.max(np.abs(dual_sub.basis - q)) <= 1e-12
 
 
 def test_dual_of_verified_family_is_verified(tilted_family):

@@ -5,6 +5,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import kreinframes as kf
+from test_fusion import _projector_sum
 
 REL_TOLERANCE = 1e-9
 SANDWICH_SLACK = 1e-9
@@ -68,15 +69,19 @@ def test_interlacing_identity_holds_for_random_subsets(instance_seed, subset_mas
 @settings(max_examples=MAX_EXAMPLES, deadline=None)
 @given(instance_seed=st.integers(min_value=0, max_value=10_000))
 def test_frame_operator_factorizations(instance_seed):
-    """S == T A and S == S+ - S- hold exactly for every generated family."""
+    """S == T A == sum_i v_i^2 Q_{W_i} and S == S+ - S- hold exactly for every
+    generated family, with S+ and S- the projector sums over each sign."""
     fam = _family_for(instance_seed, 4, 2)
     s = kf.fusion_frame_operator(fam).matrix
     t = kf.fusion_synthesis(fam)
     a = kf.fusion_analysis(fam)
     scale = np.linalg.norm(s)
     assert np.linalg.norm(s - t @ a) <= 1e-12 * scale
+    assert np.linalg.norm(s - _projector_sum(fam)) <= 1e-12 * scale
     plus, minus = kf.fusion_operator_parts(fam)
     assert np.linalg.norm(s - (plus.matrix - minus.matrix)) <= 1e-12 * scale
+    assert np.linalg.norm(plus.matrix - _projector_sum(fam, 1)) <= 1e-12 * scale
+    assert np.linalg.norm(minus.matrix + _projector_sum(fam, -1)) <= 1e-12 * scale
     ss = kf.j_adjoint_matrix(s, fam.space)
     assert np.linalg.norm(s - ss) <= 1e-12 * scale
 
