@@ -10,7 +10,10 @@ __all__ = [
     "as_matrix",
     "as_vector",
     "operator_norm",
+    "operator_norms",
+    "stacked",
     "column_space",
+    "column_spaces",
     "orth_columns",
     "null_space",
     "scaled_below_overflow",
@@ -64,10 +67,48 @@ def operator_norm(m: np.ndarray) -> float:
         eigvals = np.linalg.eigvalsh(s)
         top = max(-eigvals[0], eigvals[-1])
     else:
-        gram = s.T @ s if s.shape[1] <= s.shape[0] else s @ s.T
-        top = np.sqrt(np.linalg.eigvalsh(gram)[-1])
+        top = _gram_norms(s[None])[0]
     with np.errstate(over="ignore"):
         return float(np.ldexp(top, exponent))
+
+
+def _gram_norms(s: np.ndarray) -> np.ndarray:
+    """Spectral norms of a stack of matrices, each with entries of magnitude at
+    most 1: the square root of the largest eigenvalue of the smaller Gram."""
+    st = np.swapaxes(s, -1, -2)
+    gram = st @ s if s.shape[-1] <= s.shape[-2] else s @ st
+    return np.sqrt(np.linalg.eigvalsh(gram)[..., -1])
+
+
+def operator_norms(m: np.ndarray) -> np.ndarray:
+    """The spectral norm of each matrix of a finite stack ``m`` (g x a x b), as
+    :func:`operator_norm` takes it for a matrix that is not symmetric: after
+    an exact power-of-two scaling of each, from one stacked ``eigvalsh``."""
+    exponent = np.frexp(np.max(np.abs(m), axis=(-2, -1)))[1]
+    return np.ldexp(_gram_norms(np.ldexp(m, -exponent[:, None, None])), exponent)
+
+
+def stacked(fn, *operands) -> list:
+    """``[fn(*args) for args in zip(*operands)]``, with one call of ``fn`` per
+    distinct combination of operand shapes, on those operands stacked along a
+    new leading axis.
+
+    ``fn`` must act on stacks, as numpy's ``linalg`` functions and ``matmul``
+    do, and return an array or a tuple of arrays indexed by that axis.  Many
+    same-shaped small problems then cost one Python-level call, not one each
+    (the batched-BLAS idea of Dongarra et al., 2017).  LAPACK and BLAS see
+    the same matrices as they do item by item, so the results are the same
+    bits, which ``tests/test_numeric.py`` pins.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for i, args in enumerate(zip(*operands)):
+        groups.setdefault(tuple(a.shape for a in args), []).append(i)
+    out: list = [None] * len(operands[0])
+    for idx in groups.values():
+        res = fn(*(np.stack([op[i] for i in idx]) for op in operands))
+        for i, item in zip(idx, zip(*res) if isinstance(res, tuple) else res):
+            out[i] = item
+    return out
 
 
 # Entries above this magnitude can overflow a column norm or a product.
@@ -119,16 +160,25 @@ def column_space(m: np.ndarray, tol_rank: float) -> tuple[np.ndarray, np.ndarray
     otherwise overflow; the singular values are returned at the scale of
     ``m``.
     """
-    if m.size == 0:
-        return np.zeros((m.shape[0], 0)), np.zeros(0)
-    exponent = _rescale_exponent(m, 0.0)
-    u, svals, _ = np.linalg.svd(np.ldexp(m, -exponent) if exponent else m,
-                                full_matrices=False)
-    rank = _rank(svals, tol_rank)
-    if exponent:
-        with np.errstate(over="ignore"):  # beyond the double range: inf
-            svals = np.ldexp(svals, exponent)
-    return u[:, :rank], svals
+    return column_spaces([m], tol_rank)[0]
+
+
+def column_spaces(matrices, tol_rank: float) -> list[tuple[np.ndarray, np.ndarray]]:
+    """:func:`column_space` of each of ``matrices``, with one stacked SVD per
+    distinct shape (:func:`stacked`)."""
+    exponents = [_rescale_exponent(m, 0.0) for m in matrices]
+    nonempty = [i for i, m in enumerate(matrices) if m.size]
+    factors = stacked(lambda s: np.linalg.svd(s, full_matrices=False),
+                      [np.ldexp(matrices[i], -exponents[i]) if exponents[i] else matrices[i]
+                       for i in nonempty])
+    out = [(np.zeros((m.shape[0], 0)), np.zeros(0)) for m in matrices]
+    for i, (u, svals, _) in zip(nonempty, factors):
+        rank = _rank(svals, tol_rank)
+        if exponents[i]:
+            with np.errstate(over="ignore"):  # beyond the double range: inf
+                svals = np.ldexp(svals, exponents[i])
+        out[i] = (u[:, :rank], svals)
+    return out
 
 
 def orth_columns(m: np.ndarray, tol_rank: float) -> np.ndarray:

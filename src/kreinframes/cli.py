@@ -69,7 +69,14 @@ from .problem_io import (
     load_report,
     make_report,
 )
-from .subspaces import classify, span, subspace_sum
+from .subspaces import (
+    SubspaceKind,
+    _classify_all,
+    _spanning_columns,
+    _spans,
+    classify,
+    subspace_sum,
+)
 from .transforms import image_fusion_check
 
 ORACLE_DIM_LIMIT = 8
@@ -303,21 +310,14 @@ def _rejection(exc: KreinFrameError) -> Outcome:
 def run_classify(parsed: ParsedProblem, params: Params) -> Outcome:
     _need(parsed, "family")
     space = parsed.space
-    entries = []
-    positive_subs = []
-    negative_subs = []
-    all_subs = []
-    for i, (rows, weight) in enumerate(parsed.entries):
-        sub = span(rows, space, params.tol_rank)
-        cls = classify(sub, params.tol_def, params.tol_rank)
-        all_subs.append(sub)
-        if cls.kind.value == "UniformlyPositive":
-            positive_subs.append(sub)
-        elif cls.kind.value == "UniformlyNegative":
-            negative_subs.append(sub)
-        entries.append({"index": i, "dim": sub.dim, "weight": weight, "classification": cls})
+    all_subs = _spans([_spanning_columns(rows, space) for rows, _ in parsed.entries],
+                      space, params.tol_rank)
+    classes = _classify_all(all_subs, params.tol_def, params.tol_rank)
+    entries = [{"index": i, "dim": sub.dim, "weight": weight, "classification": cls}
+               for i, (sub, cls, (_, weight)) in enumerate(zip(all_subs, classes, parsed.entries))]
 
-    def span_block(subs):
+    def span_block(kind: SubspaceKind):
+        subs = [sub for sub, cls in zip(all_subs, classes) if cls.kind is kind]
         if not subs:
             return None
         total = subspace_sum(subs, params.tol_rank)
@@ -326,8 +326,8 @@ def run_classify(parsed: ParsedProblem, params: Params) -> Outcome:
     result = {
         "signature": [space.num_positive, space.num_negative],
         "entries": entries,
-        "positive_span": span_block(positive_subs),
-        "negative_span": span_block(negative_subs),
+        "positive_span": span_block(SubspaceKind.UNIFORMLY_POSITIVE),
+        "negative_span": span_block(SubspaceKind.UNIFORMLY_NEGATIVE),
         "complete": oracles.completeness_check(all_subs, space, params.tol_rank),
     }
     if space.dim <= ORACLE_DIM_LIMIT:

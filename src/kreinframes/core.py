@@ -74,7 +74,8 @@ class KreinSpace:
     def __eq__(self, other) -> bool:  # value semantics on J
         if not isinstance(other, KreinSpace):
             return NotImplemented
-        return self.dim == other.dim and np.array_equal(self.symmetry, other.symmetry)
+        return self is other or (self.dim == other.dim
+                                 and np.array_equal(self.symmetry, other.symmetry))
 
     def __hash__(self) -> int:
         return hash((self.dim, self.symmetry.tobytes()))
@@ -94,6 +95,14 @@ def make_krein_space(symmetry, tol_sym: float = TOL_SYM) -> KreinSpace:
 
     Rejects matrices that are not symmetric involutions within ``tol_sym``
     (relative to the matrix scale).  The signature is read off the spectrum.
+
+    One ``eigvalsh`` of the symmetrized J gives the signature, the scale and
+    the involution defect ``max |lam^2 - 1|``, and the Frobenius norm of
+    ``J - J^T``, which bounds its spectral norm from above, screens the
+    symmetry defect.  A J that this screen does not pass with half the
+    tolerance to spare takes the exact route (:func:`_checked_defects`), so
+    accept/reject decisions and the defect a rejection reports are those of
+    the spectral norms.
     """
     j = as_matrix(symmetry, "symmetry")
     n = j.shape[0]
@@ -101,6 +110,24 @@ def make_krein_space(symmetry, tol_sym: float = TOL_SYM) -> KreinSpace:
         raise DimensionMismatch(f"symmetry must be square, got {j.shape}")
     if n == 0:
         raise DimensionMismatch("symmetry must be at least 1x1")
+    with np.errstate(over="ignore", invalid="ignore"):
+        j_sym = 0.5 * (j + j.T)
+        eigvals = np.linalg.eigvalsh(j_sym) if np.isfinite(j_sym).all() else np.array([np.inf])
+        scale = max(1.0, float(np.max(np.abs(eigvals))))
+        defect = max(float(np.linalg.norm(j - j.T)),
+                     float(np.max(np.abs(eigvals * eigvals - 1.0)))) / scale
+    if not defect <= 0.5 * tol_sym:
+        _checked_defects(j, tol_sym)
+        eigvals = np.linalg.eigvalsh(j_sym)
+    p = int(np.sum(eigvals > 0.0))
+    return KreinSpace(symmetry=j_sym, dim=n, num_positive=p, num_negative=n - p)
+
+
+def _checked_defects(j: np.ndarray, tol_sym: float) -> None:
+    """Reject ``j`` unless its symmetry defect ``||J - J^T||`` and the
+    involution defect ``||J_s^2 - I||`` of its symmetric part ``J_s``, both
+    spectral norms relative to ``max(1, ||J||)``, are within ``tol_sym``."""
+    n = j.shape[0]
     scale = max(1.0, operator_norm(j))
     if not np.isfinite(scale):
         raise NotAnInvolution("symmetry norm overflows a double", np.inf, np.inf)
@@ -118,11 +145,6 @@ def make_krein_space(symmetry, tol_sym: float = TOL_SYM) -> KreinSpace:
             symmetry_defect=sym_defect,
             involution_defect=inv_defect,
         )
-    eigvals = np.linalg.eigvalsh(j)
-    p = int(np.sum(eigvals > 0.0))
-    q = n - p
-    space = KreinSpace(symmetry=j, dim=n, num_positive=p, num_negative=q)
-    return space
 
 
 def indefinite_product(x, y, space: KreinSpace) -> float:

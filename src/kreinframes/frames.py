@@ -103,30 +103,38 @@ def partition_by_sign(vectors, space: KreinSpace, tol_def: float = TOL_DEF) -> V
     ``UNDERFLOW_GUARD`` (or one above ``OVERFLOW_GUARD``) takes it after an
     exact power-of-two rescale, where its products cannot underflow.  A
     vector whose self-product or squared norm overflows a double raises
-    :class:`InputError`: every bound of such a sequence overflows too.
+    :class:`InputError`: every bound of such a sequence overflows too.  All
+    self-products and squared norms come from one product ``V J`` and two
+    row-wise contractions.
     """
     v = as_matrix(np.atleast_2d(np.asarray(vectors, dtype=float)), "vectors")
     if v.shape[1] != space.dim:
         raise DimensionMismatch(f"vectors have length {v.shape[1]}, expected {space.dim}")
-    signs = np.zeros(v.shape[0], dtype=int)
-    peaks = np.max(np.abs(v), axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, f in enumerate(v):
-            self_product = float(f @ space.symmetry @ f)
-            norm_sq = float(f @ f)
-            _require_finite((self_product, norm_sq), f"the self-product of vector {i}")
-            product, size = self_product, norm_sq
-            if not UNDERFLOW_GUARD <= peaks[i] <= OVERFLOW_GUARD:
-                g = scaled_below_overflow(f, UNDERFLOW_GUARD)
-                product, size = float(g @ space.symmetry @ g), float(g @ g)
-            if abs(product) <= tol_def * size:
-                raise NeutralVector(
-                    f"vector {i} is neutral within tolerance: [f, f] = {self_product:.3e}",
-                    index=i,
-                    self_product=self_product,
-                )
-            signs[i] = 1 if product > 0.0 else -1
-    return VectorFrame(space=space, vectors=v, signs=signs)
+        self_products, norms_sq = _self_products(v, space)
+        products, sizes = self_products.copy(), norms_sq.copy()
+        peaks = np.max(np.abs(v), axis=1)
+        off_scale = np.flatnonzero(~((UNDERFLOW_GUARD <= peaks) & (peaks <= OVERFLOW_GUARD)))
+        if off_scale.size:
+            scaled = np.stack([scaled_below_overflow(v[i], UNDERFLOW_GUARD) for i in off_scale])
+            products[off_scale], sizes[off_scale] = _self_products(scaled, space)
+        infinite = ~(np.isfinite(self_products) & np.isfinite(norms_sq))
+        neutral = np.abs(products) <= tol_def * sizes
+    bad = np.flatnonzero(infinite | neutral)
+    if bad.size:
+        i = int(bad[0])
+        _require_finite((self_products[i], norms_sq[i]), f"the self-product of vector {i}")
+        raise NeutralVector(
+            f"vector {i} is neutral within tolerance: [f, f] = {float(self_products[i]):.3e}",
+            index=i,
+            self_product=float(self_products[i]),
+        )
+    return VectorFrame(space=space, vectors=v, signs=np.where(products > 0.0, 1, -1))
+
+
+def _self_products(v: np.ndarray, space: KreinSpace) -> tuple[np.ndarray, np.ndarray]:
+    """``[f, f]`` and ``||f||^2`` of every row f of ``v``."""
+    return np.einsum("ij,ij->i", v @ space.symmetry, v), np.einsum("ij,ij->i", v, v)
 
 
 def frame_operator(frame: VectorFrame) -> Operator:
@@ -289,6 +297,14 @@ def _verify_sign_parts(space: KreinSpace, parts: dict[str, SignPart], synthesis:
     }
 
 
+def _singular_values(s: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Singular values, in descending order, of a frame operator S, which is
+    J-selfadjoint: ``J S`` is symmetric and S = J (J S) with J orthogonal, so
+    they are the eigenvalue moduli of ``J S``, from one ``eigvalsh``."""
+    js = j @ s
+    return np.sort(np.abs(np.linalg.eigvalsh(0.5 * (js + js.T))))[::-1]
+
+
 def _require_invertible(svals: np.ndarray, tol_def: float, what: str) -> None:
     """Refuse the canonical dual of a verified ``what`` (a frame or a fusion
     frame) whose frame operator, with singular values ``svals`` in descending
@@ -303,22 +319,26 @@ def _require_invertible(svals: np.ndarray, tol_def: float, what: str) -> None:
 
 
 def _dual_comparison(original: Bounds4, dual_bounds: Bounds4, s_inv: np.ndarray,
-                     s_dual: np.ndarray) -> dict:
+                     s_dual: np.ndarray, j: np.ndarray, sigma_min: float) -> dict:
     """The fields that :class:`ReciprocityReport` and the fusion dual report
     share: the ``original`` and ``dual_bounds`` against the reciprocal
     pattern of ``original``, and the dual's own frame operator ``s_dual``
-    against ``s_inv``."""
+    against ``s_inv``, the inverse of an S whose smallest singular value is
+    ``sigma_min``.  Both operators are J-selfadjoint, so the norm of their
+    difference is that of the symmetric ``J (s_dual - s_inv)``, and
+    ``||S^{-1}|| = 1 / sigma_min``."""
     bm, am, ap, bp = original
     expected = tuple(None if x is None else 1.0 / x for x in (am, bm, bp, ap))
     deviation = max((abs(a - e) / max(abs(e), 1e-300)
                      for a, e in zip(dual_bounds, expected) if a is not None and e is not None),
                     default=0.0)
+    diff = j @ (s_dual - s_inv)
     return {
         "original_bounds": original,
         "dual_bounds": dual_bounds,
         "reciprocal_expected": expected,
         "max_relative_deviation": deviation,
-        "dual_operator_residual": operator_norm(s_dual - s_inv) / operator_norm(s_inv),
+        "dual_operator_residual": operator_norm(0.5 * (diff + diff.T)) * sigma_min,
     }
 
 
@@ -349,7 +369,7 @@ def verify_j_frame(frame: VectorFrame, tol_def: float = TOL_DEF,
     s = svals = condition = None
     if verdict:
         s = frame_operator(frame).matrix
-        svals = np.linalg.svd(s, compute_uv=False)
+        svals = _singular_values(s, frame.space.symmetry)
         condition = _condition_number(frame, svals)
     return JFrameReport(is_j_frame=verdict, condition_number=condition, operator=s,
                         singular_values=svals, **fields)
@@ -366,7 +386,7 @@ def _condition_number(frame: VectorFrame, svals: np.ndarray) -> float:
     scaled = scaled_below_overflow(frame.vectors, UNDERFLOW_GUARD)
     if scaled is not frame.vectors:
         unit = VectorFrame(space=frame.space, vectors=scaled, signs=frame.signs)
-        svals = np.linalg.svd(frame_operator(unit).matrix, compute_uv=False)
+        svals = _singular_values(frame_operator(unit).matrix, frame.space.symmetry)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         condition = float(svals[0] / svals[-1])
     _require_finite(condition, "the condition number of the frame operator")
@@ -452,7 +472,8 @@ def dual_reciprocity(frame: VectorFrame, tol_def: float = TOL_DEF) -> Reciprocit
     dual = _canonical_dual_of_verified(frame, report, tol_def)
     dual_report = _verified(dual, tol_def)
     return ReciprocityReport(dual=dual, **_dual_comparison(
-        report.bounds, dual_report.bounds, np.linalg.inv(report.operator), dual_report.operator))
+        report.bounds, dual_report.bounds, np.linalg.inv(report.operator), dual_report.operator,
+        frame.space.symmetry, report.singular_values[-1]))
 
 
 def interlacing_identity(frame: VectorFrame, subset, f,

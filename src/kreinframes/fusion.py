@@ -26,7 +26,9 @@ from ._numeric import (
     as_matrix,
     block_diag,
     operator_norm,
+    operator_norms,
     orth_columns,
+    stacked,
 )
 from .core import TOL_DEF, TOL_RANK, KreinSpace, Operator
 from .errors import (
@@ -44,6 +46,7 @@ from .frames import (
     _bessel_bound,
     _dual_comparison,
     _require_invertible,
+    _singular_values,
     _verify_sign_parts,
     partition_by_sign,
     verify_j_frame,
@@ -52,10 +55,11 @@ from .subspaces import (
     Classification,
     Subspace,
     SubspaceKind,
-    classify,
-    j_orthogonal_complement,
-    regular_gram,
-    span,
+    _classify_all,
+    _images,
+    _require_regular,
+    _spanning_columns,
+    _spans,
     subspace_sum,
 )
 
@@ -130,7 +134,7 @@ def make_weighted_family(subspaces, weights, tol_def: float = TOL_DEF) -> Weight
         if not np.isfinite(wi) or wi <= 0.0:
             raise NonPositiveWeight(f"weight {i} is {wi!r}, must be strictly positive",
                                     index=i, weight=float(wi))
-    return _signed_family(subs, w, tuple(classify(s, tol_def) for s in subs))
+    return _signed_family(subs, w, tuple(_classify_all(subs, tol_def)))
 
 
 def _signed_family(subs: tuple[Subspace, ...], weights: np.ndarray,
@@ -160,14 +164,20 @@ def _signed_family(subs: tuple[Subspace, ...], weights: np.ndarray,
 
 def family_from_spans(entry_vectors, weights, space: KreinSpace,
                       tol_def: float = TOL_DEF, tol_rank: float = TOL_RANK) -> WeightedSubspaceFamily:
-    """Build a family from per-entry spanning vectors (rows)."""
-    subs = []
+    """Build a family from per-entry spanning vectors (rows).
+
+    Each entry is spanned and classified as :func:`~kreinframes.subspaces.span`
+    and :func:`~kreinframes.subspaces.classify` do it, with one stacked SVD
+    per distinct spanning-set shape and one stacked ``eigh`` per entry
+    dimension.
+    """
+    columns = []
     for i, rows in enumerate(entry_vectors):
         try:
-            subs.append(span(rows, space, tol_rank))
+            columns.append(_spanning_columns(rows, space))
         except DimensionMismatch as exc:
             raise DimensionMismatch(f"entry {i}: {exc}") from exc
-    return make_weighted_family(subs, weights, tol_def)
+    return make_weighted_family(_spans(columns, space, tol_rank), weights, tol_def)
 
 
 @dataclass(frozen=True)
@@ -223,12 +233,21 @@ def fusion_analysis(family: WeightedSubspaceFamily, tol_def: float = TOL_DEF) ->
     ``v_i Q_{W_i} f``.  This is the exact adjoint of the synthesis against
     the indefinite direct-sum pairing (block-diagonal entry Grams), and
     ``synthesis @ analysis`` is the frame operator.  J is applied once, to
-    the stacked bases.
+    the stacked bases, and the Gram solves are stacked by entry dimension.
+    An entry whose Gram margin (from its classification) is at most
+    ``tol_def`` raises :class:`~kreinframes.errors.NotRegular`.
     """
+    _require_regular_entries(family, tol_def)
     bt_j = np.hstack([sub.basis for sub in family.subspaces]).T @ family.space.symmetry
-    blocks = np.split(bt_j, family.offsets[1:-1])
-    return np.vstack([w * np.linalg.solve(regular_gram(sub, tol_def), rows)
-                      for w, sub, rows in zip(family.weights, family.subspaces, blocks)])
+    solved = stacked(np.linalg.solve, [sub.gram for sub in family.subspaces],
+                     np.split(bt_j, family.offsets[1:-1]))
+    return np.vstack([w * x for w, x in zip(family.weights, solved)])
+
+
+def _require_regular_entries(family: WeightedSubspaceFamily, tol_def: float) -> None:
+    """Refuse a family with an entry whose Gram margin is at most ``tol_def``."""
+    for cls in family.entry_classifications:
+        _require_regular(cls.margin, tol_def)
 
 
 def _sign_columns(family: WeightedSubspaceFamily) -> np.ndarray:
@@ -378,28 +397,42 @@ def canonical_dual_fusion(family: WeightedSubspaceFamily, tol_def: float = TOL_D
     *not* S^{-1} in general (see :func:`fusion_dual_diagnostics`).
     """
     _verified(family, tol_def)
-    return _canonical_dual_of_verified(family, tol_def)
+    return _canonical_dual_of_verified(family, tol_def)[:2]
 
 
 def _canonical_dual_of_verified(family: WeightedSubspaceFamily, tol_def: float
-                                ) -> tuple[WeightedSubspaceFamily, Operator]:
-    """:func:`canonical_dual_fusion` of a family already verified at ``tol_def``.
+                                ) -> tuple[WeightedSubspaceFamily, Operator, np.ndarray]:
+    """:func:`canonical_dual_fusion` of a family already verified at ``tol_def``,
+    and the singular values of S in descending order.
 
     Each dual entry's basis is the Q factor of ``S^{-1} B_i`` with a positive
     diagonal in R, which is unique because S^{-1} is invertible: no rank
-    decision, and a basis that moves only as much as S^{-1} B_i does.
+    decision, and a basis that moves only as much as S^{-1} B_i does.  The
+    QRs and the entry classifications are stacked by entry dimension.  The
+    dual's part spans S^{-1} M+/- are spanned by its entries of each sign,
+    with the dimension of M+/- in place of a rank decided from singular
+    values, which near neutral can flip at rounding level.  (A QR of
+    ``S^{-1} B_M`` is only as accurate as S^{-1} is conditioned on M+/-: at
+    tilt 1 - 1e-7 it moved dual bounds by 4.5e-3 relative.)
     """
+    space = family.space
     s = fusion_frame_operator(family, tol_def).matrix
-    _require_invertible(np.linalg.svd(s, compute_uv=False), tol_def, "fusion frame")
+    svals = _singular_values(s, space.symmetry)
+    _require_invertible(svals, tol_def, "fusion frame")
     s_inv = np.linalg.inv(s)
-    mapped = s_inv @ np.hstack([sub.basis for sub in family.subspaces])
-    dual_subs = []
-    for cols in np.split(mapped, family.offsets[1:-1], axis=1):
-        q, r = np.linalg.qr(cols)
-        basis = q * np.where(np.diagonal(r) < 0.0, -1.0, 1.0)
-        dual_subs.append(Subspace(space=family.space, basis=basis))
-    dual = make_weighted_family(dual_subs, family.weights, tol_def)
-    return dual, Operator(family.space, s_inv)
+    mapped = np.split(s_inv @ np.hstack([sub.basis for sub in family.subspaces]),
+                      family.offsets[1:-1], axis=1)
+    dual_subs = tuple(Subspace(space=space, basis=q * np.where(np.diagonal(r) < 0.0, -1.0, 1.0))
+                      for q, r in stacked(np.linalg.qr, mapped))
+    dual = _signed_family(dual_subs, family.weights, tuple(_classify_all(dual_subs, tol_def)))
+    if np.array_equal(dual.signs, family.signs):
+        for name, indices in (("positive_span", family.positive_indices),
+                              ("negative_span", family.negative_indices)):
+            if indices:  # the cached_property's slot
+                u = np.linalg.svd(np.hstack([dual_subs[i].basis for i in indices]),
+                                  full_matrices=False)[0]
+                dual.__dict__[name] = Subspace(space=space, basis=u[:, :getattr(family, name).dim])
+    return dual, Operator(space, s_inv), svals
 
 
 @dataclass(frozen=True)
@@ -408,7 +441,12 @@ class FusionDualReport:
 
     ``dual_operator_residual`` compares the dual family's own frame operator
     with S^{-1} (relative spectral norm); ``span_identity_residual`` checks
-    the exact identities S^{-1} M+/- = (M-/+)^[perp], which do hold.
+    the exact identities S^{-1} M+/- = (M-/+)^[perp], which do hold, as
+    ``max ||B_-/+^T J U_+/-||`` with U_+/- and B_-/+ orthonormal bases of the
+    dual's part spans S^{-1} M+/- and of M-/+.  (M-)^[perp] is the Euclidean
+    complement of J M-, so this is the sine of the largest angle between
+    S^{-1} M+ and (M-)^[perp]: the distance of their orthogonal projectors,
+    the two spaces having the same dimension.
     """
 
     dual: WeightedSubspaceFamily
@@ -424,39 +462,26 @@ class FusionDualReport:
 def fusion_dual_diagnostics(family: WeightedSubspaceFamily,
                             tol_def: float = TOL_DEF) -> FusionDualReport:
     original_bounds = optimal_fusion_bounds(family, tol_def)
-    dual, inverse = _canonical_dual_of_verified(family, tol_def)
+    dual, inverse, svals = _canonical_dual_of_verified(family, tol_def)
     dual_bounds = optimal_fusion_bounds(dual, tol_def)
     s_dual = fusion_frame_operator(dual, tol_def).matrix
-
-    span_residual = 0.0
-    for source, other in ((family.positive_span, family.negative_span),
-                          (family.negative_span, family.positive_span)):
-        if source is None:
-            continue
-        mapped = orth_columns(inverse.matrix @ source.basis, TOL_RANK)
-        if other is None:
-            target = np.eye(family.space.dim)
-        else:
-            target = j_orthogonal_complement(other).basis
-        span_residual = max(
-            span_residual,
-            operator_norm(mapped @ mapped.T - target @ target.T),
-        )
-
+    j = family.space.symmetry
+    span_residual = max((operator_norm((j @ other.basis).T @ mapped.basis)
+                         for mapped, other in ((dual.positive_span, family.negative_span),
+                                               (dual.negative_span, family.positive_span))
+                         if mapped is not None and other is not None), default=0.0)
     return FusionDualReport(
         dual=dual,
         inverse=inverse,
-        span_identity_residual=float(span_residual),
-        **_dual_comparison(original_bounds, dual_bounds, inverse.matrix, s_dual),
+        span_identity_residual=span_residual,
+        **_dual_comparison(original_bounds, dual_bounds, inverse.matrix, s_dual, j, svals[-1]),
     )
 
 
 def j_image_family(family: WeightedSubspaceFamily, tol_def: float = TOL_DEF) -> WeightedSubspaceFamily:
     """The family {(J W_i, v_i)}: signs are preserved and validity transfers."""
-    j = family.space.symmetry
-    subs = [Subspace(space=family.space, basis=orth_columns(j @ s.basis, TOL_RANK))
-            for s in family.subspaces]
-    return make_weighted_family(subs, family.weights, tol_def)
+    return make_weighted_family(_images(family.space.symmetry, family.subspaces),
+                                family.weights, tol_def)
 
 
 def adjoint_identity_residual(family: WeightedSubspaceFamily, seed: int = 0,
@@ -527,23 +552,32 @@ def check_rps_corollary(family: WeightedSubspaceFamily,
 
     Each entry must be regular: :class:`~kreinframes.errors.NotRegular` is
     raised, as :func:`~kreinframes.subspaces.j_projection` raises it, when
-    the Gram margin of an entry is at most ``tol_def``.
+    the Gram margin of an entry is at most ``tol_def``.  The entries of each
+    part are taken in stacks of one entry dimension.
     """
+    _require_regular_entries(family, tol_def)
     j = family.space.symmetry
-    out = []
-    for i, (sigma, sub) in enumerate(zip(family.signs, family.subspaces)):
-        part_span = family.positive_span if sigma > 0 else family.negative_span
-        label = "positive" if sigma > 0 else "negative"
-        g = regular_gram(sub, tol_def)
-        b = sub.basis
+    out: list = [None] * family.size
+    for label, indices, part_span in (("positive", family.positive_indices, family.positive_span),
+                                      ("negative", family.negative_indices, family.negative_span)):
+        if not indices:
+            continue
         b_m = part_span.basis
-        jb = j @ b
-        jb_t_bm = jb.T @ b_m
-        r_prime = operator_norm(np.linalg.solve(g, jb_t_bm) - b.T @ b_m)
-        r_factor = np.linalg.qr(np.hstack([jb, b]), mode="r")
-        k = sub.dim
-        r = operator_norm(r_factor[:, :k] @ jb_t_bm @ b_m.T - r_factor[:, k:] @ b.T)
-        out.append(RpsEntry(index=i, part=label, r=float(r), r_prime=float(r_prime)))
+
+        def residuals(b: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            bt = np.swapaxes(b, 1, 2)
+            jb = j @ b
+            jb_t_bm = np.swapaxes(jb, 1, 2) @ b_m
+            r_prime = np.linalg.solve(g, jb_t_bm) - bt @ b_m
+            r_factor = np.linalg.qr(np.concatenate([jb, b], axis=2), mode="r")
+            k = b.shape[2]
+            y = r_factor[:, :, :k] @ jb_t_bm @ b_m.T - r_factor[:, :, k:] @ bt
+            return operator_norms(y), operator_norms(r_prime)
+
+        subs = [family.subspaces[i] for i in indices]
+        for i, (r, r_prime) in zip(indices, stacked(residuals, [sub.basis for sub in subs],
+                                                    [sub.gram for sub in subs])):
+            out[i] = RpsEntry(index=i, part=label, r=float(r), r_prime=float(r_prime))
     return tuple(out)
 
 

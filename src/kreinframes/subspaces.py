@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._numeric import as_matrix, null_space, operator_norm, orth_columns
+from ._numeric import as_matrix, column_spaces, null_space, operator_norm, orth_columns, stacked
 from .core import TOL_DEF, TOL_NUM, TOL_RANK, KreinSpace, Operator
 from .errors import (
     DimensionMismatch,
@@ -67,15 +67,45 @@ def span(vectors, space: KreinSpace, tol_rank: float = TOL_RANK) -> Subspace:
     The spanning set is reduced to an orthonormal basis by a thin SVD with a
     relative rank cutoff of ``tol_rank`` (:func:`~kreinframes._numeric.column_space`).
     """
+    return _spans([_spanning_columns(vectors, space)], space, tol_rank)[0]
+
+
+def _spanning_columns(vectors, space: KreinSpace) -> np.ndarray:
+    """The spanning vectors (rows) of :func:`span`, validated, as columns."""
     m = as_matrix(np.atleast_2d(np.asarray(vectors, dtype=float)), "spanning vectors")
     if m.shape[1] != space.dim:
         raise DimensionMismatch(
             f"spanning vectors have length {m.shape[1]}, expected {space.dim}"
         )
-    basis = orth_columns(m.T, tol_rank)
-    if basis.shape[1] == 0:
-        raise ZeroSubspace("spanning set has numerical rank zero")
-    return Subspace(space=space, basis=basis)
+    return m.T
+
+
+def _spans(columns, space: KreinSpace, tol_rank: float = TOL_RANK) -> list[Subspace]:
+    """The column space of each of ``columns`` (as :func:`_spanning_columns`
+    returns them), with the bases :func:`span` gives, from one stacked SVD per
+    distinct shape.  The first entry of numerical rank zero raises
+    :class:`ZeroSubspace`.
+
+    Each basis is copied to C order where the rank cut it out of a wider
+    factor: a product with a strided single column takes another BLAS route
+    than with a contiguous one, so only contiguous bases give every entry
+    Gram the same bits whether it is formed alone or in a stack.
+    """
+    out = []
+    for basis, _ in column_spaces(columns, tol_rank):
+        if basis.shape[1] == 0:
+            raise ZeroSubspace("spanning set has numerical rank zero")
+        out.append(Subspace(space=space, basis=np.ascontiguousarray(basis)))
+    return out
+
+
+def _images(t: np.ndarray, subspaces, tol_rank: float = TOL_RANK) -> list[Subspace]:
+    """The images ``t W`` of ``subspaces``, each spanned as :func:`span` spans
+    its vectors, from stacked products and SVDs; an image of numerical rank
+    zero has an empty basis."""
+    mapped = stacked(lambda b: t @ b, [sub.basis for sub in subspaces])
+    return [Subspace(space=sub.space, basis=basis)
+            for sub, (basis, _) in zip(subspaces, column_spaces(mapped, tol_rank))]
 
 
 def subspace_from_basis(space: KreinSpace, basis_columns: np.ndarray,
@@ -123,16 +153,42 @@ def classify(subspace: Subspace, tol_def: float = TOL_DEF,
              tol_rank: float = TOL_RANK) -> Classification:
     """Classify a subspace by the spectrum of its compressed Gram operator."""
     eigvals, eigvecs = np.linalg.eigh(subspace.gram)
-    margin = float(np.min(np.abs(eigvals)))
-    regular = margin > tol_def
-    gamma = smallest_nonzero_modulus(eigvals, tol_rank)
+    return _classification(subspace, eigvals, eigvecs, tol_def, tol_rank)
 
-    pos = eigvals > tol_def
-    neg = eigvals < -tol_def
-    nul = ~(pos | neg)
+
+def _classify_all(subspaces, tol_def: float = TOL_DEF,
+                 tol_rank: float = TOL_RANK) -> list[Classification]:
+    """:func:`classify` of each of ``subspaces``, which share one space, with
+    one stacked Gram product and ``eigh`` per distinct dimension; each Gram
+    is kept as the subspace's own (``Subspace.gram``)."""
+    subspaces = list(subspaces)
+    if not subspaces:
+        return []
+    j = subspaces[0].space.symmetry
+
+    def grams(b: np.ndarray) -> np.ndarray:
+        g = np.swapaxes(b, 1, 2) @ j @ b
+        return 0.5 * (g + np.swapaxes(g, 1, 2))
+
+    for sub, g in zip(subspaces, stacked(grams, [sub.basis for sub in subspaces])):
+        sub.__dict__["gram"] = g  # the cached_property's slot; the same bits it computes
+    spectra = stacked(np.linalg.eigh, [sub.gram for sub in subspaces])
+    return [_classification(sub, eigvals, eigvecs, tol_def, tol_rank)
+            for sub, (eigvals, eigvecs) in zip(subspaces, spectra)]
+
+
+def _classification(subspace: Subspace, eigvals: np.ndarray, eigvecs: np.ndarray,
+                    tol_def: float, tol_rank: float) -> Classification:
+    """The :class:`Classification` of a subspace whose Gram has the spectral
+    decomposition ``eigvals``, ``eigvecs`` (ascending, as ``eigh`` returns it)."""
+    values = eigvals.tolist()
+    margin = min(map(abs, values))
+    regular = margin > tol_def  # no eigenvalue in [-tol_def, tol_def]
+    gamma = smallest_nonzero_modulus(eigvals, tol_rank)
+    has_pos, has_neg = values[-1] > tol_def, values[0] < -tol_def
 
     witness = None
-    if pos.any() and neg.any():
+    if has_pos and has_neg:
         kind = SubspaceKind.INDEFINITE
         # Exact neutral combination of the extreme eigenvectors:
         # [w, w] = (-lam_minus) * lam_plus + lam_plus * lam_minus = 0.
@@ -141,10 +197,10 @@ def classify(subspace: Subspace, tol_def: float = TOL_DEF,
         combo = np.sqrt(-lam_minus) * eigvecs[:, -1] + np.sqrt(lam_plus) * eigvecs[:, 0]
         witness = subspace.embed(combo)
         witness = witness / np.linalg.norm(witness)
-    elif pos.any():
-        kind = SubspaceKind.UNIFORMLY_POSITIVE if not nul.any() else SubspaceKind.POSITIVE_NON_UNIFORM
-    elif neg.any():
-        kind = SubspaceKind.UNIFORMLY_NEGATIVE if not nul.any() else SubspaceKind.NEGATIVE_NON_UNIFORM
+    elif has_pos:
+        kind = SubspaceKind.UNIFORMLY_POSITIVE if regular else SubspaceKind.POSITIVE_NON_UNIFORM
+    elif has_neg:
+        kind = SubspaceKind.UNIFORMLY_NEGATIVE if regular else SubspaceKind.NEGATIVE_NON_UNIFORM
     else:
         kind = SubspaceKind.NEUTRAL
 
@@ -182,13 +238,18 @@ def regular_gram(subspace: Subspace, tol_def: float = TOL_DEF) -> np.ndarray:
     at most ``tol_def``, so that G^{-1} (and with it Q_W) is not defined.
     """
     g = subspace.gram
-    smin = float(np.min(np.abs(np.linalg.eigvalsh(g)))) if g.size else 0.0
-    if smin <= tol_def:
-        raise NotRegular(
-            f"subspace is degenerate: Gram smallest singular value {smin:.3e}",
-            smallest_singular_value=smin,
-        )
+    _require_regular(float(np.min(np.abs(np.linalg.eigvalsh(g)))) if g.size else 0.0, tol_def)
     return g
+
+
+def _require_regular(margin: float, tol_def: float) -> None:
+    """Raise :class:`NotRegular` when a Gram margin (smallest eigenvalue
+    modulus) is at most ``tol_def``."""
+    if margin <= tol_def:
+        raise NotRegular(
+            f"subspace is degenerate: Gram smallest singular value {margin:.3e}",
+            smallest_singular_value=margin,
+        )
 
 
 def j_projection(subspace: Subspace, tol_def: float = TOL_DEF) -> Operator:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._numeric import operator_norm, orth_columns, scaled_below_overflow
+from ._numeric import operator_norm, scaled_below_overflow
 from .core import TOL_DEF, TOL_RANK, KreinSpace, Operator, j_adjoint_matrix
 from .errors import (
     DimensionMismatch,
@@ -28,7 +28,16 @@ from .fusion import (
     make_weighted_family,
     verify_j_fusion_frame,
 )
-from .subspaces import Classification, Subspace, SubspaceKind, classify, j_projection, subspace_sum
+from .subspaces import (
+    Classification,
+    Subspace,
+    SubspaceKind,
+    _classify_all,
+    _images,
+    classify,
+    j_projection,
+    subspace_sum,
+)
 
 
 def _operator_matrix(operator, space: KreinSpace) -> np.ndarray:
@@ -47,11 +56,6 @@ def _operator_matrix(operator, space: KreinSpace) -> np.ndarray:
     return scaled_below_overflow(m)
 
 
-def _image_subspace(t: np.ndarray, sub: Subspace, tol_rank: float) -> Subspace:
-    cols = orth_columns(t @ sub.basis, tol_rank)
-    return Subspace(space=sub.space, basis=cols)
-
-
 def apply_operator(operator, family: WeightedSubspaceFamily, tol_def: float = TOL_DEF,
                    tol_rank: float = TOL_RANK) -> WeightedSubspaceFamily:
     """The image family {(T W_i, v_i)}.
@@ -61,8 +65,7 @@ def apply_operator(operator, family: WeightedSubspaceFamily, tol_def: float = TO
     happens for perfectly ordinary invertible operators.
     """
     t = _operator_matrix(operator, family.space)
-    images = [_image_subspace(t, sub, tol_rank) for sub in family.subspaces]
-    return make_weighted_family(images, family.weights, tol_def)
+    return make_weighted_family(_images(t, family.subspaces, tol_rank), family.weights, tol_def)
 
 
 @dataclass(frozen=True)
@@ -109,9 +112,14 @@ def preservation_audit(operator, family: WeightedSubspaceFamily, tol_def: float 
 
 
 def _transport(operator, family: WeightedSubspaceFamily, tol_def: float, tol_rank: float
-               ) -> tuple[PreservationReport, tuple[Subspace, ...], tuple[Classification, ...]]:
+               ) -> tuple[PreservationReport, tuple[Subspace, ...], tuple[Classification, ...],
+                          dict[str, Subspace]]:
     """:func:`preservation_audit`, with the entry images T W_i and their
-    classifications it computed, so that callers transport each entry once."""
+    classifications it computed (stacked by dimension), and, by label, the
+    span T M of the images of each nonempty sign class of the family, so
+    that callers transport and span each of them once.  T M is spanned from
+    the image bases, as the image family spans its own part spans.
+    """
     t = _operator_matrix(operator, family.space)
     svals = np.linalg.svd(t, compute_uv=False)
     if svals[0] == 0.0 or svals[-1] <= tol_rank * svals[0]:
@@ -119,8 +127,8 @@ def _transport(operator, family: WeightedSubspaceFamily, tol_def: float, tol_ran
             f"operator is numerically rank-deficient (sigma_min={svals[-1]:.3e})"
         )
 
-    images = tuple(_image_subspace(t, sub, tol_rank) for sub in family.subspaces)
-    classes = tuple(classify(image, tol_def) for image in images)
+    images = tuple(_images(t, family.subspaces, tol_rank))
+    classes = tuple(_classify_all(images, tol_def))
     sign_kind = {1: SubspaceKind.UNIFORMLY_POSITIVE, -1: SubspaceKind.UNIFORMLY_NEGATIVE}
     entries = []
     for i, (sub, image, cls) in enumerate(zip(family.subspaces, images, classes)):
@@ -135,18 +143,20 @@ def _transport(operator, family: WeightedSubspaceFamily, tol_def: float, tol_ran
             witness=cls.witness,
         ))
 
-    def span_image(part_span, positive: bool):
-        if part_span is None:
-            return None, family.space.num_positive == 0 if positive else family.space.num_negative == 0
-        image = _image_subspace(t, part_span, tol_rank)
-        cls = classify(image, tol_def)
-        ok = cls.maximal_definite and cls.kind is (
-            SubspaceKind.UNIFORMLY_POSITIVE if positive else SubspaceKind.UNIFORMLY_NEGATIVE
-        )
-        return cls, ok
+    spans = {label: subspace_sum(images[i] for i in indices)
+             for label, indices in (("positive", family.positive_indices),
+                                    ("negative", family.negative_indices)) if indices}
 
-    pos_cls, pos_ok = span_image(family.positive_span, positive=True)
-    neg_cls, neg_ok = span_image(family.negative_span, positive=False)
+    def span_image(label: str, required: int, kind: SubspaceKind):
+        if label not in spans:
+            return None, required == 0
+        cls = classify(spans[label], tol_def)
+        return cls, cls.maximal_definite and cls.kind is kind
+
+    pos_cls, pos_ok = span_image("positive", family.space.num_positive,
+                                 SubspaceKind.UNIFORMLY_POSITIVE)
+    neg_cls, neg_ok = span_image("negative", family.space.num_negative,
+                                 SubspaceKind.UNIFORMLY_NEGATIVE)
 
     report = PreservationReport(
         surjective=True,
@@ -156,7 +166,7 @@ def _transport(operator, family: WeightedSubspaceFamily, tol_def: float, tol_ran
         positive_span_ok=bool(pos_ok),
         negative_span_ok=bool(neg_ok),
     )
-    return report, images, classes
+    return report, images, classes, spans
 
 
 @dataclass(frozen=True)
@@ -180,26 +190,17 @@ class ImageCheckReport:
     image_report: JFusionReport | None
 
 
-def _original_decomposition_ok(images, family: WeightedSubspaceFamily, tol_def: float) -> bool:
-    """Whether the images, grouped by the original entry signs, span a maximal
-    uniformly positive and a maximal uniformly negative subspace."""
-    for indices, required, kind in (
-            (family.positive_indices, family.space.num_positive, SubspaceKind.UNIFORMLY_POSITIVE),
-            (family.negative_indices, family.space.num_negative, SubspaceKind.UNIFORMLY_NEGATIVE)):
-        if not indices:
-            if required != 0:
-                return False
-            continue
-        cls = classify(subspace_sum(images[i] for i in indices), tol_def)
-        if not (cls.kind is kind and cls.maximal_definite):
-            return False
-    return True
-
-
 def image_fusion_check(operator, family: WeightedSubspaceFamily, tol_def: float = TOL_DEF,
                        tol_rank: float = TOL_RANK) -> ImageCheckReport:
-    """Verify the image family and both sign-grouping decompositions."""
-    preservation, images, classes = _transport(operator, family, tol_def, tol_rank)
+    """Verify the image family and both sign-grouping decompositions.
+
+    The images grouped by the original signs decompose the space exactly
+    when the preservation audit finds T M+ and T M- maximal uniformly
+    definite, since T M+/- is the span of those images.  Where the images
+    keep the original signs, the image family's part spans are the same
+    spans, and are reused.
+    """
+    preservation, images, classes, spans = _transport(operator, family, tol_def, tol_rank)
 
     rejected_entry = None
     rejection_witness = None
@@ -211,10 +212,13 @@ def image_fusion_check(operator, family: WeightedSubspaceFamily, tol_def: float 
         rejected_entry = exc.index
         rejection_witness = exc.witness
     else:
+        if np.array_equal(image_family.signs, family.signs):
+            for label, image_span in spans.items():  # the cached_property's slot
+                image_family.__dict__[f"{label}_span"] = image_span
         image_report = verify_j_fusion_frame(image_family, tol_def, tol_rank)
         image_verdict = image_report.is_j_fusion_frame
 
-    decomposition_original = _original_decomposition_ok(images, family, tol_def)
+    decomposition_original = preservation.positive_span_ok and preservation.negative_span_ok
 
     if preservation.sufficient and not image_verdict:
         raise InternalInconsistency(
@@ -246,7 +250,7 @@ def projection_commutation_residual(operator, subspace: Subspace, tol_def: float
     """
     t = _operator_matrix(operator, subspace.space)
     q_v = j_projection(subspace, tol_def).matrix
-    image = _image_subspace(t, subspace, tol_rank)
+    image = _images(t, [subspace], tol_rank)[0]
     q_tv = j_projection(image, tol_def).matrix
     t_sharp = j_adjoint_matrix(t, subspace.space)
     lhs = q_v @ t_sharp

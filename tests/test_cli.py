@@ -30,7 +30,7 @@ def run_cli(capsys, *args):
 def test_verify_valid_fusion_family(capsys):
     code, report, err = run_cli(capsys, "verify", FIXTURES / "fusion_dim6.json")
     assert code == 0
-    assert report["report_version"] == 6
+    assert report["report_version"] == 7
     assert report["command"] == "verify"
     assert report["result"]["verdict"] is True
     assert report["result"]["oracle"]["agreement"] is True
@@ -460,12 +460,14 @@ def test_oracle_rejects_version_one_report(capsys, tmp_path):
     assert "$.report_version: unsupported report_version 1" in err
 
 
-@pytest.mark.parametrize("version", [2, 3, 4, 5])
+@pytest.mark.parametrize("version", [2, 3, 4, 5, 6])
 def test_oracle_rejects_superseded_report_version(capsys, tmp_path, version):
     """Version 2 re-encoded the problem; version 3 took near-neutral bounds
     through a QZ route, so they move on recomputation; version 4 took bases
     from a pivoted QR and version 5 dual-entry bases from an SVD, so
-    dual-entry bases move by a rotation."""
+    dual-entry bases move by a rotation; version 6 took the dual operator
+    residual through ||S^-1|| and entry Grams from strided bases, so
+    near-neutral dual results move."""
     report_file, doc = _saved_report(capsys, tmp_path)
     doc["report_version"] = version
     report_file.write_text(json.dumps(doc, indent=2))

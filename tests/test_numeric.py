@@ -10,7 +10,15 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import kreinframes as kf
-from kreinframes._numeric import block_diag, column_space, operator_norm, orth_columns
+from kreinframes._numeric import (
+    block_diag,
+    column_space,
+    column_spaces,
+    operator_norm,
+    operator_norms,
+    orth_columns,
+    stacked,
+)
 
 TOL_RANK = 1e-10
 PROJECTOR_TOL = 1e-12
@@ -139,6 +147,51 @@ def test_operator_norm_of_empty_zero_and_overflowing_matrices():
     assert operator_norm(np.array([[np.inf, 0.0]])) == np.inf
     assert operator_norm(np.full((2, 2), 8e307)) == pytest.approx(1.6e308, rel=1e-15)
     assert operator_norm(np.full((2, 3), 1e308)) == np.inf
+
+
+def test_operator_norms_of_a_stack_are_operator_norm_of_each():
+    rng = np.random.default_rng(5)
+    scales = np.array([1.0, 2.0**505, 2.0**-600, 0.0, 1.0, 3.0])
+    m = rng.standard_normal((6, 3, 7)) * scales[:, None, None]
+    assert np.array_equal(operator_norms(m), [operator_norm(x) for x in m])
+
+
+# Shapes that mix a single column (BLAS dot and gemv routes), small blocks and
+# a tall block, as entries of mixed dimension do.
+STACK_SHAPES = ((9, 1), (9, 2), (9, 1), (9, 3), (9, 2), (9, 1), (40, 7))
+
+
+def test_stacked_calls_give_the_bits_of_one_call_per_item():
+    """One call per shape on a stack computes what one call per item does."""
+    rng = np.random.default_rng(12)
+    mats = [rng.standard_normal(shape) for shape in STACK_SHAPES]
+    grams = [m.T @ m + np.eye(m.shape[1]) for m in mats]
+    t = rng.standard_normal((40, 40))
+    cases = (
+        (lambda a: np.linalg.svd(a, full_matrices=False), (mats,)),
+        (np.linalg.qr, (mats,)),
+        (np.linalg.eigh, (grams,)),
+        (np.linalg.solve, (grams, [m.T for m in mats])),
+        (lambda a: np.swapaxes(a, -1, -2) @ t[: a.shape[-2], : a.shape[-2]] @ a, (mats,)),
+    )
+    for fn, operands in cases:
+        for args, got in zip(zip(*operands), stacked(fn, *operands), strict=True):
+            want = fn(*args)
+            want = tuple(want) if isinstance(want, tuple) else (want,)
+            got = got if isinstance(got, tuple) else (got,)
+            assert all(np.array_equal(w, g) for w, g in zip(want, got, strict=True))
+
+
+def test_column_spaces_are_column_space_of_each():
+    rng = np.random.default_rng(8)
+    mats = [rng.standard_normal(shape) for shape in STACK_SHAPES]
+    mats[1] = np.hstack([mats[0], 2.0 * mats[0]])  # rank 1 of 2 columns
+    mats[3] = mats[3] * 2.0**600
+    mats.append(np.zeros((9, 0)))
+    for m, (basis, svals) in zip(mats, column_spaces(mats, TOL_RANK), strict=True):
+        ref_basis, ref_svals = column_space(m, TOL_RANK)
+        assert np.array_equal(basis, ref_basis) and np.array_equal(svals, ref_svals)
+    assert column_spaces(mats, TOL_RANK)[1][0].shape == (9, 1)
 
 
 def test_block_diag_places_blocks_on_the_diagonal():
