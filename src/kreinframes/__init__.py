@@ -5,7 +5,7 @@ involution J.  The package classifies subspaces by the sign behaviour of the
 product on them, verifies frame and fusion-frame conditions part by part,
 computes optimal bounds and singular-value estimates for them, builds
 canonical duals, and audits how bounded invertible operators transport
-these structures.  Slow, independently coded oracle routines back every
+these structures.  Independently coded oracle routines back every
 reported number, and a seeded generator produces problem instances with
 known ground truth.
 """

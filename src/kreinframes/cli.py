@@ -12,13 +12,13 @@ than the rounding error of the quantity allows, or a stored report does not
 match its own problem).  Valid input that is merely ill-conditioned does not
 exit 3.
 
-For problems of dimension at most eight the verifying commands re-derive
-every reported bound, margin, and reduced modulus through the independent
-oracle routes and refuse to answer (exit 3) if the fast path disagrees.
-Each bound is an extreme eigenvalue of a definite pencil, computed through
-a Cholesky factor; its algebraic oracle uses the spectral decomposition of
-the same Gram and is held to a tolerance from the pencil's conditioning
-(:func:`_algebraic_tolerance`), the sampled oracles to ``SAMPLED_TOL``.
+Every verifying command whose verdict is true checks each reported bound,
+and the margin and reduced modulus of each part span, by an inertia bracket
+(:func:`kreinframes.oracles.bracket_lowest`): two Cholesky factorizations
+of the shifted pencil decide whether the number is within its rounding
+width of the extreme eigenvalue it claims to be, at any dimension and
+without randomness.  ``classify`` checks each entry's margin against the
+singular values of its Gram.  A failed check exits 3.
 
 The environment variable KREINFRAME_TOLERANCE, when set to a float, becomes
 the default for both tolerance flags.
@@ -37,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import oracles
-from ._numeric import operator_norm
+from ._numeric import stacked
 from .core import TOL_DEF, TOL_RANK
 from .errors import (
     IndefiniteOrNeutralSubspace,
@@ -79,9 +79,6 @@ from .subspaces import (
 )
 from .transforms import image_fusion_check
 
-ORACLE_DIM_LIMIT = 8
-ALGEBRAIC_TOL = 1e-10
-SAMPLED_TOL = 1e-4
 # Relative tolerance of an ``oracle`` re-run on every stored number whose
 # rounding error has no larger bound (see :func:`run_oracle`), and the
 # largest it allows any number.
@@ -94,11 +91,6 @@ ORACLE_TOL_CAP = 1e-6
 BOUND_ROUNDING_FACTOR = 64.0
 # The slots of the bound four-tuple (B-, A-, A+, B+) that each part fills.
 BOUND_SLOTS = {"negative": (0, 1), "positive": (2, 3)}
-# Multiple of the first-order error bound of a definite pencil's eigenvalue
-# within which the Cholesky and spectral routes must agree; against an mpmath
-# referee on 576 generated pencils (n <= 8, tilts up to 1 - 1e-8) neither
-# route erred by more than 3.1 times that bound.
-PENCIL_BOUND_FACTOR = 16.0
 EPS = float(np.finfo(float).eps)
 
 
@@ -108,7 +100,6 @@ class Params:
 
     tol_def: float
     tol_rank: float
-    seed: int
 
 
 class Outcome(NamedTuple):
@@ -143,7 +134,7 @@ def _resolve_params(args: argparse.Namespace) -> Params:
     for name, value in (("--tol-def", tol_def), ("--tol-rank", tol_rank)):
         if not np.isfinite(value) or value <= 0.0:
             raise InputError(f"{name} must be a positive float, got {value!r}")
-    return Params(tol_def=tol_def, tol_rank=tol_rank, seed=args.seed)
+    return Params(tol_def=tol_def, tol_rank=tol_rank)
 
 
 # ---------------------------------------------------------------------------
@@ -154,76 +145,57 @@ def _compare(fast: float, slow: float, tol: float) -> bool:
     return abs(fast - slow) <= tol * (1.0 + abs(fast))
 
 
-def _algebraic_tolerance(lam: float, norm_a: float, norm_g: float, g_min: float) -> float:
-    """The relative tolerance at which two backward-stable routes must agree on
-    an eigenvalue ``lam`` of a definite pencil ``(A, G)`` with ``||A|| = norm_a``,
-    ``||G|| = norm_g`` and ``lambda_min(G) = g_min``: ``PENCIL_BOUND_FACTOR``
-    times the first-order error bound ``eps (||A|| + |lam| ||G||) / lambda_min(G)``
-    (Stewart and Sun, *Matrix Perturbation Theory*, ch. VI), taken relative to
-    ``1 + |lam|`` as :func:`_compare` does, and never below ``ALGEBRAIC_TOL``."""
-    bound = EPS * (norm_a + abs(lam) * norm_g) / g_min
-    return max(ALGEBRAIC_TOL, PENCIL_BOUND_FACTOR * bound / (1.0 + abs(lam)))
+def _bound_width(lam: float, beta: float, margin: float) -> float:
+    """The rounding width of a bound ``lam`` of a part with Gram margin
+    ``margin`` in a system with Bessel bound ``beta``.
+
+    The bound carries the rounding of the part-span basis its pencil is
+    written in, as well as of reducing that pencil; with the numerator
+    bounded by ``beta``, its first-order error is ``eps (beta + |lam|) /
+    margin``.  The width is ``BOUND_ROUNDING_FACTOR`` times that, and never
+    below ``ORACLE_TOL (1 + |lam|)``.
+    """
+    return max(ORACLE_TOL * (1.0 + abs(lam)),
+               BOUND_ROUNDING_FACTOR * EPS * (beta + abs(lam)) / margin)
 
 
-def _oracle_block(system, report, verdict: bool, params: Params) -> dict | None:
-    """Oracle cross-check of a verified frame or family (``system``) of dimension
-    at most ``ORACLE_DIM_LIMIT``: the bounds against both oracles on the pencils
-    the verification built, then the part-span moduli against sampling.  The
-    sampled pencil search is seeded, among its random samples, with the
-    extremal eigenvectors of the spectral reduction that the algebraic oracle
-    also uses; every sample is still a value of the ratio, so the search
-    cannot pass the true extrema, but on those seeds it re-checks the
-    algebraic route rather than searching independently of it."""
-    if system.space.dim > ORACLE_DIM_LIMIT or not verdict:
+def _modulus_width(value: float) -> float:
+    """The rounding width of a margin or reduced modulus ``value`` of the Gram
+    of an orthonormal basis, whose norm is at most 1: ``BOUND_ROUNDING_FACTOR
+    eps (1 + value)``."""
+    return BOUND_ROUNDING_FACTOR * EPS * (1.0 + value)
+
+
+def _oracle_block(report, verdict: bool, tol_rank: float) -> dict | None:
+    """Inertia brackets (:func:`oracles.bracket_lowest`) of what a verified
+    frame or family reports about its parts: each bound, as the lower or
+    upper extreme of its part pencil ``(A, G)`` within :func:`_bound_width`,
+    and the margin and reduced modulus of each part span, as the lowest
+    eigenvalue of ``(G, I)`` within :func:`_modulus_width` (``G`` is the
+    signed Gram, so it is positive definite).  The reduced modulus skips
+    eigenvalues up to ``tol_rank ||G||``, and ``||G|| <= 1``, so it is
+    bracketed only where the margin exceeds ``tol_rank``.  Returns the
+    half-width of each bracket by quantity; a bracket that fails raises
+    :class:`InternalInconsistency`."""
+    if not verdict:
         return None
-    seed = params.seed
-    checks = []
-    failures = []
+    checks = {}
     for label, (numerator, denominator) in report.pencils.items():
-        lo_slot, hi_slot = BOUND_SLOTS[label]
-        alg = oracles.rayleigh_extrema(numerator, denominator)
-        sam = oracles.rayleigh_extrema_sampled(numerator, denominator, seed=seed)
-        scales = (operator_norm(numerator), operator_norm(denominator),
-                  float(np.linalg.eigvalsh(denominator)[0]))
-        for which, fast, a, s in (("lower", report.bounds[lo_slot], alg[0], sam[0]),
-                                  ("upper", report.bounds[hi_slot], alg[1], sam[1])):
-            alg_ok = _compare(fast, a, _algebraic_tolerance(fast, *scales))
-            sam_ok = _compare(fast, s, SAMPLED_TOL)
-            checks.append({
-                "quantity": f"{label}_{which}_bound",
-                "fast": fast,
-                "algebraic": a,
-                "sampled": s,
-                "algebraic_ok": alg_ok,
-                "sampled_ok": sam_ok,
-            })
-            if not (alg_ok and sam_ok):
-                failures.append(f"{label} {which} bound: fast={fast!r} algebraic={a!r} sampled={s!r}")
-    for label, part, span_obj in (("positive", report.positive, system.positive_span),
-                                  ("negative", report.negative, system.negative_span)):
-        if part is None:
-            continue
-        margin, gamma = part.classification.margin, part.classification.gamma
-        brute_margin = oracles.min_singular_brute(span_obj.gram, seed=seed)
-        brute_gamma = oracles.gamma_brute(span_obj.gram, seed=seed)
-        margin_ok = _compare(margin, brute_margin, SAMPLED_TOL)
-        gamma_ok = _compare(gamma, brute_gamma, SAMPLED_TOL)
-        checks.append({
-            "quantity": f"{label}_span_moduli",
-            "margin_fast": margin,
-            "margin_sampled": brute_margin,
-            "gamma_fast": gamma,
-            "gamma_sampled": brute_gamma,
-            "margin_ok": margin_ok,
-            "gamma_ok": gamma_ok,
-        })
-        if not (margin_ok and gamma_ok):
-            failures.append(f"{label} span moduli: margin {margin!r} vs {brute_margin!r}, "
-                            f"gamma {gamma!r} vs {brute_gamma!r}")
-    if failures:
-        raise InternalInconsistency(
-            "fast path disagrees with oracle recomputation: " + "; ".join(failures)
-        )
+        part = getattr(report, label)
+        for which, sign, lam in (("lower", 1.0, part.ratio_range[0]),
+                                 ("upper", -1.0, part.ratio_range[1])):
+            quantity = f"{label}_{which}_bound"
+            delta = _bound_width(lam, report.bessel_bound, part.classification.margin)
+            oracles.bracket_lowest(sign * numerator, denominator, sign * lam, delta, quantity)
+            checks[quantity] = delta
+        identity = np.eye(denominator.shape[0])
+        moduli = ("margin", "gamma") if part.classification.margin > tol_rank else ("margin",)
+        for name in moduli:
+            quantity = f"{label}_span_{name}"
+            value = getattr(part.classification, name)
+            delta = _modulus_width(value)
+            oracles.bracket_lowest(denominator, identity, value, delta, quantity)
+            checks[quantity] = delta
     return {"checks": checks, "agreement": True}
 
 
@@ -240,11 +212,8 @@ def _bound_tolerances(key: str, report) -> dict[str, float]:
     ``result.<key>`` and, where a result repeats them per part, at
     ``result.<part>.ratio_range``.
 
-    A bound ``lam`` of a part with Gram margin ``m`` carries the rounding of
-    the part-span basis its pencil is written in, as well as of reducing
-    that pencil; with the numerator bounded by the Bessel bound ``beta``,
-    its first-order error is ``eps (beta + |lam|) / m``, and the tolerance
-    is ``BOUND_ROUNDING_FACTOR`` times that, relative to ``1 + |lam|``.
+    Each is held to its rounding width (:func:`_bound_width`) relative to
+    ``1 + |lam|``.
     """
     tols = {}
     for label, part in (("negative", report.negative), ("positive", report.positive)):
@@ -252,9 +221,9 @@ def _bound_tolerances(key: str, report) -> dict[str, float]:
             continue
         margin = part.classification.margin
         for i, (slot, lam) in enumerate(zip(BOUND_SLOTS[label], part.ratio_range)):
-            error = BOUND_ROUNDING_FACTOR * EPS * (report.bessel_bound + abs(lam)) / margin
+            width = _bound_width(lam, report.bessel_bound, margin)
             tols[f"result.{label}.ratio_range[{i}]"] = tols[f"result.{key}[{slot}]"] = _held(
-                error / (1.0 + abs(lam)))
+                width / (1.0 + abs(lam)))
     return tols
 
 
@@ -330,18 +299,17 @@ def run_classify(parsed: ParsedProblem, params: Params) -> Outcome:
         "negative_span": span_block(SubspaceKind.UNIFORMLY_NEGATIVE),
         "complete": oracles.completeness_check(all_subs, space, params.tol_rank),
     }
-    if space.dim <= ORACLE_DIM_LIMIT:
-        failures = []
-        for i, sub in enumerate(all_subs):
-            cls = entries[i]["classification"]
-            brute_margin = oracles.min_singular_brute(sub.gram, seed=params.seed)
-            if not _compare(cls.margin, brute_margin, SAMPLED_TOL):
-                failures.append(f"entry {i} margin {cls.margin!r} vs sampled {brute_margin!r}")
-        if failures:
+    checks = {}
+    smallest = stacked(lambda g: np.linalg.svd(g, compute_uv=False)[..., -1],
+                       [sub.gram for sub in all_subs])
+    for i, (cls, sigma) in enumerate(zip(classes, smallest)):
+        delta = _modulus_width(cls.margin)
+        if abs(float(sigma) - cls.margin) > delta:
             raise InternalInconsistency(
-                "fast path disagrees with oracle recomputation: " + "; ".join(failures)
-            )
-        result["oracle"] = {"agreement": True}
+                f"entry_{i}_margin {cls.margin!r}: the smallest singular value of the "
+                f"entry's Gram is {float(sigma)!r}, more than {delta!r} away")
+        checks[f"entry_{i}_margin"] = delta
+    result["oracle"] = {"checks": checks, "agreement": True}
     kinds = ",".join(e["classification"].kind.value for e in entries)
     return Outcome(result, 0, [f"classified {len(entries)} entries: {kinds}",
                                f"complete={result['complete']}"])
@@ -365,7 +333,7 @@ def run_verify(parsed: ParsedProblem, params: Params) -> Outcome:
         "negative": report.negative,
         "reasons": list(report.reasons),
         "projection_alignment": rps,
-        "oracle": _oracle_block(family, report, report.is_j_fusion_frame, params),
+        "oracle": _oracle_block(report, report.is_j_fusion_frame, params.tol_rank),
     }
     return Outcome(result, 0 if report.is_j_fusion_frame else 1,
                    _verdict_lines(report.is_j_fusion_frame, report),
@@ -391,7 +359,7 @@ def run_verify_frame(parsed: ParsedProblem, params: Params) -> Outcome:
         "positive": report.positive,
         "negative": report.negative,
         "reasons": list(report.reasons),
-        "oracle": _oracle_block(frame, report, report.is_j_frame, params),
+        "oracle": _oracle_block(report, report.is_j_frame, params.tol_rank),
     }
     return Outcome(result, 0 if report.is_j_frame else 1,
                    _verdict_lines(report.is_j_frame, report),
@@ -431,7 +399,6 @@ def run_bounds(parsed: ParsedProblem, params: Params) -> Outcome:
         report = verify_j_fusion_frame(family, params.tol_def, params.tol_rank)
         kind = "fusion"
         verdict = report.is_j_fusion_frame
-        oracle_block = _oracle_block(family, report, verdict, params)
     elif parsed.vectors is not None:
         try:
             frame = partition_by_sign(parsed.vectors, parsed.space, params.tol_def)
@@ -440,7 +407,6 @@ def run_bounds(parsed: ParsedProblem, params: Params) -> Outcome:
         report = verify_j_frame(frame, params.tol_def, params.tol_rank)
         kind = "frame"
         verdict = report.is_j_frame
-        oracle_block = _oracle_block(frame, report, verdict, params)
     else:
         raise InputError("problem has neither 'family' nor 'vectors'")
     result = {
@@ -450,7 +416,7 @@ def run_bounds(parsed: ParsedProblem, params: Params) -> Outcome:
         "bound_estimates": list(report.bound_estimates),
         "estimates_contain_optimal": _sandwich_flags(report.bounds, report.bound_estimates),
         "reasons": list(report.reasons),
-        "oracle": oracle_block,
+        "oracle": _oracle_block(report, verdict, params.tol_rank),
     }
     return Outcome(result, 0 if verdict else 1,
                    [f"{kind} bounds={report.bounds} estimates={report.bound_estimates}"],
@@ -575,19 +541,13 @@ def run_oracle(report_doc: dict, parsed: ParsedProblem) -> Outcome:
     if command not in COMMAND_CORES:
         raise InputError(f"cannot re-derive reports for command {command!r}")
     stored_params = report_doc["parameters"]
-    for key in ("tol_def", "tol_rank", "seed"):
+    for key in ("tol_def", "tol_rank"):
         if key not in stored_params:
             raise SchemaError(f"missing parameter {key!r}", "$.parameters")
-    for key in ("tol_def", "tol_rank"):
         if not (is_finite_number(stored_params[key]) and stored_params[key] > 0):
             raise SchemaError("expected a positive finite number", f"$.parameters.{key}")
-    if not is_finite_number(stored_params["seed"]):
-        raise SchemaError("expected a finite number", "$.parameters.seed")
-    params = Params(
-        tol_def=float(stored_params["tol_def"]),
-        tol_rank=float(stored_params["tol_rank"]),
-        seed=int(stored_params["seed"]),
-    )
+    params = Params(tol_def=float(stored_params["tol_def"]),
+                    tol_rank=float(stored_params["tol_rank"]))
     fresh = COMMAND_CORES[command](parsed, params)
     diffs: list[str] = []
     _compare_trees(report_doc["result"], jsonify(fresh.result), "result", diffs, fresh.tolerances)
@@ -654,7 +614,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="definiteness decision tolerance (default 1e-10)")
     common.add_argument("--tol-rank", type=float, default=None,
                         help="relative rank cutoff (default 1e-10)")
-    common.add_argument("--seed", type=int, default=0, help="seed for sampled oracles")
     common.add_argument("-o", "--output", default=None, help="also write the report here")
 
     for name, help_text in (
@@ -673,6 +632,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("problem", help="report JSON file", metavar="report")
 
     g = sub.add_parser("gen", parents=[common], help="generate a seeded problem instance")
+    g.add_argument("--seed", type=int, default=0, help="generator seed")
     g.add_argument("--kind", choices=["fusion", "frame"], default="fusion")
     g.add_argument("--n", type=int, default=4, help="ambient dimension")
     g.add_argument("--p", type=int, default=2, help="positive signature")

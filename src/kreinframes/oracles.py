@@ -1,13 +1,14 @@
-"""Slow, independent cross-checks for the fast linear-algebra paths.
+"""Independent cross-checks for the fast linear-algebra paths.
 
 Every quantity the package computes through a structured eigen-solver can be
-re-derived here either by a different algebraic reduction (the spectral
-congruence of the denominator, where the fast path uses its Cholesky factor)
-or by brute force (dense sampling of the unit sphere followed by
-a derivative-free shrinking-radius refinement).  The sampling routes share no
-code with the fast paths beyond elementary matrix products, which is the
-point: agreement between the two is evidence, disagreement is an internal
-inconsistency.
+checked here without an eigensolver (:func:`bracket_lowest`, an inertia test
+by two Cholesky factorizations), re-derived by a different algebraic
+reduction (the spectral congruence of the denominator, where the fast path
+uses its Cholesky factor), or found by brute force (dense sampling of the
+unit sphere followed by a derivative-free shrinking-radius refinement).  The
+sampling routes share no code with the fast paths beyond elementary matrix
+products, which is the point: agreement between the two is evidence,
+disagreement is an internal inconsistency.
 """
 
 from __future__ import annotations
@@ -16,9 +17,10 @@ import numpy as np
 
 from ._numeric import as_matrix, orth_columns
 from .core import TOL_RANK, KreinSpace
-from .errors import DimensionMismatch, NotPositiveDefinite
+from .errors import DimensionMismatch, InternalInconsistency, NotPositiveDefinite
 
 __all__ = [
+    "bracket_lowest",
     "rayleigh_extrema",
     "rayleigh_extrema_sampled",
     "gamma_brute",
@@ -74,6 +76,41 @@ def _pencil(a, g) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if np.any(lam <= 0.0):
         raise NotPositiveDefinite("denominator matrix is not positive definite")
     return 0.5 * (a + a.T), g, v / np.sqrt(lam)
+
+
+def _has_cholesky(m: np.ndarray) -> bool:
+    try:
+        np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def bracket_lowest(a, g, lam: float, delta: float, what: str = "value") -> None:
+    """Check that ``lam`` is within ``delta`` of the smallest eigenvalue of the
+    symmetric-definite pencil ``(a, g)``; an upper extreme ``lam`` of
+    ``(a, g)`` is checked as the smallest eigenvalue ``-lam`` of ``(-a, g)``.
+
+    By Sylvester's law of inertia, with ``g`` positive definite every
+    eigenvalue exceeds ``s`` exactly when ``a - s g`` is positive definite,
+    which a Cholesky factorization decides (Parlett, *The Symmetric
+    Eigenvalue Problem*, ch. 3).  So ``a - (lam - delta) g`` must have a
+    Cholesky factor and ``a - (lam + delta) g`` must not; ``delta`` has to
+    cover the rounding of both factorizations (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, ch. 10).  Any other outcome, or a
+    ``g`` without a Cholesky factor, raises :class:`InternalInconsistency`
+    naming ``what``.
+    """
+    a = 0.5 * (a + a.T)
+    g = 0.5 * (g + g.T)
+    if not _has_cholesky(g):
+        raise InternalInconsistency(f"{what}: pencil denominator is not positive definite")
+    if not _has_cholesky(a - (lam - delta) * g):
+        raise InternalInconsistency(f"{what} {lam!r}: the pencil has an eigenvalue "
+                                    f"more than {delta!r} below it")
+    if _has_cholesky(a - (lam + delta) * g):
+        raise InternalInconsistency(f"{what} {lam!r}: every eigenvalue of the pencil "
+                                    f"is more than {delta!r} above it")
 
 
 def rayleigh_extrema(a, g) -> tuple[float, float]:

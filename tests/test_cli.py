@@ -30,7 +30,7 @@ def run_cli(capsys, *args):
 def test_verify_valid_fusion_family(capsys):
     code, report, err = run_cli(capsys, "verify", FIXTURES / "fusion_dim6.json")
     assert code == 0
-    assert report["report_version"] == 7
+    assert report["report_version"] == 8
     assert report["command"] == "verify"
     assert report["result"]["verdict"] is True
     assert report["result"]["oracle"]["agreement"] is True
@@ -202,9 +202,9 @@ def test_oracle_detects_tampered_verdict(capsys, tmp_path):
 
 
 def _near_neutral_problem(tmp_path, kind: str) -> Path:
-    """A generated problem at n = 16, above the oracle block's dimension limit,
-    whose parts are barely definite (tilt 0.9999999); a family has one entry
-    that fills each part span and one that does not."""
+    """A generated problem at n = 16 whose parts are barely definite (tilt
+    0.9999999); a family has one entry that fills each part span and one
+    that does not."""
     dims = {"entry_dims_positive": (8, 4), "entry_dims_negative": (8, 4)} if kind == "fusion" else {}
     cfg = kf.GeneratorConfig(kind=kind, seed=1, dim=16, num_positive=8, tilt=0.9999999,
                              rotate=True, **dims)
@@ -238,7 +238,7 @@ def test_oracle_allows_each_number_its_rounding_error(capsys, tmp_path, kind, co
     report_file = tmp_path / "report.json"
     code, _, err = run_cli(capsys, command, problem, "-o", report_file)
     assert code == 0, err
-    outcome = cli.COMMAND_CORES[command](kf.load_problem(problem), cli.Params(1e-10, 1e-10, 0))
+    outcome = cli.COMMAND_CORES[command](kf.load_problem(problem), cli.Params(1e-10, 1e-10))
     path, tol = max(((p, t) for p, t in outcome.tolerances.items() if key in p),
                     key=lambda item: item[1])
     assert 2 * cli.ORACLE_TOL < tol <= cli.ORACLE_TOL_CAP
@@ -258,7 +258,7 @@ def test_oracle_tolerances_on_near_neutral_parts_stay_small(tmp_path, kind):
     a bound is held to at most 1e-6 relative, r' to at most 1e-7, and a
     ``dual`` result to ``ORACLE_TOL`` throughout."""
     parsed = kf.load_problem(_near_neutral_problem(tmp_path, kind))
-    params = cli.Params(1e-10, 1e-10, 0)
+    params = cli.Params(1e-10, 1e-10)
     tolerances = cli.COMMAND_CORES["bounds"](parsed, params).tolerances
     assert len(tolerances) == 8 and max(tolerances.values()) <= 1e-6
     if kind == "fusion":
@@ -293,6 +293,58 @@ def test_oracle_refuses_near_neutral_number_moved_twofold(capsys, tmp_path, kind
     assert key in err
 
 
+QUANTITIES = ("negative_lower_bound", "negative_upper_bound",
+              "positive_lower_bound", "positive_upper_bound")
+
+
+@pytest.mark.parametrize("slot", range(4))
+@pytest.mark.parametrize("kind", ["fusion", "frame"])
+@pytest.mark.parametrize("n", [6, 16])
+def test_oracle_block_refuses_a_moved_bound(capsys, tmp_path, monkeypatch, n, kind, slot):
+    """A pencil route that moves one bound by four times the half-width of its
+    bracket makes the verifying command exit 3, at every dimension."""
+    problem = tmp_path / "problem.json"
+    cfg = kf.GeneratorConfig(kind=kind, seed=n, dim=n, num_positive=n // 2, rotate=True)
+    problem.write_text(json.dumps(kf.gen_problem(cfg)))
+    command = "verify" if kind == "fusion" else "verify-frame"
+    code, report, err = run_cli(capsys, command, problem)
+    assert code == 0, err
+    delta = report["result"]["oracle"]["checks"][QUANTITIES[slot]]
+    exact = kf.frames.definite_pair_extrema
+
+    def moved(a, g):
+        extrema = list(exact(a, g))
+        if (extrema[1] > 0) == (slot >= 2):  # the pencil of the part that holds the slot
+            extrema[slot % 2] += 4.0 * delta
+        return tuple(extrema)
+
+    monkeypatch.setattr(kf.frames, "definite_pair_extrema", moved)
+    code, _, err = run_cli(capsys, command, problem)
+    assert code == 3
+    assert QUANTITIES[slot] in err
+
+
+@pytest.mark.parametrize("kind", ["fusion", "frame"])
+def test_oracle_block_brackets_gamma_only_above_the_rank_cutoff(capsys, tmp_path, kind):
+    """With ``--tol-def`` below ``--tol-rank``, a part whose Gram margin is
+    under the rank cutoff verifies, and its reduced modulus is the next
+    eigenvalue rather than the lowest: the block brackets the margin alone
+    and does not exit 3."""
+    problem = tmp_path / "problem.json"
+    cfg = kf.GeneratorConfig(kind=kind, seed=0, dim=6, num_positive=3, tilt=1.0 - 1e-11,
+                             rotate=True)
+    problem.write_text(json.dumps(kf.gen_problem(cfg)))
+    report_file = tmp_path / "report.json"
+    command = "verify" if kind == "fusion" else "verify-frame"
+    code, report, err = run_cli(capsys, command, problem, "--tol-def", "1e-14", "-o", report_file)
+    assert code == 0, err
+    classification = report["result"]["positive"]["classification"]
+    assert classification["margin"] < 1e-10 < classification["gamma"]
+    assert "positive_span_margin" in report["result"]["oracle"]["checks"]
+    assert "positive_span_gamma" not in report["result"]["oracle"]["checks"]
+    assert run_cli(capsys, "oracle", report_file)[0] == 0
+
+
 # ---------------------------------------------------------------------------
 # parameters, output, and failure modes
 
@@ -306,18 +358,17 @@ def test_output_file_matches_stdout(capsys, tmp_path):
 
 def test_tolerance_flags_recorded_in_report(capsys):
     code, report, _ = run_cli(capsys, "verify", FIXTURES / "fusion_dim6.json",
-                              "--tol-def", "1e-8", "--seed", "5")
+                              "--tol-def", "1e-8")
     assert code == 0
     params = report["parameters"]
     assert params["tol_def"] == 1e-8
-    assert params["seed"] == 5
 
 
 def test_tolerance_env_override(capsys, monkeypatch):
     monkeypatch.setenv("KREINFRAME_TOLERANCE", "1e-7")
     code, report, _ = run_cli(capsys, "verify", FIXTURES / "fusion_dim6.json")
     assert code == 0
-    assert report["parameters"] == {"tol_def": 1e-7, "tol_rank": 1e-7, "seed": 0}
+    assert report["parameters"] == {"tol_def": 1e-7, "tol_rank": 1e-7}
 
 
 def test_flag_beats_env(capsys, monkeypatch):
@@ -398,7 +449,6 @@ def test_oracle_rejects_overflowing_number_in_embedded_problem(capsys, tmp_path)
     ("tol_rank", "1" + "0" * 400, "expected a positive finite number"),
     ("tol_rank", "0", "expected a positive finite number"),
     ("tol_def", "-1.0", "expected a positive finite number"),
-    ("seed", "1e400", "expected a finite number"),
 ])
 def test_oracle_rejects_bad_stored_parameter(capsys, tmp_path, key, literal, message):
     report_file, doc = _saved_report(capsys, tmp_path)
@@ -460,14 +510,15 @@ def test_oracle_rejects_version_one_report(capsys, tmp_path):
     assert "$.report_version: unsupported report_version 1" in err
 
 
-@pytest.mark.parametrize("version", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("version", [2, 3, 4, 5, 6, 7])
 def test_oracle_rejects_superseded_report_version(capsys, tmp_path, version):
     """Version 2 re-encoded the problem; version 3 took near-neutral bounds
     through a QZ route, so they move on recomputation; version 4 took bases
     from a pivoted QR and version 5 dual-entry bases from an SVD, so
     dual-entry bases move by a rotation; version 6 took the dual operator
     residual through ||S^-1|| and entry Grams from strided bases, so
-    near-neutral dual results move."""
+    near-neutral dual results move; version 7 stored the sampled oracle's
+    values and a ``seed`` parameter, which no command reads any more."""
     report_file, doc = _saved_report(capsys, tmp_path)
     doc["report_version"] = version
     report_file.write_text(json.dumps(doc, indent=2))
@@ -495,7 +546,7 @@ def test_oracle_validates_the_embedded_problem_once(capsys, tmp_path, monkeypatc
 
 def test_report_parameters_are_the_live_ones(capsys):
     _, report, _ = run_cli(capsys, "verify", FIXTURES / "fusion_dim6.json")
-    assert report["parameters"] == {"tol_def": 1e-10, "tol_rank": 1e-10, "seed": 0}
+    assert report["parameters"] == {"tol_def": 1e-10, "tol_rank": 1e-10}
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +679,7 @@ def test_near_neutral_sweep_exits_zero(capsys, tmp_path, kind, instance_seed):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     kind=st.sampled_from(["fusion", "frame"]),
-    dim=st.integers(min_value=2, max_value=8),
+    dim=st.integers(min_value=2, max_value=16),
     p_offset=st.integers(min_value=0, max_value=6),
     neutrality=st.floats(min_value=0.0, max_value=9.0),
     rotate=st.booleans(),
@@ -637,8 +688,9 @@ def test_near_neutral_sweep_exits_zero(capsys, tmp_path, kind, instance_seed):
 )
 def test_generated_exit_codes_follow_the_plant(capsys, tmp_path, kind, dim, p_offset,
                                                neutrality, rotate, plant, instance_seed):
-    """Tilts from 0 to 1 - 1e-9 (``neutrality`` is -log10(1 - tilt)): a sound
-    problem exits 0 and a deficient one 1, and no run exits 3."""
+    """Dimensions 2 to 16 and tilts from 0 to 1 - 1e-9 (``neutrality`` is
+    -log10(1 - tilt)): a sound problem exits 0 and a deficient one 1, and no
+    run exits 3, although the oracle block brackets every bound."""
     low = 2 if plant == "deficient" else 0
     num_positive = low + p_offset % (dim - low + 1)
     cfg = kf.GeneratorConfig(kind=kind, seed=instance_seed, dim=dim, num_positive=num_positive,

@@ -87,6 +87,25 @@ def test_sampled_extrema_reach_nearly_degenerate_extremes():
             assert abs(shi - hi) <= SAMPLED_TOL * (1 + abs(hi))
 
 
+def test_bracket_lowest_holds_an_extreme_within_its_width():
+    """A value of ``rayleigh_extrema`` is bracketed, the upper one through the
+    mirrored pencil; a value moved by twice the half-width is not, and a
+    denominator that is not positive definite is refused."""
+    rng = np.random.default_rng(SEED + 5)
+    a = rng.standard_normal((5, 5))
+    a = a + a.T
+    g = _random_spd(rng, 5)
+    lo, hi = oracles.rayleigh_extrema(a, g)
+    for sign, value in ((1.0, lo), (-1.0, hi)):
+        delta = 1e-8 * (1.0 + abs(value))
+        oracles.bracket_lowest(sign * a, g, sign * value, delta)
+        for moved in (sign * value - 2.0 * delta, sign * value + 2.0 * delta):
+            with pytest.raises(kf.InternalInconsistency):
+                oracles.bracket_lowest(sign * a, g, moved, delta)
+    with pytest.raises(kf.InternalInconsistency, match="not positive definite"):
+        oracles.bracket_lowest(np.eye(2), np.diag([1.0, -1.0]), 1.0, 0.5)
+
+
 def test_min_max_singular_brute_vs_svd():
     rng = np.random.default_rng(SEED + 2)
     m = rng.standard_normal((4, 3))

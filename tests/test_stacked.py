@@ -83,7 +83,7 @@ def test_classify_command_is_classify_entry_by_entry(n, tilt):
     doc = {"dimension": n, "J": {"type": "matrix", "rows": space.symmetry.tolist()},
            "family": {"entries": [{"basis": r.tolist(), "weight": float(w)}
                                   for r, w in zip(rows, weights)]}}
-    outcome = cli.run_classify(kf.parse_problem(doc), cli.Params(kf.TOL_DEF, kf.TOL_RANK, 0))
+    outcome = cli.run_classify(kf.parse_problem(doc), cli.Params(kf.TOL_DEF, kf.TOL_RANK))
     parsed = kf.parse_problem(doc)
     for entry, (r, _) in zip(outcome.result["entries"], parsed.entries, strict=True):
         ref = kf.classify(kf.span(r, parsed.space))
@@ -189,7 +189,7 @@ def test_span_residual_formula_away_from_zero(seed):
 def test_dual_runs_wherever_verify_passes_on_rotated_spans(n, tilt):
     """``dual`` refused near-neutral families depending on how the entries'
     spans were written; its part spans now come without a rank decision."""
-    params = cli.Params(kf.TOL_DEF, kf.TOL_RANK, 0)
+    params = cli.Params(kf.TOL_DEF, kf.TOL_RANK)
     for seed in range(6):
         rows, weights, space = _problem(n, tilt, seed)
         doc = {"dimension": n, "J": {"type": "matrix", "rows": space.symmetry.tolist()},
