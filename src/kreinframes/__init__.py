@@ -88,7 +88,6 @@ from .fusion import (
     part_pencils,
     verify_j_fusion_frame,
 )
-from .generator import KINDS, PLANTS, GeneratorConfig, gen_family, gen_frame, gen_problem, validate_config
 from .problem_io import (
     ParsedProblem,
     dumps_canonical,
@@ -132,6 +131,11 @@ from . import oracles
 
 __version__ = "0.1.0"
 
+# Only ``gen`` needs the generator, so it is imported on first use of one of
+# its names (PEP 562), not by every command.
+_GENERATOR_NAMES = ("GeneratorConfig", "validate_config", "gen_problem", "gen_family",
+                    "gen_frame", "PLANTS", "KINDS")
+
 __all__ = [
     "__version__",
     # core
@@ -173,8 +177,7 @@ __all__ = [
     "preservation_audit", "ImageCheckReport", "image_fusion_check",
     "projection_commutation_residual",
     # generator
-    "GeneratorConfig", "validate_config", "gen_problem", "gen_family",
-    "gen_frame", "PLANTS", "KINDS",
+    *_GENERATOR_NAMES,
     # problem_io
     "ParsedProblem", "parse_problem", "load_problem", "parse_report",
     "load_report", "loads_strict", "jsonify", "dumps_canonical", "save_json",
@@ -182,3 +185,14 @@ __all__ = [
     # oracle submodule
     "oracles",
 ]
+
+
+def __getattr__(name: str):
+    if name in _GENERATOR_NAMES:
+        from . import generator
+        return getattr(generator, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()).union(_GENERATOR_NAMES))

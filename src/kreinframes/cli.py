@@ -24,10 +24,7 @@ The environment variable KREINFRAME_TOLERANCE, when set to a float, becomes
 the default for both tolerance flags.
 """
 
-from __future__ import annotations
-
 import argparse
-import dataclasses
 import functools
 import os
 import sys
@@ -59,7 +56,6 @@ from .fusion import (
     fusion_dual_diagnostics,
     verify_j_fusion_frame,
 )
-from .generator import GeneratorConfig, gen_problem
 from .problem_io import (
     ParsedProblem,
     dumps_canonical,
@@ -94,8 +90,7 @@ BOUND_SLOTS = {"negative": (0, 1), "positive": (2, 3)}
 EPS = float(np.finfo(float).eps)
 
 
-@dataclasses.dataclass(frozen=True)
-class Params:
+class Params(NamedTuple):
     """The parameters of a command, written into its report in this order."""
 
     tol_def: float
@@ -376,17 +371,20 @@ def _verdict_lines(verdict: bool, report) -> list[str]:
     return lines
 
 
-def _sandwich_flags(bounds, estimates, slack: float = 1e-9) -> dict:
+def _sandwich_flags(report) -> dict:
+    """Whether the estimate interval of each part with bounds contains its
+    optimal interval, each bound taken within its own rounding width
+    (:func:`_bound_width`): on an untilted part the two intervals are equal
+    in exact arithmetic, so a fixed slack would decide by the scale alone."""
     ok = {}
-    # estimate interval must contain the optimal interval per part
-    pairs = (
-        ("negative", bounds[0], bounds[1], estimates[0], estimates[1]),
-        ("positive", bounds[2], bounds[3], estimates[2], estimates[3]),
-    )
-    for label, lo_opt, hi_opt, lo_est, hi_est in pairs:
-        if lo_opt is None or lo_est is None:
+    for label, (lo_slot, hi_slot) in BOUND_SLOTS.items():
+        lo, hi = report.bounds[lo_slot], report.bounds[hi_slot]
+        lo_est, hi_est = report.bound_estimates[lo_slot], report.bound_estimates[hi_slot]
+        if lo is None or lo_est is None:
             continue
-        ok[label] = bool(lo_est <= lo_opt + slack and hi_opt <= hi_est + slack)
+        margin = getattr(report, label).classification.margin
+        ok[label] = bool(lo_est <= lo + _bound_width(lo, report.bessel_bound, margin)
+                         and hi <= hi_est + _bound_width(hi, report.bessel_bound, margin))
     return ok
 
 
@@ -414,7 +412,7 @@ def run_bounds(parsed: ParsedProblem, params: Params) -> Outcome:
         "verdict": verdict,
         "bounds": list(report.bounds),
         "bound_estimates": list(report.bound_estimates),
-        "estimates_contain_optimal": _sandwich_flags(report.bounds, report.bound_estimates),
+        "estimates_contain_optimal": _sandwich_flags(report),
         "reasons": list(report.reasons),
         "oracle": _oracle_block(report, verdict, params.tol_rank),
     }
@@ -685,6 +683,8 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "gen":
+            from .generator import GeneratorConfig, gen_problem  # only gen pays its import
+
             params = _resolve_params(args)
             cfg = GeneratorConfig(
                 kind=args.kind,
@@ -711,14 +711,14 @@ def main(argv=None) -> int:
         if args.command == "oracle":
             report_doc, parsed = load_report(args.problem)
             result, code, lines, _ = run_oracle(report_doc, parsed)
-            out = make_report("oracle", parsed, dataclasses.asdict(params), result)
+            out = make_report("oracle", parsed, params._asdict(), result)
             _emit(out, args.output)
             _summarize(lines)
             return code
 
         parsed = load_problem(args.problem)
         result, code, lines, _ = COMMAND_CORES[args.command](parsed, params)
-        report = make_report(args.command, parsed, dataclasses.asdict(params), result)
+        report = make_report(args.command, parsed, params._asdict(), result)
         _emit(report, args.output)
         _summarize(lines)
         return code

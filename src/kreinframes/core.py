@@ -9,7 +9,6 @@ orthonormal in the plain Euclidean sense.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -27,7 +26,6 @@ TOL_DEF = 1e-10
 TOL_RANK = 1e-10
 
 
-@dataclass(frozen=True)
 class KreinSpace:
     """R^n with the indefinite product ``[x, y] = x^T J y``.
 
@@ -42,10 +40,11 @@ class KreinSpace:
         eigenspaces of J.
     """
 
-    symmetry: np.ndarray
-    dim: int
-    num_positive: int
-    num_negative: int
+    def __init__(self, symmetry: np.ndarray, dim: int, num_positive: int, num_negative: int):
+        self.symmetry = symmetry
+        self.dim = dim
+        self.num_positive = num_positive
+        self.num_negative = num_negative
 
     @cached_property
     def positive_projector(self) -> np.ndarray:
@@ -154,20 +153,17 @@ def indefinite_product(x, y, space: KreinSpace) -> float:
     return float(xv @ space.symmetry @ yv)
 
 
-@dataclass(frozen=True)
 class Operator:
     """A linear operator on a space, stored as its matrix."""
 
-    space: KreinSpace
-    matrix: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        m = as_matrix(self.matrix, "operator matrix")
-        if m.shape != (self.space.dim, self.space.dim):
+    def __init__(self, space: KreinSpace, matrix):
+        m = as_matrix(matrix, "operator matrix")
+        if m.shape != (space.dim, space.dim):
             raise DimensionMismatch(
-                f"operator matrix has shape {m.shape}, expected square of size {self.space.dim}"
+                f"operator matrix has shape {m.shape}, expected square of size {space.dim}"
             )
-        object.__setattr__(self, "matrix", m)
+        self.space = space
+        self.matrix = m
 
     def __call__(self, x) -> np.ndarray:
         return self.matrix @ as_vector(x, self.space.dim, "x")

@@ -13,10 +13,8 @@ ratio over the negative span (both entries negative, ``B- <= A- < 0``).
 Missing parts contribute ``None`` slots.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,13 +41,13 @@ from .subspaces import Classification, Subspace, SubspaceKind, classify, smalles
 Bounds4 = tuple[float | None, float | None, float | None, float | None]
 
 
-@dataclass(frozen=True)
 class VectorFrame:
     """A sign-partitioned vector sequence (rows of ``vectors``)."""
 
-    space: KreinSpace
-    vectors: np.ndarray = field(repr=False)
-    signs: np.ndarray = field(repr=False)
+    def __init__(self, space: KreinSpace, vectors: np.ndarray, signs: np.ndarray):
+        self.space = space
+        self.vectors = vectors
+        self.signs = signs
 
     @property
     def size(self) -> int:
@@ -165,8 +163,7 @@ def _validate_indices(frame: VectorFrame, indices) -> list[int]:
     return idx
 
 
-@dataclass(frozen=True)
-class PartReport:
+class PartReport(NamedTuple):
     """Verification data for one sign class of a frame or a fusion family."""
 
     indices: tuple[int, ...]
@@ -182,8 +179,7 @@ class PartReport:
         return self.dim_ok and self.kind_ok
 
 
-@dataclass(frozen=True)
-class JFrameReport:
+class JFrameReport(NamedTuple):
     """Verdict, bounds and estimates of a vector frame.
 
     ``pencils`` holds the Rayleigh pencils the bounds were computed from, as
@@ -199,9 +195,9 @@ class JFrameReport:
     bound_estimates: Bounds4
     condition_number: float | None
     reasons: tuple[str, ...]
-    pencils: dict = field(repr=False, compare=False)
-    operator: np.ndarray | None = field(default=None, repr=False, compare=False)
-    singular_values: np.ndarray | None = field(default=None, repr=False, compare=False)
+    pencils: dict
+    operator: np.ndarray | None = None
+    singular_values: np.ndarray | None = None
 
 
 # One nonempty sign class: indices, span, signed Rayleigh pencil
@@ -444,8 +440,7 @@ def _canonical_dual_of_verified(frame: VectorFrame, report: JFrameReport,
     return partition_by_sign(dual_vectors, frame.space, tol_def)
 
 
-@dataclass(frozen=True)
-class ReciprocityReport:
+class ReciprocityReport(NamedTuple):
     """Comparison of dual-frame bounds against the reciprocals of the originals.
 
     The reciprocal pattern maps the ascending tuple (B-, A-, A+, B+) to

@@ -15,10 +15,8 @@ Bound conventions match :mod:`kreinframes.frames`: ascending four-tuples
 ``(B-, A-, A+, B+)`` with ``None`` slots for missing parts.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,15 +61,16 @@ from .subspaces import (
     subspace_sum,
 )
 
-@dataclass(frozen=True)
 class WeightedSubspaceFamily:
     """Finitely many uniformly definite subspaces with positive weights."""
 
-    space: KreinSpace
-    subspaces: tuple[Subspace, ...]
-    weights: np.ndarray = field(repr=False)
-    signs: np.ndarray = field(repr=False)
-    entry_classifications: tuple[Classification, ...] = field(repr=False)
+    def __init__(self, space: KreinSpace, subspaces: tuple[Subspace, ...], weights: np.ndarray,
+                 signs: np.ndarray, entry_classifications: tuple[Classification, ...]):
+        self.space = space
+        self.subspaces = subspaces
+        self.weights = weights
+        self.signs = signs
+        self.entry_classifications = entry_classifications
 
     @property
     def size(self) -> int:
@@ -180,7 +179,6 @@ def family_from_spans(entry_vectors, weights, space: KreinSpace,
     return make_weighted_family(_spans(columns, space, tol_rank), weights, tol_def)
 
 
-@dataclass(frozen=True)
 class DirectSumSpace:
     """Coordinate model of the external direct sum of the entries.
 
@@ -192,10 +190,12 @@ class DirectSumSpace:
     pairing.
     """
 
-    family: WeightedSubspaceFamily
-    symmetry: np.ndarray = field(repr=False)
-    indefinite_gram: np.ndarray = field(repr=False)
-    hilbert_gram: np.ndarray = field(repr=False)
+    def __init__(self, family: WeightedSubspaceFamily, symmetry: np.ndarray,
+                 indefinite_gram: np.ndarray, hilbert_gram: np.ndarray):
+        self.family = family
+        self.symmetry = symmetry
+        self.indefinite_gram = indefinite_gram
+        self.hilbert_gram = hilbert_gram
 
     @property
     def dim(self) -> int:
@@ -292,8 +292,7 @@ def bessel_bound(family: WeightedSubspaceFamily) -> float:
     return _bessel_bound(fusion_synthesis(family))
 
 
-@dataclass(frozen=True)
-class JFusionReport:
+class JFusionReport(NamedTuple):
     """Verdict, bounds and estimates of a weighted family.
 
     ``pencils`` holds the Rayleigh pencils the bounds were computed from, as
@@ -308,7 +307,7 @@ class JFusionReport:
     bound_estimates: Bounds4
     complete: bool
     reasons: tuple[str, ...]
-    pencils: dict = field(repr=False, compare=False)
+    pencils: dict
 
 
 def _fusion_parts(family: WeightedSubspaceFamily, synthesis: np.ndarray) -> dict[str, SignPart]:
@@ -435,8 +434,7 @@ def _canonical_dual_of_verified(family: WeightedSubspaceFamily, tol_def: float
     return dual, Operator(space, s_inv), svals
 
 
-@dataclass(frozen=True)
-class FusionDualReport:
+class FusionDualReport(NamedTuple):
     """Everything measurable about the canonical dual family.
 
     ``dual_operator_residual`` compares the dual family's own frame operator
@@ -508,8 +506,7 @@ def adjoint_identity_residual(family: WeightedSubspaceFamily, seed: int = 0,
     return worst
 
 
-@dataclass(frozen=True)
-class RpsEntry:
+class RpsEntry(NamedTuple):
     """Projection-alignment residuals for one entry relative to its part span.
 
     With pi_W, pi_M the Euclidean projectors onto the entry W and its part
@@ -581,8 +578,7 @@ def check_rps_corollary(family: WeightedSubspaceFamily,
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(NamedTuple):
     """Agreement between the fusion verdict and the flattened-frame verdict."""
 
     fusion_verdict: bool

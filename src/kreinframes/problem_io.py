@@ -24,18 +24,15 @@ twice.  A problem given as a dict, or parsed from a dict (as ``oracle``
 parses the problem of a stored report), is written in the canonical form.
 """
 
-from __future__ import annotations
-
-import dataclasses
 import enum
 import functools
 import itertools
 import json
 import math
 import re
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -136,8 +133,7 @@ def _check_matrix(rows, n_cols: int | None, path: str) -> np.ndarray:
     return matrix
 
 
-@dataclass(frozen=True)
-class ParsedProblem:
+class ParsedProblem(NamedTuple):
     """A validated problem document with arrays decoded.
 
     ``text`` is the JSON text ``document`` was read from, when it was read
@@ -150,8 +146,8 @@ class ParsedProblem:
     vectors: np.ndarray | None
     operator: np.ndarray | None
     comment: str | None
-    document: dict = field(repr=False)
-    text: str | None = field(default=None, repr=False, compare=False)
+    document: dict
+    text: str | None = None
 
 
 def parse_problem(doc: dict, path: str = "$") -> ParsedProblem:
@@ -234,7 +230,7 @@ def parse_problem(doc: dict, path: str = "$") -> ParsedProblem:
 
 def load_problem(path) -> ParsedProblem:
     text = _read_text(path)
-    return dataclasses.replace(parse_problem(loads_strict(text)), text=text)
+    return parse_problem(loads_strict(text))._replace(text=text)
 
 
 def _parse_report(doc: dict) -> ParsedProblem:
@@ -288,8 +284,9 @@ def _plain_lists(arr: np.ndarray):
 def jsonify(obj):
     """Convert package objects to JSON-ready structures.
 
-    Dataclasses become objects, enums their values, arrays nested lists;
-    non-finite floats are refused rather than smuggled into a file.
+    Named tuples and dataclasses become objects of their fields, enums
+    their values, arrays nested lists; non-finite floats are refused rather
+    than smuggled into a file.
     """
     if obj is None or isinstance(obj, (bool, str)):
         return obj
@@ -307,10 +304,13 @@ def jsonify(obj):
         return jsonify(obj.tolist()) if lists is None else lists
     if isinstance(obj, ParsedProblem):
         return jsonify(obj.document)
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+    if hasattr(type(obj), "__dataclass_fields__"):  # a dataclass instance
+        import dataclasses  # loaded already, since it made the class of obj
         return {f.name: jsonify(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {str(k): jsonify(v) for k, v in obj.items()}
+    if isinstance(obj, tuple) and hasattr(obj, "_fields"):
+        return {name: jsonify(v) for name, v in zip(obj._fields, obj)}
     if isinstance(obj, (list, tuple)):
         return [jsonify(v) for v in obj]
     raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
@@ -354,7 +354,8 @@ def _write(obj, level: int, out: list[str]) -> None:
             _write(obj.document, level, out)
         else:
             out.append(_echo(obj.text))
-    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+    elif hasattr(type(obj), "__dataclass_fields__"):  # a dataclass instance
+        import dataclasses  # loaded already, since it made the class of obj
         _write_items([(f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj)],
                      level, out)
     elif isinstance(obj, dict):
@@ -362,6 +363,8 @@ def _write(obj, level: int, out: list[str]) -> None:
             _write_items(obj.items(), level, out)
         else:  # str(k) can merge keys; jsonify keeps the first place and the last value
             _write(jsonify(obj), level, out)
+    elif isinstance(obj, tuple) and hasattr(obj, "_fields"):
+        _write_items(zip(obj._fields, obj), level, out)
     elif isinstance(obj, (list, tuple)):
         _write_list(obj, level, out)
     else:

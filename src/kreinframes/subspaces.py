@@ -6,11 +6,9 @@ Gram operator ``G = B^T J B``; every classification decision in this module
 is a statement about the spectrum of ``G``.
 """
 
-from __future__ import annotations
-
 import enum
-from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,12 +34,12 @@ class SubspaceKind(enum.Enum):
     INDEFINITE = "Indefinite"
 
 
-@dataclass(frozen=True)
 class Subspace:
     """A linear subspace with a Euclidean-orthonormal column basis."""
 
-    space: KreinSpace
-    basis: np.ndarray = field(repr=False)
+    def __init__(self, space: KreinSpace, basis: np.ndarray):
+        self.space = space
+        self.basis = basis
 
     @property
     def dim(self) -> int:
@@ -118,8 +116,7 @@ def gram_operator(subspace: Subspace) -> np.ndarray:
     return subspace.gram
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     """Outcome of :func:`classify`.
 
     ``margin`` is the distance from the Gram spectrum to zero, ``gamma`` the
@@ -309,8 +306,7 @@ def check_rjpp(inner: Subspace, outer: Subspace, tol_num: float = TOL_NUM,
     return operator_norm((q_w - pi_w) @ pi_m)
 
 
-@dataclass(frozen=True)
-class AngularReport:
+class AngularReport(NamedTuple):
     """Angular operator of a uniformly definite subspace.
 
     ``norm`` is the operator norm of the angular operator K.  The exact

@@ -7,9 +7,7 @@ verify as a fusion frame, both as a whole and split by either the original
 or the image sign partition (:func:`image_fusion_check`).
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,19 +66,17 @@ def apply_operator(operator, family: WeightedSubspaceFamily, tol_def: float = TO
     return make_weighted_family(_images(t, family.subspaces, tol_rank), family.weights, tol_def)
 
 
-@dataclass(frozen=True)
-class PreservationEntry:
+class PreservationEntry(NamedTuple):
     index: int
     input_kind: SubspaceKind
     image_kind: SubspaceKind
     input_dim: int
     image_dim: int
     sign_preserved: bool
-    witness: np.ndarray | None = field(repr=False, default=None)
+    witness: np.ndarray | None = None
 
 
-@dataclass(frozen=True)
-class PreservationReport:
+class PreservationReport(NamedTuple):
     """Audit of the sufficient-condition hypotheses for one operator."""
 
     surjective: bool
@@ -169,8 +165,7 @@ def _transport(operator, family: WeightedSubspaceFamily, tol_def: float, tol_ran
     return report, images, classes, spans
 
 
-@dataclass(frozen=True)
-class ImageCheckReport:
+class ImageCheckReport(NamedTuple):
     """Outcome of transporting a family through an operator.
 
     ``decomposition_original`` groups image entries by the *original* signs;

@@ -3,6 +3,7 @@
 import json
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -88,7 +89,7 @@ def test_classify_fixture(capsys):
     assert report["result"]["positive_span"]["classification"]["kind"] == "PositiveNonUniform"
 
 
-def test_bounds_skewed_pair(capsys):
+def test_bounds_skewed_pair(capsys, tmp_path):
     code, report, _ = run_cli(capsys, "bounds", FIXTURES / "skewed_pair.json")
     assert code == 0
     res = report["result"]
@@ -97,6 +98,35 @@ def test_bounds_skewed_pair(capsys):
                        [-5.0 / 3.0, -0.36, 0.36, 5.0 / 3.0], atol=1e-9)
     assert res["estimates_contain_optimal"]["positive"] is True
     assert res["estimates_contain_optimal"]["negative"] is True
+
+    # Untilted, the estimates equal the bounds in exact arithmetic, so they
+    # contain them at every scale; a fixed slack of 1e-9 denied it from 1e4 on.
+    for kind in ("fusion", "frame"):
+        cfg = kf.GeneratorConfig(kind=kind, seed=11, dim=4, tilt=0.0, rotate=True)
+        for scale in (1.0, 1e4, 1e6):
+            doc = kf.gen_problem(cfg)
+            if kind == "frame":
+                doc["vectors"] = (scale * np.asarray(doc["vectors"])).tolist()
+            else:
+                for entry in doc["family"]["entries"]:
+                    entry["weight"] *= scale
+            problem, report_file = tmp_path / "scaled.json", tmp_path / "report.json"
+            problem.write_text(json.dumps(doc))
+            code, report, _ = run_cli(capsys, "bounds", problem, "-o", report_file)
+            assert code == 0
+            assert report["result"]["estimates_contain_optimal"] == {"negative": True,
+                                                                     "positive": True}
+            assert run_cli(capsys, "oracle", report_file)[0] == 0
+
+
+def test_sandwich_flag_is_false_past_the_rounding_width():
+    """An estimate inside its optimal interval by more than the bound's
+    rounding width is reported as not containing it."""
+    part = SimpleNamespace(classification=SimpleNamespace(margin=1.0))
+    report = SimpleNamespace(bounds=(-2.0, -1.0, 1.0, 2.0), bessel_bound=2.0,
+                             bound_estimates=(-2.0, -1.0, 1.0 + 1e-6, 2.0),
+                             negative=part, positive=part)
+    assert cli._sandwich_flags(report) == {"negative": True, "positive": False}
 
 
 def test_dual_frame_reports_reciprocity(capsys):

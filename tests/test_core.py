@@ -1,5 +1,7 @@
 """Fundamental symmetry, indefinite product, and J-adjoint."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -124,3 +126,9 @@ def test_space_equality_is_by_symmetry():
 def test_every_exported_name_resolves():
     missing = [name for name in kf.__all__ if not hasattr(kf, name)]
     assert missing == []
+    assert set(kf.__all__) <= set(dir(kf))
+    with pytest.raises(AttributeError):
+        getattr(kf, "no_such_name")
+    # the generator's names load on first use, and its config stays a dataclass
+    config = dataclasses.replace(kf.GeneratorConfig(), seed=7)
+    assert config == kf.GeneratorConfig(seed=7)

@@ -216,3 +216,25 @@ def test_importing_the_cli_loads_numpy_alone():
     out = subprocess.run([sys.executable, "-c", script, str(package_root)],
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "['kreinframes', 'numpy']"
+
+
+def test_only_gen_loads_the_generator():
+    """Neither importing the CLI nor ``python -m kreinframes verify`` on a
+    fixture loads ``kreinframes.generator``; only ``gen`` pays its import."""
+    package_root = Path(kf.__file__).resolve().parents[1]
+    fixture = Path(__file__).resolve().parent.parent / "fixtures" / "fusion_dim6.json"
+    script = """
+import runpy, sys
+sys.path.insert(0, sys.argv[1])
+import kreinframes.cli
+after_import = "kreinframes.generator" in sys.modules
+sys.argv = ["kreinframes", "verify", sys.argv[2]]
+try:
+    runpy.run_module("kreinframes", run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+print(after_import, "kreinframes.generator" in sys.modules, code)
+"""
+    out = subprocess.run([sys.executable, "-c", script, str(package_root), str(fixture)],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "False False 0"

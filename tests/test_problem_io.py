@@ -4,6 +4,7 @@ import dataclasses
 import enum
 import json
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -256,6 +257,8 @@ def jsonify_reference(obj):
                 for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {str(k): jsonify_reference(v) for k, v in obj.items()}
+    if isinstance(obj, tuple) and hasattr(obj, "_fields"):
+        return {name: jsonify_reference(v) for name, v in zip(obj._fields, obj)}
     if isinstance(obj, (list, tuple)):
         return [jsonify_reference(v) for v in obj]
     raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
@@ -291,6 +294,13 @@ class Shape(enum.Enum):
 class Node:
     left: object
     right: object
+
+
+class Pair(NamedTuple):
+    """A named-tuple node: an object of its fields, not a list."""
+
+    first: object
+    second: object
 
 
 EXTREME_FLOATS = (-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, 2.2250738585072014e-308)
@@ -329,6 +339,7 @@ def _trees(leaves):
             st.lists(children, max_size=3).map(tuple),
             st.dictionaries(keys, children, max_size=4),
             st.builds(Node, children, children),
+            st.builds(Pair, children, children),
         ),
         max_leaves=12,
     )
@@ -364,6 +375,7 @@ def test_dumps_canonical_raises_what_the_reference_raises(doc):
     lambda x: np.array([[1.0, 2.0], [3.0, x]]),
     lambda x: np.array([[1.0, 2.0], [x, 4.0]]).T,
     lambda x: (Node(1.0, [x]),),
+    lambda x: [Pair({"a": x}, 2.0)],
     lambda x: {3: x},
 ])
 def test_non_finite_anywhere_is_a_parse_error(bad, wrap):
@@ -378,7 +390,8 @@ def test_non_finite_anywhere_is_a_parse_error(bad, wrap):
 
 
 @pytest.mark.parametrize("doc", [object(), [1.0, {2, 3}], {"a": 1j}, [np.bool_(False)],
-                                 np.array([1 + 2j]), Node(None, [b"bytes"])])
+                                 np.array([1 + 2j]), Node(None, [b"bytes"]),
+                                 Pair(1.0, {1j})])
 def test_unsupported_types_are_type_errors(doc):
     with pytest.raises(TypeError) as caught:
         kf.dumps_canonical(doc)
