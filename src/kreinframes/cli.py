@@ -21,7 +21,7 @@ without randomness.  ``classify`` checks each entry's margin against the
 singular values of its Gram.  A failed check exits 3.
 
 The environment variable KREINFRAME_TOLERANCE, when set to a float, becomes
-the default for both tolerance flags.
+the default for both tolerance flags; ``gen`` takes neither.
 """
 
 import argparse
@@ -51,7 +51,7 @@ from .errors import (
 from .frames import dual_reciprocity, partition_by_sign, verify_j_frame
 from .fusion import (
     WeightedSubspaceFamily,
-    check_rps_corollary,
+    _rps_entries,
     family_from_spans,
     fusion_dual_diagnostics,
     verify_j_fusion_frame,
@@ -71,7 +71,6 @@ from .subspaces import (
     _spanning_columns,
     _spans,
     classify,
-    subspace_sum,
 )
 from .transforms import image_fusion_check
 
@@ -280,18 +279,23 @@ def run_classify(parsed: ParsedProblem, params: Params) -> Outcome:
     entries = [{"index": i, "dim": sub.dim, "weight": weight, "classification": cls}
                for i, (sub, cls, (_, weight)) in enumerate(zip(all_subs, classes, parsed.entries))]
 
-    def span_block(kind: SubspaceKind):
-        subs = [sub for sub, cls in zip(all_subs, classes) if cls.kind is kind]
-        if not subs:
+    # the uniformly definite entries grouped by sign, at unit weight; the rest in neither class
+    sign = {SubspaceKind.UNIFORMLY_POSITIVE: 1, SubspaceKind.UNIFORMLY_NEGATIVE: -1}
+    spans = WeightedSubspaceFamily(space, tuple(all_subs), np.ones(len(all_subs)),
+                                   np.array([sign.get(cls.kind, 0) for cls in classes]),
+                                   tuple(classes))._class_spans(params.tol_rank)
+
+    def span_block(label: str):
+        if label not in spans:
             return None
-        total = subspace_sum(subs, params.tol_rank)
+        total = spans[label][1]
         return {"dim": total.dim, "classification": classify(total, params.tol_def, params.tol_rank)}
 
     result = {
         "signature": [space.num_positive, space.num_negative],
         "entries": entries,
-        "positive_span": span_block(SubspaceKind.UNIFORMLY_POSITIVE),
-        "negative_span": span_block(SubspaceKind.UNIFORMLY_NEGATIVE),
+        "positive_span": span_block("positive"),
+        "negative_span": span_block("negative"),
         "complete": oracles.completeness_check(all_subs, space, params.tol_rank),
     }
     checks = {}
@@ -317,7 +321,8 @@ def run_verify(parsed: ParsedProblem, params: Params) -> Outcome:
     except (IndefiniteOrNeutralSubspace, NonPositiveWeight) as exc:
         return _rejection(exc)
     report = verify_j_fusion_frame(family, params.tol_def, params.tol_rank)
-    rps = check_rps_corollary(family, params.tol_def) if report.is_j_fusion_frame else None
+    rps = (_rps_entries(family, params.tol_def, params.tol_rank) if report.is_j_fusion_frame
+           else None)
     result = {
         "verdict": report.is_j_fusion_frame,
         "bounds": list(report.bounds),
@@ -607,12 +612,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("-o", "--output", default=None, help="also write the report here")
+    common = argparse.ArgumentParser(add_help=False, parents=[output])
     common.add_argument("--tol-def", type=float, default=None,
                         help="definiteness decision tolerance (default 1e-10)")
     common.add_argument("--tol-rank", type=float, default=None,
                         help="relative rank cutoff (default 1e-10)")
-    common.add_argument("-o", "--output", default=None, help="also write the report here")
 
     for name, help_text in (
         ("classify", "classify each family entry and the two sign spans"),
@@ -629,7 +635,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="re-derive a stored report and compare")
     p.add_argument("problem", help="report JSON file", metavar="report")
 
-    g = sub.add_parser("gen", parents=[common], help="generate a seeded problem instance")
+    g = sub.add_parser("gen", parents=[output], help="generate a seeded problem instance")
     g.add_argument("--seed", type=int, default=0, help="generator seed")
     g.add_argument("--kind", choices=["fusion", "frame"], default="fusion")
     g.add_argument("--n", type=int, default=4, help="ambient dimension")
@@ -685,7 +691,6 @@ def main(argv=None) -> int:
         if args.command == "gen":
             from .generator import GeneratorConfig, gen_problem  # only gen pays its import
 
-            params = _resolve_params(args)
             cfg = GeneratorConfig(
                 kind=args.kind,
                 seed=args.seed,

@@ -41,17 +41,31 @@ from .subspaces import Classification, Subspace, SubspaceKind, classify, smalles
 Bounds4 = tuple[float | None, float | None, float | None, float | None]
 
 
-class VectorFrame:
-    """A sign-partitioned vector sequence (rows of ``vectors``)."""
+# One nonempty sign class: its indices, its span, and the singular values,
+# in descending order, of its synthesis columns.
+ClassSpan = tuple[tuple[int, ...], Subspace, np.ndarray]
 
-    def __init__(self, space: KreinSpace, vectors: np.ndarray, signs: np.ndarray):
+
+class _SignClasses:
+    """Members with signs, grouped into a positive and a negative class; a
+    member of sign 0 belongs to neither.
+
+    This is the span route of vector frames and weighted families alike.  A
+    subclass gives the synthesis columns of a class, ``_synthesis_columns(
+    indices)``, and the numerator of the class's Rayleigh pencil in the
+    coordinates of an orthonormal ``basis``, ``_numerator(indices, basis)``.
+    The span of each nonempty class and the singular values of its columns
+    come from one SVD of them (:func:`~kreinframes._numeric.column_space`).
+    """
+
+    # The dimension each class span takes in place of a rank decision, by
+    # label, or None (see :func:`kreinframes.fusion.canonical_dual_fusion`).
+    _part_dims: dict[str, int] | None = None
+
+    def __init__(self, space: KreinSpace, signs: np.ndarray):
         self.space = space
-        self.vectors = vectors
         self.signs = signs
-
-    @property
-    def size(self) -> int:
-        return self.vectors.shape[0]
+        self._spans_at: dict[float, dict[str, ClassSpan]] = {}
 
     @cached_property
     def positive_indices(self) -> tuple[int, ...]:
@@ -61,26 +75,51 @@ class VectorFrame:
     def negative_indices(self) -> tuple[int, ...]:
         return tuple(int(i) for i in np.flatnonzero(self.signs < 0))
 
-    @cached_property
-    def _class_spans(self) -> dict[str, tuple[Subspace, np.ndarray]]:
-        """The span of each nonempty sign class (``"positive"``, ``"negative"``)
-        and the singular values of the class's synthesis matrix, both from one
-        SVD of that matrix (:func:`~kreinframes._numeric.column_space`)."""
-        spans = {}
-        for label, indices in (("positive", self.positive_indices),
-                               ("negative", self.negative_indices)):
-            if indices:
-                basis, svals = column_space(self.vectors[list(indices)].T, TOL_RANK)
-                spans[label] = (Subspace(space=self.space, basis=basis), svals)
-        return spans
+    def _class_spans(self, tol_rank: float = TOL_RANK) -> dict[str, ClassSpan]:
+        """The :data:`ClassSpan` of each nonempty class (``"positive"``,
+        ``"negative"``), at the relative rank cutoff ``tol_rank``; computed
+        once per cutoff."""
+        if tol_rank not in self._spans_at:
+            spans = {}
+            for label, indices in (("positive", self.positive_indices),
+                                   ("negative", self.negative_indices)):
+                if indices:
+                    dim = None if self._part_dims is None else self._part_dims[label]
+                    basis, svals = column_space(self._synthesis_columns(indices),
+                                                tol_rank if dim is None else 0.0)
+                    spans[label] = (indices, Subspace(space=self.space, basis=basis[:, :dim]),
+                                    svals)
+            self._spans_at[tol_rank] = spans
+        return self._spans_at[tol_rank]
 
     @property
     def positive_span(self) -> Subspace | None:
-        return self._class_spans["positive"][0] if "positive" in self._class_spans else None
+        return self._class_spans().get("positive", (None, None))[1]
 
     @property
     def negative_span(self) -> Subspace | None:
-        return self._class_spans["negative"][0] if "negative" in self._class_spans else None
+        return self._class_spans().get("negative", (None, None))[1]
+
+
+class VectorFrame(_SignClasses):
+    """A sign-partitioned vector sequence (rows of ``vectors``)."""
+
+    def __init__(self, space: KreinSpace, vectors: np.ndarray, signs: np.ndarray):
+        super().__init__(space, signs)
+        self.vectors = vectors
+
+    @property
+    def size(self) -> int:
+        return self.vectors.shape[0]
+
+    def _synthesis_columns(self, indices: tuple[int, ...]) -> np.ndarray:
+        return self.vectors[list(indices)].T
+
+    def _numerator(self, indices: tuple[int, ...], basis: np.ndarray) -> np.ndarray:
+        """``sum_i sigma_i [x, f_i]^2`` over the class, negative on the negative one."""
+        g_vecs = basis.T @ self.space.symmetry @ self._synthesis_columns(indices)
+        numerator = g_vecs @ g_vecs.T
+        return numerator if self.signs[indices[0]] > 0 else -numerator
 
     def synthesis_matrix(self) -> np.ndarray:
         """n x m matrix whose columns are the frame vectors."""
@@ -219,13 +258,26 @@ def _bessel_bound(synthesis: np.ndarray) -> float:
     return bessel
 
 
-def _verify_sign_parts(space: KreinSpace, parts: dict[str, SignPart], synthesis: np.ndarray,
-                       tol_def: float, tol_rank: float) -> tuple[bool, dict]:
+def _sign_parts(system: _SignClasses, tol_rank: float) -> dict[str, SignPart]:
+    """The :data:`SignPart` of each nonempty sign class of a frame or a
+    family, its span at the relative rank cutoff ``tol_rank``.  The negative
+    class's numerator and denominator are both negative, so the eigenvalues
+    of its pencil are the (negative) bound values themselves."""
+    parts = {}
+    for label, (indices, part_span, svals) in system._class_spans(tol_rank).items():
+        with np.errstate(over="ignore", invalid="ignore"):  # refused by _verify_sign_parts
+            numerator = system._numerator(indices, part_span.basis)
+        denominator = part_span.gram if label == "positive" else -part_span.gram
+        parts[label] = (indices, part_span, (numerator, denominator), svals)
+    return parts
+
+
+def _verify_sign_parts(system: _SignClasses, synthesis: np.ndarray, tol_def: float,
+                       tol_rank: float) -> tuple[bool, dict]:
     """The sign-partitioned check shared by vector frames and fusion families.
 
-    ``parts`` maps ``"positive"`` and ``"negative"`` to the :data:`SignPart`
-    of each nonempty sign class and ``synthesis`` is the synthesis matrix of
-    the whole system.  Each class must span a maximal uniformly definite
+    ``synthesis`` is the synthesis matrix of the whole ``system``.  Each
+    sign class (:func:`_sign_parts`) must span a maximal uniformly definite
     subspace of its sign; its bounds are the extreme eigenvalues of its
     signed pencil, and its estimates come from reduced minimum moduli: of
     the synthesis, from its singular values, and of the span's Gram, from
@@ -234,6 +286,7 @@ def _verify_sign_parts(space: KreinSpace, parts: dict[str, SignPart], synthesis:
     Bounds or a Bessel constant beyond the double range raise
     :class:`InputError`.
     """
+    space, parts = system.space, _sign_parts(system, tol_rank)
     bessel = _bessel_bound(synthesis)
     reasons: list[str] = []
     reports: dict[str, PartReport | None] = {}
@@ -338,30 +391,10 @@ def _dual_comparison(original: Bounds4, dual_bounds: Bounds4, s_inv: np.ndarray,
     }
 
 
-def _frame_parts(frame: VectorFrame) -> dict[str, SignPart]:
-    """The :data:`SignPart` of each nonempty sign class of a frame.
-
-    The pencil numerator is ``sum_i [x, f_i]^2`` in the coordinates of the
-    span; the negative class carries the negated pencil, whose eigenvalues
-    are the (negative) bound values themselves.
-    """
-    parts = {}
-    for label, (part_span, svals) in frame._class_spans.items():
-        indices = frame.positive_indices if label == "positive" else frame.negative_indices
-        with np.errstate(over="ignore", invalid="ignore"):  # refused by _verify_sign_parts
-            g_vecs = part_span.basis.T @ frame.space.symmetry @ frame.vectors[list(indices)].T
-            numerator = g_vecs @ g_vecs.T
-        pencil = ((numerator, part_span.gram) if label == "positive"
-                  else (-numerator, -part_span.gram))
-        parts[label] = (indices, part_span, pencil, svals)
-    return parts
-
-
 def verify_j_frame(frame: VectorFrame, tol_def: float = TOL_DEF,
                    tol_rank: float = TOL_RANK) -> JFrameReport:
     """Check the two sign classes and compute bounds when both pass."""
-    verdict, fields = _verify_sign_parts(frame.space, _frame_parts(frame), frame.vectors.T,
-                                         tol_def, tol_rank)
+    verdict, fields = _verify_sign_parts(frame, frame.vectors.T, tol_def, tol_rank)
     s = svals = condition = None
     if verdict:
         s = frame_operator(frame).matrix
@@ -418,7 +451,7 @@ def frame_part_pencils(frame: VectorFrame) -> dict[str, tuple[np.ndarray, np.nda
     range of the pencil equals the corresponding pair of optimal bounds
     directly (negative values for the negative part).
     """
-    return {label: part[2] for label, part in _frame_parts(frame).items()}
+    return {label: part[2] for label, part in _sign_parts(frame, TOL_RANK).items()}
 
 
 def canonical_dual(frame: VectorFrame, tol_def: float = TOL_DEF) -> VectorFrame:

@@ -39,11 +39,12 @@ from .errors import (
 from .frames import (
     Bounds4,
     PartReport,
-    SignPart,
     VectorFrame,
+    _SignClasses,
     _bessel_bound,
     _dual_comparison,
     _require_invertible,
+    _sign_parts,
     _singular_values,
     _verify_sign_parts,
     partition_by_sign,
@@ -58,18 +59,21 @@ from .subspaces import (
     _require_regular,
     _spanning_columns,
     _spans,
-    subspace_sum,
 )
 
-class WeightedSubspaceFamily:
-    """Finitely many uniformly definite subspaces with positive weights."""
+class WeightedSubspaceFamily(_SignClasses):
+    """Finitely many uniformly definite subspaces with positive weights.
+
+    The synthesis columns of an entry are its basis times its weight, so
+    each part span is that of the weighted bases: the same span as of the
+    bases themselves, since every weight is strictly positive.
+    """
 
     def __init__(self, space: KreinSpace, subspaces: tuple[Subspace, ...], weights: np.ndarray,
                  signs: np.ndarray, entry_classifications: tuple[Classification, ...]):
-        self.space = space
+        super().__init__(space, signs)
         self.subspaces = subspaces
         self.weights = weights
-        self.signs = signs
         self.entry_classifications = entry_classifications
 
     @property
@@ -91,25 +95,15 @@ class WeightedSubspaceFamily:
     def total_dim(self) -> int:
         return self.offsets[-1]
 
-    @cached_property
-    def positive_indices(self) -> tuple[int, ...]:
-        return tuple(int(i) for i in np.flatnonzero(self.signs > 0))
+    def _synthesis_columns(self, indices: tuple[int, ...]) -> np.ndarray:
+        return np.hstack([self.weights[i] * self.subspaces[i].basis for i in indices])
 
-    @cached_property
-    def negative_indices(self) -> tuple[int, ...]:
-        return tuple(int(i) for i in np.flatnonzero(self.signs < 0))
-
-    @cached_property
-    def positive_span(self) -> Subspace | None:
-        if not self.positive_indices:
-            return None
-        return subspace_sum(self.subspaces[i] for i in self.positive_indices)
-
-    @cached_property
-    def negative_span(self) -> Subspace | None:
-        if not self.negative_indices:
-            return None
-        return subspace_sum(self.subspaces[i] for i in self.negative_indices)
+    def _numerator(self, indices: tuple[int, ...], basis: np.ndarray) -> np.ndarray:
+        """``sum_i v_i^2 [pi_i x, pi_i x]`` over the class: with T_part its
+        synthesis columns, ``Y blockdiag(G_i) Y^T`` with ``Y = basis^T T_part``.
+        On the negative class each term is itself negative."""
+        y = basis.T @ self._synthesis_columns(indices)
+        return y @ block_diag([self.subspaces[i].gram for i in indices]) @ y.T
 
 
 def make_weighted_family(subspaces, weights, tol_def: float = TOL_DEF) -> WeightedSubspaceFamily:
@@ -250,11 +244,6 @@ def _require_regular_entries(family: WeightedSubspaceFamily, tol_def: float) -> 
         _require_regular(cls.margin, tol_def)
 
 
-def _sign_columns(family: WeightedSubspaceFamily) -> np.ndarray:
-    """The sign of the entry each column of the synthesis matrix belongs to."""
-    return np.repeat(family.signs, family.entry_dims)
-
-
 def fusion_frame_operator(family: WeightedSubspaceFamily, tol_def: float = TOL_DEF) -> Operator:
     """The fusion frame operator S = sum_i v_i^2 Q_{W_i}, taken as ``T @ A``.
 
@@ -276,7 +265,7 @@ def fusion_operator_parts(family: WeightedSubspaceFamily,
     """
     t = fusion_synthesis(family)
     a = fusion_analysis(family, tol_def)
-    columns = _sign_columns(family)
+    columns = np.repeat(family.signs, family.entry_dims)
     plus, minus = columns > 0, columns < 0
     return (Operator(family.space, t[:, plus] @ a[plus]),
             Operator(family.space, -(t[:, minus] @ a[minus])))
@@ -310,34 +299,6 @@ class JFusionReport(NamedTuple):
     pencils: dict
 
 
-def _fusion_parts(family: WeightedSubspaceFamily, synthesis: np.ndarray) -> dict[str, SignPart]:
-    """The :data:`~kreinframes.frames.SignPart` of each nonempty sign class,
-    from the family's synthesis matrix T.
-
-    The pencil numerator is ``sum_i v_i^2 [pi_i f, pi_i f]`` compressed to
-    the part span: with T_part the columns of T of the class and B_M the
-    span's basis, it is ``Y blockdiag(G_i) Y^T`` with ``Y = B_M^T T_part``.
-    On the negative class these per-entry products are themselves negative,
-    so with the denominator ``-gram`` the eigenvalues are already the
-    (negative) bound values; no extra sign flip.
-    """
-    columns = _sign_columns(family)
-    parts = {}
-    for label, sign, indices, part_span in (
-            ("positive", 1, family.positive_indices, family.positive_span),
-            ("negative", -1, family.negative_indices, family.negative_span)):
-        if part_span is None:
-            continue
-        part_synthesis = synthesis[:, columns == sign]
-        with np.errstate(over="ignore", invalid="ignore"):  # refused by _verify_sign_parts
-            y = part_span.basis.T @ part_synthesis
-            numerator = y @ block_diag([family.subspaces[i].gram for i in indices]) @ y.T
-        denominator = part_span.gram if label == "positive" else -part_span.gram
-        svals = np.linalg.svd(part_synthesis, compute_uv=False)
-        parts[label] = (indices, part_span, (numerator, denominator), svals)
-    return parts
-
-
 def verify_j_fusion_frame(family: WeightedSubspaceFamily, tol_def: float = TOL_DEF,
                           tol_rank: float = TOL_RANK) -> JFusionReport:
     """Check span maximality per sign and compute bounds when both pass.
@@ -347,9 +308,7 @@ def verify_j_fusion_frame(family: WeightedSubspaceFamily, tol_def: float = TOL_D
     p and q add up to the whole space.  Only a family that fails takes the
     rank of its stacked bases.
     """
-    synthesis = fusion_synthesis(family)
-    verdict, fields = _verify_sign_parts(family.space, _fusion_parts(family, synthesis),
-                                         synthesis, tol_def, tol_rank)
+    verdict, fields = _verify_sign_parts(family, fusion_synthesis(family), tol_def, tol_rank)
     complete = verdict or orth_columns(np.hstack([s.basis for s in family.subspaces]),
                                        tol_rank).shape[1] == family.space.dim
     return JFusionReport(is_j_fusion_frame=verdict, complete=complete, **fields)
@@ -381,8 +340,7 @@ def part_pencils(family: WeightedSubspaceFamily
     range of the pencil equals the corresponding pair of optimal bounds
     directly (negative values for the negative part).
     """
-    parts = _fusion_parts(family, fusion_synthesis(family))
-    return {label: part[2] for label, part in parts.items()}
+    return {label: part[2] for label, part in _sign_parts(family, TOL_RANK).items()}
 
 
 def canonical_dual_fusion(family: WeightedSubspaceFamily, tol_def: float = TOL_DEF
@@ -409,10 +367,10 @@ def _canonical_dual_of_verified(family: WeightedSubspaceFamily, tol_def: float
     decision, and a basis that moves only as much as S^{-1} B_i does.  The
     QRs and the entry classifications are stacked by entry dimension.  The
     dual's part spans S^{-1} M+/- are spanned by its entries of each sign,
-    with the dimension of M+/- in place of a rank decided from singular
-    values, which near neutral can flip at rounding level.  (A QR of
-    ``S^{-1} B_M`` is only as accurate as S^{-1} is conditioned on M+/-: at
-    tilt 1 - 1e-7 it moved dual bounds by 4.5e-3 relative.)
+    with the dimension of M+/- (``_part_dims``) in place of a rank decided
+    from singular values, which near neutral can flip at rounding level.
+    (A QR of ``S^{-1} B_M`` is only as accurate as S^{-1} is conditioned on
+    M+/-: at tilt 1 - 1e-7 it moved dual bounds by 4.5e-3 relative.)
     """
     space = family.space
     s = fusion_frame_operator(family, tol_def).matrix
@@ -425,12 +383,7 @@ def _canonical_dual_of_verified(family: WeightedSubspaceFamily, tol_def: float
                       for q, r in stacked(np.linalg.qr, mapped))
     dual = _signed_family(dual_subs, family.weights, tuple(_classify_all(dual_subs, tol_def)))
     if np.array_equal(dual.signs, family.signs):
-        for name, indices in (("positive_span", family.positive_indices),
-                              ("negative_span", family.negative_indices)):
-            if indices:  # the cached_property's slot
-                u = np.linalg.svd(np.hstack([dual_subs[i].basis for i in indices]),
-                                  full_matrices=False)[0]
-                dual.__dict__[name] = Subspace(space=space, basis=u[:, :getattr(family, name).dim])
+        dual._part_dims = {label: span.dim for label, (_, span, _) in family._class_spans().items()}
     return dual, Operator(space, s_inv), svals
 
 
@@ -552,13 +505,17 @@ def check_rps_corollary(family: WeightedSubspaceFamily,
     the Gram margin of an entry is at most ``tol_def``.  The entries of each
     part are taken in stacks of one entry dimension.
     """
+    return _rps_entries(family, tol_def, TOL_RANK)
+
+
+def _rps_entries(family: WeightedSubspaceFamily, tol_def: float,
+                 tol_rank: float) -> tuple[RpsEntry, ...]:
+    """:func:`check_rps_corollary` against the part spans at the relative
+    rank cutoff ``tol_rank``: those a verification at ``tol_rank`` reads."""
     _require_regular_entries(family, tol_def)
     j = family.space.symmetry
     out: list = [None] * family.size
-    for label, indices, part_span in (("positive", family.positive_indices, family.positive_span),
-                                      ("negative", family.negative_indices, family.negative_span)):
-        if not indices:
-            continue
+    for label, (indices, part_span, _) in family._class_spans(tol_rank).items():
         b_m = part_span.basis
 
         def residuals(b: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -41,7 +41,7 @@ from .errors import ParseError, SchemaError
 
 PROBLEM_KEYS = {"dimension", "J", "family", "vectors", "operator", "comment"}
 REPORT_KEYS = {"report_version", "command", "problem", "parameters", "result"}
-REPORT_VERSION = 8
+REPORT_VERSION = 9
 
 _INDENT = "  "
 # list elements of exactly these types go to the C encoder as one run

@@ -34,7 +34,6 @@ from .subspaces import (
     _images,
     classify,
     j_projection,
-    subspace_sum,
 )
 
 
@@ -108,13 +107,13 @@ def preservation_audit(operator, family: WeightedSubspaceFamily, tol_def: float 
 
 
 def _transport(operator, family: WeightedSubspaceFamily, tol_def: float, tol_rank: float
-               ) -> tuple[PreservationReport, tuple[Subspace, ...], tuple[Classification, ...],
-                          dict[str, Subspace]]:
-    """:func:`preservation_audit`, with the entry images T W_i and their
-    classifications it computed (stacked by dimension), and, by label, the
-    span T M of the images of each nonempty sign class of the family, so
-    that callers transport and span each of them once.  T M is spanned from
-    the image bases, as the image family spans its own part spans.
+               ) -> tuple[PreservationReport, WeightedSubspaceFamily]:
+    """:func:`preservation_audit`, and the entry images T W_i it computed
+    grouped by the signs of ``family``: the family of the images, their
+    classifications (stacked by dimension) and the weights, with the signs of
+    ``family`` whatever the images' own.  Its part spans, at ``tol_rank``,
+    are the spans T M of the images of each sign class, so that callers
+    transport and span each of them once.
     """
     t = _operator_matrix(operator, family.space)
     svals = np.linalg.svd(t, compute_uv=False)
@@ -125,6 +124,7 @@ def _transport(operator, family: WeightedSubspaceFamily, tol_def: float, tol_ran
 
     images = tuple(_images(t, family.subspaces, tol_rank))
     classes = tuple(_classify_all(images, tol_def))
+    grouped = WeightedSubspaceFamily(family.space, images, family.weights, family.signs, classes)
     sign_kind = {1: SubspaceKind.UNIFORMLY_POSITIVE, -1: SubspaceKind.UNIFORMLY_NEGATIVE}
     entries = []
     for i, (sub, image, cls) in enumerate(zip(family.subspaces, images, classes)):
@@ -139,14 +139,12 @@ def _transport(operator, family: WeightedSubspaceFamily, tol_def: float, tol_ran
             witness=cls.witness,
         ))
 
-    spans = {label: subspace_sum(images[i] for i in indices)
-             for label, indices in (("positive", family.positive_indices),
-                                    ("negative", family.negative_indices)) if indices}
+    spans = grouped._class_spans(tol_rank)
 
     def span_image(label: str, required: int, kind: SubspaceKind):
         if label not in spans:
             return None, required == 0
-        cls = classify(spans[label], tol_def)
+        cls = classify(spans[label][1], tol_def, tol_rank)
         return cls, cls.maximal_definite and cls.kind is kind
 
     pos_cls, pos_ok = span_image("positive", family.space.num_positive,
@@ -162,7 +160,7 @@ def _transport(operator, family: WeightedSubspaceFamily, tol_def: float, tol_ran
         positive_span_ok=bool(pos_ok),
         negative_span_ok=bool(neg_ok),
     )
-    return report, images, classes, spans
+    return report, grouped
 
 
 class ImageCheckReport(NamedTuple):
@@ -192,24 +190,24 @@ def image_fusion_check(operator, family: WeightedSubspaceFamily, tol_def: float 
     The images grouped by the original signs decompose the space exactly
     when the preservation audit finds T M+ and T M- maximal uniformly
     definite, since T M+/- is the span of those images.  Where the images
-    keep the original signs, the image family's part spans are the same
-    spans, and are reused.
+    keep the original signs, that grouping is the image family, and its part
+    spans are reused.
     """
-    preservation, images, classes, spans = _transport(operator, family, tol_def, tol_rank)
+    preservation, grouped = _transport(operator, family, tol_def, tol_rank)
 
     rejected_entry = None
     rejection_witness = None
     image_report = None
     image_verdict = False
     try:
-        image_family = _signed_family(images, family.weights, classes)
+        image_family = _signed_family(grouped.subspaces, family.weights,
+                                      grouped.entry_classifications)
     except IndefiniteOrNeutralSubspace as exc:
         rejected_entry = exc.index
         rejection_witness = exc.witness
     else:
         if np.array_equal(image_family.signs, family.signs):
-            for label, image_span in spans.items():  # the cached_property's slot
-                image_family.__dict__[f"{label}_span"] = image_span
+            image_family = grouped
         image_report = verify_j_fusion_frame(image_family, tol_def, tol_rank)
         image_verdict = image_report.is_j_fusion_frame
 

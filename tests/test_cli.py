@@ -31,7 +31,7 @@ def run_cli(capsys, *args):
 def test_verify_valid_fusion_family(capsys):
     code, report, err = run_cli(capsys, "verify", FIXTURES / "fusion_dim6.json")
     assert code == 0
-    assert report["report_version"] == 8
+    assert report["report_version"] == 9
     assert report["command"] == "verify"
     assert report["result"]["verdict"] is True
     assert report["result"]["oracle"]["agreement"] is True
@@ -529,6 +529,45 @@ def test_removed_flags_exit_two(capsys, flag, value):
     assert flag in err
 
 
+def test_part_spans_take_the_callers_tol_rank(capsys, tmp_path):
+    """Two positive lines 1e-3 apart span one dimension at --tol-rank 0.01:
+    ``classify`` says so, and every verifying command decides its part spans
+    at the same cutoff; at the default cutoff they span two."""
+    doc = {"dimension": 3, "J": {"type": "diagonal", "signs": [1, 1, -1]},
+           "family": {"entries": [{"basis": [[1, 0, 0]], "weight": 1},
+                                  {"basis": [[1, 0.001, 0]], "weight": 1},
+                                  {"basis": [[0, 0, 1]], "weight": 1}]},
+           "vectors": [[1, 0, 0], [1, 0.001, 0], [0, 0, 1]]}
+    path = tmp_path / "near_parallel.json"
+    path.write_text(json.dumps(doc))
+    code, report, _ = run_cli(capsys, "classify", path, "--tol-rank", "0.01")
+    assert code == 0
+    assert report["result"]["positive_span"]["dim"] == 1
+    assert report["result"]["complete"] is False
+    for command in ("verify", "verify-frame", "bounds"):
+        code, report, _ = run_cli(capsys, command, path, "--tol-rank", "0.01")
+        assert code == 1
+        assert "positive span has dimension 1, signature requires 2" in report["result"]["reasons"]
+        if command != "bounds":
+            assert report["result"]["positive"]["dim_ok"] is False
+        code, report, _ = run_cli(capsys, command, path)
+        assert code == 0
+
+
+def test_gen_takes_no_tolerance(capsys, monkeypatch):
+    """``gen`` reads no tolerance: it refuses the flags, and ignores the
+    environment variable."""
+    code, report, err = run_cli(capsys, "gen", "--tol-def", "0.5")
+    assert code == 2 and report is None
+    assert "--tol-def" in err
+    args = ["gen", "--n", "6", "--p", "3", "--seed", "2"]
+    assert main(args) == 0
+    plain = capsys.readouterr().out
+    monkeypatch.setenv("KREINFRAME_TOLERANCE", "abc")
+    assert main(args) == 0
+    assert capsys.readouterr().out == plain
+
+
 def test_oracle_rejects_version_one_report(capsys, tmp_path):
     report_file, doc = _saved_report(capsys, tmp_path)
     doc["report_version"] = 1
@@ -540,7 +579,7 @@ def test_oracle_rejects_version_one_report(capsys, tmp_path):
     assert "$.report_version: unsupported report_version 1" in err
 
 
-@pytest.mark.parametrize("version", [2, 3, 4, 5, 6, 7])
+@pytest.mark.parametrize("version", [2, 3, 4, 5, 6, 7, 8])
 def test_oracle_rejects_superseded_report_version(capsys, tmp_path, version):
     """Version 2 re-encoded the problem; version 3 took near-neutral bounds
     through a QZ route, so they move on recomputation; version 4 took bases
@@ -548,7 +587,9 @@ def test_oracle_rejects_superseded_report_version(capsys, tmp_path, version):
     dual-entry bases move by a rotation; version 6 took the dual operator
     residual through ||S^-1|| and entry Grams from strided bases, so
     near-neutral dual results move; version 7 stored the sampled oracle's
-    values and a ``seed`` parameter, which no command reads any more."""
+    values and a ``seed`` parameter, which no command reads any more;
+    version 8 took family part spans from the unweighted entry bases, so
+    near-neutral fusion estimates move."""
     report_file, doc = _saved_report(capsys, tmp_path)
     doc["report_version"] = version
     report_file.write_text(json.dumps(doc, indent=2))

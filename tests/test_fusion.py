@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 import kreinframes as kf
 from kreinframes import SubspaceKind
-from kreinframes._numeric import operator_norm
+from kreinframes._numeric import column_space, operator_norm
+from kreinframes.frames import _sign_parts
+from kreinframes.subspaces import smallest_nonzero_modulus
 
 EXACT_TOL = 1e-12
 NUM_TOL = 1e-9
@@ -361,6 +363,40 @@ def test_dual_of_verified_family_is_verified(tilted_family):
 
 # ---------------------------------------------------------------------------
 # J-images, projection alignment, flattening
+
+
+@pytest.mark.parametrize("tilt", [0.0, 0.5, 1.0 - 1e-7])
+def test_part_spans_and_estimates_come_from_one_svd_of_the_weighted_synthesis(tilt):
+    """Each part span and the singular values behind its estimates are one
+    ``column_space`` of the class's weighted synthesis columns ``v_i B_i``,
+    bit for bit; the dual's part spans take the dimension of M+/- from the
+    same SVD of its own weighted synthesis."""
+    family = kf.gen_family(kf.GeneratorConfig(
+        kind="fusion", seed=3, dim=8, num_positive=4, tilt=tilt, rotate=True,
+        entry_dims_positive=(2, 1, 1, 2), entry_dims_negative=(1, 2, 1, 1)))
+    assert len(set(family.entry_dims)) > 1
+    report = kf.verify_j_fusion_frame(family)
+    assert report.is_j_fusion_frame
+    parts = _sign_parts(family, kf.TOL_RANK)
+    dual = kf.fusion_dual_diagnostics(family).dual
+    for label, indices in (("positive", family.positive_indices),
+                           ("negative", family.negative_indices)):
+        basis, svals = column_space(
+            np.hstack([family.weights[i] * family.subspaces[i].basis for i in indices]),
+            kf.TOL_RANK)
+        span = getattr(family, f"{label}_span")
+        assert np.array_equal(span.basis, basis)
+        assert parts[label][1] is span and np.array_equal(parts[label][3], svals)
+        part = getattr(report, label)
+        gamma_g = part.classification.gamma
+        inner = smallest_nonzero_modulus(svals, kf.TOL_RANK) ** 2 * gamma_g**2
+        outer = float(svals[0]) ** 2 / gamma_g
+        assert part.estimate_range == ((inner, outer) if label == "positive"
+                                       else (-outer, -inner))
+        dual_basis, _ = column_space(
+            np.hstack([dual.weights[i] * dual.subspaces[i].basis for i in indices]), 0.0)
+        assert np.array_equal(getattr(dual, f"{label}_span").basis,
+                              dual_basis[:, :span.dim])
 
 
 def test_j_image_family_preserves_validity(tilted_family):

@@ -212,7 +212,7 @@ def test_save_and_load_problem(tmp_path):
 def test_make_report_envelope():
     problem = _minimal_family_doc()
     report = kf.make_report("verify", problem, {"seed": 0}, {"verdict": True})
-    assert report["report_version"] == 8
+    assert report["report_version"] == 9
     assert report["command"] == "verify"
     assert report["problem"] == problem
     assert report["parameters"] == {"seed": 0}

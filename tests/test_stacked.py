@@ -131,16 +131,21 @@ def test_transport_is_one_image_per_entry(n, tilt):
     rng = np.random.default_rng(n)
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     t = q * rng.uniform(0.5, 2.0, n)
-    report, images, classes, spans = _transport(t, family, kf.TOL_DEF, kf.TOL_RANK)
-    for sub, image, cls in zip(family.subspaces, images, classes, strict=True):
+    report, grouped = _transport(t, family, kf.TOL_DEF, kf.TOL_RANK)
+    images = grouped.subspaces
+    assert np.array_equal(grouped.signs, family.signs)
+    for sub, image, cls in zip(family.subspaces, images, grouped.entry_classifications,
+                               strict=True):
         ref = orth_columns(t @ sub.basis, kf.TOL_RANK)
         assert np.array_equal(image.basis, ref)
         assert np.array_equal(cls.eigenvalues, kf.classify(kf.Subspace(family.space, ref))
                               .eigenvalues)
     for label, indices in (("positive", family.positive_indices),
                            ("negative", family.negative_indices)):
-        ref = kf.subspace_sum(images[i] for i in indices)
-        assert np.array_equal(spans[label].basis, ref.basis)
+        # T M is spanned from the weighted image bases, as a family spans its parts
+        ref = kf.Subspace(family.space, orth_columns(
+            np.hstack([family.weights[i] * images[i].basis for i in indices]), kf.TOL_RANK))
+        assert np.array_equal(getattr(grouped, f"{label}_span").basis, ref.basis)
         assert getattr(report, f"{label}_span_image").kind is kf.classify(ref).kind
     check = kf.image_fusion_check(t, family)
     assert check.decomposition_original == (report.positive_span_ok

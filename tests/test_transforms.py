@@ -74,6 +74,26 @@ def test_sufficient_hypotheses_imply_image_verdict(tilted_family):
         assert check.image_verdict
 
 
+def test_image_report_parts_are_the_audited_span_images(tilted_family):
+    """An operator that keeps every sign: the image family is the grouping
+    the audit spanned, so each part classification of the image report is
+    the audit's span-image classification, bit for bit."""
+    rng = np.random.default_rng(SEED)
+    n = tilted_family.space.dim
+    t = np.eye(n) + 0.05 * rng.standard_normal((n, n))
+    check = kf.image_fusion_check(t, tilted_family)
+    assert all(e.sign_preserved for e in check.preservation.entries)
+    for label in ("positive", "negative"):
+        image = getattr(check.image_report, label).classification
+        audited = getattr(check.preservation, f"{label}_span_image")
+        for name, value in image._asdict().items():
+            other = getattr(audited, name)
+            if isinstance(value, np.ndarray):
+                assert np.array_equal(value, other)
+            else:
+                assert value == other
+
+
 def test_sign_swap_operator_regroups_entries(minkowski2):
     """The swap maps positive entries to negative ones and vice versa.
 
