@@ -238,16 +238,26 @@ def _verify_tolerances(report, family: WeightedSubspaceFamily, rps) -> dict[str,
 
 
 def _need(parsed: ParsedProblem, what: str):
-    if what == "family" and parsed.entries is None:
-        raise InputError("problem has no 'family' section, required by this command")
-    if what == "vectors" and parsed.vectors is None:
-        raise InputError("problem has no 'vectors' section, required by this command")
-    if what == "operator" and parsed.operator is None:
-        raise InputError("problem has no 'operator' section, required by this command")
+    if getattr(parsed, "entries" if what == "family" else what) is None:
+        raise InputError(f"problem has no '{what}' section, required by this command")
 
 
-def _build_family(parsed: ParsedProblem, params: Params) -> WeightedSubspaceFamily:
-    return family_from_spans(
+# Refusals of an input at construction, or of a system that must verify (``dual``)
+REFUSALS = (IndefiniteOrNeutralSubspace, NonPositiveWeight, NeutralVector, NotAJFrame,
+            NotAJFusionFrame)
+
+
+def _system(parsed: ParsedProblem, params: Params, section: str | None = None):
+    """The kind (``"fusion"`` or ``"frame"``) and the family or frame of a
+    problem, as ``section`` (``"family"`` or ``"vectors"``) asks; without it,
+    the family where the problem has one."""
+    if section is None and parsed.entries is None and parsed.vectors is None:
+        raise InputError("problem has neither 'family' nor 'vectors'")
+    section = section or ("family" if parsed.entries is not None else "vectors")
+    _need(parsed, section)
+    if section == "vectors":
+        return "frame", partition_by_sign(parsed.vectors, parsed.space, params.tol_def)
+    return "fusion", family_from_spans(
         [rows for rows, _ in parsed.entries],
         [w for _, w in parsed.entries],
         parsed.space,
@@ -257,17 +267,24 @@ def _build_family(parsed: ParsedProblem, params: Params) -> WeightedSubspaceFami
 
 
 def _rejection(exc: KreinFrameError) -> Outcome:
-    """The output of a command whose input was refused at construction."""
+    """The output of a command whose input was refused: the reason, and the
+    ``index``, ``witness`` and ``self_product`` that the refusal carries."""
     info: dict = {"reason": str(exc)}
-    index = getattr(exc, "index", None)
-    if index is not None:
-        info["index"] = index
-    witness = getattr(exc, "witness", None)
-    if witness is not None:
-        info["witness"] = witness
-    if hasattr(exc, "self_product"):
-        info["self_product"] = exc.self_product
+    for key in ("index", "witness", "self_product"):
+        if getattr(exc, key, None) is not None:
+            info[key] = getattr(exc, key)
     return Outcome({"verdict": False, "rejected": info}, 1, [f"verdict=false (rejected: {exc})"])
+
+
+def _refusing(core):
+    """The command ``core``, with one of ``REFUSALS`` answered by :func:`_rejection`."""
+    @functools.wraps(core)
+    def run(parsed: ParsedProblem, params: Params) -> Outcome:
+        try:
+            return core(parsed, params)
+        except REFUSALS as exc:
+            return _rejection(exc)
+    return run
 
 
 def run_classify(parsed: ParsedProblem, params: Params) -> Outcome:
@@ -314,12 +331,9 @@ def run_classify(parsed: ParsedProblem, params: Params) -> Outcome:
                                f"complete={result['complete']}"])
 
 
+@_refusing
 def run_verify(parsed: ParsedProblem, params: Params) -> Outcome:
-    _need(parsed, "family")
-    try:
-        family = _build_family(parsed, params)
-    except (IndefiniteOrNeutralSubspace, NonPositiveWeight) as exc:
-        return _rejection(exc)
+    _, family = _system(parsed, params, "family")
     report = verify_j_fusion_frame(family, params.tol_def, params.tol_rank)
     rps = (_rps_entries(family, params.tol_def, params.tol_rank) if report.is_j_fusion_frame
            else None)
@@ -340,14 +354,9 @@ def run_verify(parsed: ParsedProblem, params: Params) -> Outcome:
                    _verify_tolerances(report, family, rps))
 
 
+@_refusing
 def run_verify_frame(parsed: ParsedProblem, params: Params) -> Outcome:
-    _need(parsed, "vectors")
-    try:
-        frame = partition_by_sign(parsed.vectors, parsed.space, params.tol_def)
-    except NeutralVector as exc:
-        outcome = _rejection(exc)
-        outcome.result["rejected"]["witness"] = parsed.vectors[exc.index]
-        return outcome
+    _, frame = _system(parsed, params, "vectors")
     report = verify_j_frame(frame, params.tol_def, params.tol_rank)
     result = {
         "verdict": report.is_j_frame,
@@ -393,25 +402,12 @@ def _sandwich_flags(report) -> dict:
     return ok
 
 
+@_refusing
 def run_bounds(parsed: ParsedProblem, params: Params) -> Outcome:
-    if parsed.entries is not None:
-        try:
-            family = _build_family(parsed, params)
-        except (IndefiniteOrNeutralSubspace, NonPositiveWeight) as exc:
-            return _rejection(exc)
-        report = verify_j_fusion_frame(family, params.tol_def, params.tol_rank)
-        kind = "fusion"
-        verdict = report.is_j_fusion_frame
-    elif parsed.vectors is not None:
-        try:
-            frame = partition_by_sign(parsed.vectors, parsed.space, params.tol_def)
-        except NeutralVector as exc:
-            return _rejection(exc)
-        report = verify_j_frame(frame, params.tol_def, params.tol_rank)
-        kind = "frame"
-        verdict = report.is_j_frame
-    else:
-        raise InputError("problem has neither 'family' nor 'vectors'")
+    kind, system = _system(parsed, params)
+    verify = verify_j_fusion_frame if kind == "fusion" else verify_j_frame
+    report = verify(system, params.tol_def, params.tol_rank)
+    verdict = report.is_j_fusion_frame if kind == "fusion" else report.is_j_frame
     result = {
         "kind": kind,
         "verdict": verdict,
@@ -447,13 +443,11 @@ def _dual_output(head: dict, rep, tail: dict) -> Outcome:
     return Outcome(result, 0, lines)
 
 
+@_refusing
 def run_dual(parsed: ParsedProblem, params: Params) -> Outcome:
-    if parsed.entries is not None:
-        try:
-            family = _build_family(parsed, params)
-            diag = fusion_dual_diagnostics(family, params.tol_def)
-        except (IndefiniteOrNeutralSubspace, NonPositiveWeight, NotAJFusionFrame) as exc:
-            return _rejection(exc)
+    kind, system = _system(parsed, params)
+    if kind == "fusion":
+        diag = fusion_dual_diagnostics(system, params.tol_def, params.tol_rank)
         dual_entries = [{
             "basis": sub.basis.T,
             "weight": float(w),
@@ -461,24 +455,16 @@ def run_dual(parsed: ParsedProblem, params: Params) -> Outcome:
         } for sub, w, s in zip(diag.dual.subspaces, diag.dual.weights, diag.dual.signs)]
         return _dual_output({"kind": "fusion", "verdict": True, "dual_entries": dual_entries},
                             diag, {"span_identity_residual": diag.span_identity_residual})
-    if parsed.vectors is not None:
-        try:
-            frame = partition_by_sign(parsed.vectors, parsed.space, params.tol_def)
-            rep = dual_reciprocity(frame, params.tol_def)
-        except (NeutralVector, NotAJFrame) as exc:
-            return _rejection(exc)
-        return _dual_output({"kind": "frame", "verdict": True, "dual_vectors": rep.dual.vectors},
-                            rep, {})
-    raise InputError("problem has neither 'family' nor 'vectors'")
+    rep = dual_reciprocity(system, params.tol_def, params.tol_rank)
+    return _dual_output({"kind": "frame", "verdict": True, "dual_vectors": rep.dual.vectors},
+                        rep, {})
 
 
+@_refusing
 def run_transform(parsed: ParsedProblem, params: Params) -> Outcome:
     _need(parsed, "family")
     _need(parsed, "operator")
-    try:
-        family = _build_family(parsed, params)
-    except (IndefiniteOrNeutralSubspace, NonPositiveWeight) as exc:
-        return _rejection(exc)
+    _, family = _system(parsed, params, "family")
     check = image_fusion_check(parsed.operator, family, params.tol_def, params.tol_rank)
     entries = [{
         "index": e.index,

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._numeric import as_matrix, as_vector, operator_norm, orth_columns
+from ._numeric import as_matrix, as_vector, operator_norm
 from .errors import DimensionMismatch, NotAnInvolution
 
 # Default tolerances, overridable per call (and via KREINFRAME_TOLERANCE in
@@ -56,15 +56,6 @@ class KreinSpace:
     def negative_projector(self) -> np.ndarray:
         m = 0.5 * (np.eye(self.dim) - self.symmetry)
         return 0.5 * (m + m.T)
-
-    @cached_property
-    def positive_eigenbasis(self) -> np.ndarray:
-        """Orthonormal basis (columns) of the canonical positive eigenspace."""
-        return orth_columns(self.positive_projector, TOL_RANK)
-
-    @cached_property
-    def negative_eigenbasis(self) -> np.ndarray:
-        return orth_columns(self.negative_projector, TOL_RANK)
 
     def product(self, x, y) -> float:
         """Indefinite product [x, y]."""

@@ -56,11 +56,13 @@ class NotUniformlyDefinite(InputError):
 
 
 class NeutralVector(InputError):
-    """A frame vector has (numerically) vanishing self-product."""
+    """A frame vector has (numerically) vanishing self-product; carries its
+    index and the vector itself as ``witness``."""
 
-    def __init__(self, message: str, index: int, self_product: float):
+    def __init__(self, message: str, index: int, self_product: float, witness=None):
         super().__init__(message)
         self.index = index
+        self.witness = witness
         self.self_product = self_product
 
 

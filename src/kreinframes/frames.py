@@ -50,22 +50,27 @@ class _SignClasses:
     """Members with signs, grouped into a positive and a negative class; a
     member of sign 0 belongs to neither.
 
-    This is the span route of vector frames and weighted families alike.  A
-    subclass gives the synthesis columns of a class, ``_synthesis_columns(
-    indices)``, and the numerator of the class's Rayleigh pencil in the
-    coordinates of an orthonormal ``basis``, ``_numerator(indices, basis)``.
-    The span of each nonempty class and the singular values of its columns
-    come from one SVD of them (:func:`~kreinframes._numeric.column_space`).
+    This is the route of vector frames and weighted families alike, and it
+    holds what verification and derived operations read of the whole system,
+    each computed once.  A subclass gives the synthesis columns of a class,
+    ``_synthesis_columns(indices)``; the numerator of the class's Rayleigh
+    pencil in the coordinates of an orthonormal ``basis``, ``_numerator(
+    indices, basis)``; the matrix of S, ``_operator_matrix(tol_def)``; its
+    canonical dual from S and S^{-1}, ``_dual(s, s_inv, tol_def)``; what it
+    is called, ``_what``; and the error that refuses it, ``_refusal``.  The
+    span of each nonempty class and the singular values of its columns come
+    from one SVD of them (:func:`~kreinframes._numeric.column_space`).
     """
 
     # The dimension each class span takes in place of a rank decision, by
-    # label, or None (see :func:`kreinframes.fusion.canonical_dual_fusion`).
+    # label, or None (see ``kreinframes.fusion.WeightedSubspaceFamily._dual``).
     _part_dims: dict[str, int] | None = None
 
     def __init__(self, space: KreinSpace, signs: np.ndarray):
         self.space = space
         self.signs = signs
         self._spans_at: dict[float, dict[str, ClassSpan]] = {}
+        self._operators_at: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
     @cached_property
     def positive_indices(self) -> tuple[int, ...]:
@@ -74,6 +79,11 @@ class _SignClasses:
     @cached_property
     def negative_indices(self) -> tuple[int, ...]:
         return tuple(int(i) for i in np.flatnonzero(self.signs < 0))
+
+    @cached_property
+    def synthesis(self) -> np.ndarray:
+        """The synthesis matrix T: the synthesis columns of every member."""
+        return self._synthesis_columns(tuple(range(self.signs.size)))
 
     def _class_spans(self, tol_rank: float = TOL_RANK) -> dict[str, ClassSpan]:
         """The :data:`ClassSpan` of each nonempty class (``"positive"``,
@@ -92,6 +102,18 @@ class _SignClasses:
             self._spans_at[tol_rank] = spans
         return self._spans_at[tol_rank]
 
+    def _operator(self, tol_def: float) -> tuple[np.ndarray, np.ndarray]:
+        """The matrix of S and its singular values (:func:`_singular_values`),
+        once per ``tol_def``, which decides only if family entries are regular."""
+        if tol_def not in self._operators_at:
+            s = self._operator_matrix(tol_def)
+            self._operators_at[tol_def] = (s, _singular_values(s, self.space.symmetry))
+        return self._operators_at[tol_def]
+
+    def _refuse_ill_conditioned(self, svals: np.ndarray) -> None:
+        """A hook that may refuse a verified system by the singular values of
+        S before :func:`_require_invertible` does; by default it refuses none."""
+
     @property
     def positive_span(self) -> Subspace | None:
         return self._class_spans().get("positive", (None, None))[1]
@@ -104,6 +126,8 @@ class _SignClasses:
 class VectorFrame(_SignClasses):
     """A sign-partitioned vector sequence (rows of ``vectors``)."""
 
+    _what, _refusal = "frame", NotAJFrame
+
     def __init__(self, space: KreinSpace, vectors: np.ndarray, signs: np.ndarray):
         super().__init__(space, signs)
         self.vectors = vectors
@@ -111,6 +135,10 @@ class VectorFrame(_SignClasses):
     @property
     def size(self) -> int:
         return self.vectors.shape[0]
+
+    @property
+    def synthesis(self) -> np.ndarray:
+        return self.vectors.T
 
     def _synthesis_columns(self, indices: tuple[int, ...]) -> np.ndarray:
         return self.vectors[list(indices)].T
@@ -121,9 +149,16 @@ class VectorFrame(_SignClasses):
         numerator = g_vecs @ g_vecs.T
         return numerator if self.signs[indices[0]] > 0 else -numerator
 
-    def synthesis_matrix(self) -> np.ndarray:
-        """n x m matrix whose columns are the frame vectors."""
-        return self.vectors.T
+    def _operator_matrix(self, tol_def: float) -> np.ndarray:
+        return frame_operator(self).matrix
+
+    def _refuse_ill_conditioned(self, svals: np.ndarray) -> None:
+        """Refuse a condition number beyond the double range, as :func:`verify_j_frame` does."""
+        _condition_number(self, svals)
+
+    def _dual(self, s: np.ndarray, s_inv: np.ndarray, tol_def: float) -> "VectorFrame":
+        """The vectors S^{-1} f_i, from one solve with S, partitioned afresh by sign."""
+        return partition_by_sign(np.linalg.solve(s, self.vectors.T).T, self.space, tol_def)
 
 
 def _require_finite(values, what: str) -> None:
@@ -165,6 +200,7 @@ def partition_by_sign(vectors, space: KreinSpace, tol_def: float = TOL_DEF) -> V
             f"vector {i} is neutral within tolerance: [f, f] = {float(self_products[i]):.3e}",
             index=i,
             self_product=float(self_products[i]),
+            witness=v[i],
         )
     return VectorFrame(space=space, vectors=v, signs=np.where(products > 0.0, 1, -1))
 
@@ -222,8 +258,7 @@ class JFrameReport(NamedTuple):
     """Verdict, bounds and estimates of a vector frame.
 
     ``pencils`` holds the Rayleigh pencils the bounds were computed from, as
-    :func:`frame_part_pencils` returns them.  A frame that verifies also
-    carries the matrix of its frame operator S and the singular values of S.
+    :func:`frame_part_pencils` returns them.
     """
 
     is_j_frame: bool
@@ -235,8 +270,6 @@ class JFrameReport(NamedTuple):
     condition_number: float | None
     reasons: tuple[str, ...]
     pencils: dict
-    operator: np.ndarray | None = None
-    singular_values: np.ndarray | None = None
 
 
 # One nonempty sign class: indices, span, signed Rayleigh pencil
@@ -272,12 +305,11 @@ def _sign_parts(system: _SignClasses, tol_rank: float) -> dict[str, SignPart]:
     return parts
 
 
-def _verify_sign_parts(system: _SignClasses, synthesis: np.ndarray, tol_def: float,
+def _verify_sign_parts(system: _SignClasses, tol_def: float,
                        tol_rank: float) -> tuple[bool, dict]:
     """The sign-partitioned check shared by vector frames and fusion families.
 
-    ``synthesis`` is the synthesis matrix of the whole ``system``.  Each
-    sign class (:func:`_sign_parts`) must span a maximal uniformly definite
+    Each sign class (:func:`_sign_parts`) must span a maximal uniformly definite
     subspace of its sign; its bounds are the extreme eigenvalues of its
     signed pencil, and its estimates come from reduced minimum moduli: of
     the synthesis, from its singular values, and of the span's Gram, from
@@ -287,7 +319,7 @@ def _verify_sign_parts(system: _SignClasses, synthesis: np.ndarray, tol_def: flo
     :class:`InputError`.
     """
     space, parts = system.space, _sign_parts(system, tol_rank)
-    bessel = _bessel_bound(synthesis)
+    bessel = _bessel_bound(system.synthesis)
     reasons: list[str] = []
     reports: dict[str, PartReport | None] = {}
     for label, good_kind in _PART_KINDS:
@@ -354,17 +386,20 @@ def _singular_values(s: np.ndarray, j: np.ndarray) -> np.ndarray:
     return np.sort(np.abs(np.linalg.eigvalsh(0.5 * (js + js.T))))[::-1]
 
 
-def _require_invertible(svals: np.ndarray, tol_def: float, what: str) -> None:
-    """Refuse the canonical dual of a verified ``what`` (a frame or a fusion
-    frame) whose frame operator, with singular values ``svals`` in descending
-    order, is singular at ``tol_def`` (:class:`SingularFrameOperator`) or has
-    an inverse beyond the double range (:class:`InputError`)."""
+def _require_invertible(system: _SignClasses, tol_def: float) -> tuple[np.ndarray, np.ndarray]:
+    """S and its singular values of a verified frame or family, refused when
+    S^{-1} exceeds the double range (:class:`InputError`, after the class's
+    ``_refuse_ill_conditioned``) or S is singular at ``tol_def``
+    (:class:`SingularFrameOperator`)."""
+    s, svals = system._operator(tol_def)
+    system._refuse_ill_conditioned(svals)
     with np.errstate(divide="ignore", over="ignore"):
         _require_finite(1.0 / svals[-1], "the inverse frame operator")
     if svals[-1] <= tol_def * svals[0]:
         raise SingularFrameOperator(
-            f"verified {what} produced singular frame operator (sigma_min={svals[-1]:.3e})"
+            f"verified {system._what} produced singular frame operator (sigma_min={svals[-1]:.3e})"
         )
+    return s, svals
 
 
 def _dual_comparison(original: Bounds4, dual_bounds: Bounds4, s_inv: np.ndarray,
@@ -394,14 +429,9 @@ def _dual_comparison(original: Bounds4, dual_bounds: Bounds4, s_inv: np.ndarray,
 def verify_j_frame(frame: VectorFrame, tol_def: float = TOL_DEF,
                    tol_rank: float = TOL_RANK) -> JFrameReport:
     """Check the two sign classes and compute bounds when both pass."""
-    verdict, fields = _verify_sign_parts(frame, frame.vectors.T, tol_def, tol_rank)
-    s = svals = condition = None
-    if verdict:
-        s = frame_operator(frame).matrix
-        svals = _singular_values(s, frame.space.symmetry)
-        condition = _condition_number(frame, svals)
-    return JFrameReport(is_j_frame=verdict, condition_number=condition, operator=s,
-                        singular_values=svals, **fields)
+    verdict, fields = _verify_sign_parts(frame, tol_def, tol_rank)
+    condition = _condition_number(frame, frame._operator(tol_def)[1]) if verdict else None
+    return JFrameReport(is_j_frame=verdict, condition_number=condition, **fields)
 
 
 def _condition_number(frame: VectorFrame, svals: np.ndarray) -> float:
@@ -422,12 +452,12 @@ def _condition_number(frame: VectorFrame, svals: np.ndarray) -> float:
     return condition
 
 
-def _verified(frame: VectorFrame, tol_def: float) -> JFrameReport:
-    """The report of a frame that must verify; raises :class:`NotAJFrame`."""
-    report = verify_j_frame(frame, tol_def)
-    if not report.is_j_frame:
-        raise NotAJFrame("; ".join(report.reasons) or "frame verification failed")
-    return report
+def _verified(system: _SignClasses, tol_def: float, tol_rank: float) -> dict:
+    """The :func:`_verify_sign_parts` fields of a system that must verify, or its ``_refusal``."""
+    verdict, fields = _verify_sign_parts(system, tol_def, tol_rank)
+    if not verdict:
+        raise system._refusal("; ".join(fields["reasons"]))
+    return fields
 
 
 def is_j_frame(frame: VectorFrame, tol_def: float = TOL_DEF) -> bool:
@@ -435,13 +465,12 @@ def is_j_frame(frame: VectorFrame, tol_def: float = TOL_DEF) -> bool:
 
 
 def optimal_j_frame_bounds(frame: VectorFrame, tol_def: float = TOL_DEF) -> Bounds4:
-    return _verified(frame, tol_def).bounds
+    return _verified(frame, tol_def, TOL_RANK)["bounds"]
 
 
 def frame_bound_estimates(frame: VectorFrame, tol_rank: float = TOL_RANK) -> Bounds4:
     """Singular-value bound estimates (never sharper than the optimal bounds)."""
-    report = verify_j_frame(frame, tol_rank=tol_rank)
-    return report.bound_estimates
+    return verify_j_frame(frame, tol_rank=tol_rank).bound_estimates
 
 
 def frame_part_pencils(frame: VectorFrame) -> dict[str, tuple[np.ndarray, np.ndarray]]:
@@ -460,17 +489,29 @@ def canonical_dual(frame: VectorFrame, tol_def: float = TOL_DEF) -> VectorFrame:
     For a verified frame the dual keeps the sign pattern and its frame
     operator is exactly S^{-1}.
     """
-    return _canonical_dual_of_verified(frame, _verified(frame, tol_def), tol_def)
+    return _canonical_dual_of(frame, tol_def, TOL_RANK)[1]
 
 
-def _canonical_dual_of_verified(frame: VectorFrame, report: JFrameReport,
-                                tol_def: float) -> VectorFrame:
-    """:func:`canonical_dual` of a frame whose verification at ``tol_def`` is
-    ``report``; its frame operator and singular values are reused.  A dual
-    whose S^{-1} exceeds the double range raises :class:`InputError`."""
-    _require_invertible(report.singular_values, tol_def, "frame")
-    dual_vectors = np.linalg.solve(report.operator, frame.vectors.T).T
-    return partition_by_sign(dual_vectors, frame.space, tol_def)
+def _canonical_dual_of(system: _SignClasses, tol_def: float, tol_rank: float
+                       ) -> tuple[dict, _SignClasses, np.ndarray, np.ndarray]:
+    """The report fields of a frame or family that must verify, its
+    canonical dual (the class's ``_dual``), S^{-1} and the singular values
+    of S."""
+    fields = _verified(system, tol_def, tol_rank)
+    s, svals = _require_invertible(system, tol_def)
+    s_inv = np.linalg.inv(s)
+    return fields, system._dual(s, s_inv, tol_def), s_inv, svals
+
+
+def _dual_diagnostics(system: _SignClasses, tol_def: float, tol_rank: float
+                      ) -> tuple[_SignClasses, np.ndarray, dict]:
+    """The canonical dual, S^{-1} and the :func:`_dual_comparison` fields of a
+    frame or family; it and its dual are each verified once, at one cutoff."""
+    fields, dual, s_inv, svals = _canonical_dual_of(system, tol_def, tol_rank)
+    dual_bounds = _verified(dual, tol_def, tol_rank)["bounds"]
+    return dual, s_inv, _dual_comparison(fields["bounds"], dual_bounds, s_inv,
+                                         dual._operator_matrix(tol_def),
+                                         system.space.symmetry, svals[-1])
 
 
 class ReciprocityReport(NamedTuple):
@@ -494,14 +535,12 @@ class ReciprocityReport(NamedTuple):
     dual_operator_residual: float
 
 
-def dual_reciprocity(frame: VectorFrame, tol_def: float = TOL_DEF) -> ReciprocityReport:
-    """Measure how far the canonical dual's bounds are from the reciprocal pattern."""
-    report = _verified(frame, tol_def)
-    dual = _canonical_dual_of_verified(frame, report, tol_def)
-    dual_report = _verified(dual, tol_def)
-    return ReciprocityReport(dual=dual, **_dual_comparison(
-        report.bounds, dual_report.bounds, np.linalg.inv(report.operator), dual_report.operator,
-        frame.space.symmetry, report.singular_values[-1]))
+def dual_reciprocity(frame: VectorFrame, tol_def: float = TOL_DEF,
+                     tol_rank: float = TOL_RANK) -> ReciprocityReport:
+    """Measure how far the canonical dual's bounds are from the reciprocal
+    pattern; the frame and its dual take their part spans at ``tol_rank``."""
+    dual, _, comparison = _dual_diagnostics(frame, tol_def, tol_rank)
+    return ReciprocityReport(dual=dual, **comparison)
 
 
 def interlacing_identity(frame: VectorFrame, subset, f,
@@ -517,7 +556,7 @@ def interlacing_identity(frame: VectorFrame, subset, f,
     J-selfadjointness of all three operators).
     """
     idx = _validate_indices(frame, subset)
-    _verified(frame, tol_def)
+    _verified(frame, tol_def, TOL_RANK)
     complement = [i for i in range(frame.size) if i not in set(idx)]
     s = frame_operator(frame).matrix
     s1 = partial_frame_operator(frame, idx).matrix

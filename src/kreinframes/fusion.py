@@ -40,12 +40,12 @@ from .frames import (
     Bounds4,
     PartReport,
     VectorFrame,
-    _SignClasses,
     _bessel_bound,
-    _dual_comparison,
-    _require_invertible,
+    _canonical_dual_of,
+    _dual_diagnostics,
+    _SignClasses,
     _sign_parts,
-    _singular_values,
+    _verified,
     _verify_sign_parts,
     partition_by_sign,
     verify_j_frame,
@@ -68,6 +68,8 @@ class WeightedSubspaceFamily(_SignClasses):
     each part span is that of the weighted bases: the same span as of the
     bases themselves, since every weight is strictly positive.
     """
+
+    _what, _refusal = "fusion frame", NotAJFusionFrame
 
     def __init__(self, space: KreinSpace, subspaces: tuple[Subspace, ...], weights: np.ndarray,
                  signs: np.ndarray, entry_classifications: tuple[Classification, ...]):
@@ -104,6 +106,33 @@ class WeightedSubspaceFamily(_SignClasses):
         On the negative class each term is itself negative."""
         y = basis.T @ self._synthesis_columns(indices)
         return y @ block_diag([self.subspaces[i].gram for i in indices]) @ y.T
+
+    def _operator_matrix(self, tol_def: float) -> np.ndarray:
+        return self.synthesis @ fusion_analysis(self, tol_def)
+
+    def _dual(self, s: np.ndarray, s_inv: np.ndarray, tol_def: float) -> "WeightedSubspaceFamily":
+        """The family {(S^{-1} W_i, v_i)} (see :func:`canonical_dual_fusion`).
+
+        Each dual entry's basis is the Q factor of ``S^{-1} B_i`` with a
+        positive diagonal in R, unique since S^{-1} is invertible: no rank
+        decision, and a basis that moves only as much as S^{-1} B_i does.
+        The QRs and classifications are stacked by entry dimension.  The
+        dual's part spans S^{-1} M+/- take the dimensions of M+/- (those of
+        the signature, the family being verified) in place of a rank decided
+        from singular values, which near neutral can flip at rounding level.
+        (A QR of ``S^{-1} B_M`` is only as accurate as S^{-1} is conditioned
+        on M+/-: at tilt 1 - 1e-7 it moved dual bounds by 4.5e-3 relative.)
+        """
+        mapped = np.split(s_inv @ np.hstack([sub.basis for sub in self.subspaces]),
+                          self.offsets[1:-1], axis=1)
+        dual_subs = tuple(Subspace(space=self.space,
+                                   basis=q * np.where(np.diagonal(r) < 0.0, -1.0, 1.0))
+                          for q, r in stacked(np.linalg.qr, mapped))
+        dual = _signed_family(dual_subs, self.weights, tuple(_classify_all(dual_subs, tol_def)))
+        if np.array_equal(dual.signs, self.signs):
+            dual._part_dims = {"positive": self.space.num_positive,
+                               "negative": self.space.num_negative}
+        return dual
 
 
 def make_weighted_family(subspaces, weights, tol_def: float = TOL_DEF) -> WeightedSubspaceFamily:
@@ -198,9 +227,6 @@ class DirectSumSpace:
     def indefinite_product(self, c, d) -> float:
         return float(np.asarray(c, dtype=float) @ self.indefinite_gram @ np.asarray(d, dtype=float))
 
-    def hilbert_product(self, c, d) -> float:
-        return float(np.asarray(c, dtype=float) @ self.hilbert_gram @ np.asarray(d, dtype=float))
-
 
 def direct_sum_space(family: WeightedSubspaceFamily) -> DirectSumSpace:
     sym = block_diag([s * np.eye(k) for s, k in zip(family.signs, family.entry_dims)])
@@ -216,8 +242,7 @@ def direct_sum_space(family: WeightedSubspaceFamily) -> DirectSumSpace:
 
 def fusion_synthesis(family: WeightedSubspaceFamily) -> np.ndarray:
     """Synthesis matrix T: stacked coordinates -> sum_i v_i B_i c_i (n x sum k_i)."""
-    blocks = [w * sub.basis for w, sub in zip(family.weights, family.subspaces)]
-    return np.hstack(blocks)
+    return family.synthesis
 
 
 def fusion_analysis(family: WeightedSubspaceFamily, tol_def: float = TOL_DEF) -> np.ndarray:
@@ -252,7 +277,7 @@ def fusion_frame_operator(family: WeightedSubspaceFamily, tol_def: float = TOL_D
     identity on a fundamental decomposition with unit weights, and S+ - S-
     with both parts positive for the indefinite product.
     """
-    return Operator(family.space, fusion_synthesis(family) @ fusion_analysis(family, tol_def))
+    return Operator(family.space, family._operator_matrix(tol_def))
 
 
 def fusion_operator_parts(family: WeightedSubspaceFamily,
@@ -308,28 +333,19 @@ def verify_j_fusion_frame(family: WeightedSubspaceFamily, tol_def: float = TOL_D
     p and q add up to the whole space.  Only a family that fails takes the
     rank of its stacked bases.
     """
-    verdict, fields = _verify_sign_parts(family, fusion_synthesis(family), tol_def, tol_rank)
+    verdict, fields = _verify_sign_parts(family, tol_def, tol_rank)
     complete = verdict or orth_columns(np.hstack([s.basis for s in family.subspaces]),
                                        tol_rank).shape[1] == family.space.dim
     return JFusionReport(is_j_fusion_frame=verdict, complete=complete, **fields)
 
 
 def optimal_fusion_bounds(family: WeightedSubspaceFamily, tol_def: float = TOL_DEF) -> Bounds4:
-    return _verified(family, tol_def).bounds
-
-
-def _verified(family: WeightedSubspaceFamily, tol_def: float) -> JFusionReport:
-    """The report of a family that must verify; raises :class:`NotAJFusionFrame`."""
-    report = verify_j_fusion_frame(family, tol_def)
-    if not report.is_j_fusion_frame:
-        raise NotAJFusionFrame("; ".join(report.reasons) or "fusion verification failed")
-    return report
+    return _verified(family, tol_def, TOL_RANK)["bounds"]
 
 
 def fusion_bound_estimates(family: WeightedSubspaceFamily,
                            tol_rank: float = TOL_RANK) -> Bounds4:
-    report = verify_j_fusion_frame(family, tol_rank=tol_rank)
-    return report.bound_estimates
+    return verify_j_fusion_frame(family, tol_rank=tol_rank).bound_estimates
 
 
 def part_pencils(family: WeightedSubspaceFamily
@@ -353,38 +369,8 @@ def canonical_dual_fusion(family: WeightedSubspaceFamily, tol_def: float = TOL_D
     ``S^{-1} Q_{W_i} f`` lies in ``S^{-1} W_i``.  Its own frame operator is
     *not* S^{-1} in general (see :func:`fusion_dual_diagnostics`).
     """
-    _verified(family, tol_def)
-    return _canonical_dual_of_verified(family, tol_def)[:2]
-
-
-def _canonical_dual_of_verified(family: WeightedSubspaceFamily, tol_def: float
-                                ) -> tuple[WeightedSubspaceFamily, Operator, np.ndarray]:
-    """:func:`canonical_dual_fusion` of a family already verified at ``tol_def``,
-    and the singular values of S in descending order.
-
-    Each dual entry's basis is the Q factor of ``S^{-1} B_i`` with a positive
-    diagonal in R, which is unique because S^{-1} is invertible: no rank
-    decision, and a basis that moves only as much as S^{-1} B_i does.  The
-    QRs and the entry classifications are stacked by entry dimension.  The
-    dual's part spans S^{-1} M+/- are spanned by its entries of each sign,
-    with the dimension of M+/- (``_part_dims``) in place of a rank decided
-    from singular values, which near neutral can flip at rounding level.
-    (A QR of ``S^{-1} B_M`` is only as accurate as S^{-1} is conditioned on
-    M+/-: at tilt 1 - 1e-7 it moved dual bounds by 4.5e-3 relative.)
-    """
-    space = family.space
-    s = fusion_frame_operator(family, tol_def).matrix
-    svals = _singular_values(s, space.symmetry)
-    _require_invertible(svals, tol_def, "fusion frame")
-    s_inv = np.linalg.inv(s)
-    mapped = np.split(s_inv @ np.hstack([sub.basis for sub in family.subspaces]),
-                      family.offsets[1:-1], axis=1)
-    dual_subs = tuple(Subspace(space=space, basis=q * np.where(np.diagonal(r) < 0.0, -1.0, 1.0))
-                      for q, r in stacked(np.linalg.qr, mapped))
-    dual = _signed_family(dual_subs, family.weights, tuple(_classify_all(dual_subs, tol_def)))
-    if np.array_equal(dual.signs, family.signs):
-        dual._part_dims = {label: span.dim for label, (_, span, _) in family._class_spans().items()}
-    return dual, Operator(space, s_inv), svals
+    _, dual, s_inv, _ = _canonical_dual_of(family, tol_def, TOL_RANK)
+    return dual, Operator(family.space, s_inv)
 
 
 class FusionDualReport(NamedTuple):
@@ -410,22 +396,21 @@ class FusionDualReport(NamedTuple):
     span_identity_residual: float
 
 
-def fusion_dual_diagnostics(family: WeightedSubspaceFamily,
-                            tol_def: float = TOL_DEF) -> FusionDualReport:
-    original_bounds = optimal_fusion_bounds(family, tol_def)
-    dual, inverse, svals = _canonical_dual_of_verified(family, tol_def)
-    dual_bounds = optimal_fusion_bounds(dual, tol_def)
-    s_dual = fusion_frame_operator(dual, tol_def).matrix
+def fusion_dual_diagnostics(family: WeightedSubspaceFamily, tol_def: float = TOL_DEF,
+                            tol_rank: float = TOL_RANK) -> FusionDualReport:
+    """The canonical dual family and its diagnostics; the family and its dual
+    take their part spans at ``tol_rank``."""
+    dual, s_inv, comparison = _dual_diagnostics(family, tol_def, tol_rank)
     j = family.space.symmetry
-    span_residual = max((operator_norm((j @ other.basis).T @ mapped.basis)
-                         for mapped, other in ((dual.positive_span, family.negative_span),
-                                               (dual.negative_span, family.positive_span))
-                         if mapped is not None and other is not None), default=0.0)
+    spans, dual_spans = family._class_spans(tol_rank), dual._class_spans(tol_rank)
+    span_residual = max((operator_norm((j @ spans[other][1].basis).T @ dual_spans[label][1].basis)
+                         for label, other in (("positive", "negative"), ("negative", "positive"))
+                         if label in dual_spans and other in spans), default=0.0)
     return FusionDualReport(
         dual=dual,
-        inverse=inverse,
+        inverse=Operator(family.space, s_inv),
         span_identity_residual=span_residual,
-        **_dual_comparison(original_bounds, dual_bounds, inverse.matrix, s_dual, j, svals[-1]),
+        **comparison,
     )
 
 

@@ -51,10 +51,6 @@ class Subspace:
         g = self.basis.T @ self.space.symmetry @ self.basis
         return 0.5 * (g + g.T)
 
-    def coords(self, x) -> np.ndarray:
-        """Euclidean-orthogonal coordinates of x in this basis."""
-        return self.basis.T @ np.asarray(x, dtype=float)
-
     def embed(self, c) -> np.ndarray:
         return self.basis @ np.asarray(c, dtype=float)
 

@@ -69,6 +69,21 @@ def test_verify_frame(capsys):
     assert report["result"]["condition_number"] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("command", ["verify-frame", "bounds", "dual"])
+def test_neutral_vector_rejection(capsys, tmp_path, command):
+    """Every command that builds a frame refuses a neutral vector with one
+    ``rejected`` layout: reason, index, the vector as witness, self-product."""
+    doc = {"dimension": 2, "J": DIAG_J, "vectors": [[1, 0], [1, 1], [0, 1]]}
+    problem = tmp_path / "neutral_vector.json"
+    problem.write_text(json.dumps(doc))
+    code, report, err = run_cli(capsys, command, problem)
+    assert code == 1
+    reason = "vector 1 is neutral within tolerance: [f, f] = 0.000e+00"
+    assert list(report["result"]["rejected"].items()) == [
+        ("reason", reason), ("index", 1), ("witness", [1.0, 1.0]), ("self_product", 0.0)]
+    assert err == f"verdict=false (rejected: {reason})\n"
+
+
 def test_verify_frame_on_tilted_fixture(capsys):
     code, report, _ = run_cli(capsys, "verify-frame", FIXTURES / "tilted_frame.json")
     assert code == 0
@@ -544,13 +559,20 @@ def test_part_spans_take_the_callers_tol_rank(capsys, tmp_path):
     assert code == 0
     assert report["result"]["positive_span"]["dim"] == 1
     assert report["result"]["complete"] is False
-    for command in ("verify", "verify-frame", "bounds"):
-        code, report, _ = run_cli(capsys, command, path, "--tol-rank", "0.01")
+    vectors_only = tmp_path / "near_parallel_vectors.json"
+    vectors_only.write_text(json.dumps({k: v for k, v in doc.items() if k != "family"}))
+    reason = "positive span has dimension 1, signature requires 2"
+    for command, problem in (("verify", path), ("verify-frame", path), ("bounds", path),
+                             ("dual", path), ("dual", vectors_only)):
+        code, report, _ = run_cli(capsys, command, problem, "--tol-rank", "0.01")
         assert code == 1
-        assert "positive span has dimension 1, signature requires 2" in report["result"]["reasons"]
-        if command != "bounds":
+        if command == "dual":
+            assert report["result"]["rejected"] == {"reason": reason}
+        else:
+            assert reason in report["result"]["reasons"]
+        if command in ("verify", "verify-frame"):
             assert report["result"]["positive"]["dim_ok"] is False
-        code, report, _ = run_cli(capsys, command, path)
+        code, report, _ = run_cli(capsys, command, problem)
         assert code == 0
 
 

@@ -200,19 +200,20 @@ def test_reciprocity_report_carries_the_canonical_dual():
 
 
 def test_dual_reciprocity_verifies_frame_and_dual_once(monkeypatch):
-    """One verification of the frame and one of its dual, not three."""
+    """The dual route verifies the frame once and its dual once, at the
+    caller's cutoffs."""
     calls = []
-    verify = kf.frames.verify_j_frame
+    verify = kf.frames._verify_sign_parts
 
-    def counting(frame, *args, **kwargs):
-        calls.append(frame)
-        return verify(frame, *args, **kwargs)
+    def counting(system, *args, **kwargs):
+        calls.append((system, args, kwargs))
+        return verify(system, *args, **kwargs)
 
-    monkeypatch.setattr(kf.frames, "verify_j_frame", counting)
+    monkeypatch.setattr(kf.frames, "_verify_sign_parts", counting)
     frame = _tilted_frame()
-    report = kf.dual_reciprocity(frame)
-    assert len(calls) == 2
-    assert calls[0] is frame and calls[1] is report.dual
+    report = kf.dual_reciprocity(frame, 1e-11, 1e-9)
+    assert [system for system, _, _ in calls] == [frame, report.dual]
+    assert all(args == (1e-11, 1e-9) and not kwargs for _, args, kwargs in calls)
 
 
 def test_dual_reciprocity_builds_each_frame_operator_once(monkeypatch):

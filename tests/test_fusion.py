@@ -503,18 +503,43 @@ def test_rps_requires_regular_entries(tilted_family):
 
 
 def test_dual_diagnostics_verify_original_family_once(tilted_family, monkeypatch):
-    """One verification of the family and one of its dual, not three."""
+    """The dual route verifies the family once and its dual once, at the
+    caller's cutoffs."""
     calls = []
-    verify = kf.fusion.verify_j_fusion_frame
+    verify = kf.frames._verify_sign_parts
 
-    def counting(family, *args, **kwargs):
-        calls.append(family)
-        return verify(family, *args, **kwargs)
+    def counting(system, *args, **kwargs):
+        calls.append((system, args, kwargs))
+        return verify(system, *args, **kwargs)
 
-    monkeypatch.setattr(kf.fusion, "verify_j_fusion_frame", counting)
+    monkeypatch.setattr(kf.frames, "_verify_sign_parts", counting)
+    diag = kf.fusion_dual_diagnostics(tilted_family, 1e-11, 1e-9)
+    assert [system for system, _, _ in calls] == [tilted_family, diag.dual]
+    assert all(args == (1e-11, 1e-9) and not kwargs for _, args, kwargs in calls)
+
+
+def test_dual_diagnostics_build_each_synthesis_and_operator_once(tilted_family, monkeypatch):
+    """T and S of the family and of its dual are each built once: T by the
+    synthesis columns of every entry, S as T times the analysis."""
+    family_class = kf.WeightedSubspaceFamily
+    columns, analysis = family_class._synthesis_columns, kf.fusion.fusion_analysis
+    synthesis_builds, operator_builds = [], []
+
+    def counting_columns(family, indices):
+        if len(indices) == family.size:
+            synthesis_builds.append(family)
+        return columns(family, indices)
+
+    def counting_analysis(family, *args, **kwargs):
+        operator_builds.append(family)
+        return analysis(family, *args, **kwargs)
+
+    monkeypatch.setattr(family_class, "_synthesis_columns", counting_columns)
+    monkeypatch.setattr(kf.fusion, "fusion_analysis", counting_analysis)
     diag = kf.fusion_dual_diagnostics(tilted_family)
-    assert len(calls) == 2
-    assert calls[0] is tilted_family and calls[1] is diag.dual
+    assert synthesis_builds == [tilted_family, diag.dual]
+    assert operator_builds == [tilted_family, diag.dual]
+    assert kf.fusion_synthesis(tilted_family) is kf.fusion_synthesis(tilted_family)
 
 
 def test_flatten_family_matches_fusion_verdict(tilted_family):
