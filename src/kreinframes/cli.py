@@ -6,7 +6,8 @@ when given) and a short human summary to stderr.  The report echoes the
 input file's own text as its problem; the rest of it is canonical.
 
 Exit codes: 0 verdict true / success; 1 verdict false (a report is still
-emitted); 2 input error (parse, schema, shapes, infeasible configs);
+emitted); 2 input error (parse, schema, shapes, infeasible configs) or
+output that cannot be written (closed stdout, broken pipe, ``-o`` path);
 3 internal inconsistency (fast path and oracle recomputation disagree by more
 than the rounding error of the quantity allows, or a stored report does not
 match its own problem).  Valid input that is merely ill-conditioned does not
@@ -29,7 +30,7 @@ import functools
 import os
 import sys
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 
@@ -650,7 +651,10 @@ def _parse_dims(raw: str) -> tuple[int, ...]:
 
 def _emit(doc: dict, output: str | None) -> None:
     text = dumps_canonical(doc)
+    if sys.stdout is None:  # started with file descriptor 1 closed
+        raise OSError("standard output is closed")
     sys.stdout.write(text)
+    sys.stdout.flush()  # a closed pipe raises here, as an i/o error, not at exit
     if output:
         Path(output).write_text(text, encoding="utf-8")
 
@@ -728,5 +732,24 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> NoReturn:
+    """Process entry of the ``kreinframes`` script and ``python -m kreinframes``.
+
+    Runs :func:`main` on the command line, flushes stdout and stderr, and
+    ends the process with ``os._exit``, without the interpreter's teardown
+    of numpy and every other loaded module; ``atexit`` handlers do not run.
+    An exception that escapes ``main`` still prints its traceback and exits
+    1.  Programs that embed the CLI call ``main``, which returns the code.
+    """
+    code = main(sys.argv[1:])
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            try:
+                stream.flush()
+            except (OSError, ValueError):
+                pass  # an unwritable stdout has already made main return 2
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

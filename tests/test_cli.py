@@ -1,7 +1,10 @@
 """Command-line interface: exit codes, report envelopes, oracle re-runs."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -15,6 +18,7 @@ from kreinframes import cli
 from kreinframes.cli import _compare_trees, main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+SRC = Path(cli.__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *args):
@@ -22,6 +26,22 @@ def run_cli(capsys, *args):
     captured = capsys.readouterr()
     report = json.loads(captured.out) if captured.out.strip() else None
     return code, report, captured.err
+
+
+def child_env(**extra):
+    """Environment of a ``python -m kreinframes`` child that imports this
+    checkout's package, with stdout buffered unless ``extra`` says otherwise."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env.update(extra)
+    return env
+
+
+def run_process(*args, stdout=subprocess.PIPE, env=None, **kwargs):
+    """One ``python -m kreinframes ARGS`` process, run to its exit."""
+    return subprocess.run([sys.executable, "-m", "kreinframes", *map(str, args)],
+                          stdout=stdout, stderr=subprocess.PIPE, env=env or child_env(),
+                          timeout=300, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -394,11 +414,49 @@ def test_oracle_block_brackets_gamma_only_above_the_rank_cutoff(capsys, tmp_path
 # parameters, output, and failure modes
 
 
-def test_output_file_matches_stdout(capsys, tmp_path):
-    out = tmp_path / "report.json"
-    code, report, _ = run_cli(capsys, "verify", FIXTURES / "fusion_dim6.json", "-o", out)
-    assert code == 0
-    assert json.loads(out.read_text()) == report
+def _moved_bound_report(tmp_path):
+    report_file = tmp_path / "moved_bound.json"
+    main(["verify", str(FIXTURES / "fusion_dim6.json"), "-o", str(report_file)])
+    doc = json.loads(report_file.read_text())
+    doc["result"]["bounds"][3] *= 1.05
+    report_file.write_text(json.dumps(doc))
+    return report_file
+
+
+def _invalid_json(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{this is not json")
+    return bad
+
+
+@pytest.mark.parametrize("expected, command, make_input", [
+    (0, "verify", lambda tmp_path: FIXTURES / "fusion_dim6.json"),
+    (1, "verify", lambda tmp_path: FIXTURES / "r3_family.json"),
+    (2, "verify", _invalid_json),
+    (3, "oracle", _moved_bound_report),
+], ids=["exit0", "exit1", "exit2", "exit3"])
+def test_output_file_matches_stdout(capsysbinary, tmp_path, expected, command, make_input):
+    """The ``-o`` file holds what stdout got, and ``python -m kreinframes``
+    gives the exit code, stdout, stderr and ``-o`` bytes of ``main`` in
+    process."""
+    problem = make_input(tmp_path)
+    capsysbinary.readouterr()
+    out = tmp_path / "in_process.json"
+    code = main([command, str(problem), "-o", str(out)])
+    captured = capsysbinary.readouterr()
+    assert code == expected
+    if expected < 2:  # a verdict: the report goes to stdout and to -o
+        assert out.read_bytes() == captured.out
+    else:  # refused: no report anywhere
+        assert captured.out == b"" and not out.exists()
+
+    child_out = tmp_path / "process.json"
+    child = run_process(command, problem, "-o", child_out)
+    assert child.returncode == code
+    assert (child.stdout, child.stderr) == (captured.out, captured.err)
+    assert child_out.exists() == out.exists()
+    if out.exists():
+        assert child_out.read_bytes() == out.read_bytes()
 
 
 def test_tolerance_flags_recorded_in_report(capsys):
@@ -521,6 +579,60 @@ def test_unreadable_input_is_input_error(capsys, tmp_path, content):
         code, report, err = run_cli(capsys, command, bad)
         assert code == 2
         assert report is None
+
+
+def _assert_io_error(child):
+    err = child.stderr.decode()
+    assert child.returncode == 2, err
+    assert "i/o error:" in err
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("args", [("gen", "--n", "2", "--p", "1"),
+                                  ("gen", "--n", "24", "--p", "12")],
+                         ids=["small", "large"])
+def test_closed_pipe_on_stdout_is_an_io_error(args, unbuffered):
+    """A reader that is gone before the report is written: the small report
+    fits the stdout buffer, the large one (22 kB) does not."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = child_env(PYTHONUNBUFFERED="1") if unbuffered else child_env()
+    try:
+        child = run_process(*args, stdout=write_end, env=env)
+    finally:
+        os.close(write_end)
+    _assert_io_error(child)
+
+
+def test_closed_stdout_is_an_io_error():
+    child = run_process("verify", FIXTURES / "fusion_dim6.json", stdout=None,
+                        preexec_fn=lambda: os.close(1))
+    _assert_io_error(child)
+    assert "standard output is closed" in child.stderr.decode()
+
+
+def test_help_reaches_a_pipe():
+    """``run`` flushes stdout before ``os._exit``, so text that argparse
+    writes outside ``_emit`` still arrives."""
+    child = run_process("--help")
+    assert child.returncode == 0
+    assert child.stdout.startswith(b"usage: kreinframes")
+
+
+def test_process_entry_lets_an_exception_through(monkeypatch):
+    """``run`` ends the process only after ``main`` returns: an exception
+    that escapes ``main`` reaches the interpreter (traceback, exit 1)."""
+    def broken(argv):
+        raise RuntimeError("escaped main")
+
+    def exit_now(code):
+        raise AssertionError(f"os._exit({code}) called")
+
+    monkeypatch.setattr(cli, "main", broken)
+    monkeypatch.setattr(cli.os, "_exit", exit_now)
+    with pytest.raises(RuntimeError, match="escaped main"):
+        cli.run()
 
 
 def test_missing_file_is_input_error(capsys, tmp_path):

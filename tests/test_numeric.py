@@ -1,5 +1,6 @@
 """The numpy-only kernels: rank-revealing bases, null spaces, norms, block diagonals."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -218,23 +219,29 @@ def test_importing_the_cli_loads_numpy_alone():
     assert out.stdout.strip() == "['kreinframes', 'numpy']"
 
 
-def test_only_gen_loads_the_generator():
-    """Neither importing the CLI nor ``python -m kreinframes verify`` on a
-    fixture loads ``kreinframes.generator``; only ``gen`` pays its import."""
+def _imported_by_process(*args):
+    """Exit code of ``python -X importtime -m kreinframes ARGS`` and the
+    names of the modules it imported."""
     package_root = Path(kf.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(package_root),
+                                                      env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-X", "importtime", "-m", "kreinframes", *args],
+                         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                         env=env, timeout=300)
+    names = {line.rsplit("|", 1)[-1].strip() for line in out.stderr.splitlines()
+             if line.startswith("import time:")}
+    return out.returncode, names
+
+
+def test_only_gen_loads_the_generator():
+    """``python -m kreinframes verify`` on a fixture imports the CLI and
+    never ``kreinframes.generator``; only ``gen`` pays its import."""
     fixture = Path(__file__).resolve().parent.parent / "fixtures" / "fusion_dim6.json"
-    script = """
-import runpy, sys
-sys.path.insert(0, sys.argv[1])
-import kreinframes.cli
-after_import = "kreinframes.generator" in sys.modules
-sys.argv = ["kreinframes", "verify", sys.argv[2]]
-try:
-    runpy.run_module("kreinframes", run_name="__main__")
-except SystemExit as exc:
-    code = exc.code
-print(after_import, "kreinframes.generator" in sys.modules, code)
-"""
-    out = subprocess.run([sys.executable, "-c", script, str(package_root), str(fixture)],
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.splitlines()[-1] == "False False 0"
+    code, names = _imported_by_process("verify", str(fixture))
+    assert code == 0
+    assert "kreinframes.cli" in names
+    assert "kreinframes.generator" not in names
+    code, names = _imported_by_process("gen", "--n", "2", "--p", "1")
+    assert code == 0
+    assert "kreinframes.generator" in names
