@@ -52,7 +52,6 @@ from .frames import (
     VectorFrame,
     canonical_dual,
     dual_reciprocity,
-    frame_bound_estimates,
     frame_operator,
     frame_part_pencils,
     interlacing_identity,
@@ -90,6 +89,7 @@ from .fusion import (
 )
 from .problem_io import (
     ParsedProblem,
+    canonical_parts,
     dumps_canonical,
     jsonify,
     load_problem,
@@ -115,7 +115,6 @@ from .subspaces import (
     orthogonal_projection,
     reduced_min_modulus,
     span,
-    subspace_from_basis,
     subspace_sum,
 )
 from .transforms import (
@@ -151,16 +150,15 @@ __all__ = [
     "NotPositiveDefinite", "IndexOutOfRange", "InfeasibleConfig",
     "ParseError", "SchemaError",
     # subspaces
-    "Subspace", "SubspaceKind", "Classification", "span",
-    "subspace_from_basis", "classify", "gram_operator",
-    "orthogonal_projection", "j_projection", "j_orthogonal_complement",
+    "Subspace", "SubspaceKind", "Classification", "span", "classify",
+    "gram_operator", "orthogonal_projection", "j_projection", "j_orthogonal_complement",
     "is_contained", "check_rjpp", "AngularReport", "angular_operator",
     "reduced_min_modulus", "subspace_sum",
     # frames
     "VectorFrame", "partition_by_sign", "frame_operator",
     "partial_frame_operator", "PartReport", "JFrameReport", "verify_j_frame",
-    "is_j_frame", "optimal_j_frame_bounds", "frame_bound_estimates",
-    "frame_part_pencils", "canonical_dual", "ReciprocityReport",
+    "is_j_frame", "optimal_j_frame_bounds", "frame_part_pencils",
+    "canonical_dual", "ReciprocityReport",
     "dual_reciprocity", "interlacing_identity",
     # fusion
     "WeightedSubspaceFamily", "make_weighted_family", "family_from_spans",
@@ -180,8 +178,8 @@ __all__ = [
     *_GENERATOR_NAMES,
     # problem_io
     "ParsedProblem", "parse_problem", "load_problem", "parse_report",
-    "load_report", "loads_strict", "jsonify", "dumps_canonical", "save_json",
-    "make_report",
+    "load_report", "loads_strict", "jsonify", "canonical_parts", "dumps_canonical",
+    "save_json", "make_report",
     # oracle submodule
     "oracles",
 ]

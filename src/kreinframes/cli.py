@@ -29,7 +29,6 @@ import argparse
 import functools
 import os
 import sys
-from pathlib import Path
 from typing import NamedTuple, NoReturn
 
 import numpy as np
@@ -59,7 +58,7 @@ from .fusion import (
 )
 from .problem_io import (
     ParsedProblem,
-    dumps_canonical,
+    canonical_parts,
     is_finite_number,
     jsonify,
     load_problem,
@@ -525,7 +524,9 @@ def run_oracle(report_doc: dict, parsed: ParsedProblem) -> Outcome:
     the rounding of its part-span basis and pencil
     (:func:`_bound_tolerances`), an r' within n eps / margin
     (:func:`_verify_tolerances`).  Every other number, ``dual`` results
-    included, is held to ``ORACLE_TOL``.
+    included, is held to ``ORACLE_TOL``.  A stored result whose objects do
+    not have the keys of the recomputed ones is refused as a layout
+    mismatch (:class:`SchemaError`, exit 2), whatever its numbers.
     """
     command = report_doc["command"]
     if command not in COMMAND_CORES:
@@ -559,12 +560,14 @@ def _compare_trees(stored, fresh, path: str, diffs: list[str],
     """Append to ``diffs`` every difference between two result trees; numbers
     are compared at ``tolerances[path]``, or ``ORACLE_TOL`` where it has none,
     relative to the recomputed value, so that no stored value is judged on
-    its own scale."""
+    its own scale.  Two objects with different keys are no difference of
+    values but of layout: :class:`SchemaError` at the first such key."""
     if isinstance(stored, dict) and isinstance(fresh, dict):
-        for key in sorted(set(stored) | set(fresh)):
-            if key not in stored or key not in fresh:
-                diffs.append(f"{path}.{key}: present on one side only")
-                continue
+        odd = sorted(set(stored) ^ set(fresh))
+        if odd:
+            side = "recomputed" if odd[0] in stored else "stored"
+            raise SchemaError(f"field absent from the {side} result", f"$.{path}.{odd[0]}")
+        for key in sorted(fresh):
             _compare_trees(stored[key], fresh[key], f"{path}.{key}", diffs, tolerances)
         return
     if isinstance(stored, list) and isinstance(fresh, list):
@@ -650,13 +653,16 @@ def _parse_dims(raw: str) -> tuple[int, ...]:
 
 
 def _emit(doc: dict, output: str | None) -> None:
-    text = dumps_canonical(doc)
+    """Write the canonical parts of ``doc`` to stdout and to ``output``, once
+    all of them are built: a report that cannot be serialized writes nothing."""
+    parts = canonical_parts(doc)
     if sys.stdout is None:  # started with file descriptor 1 closed
         raise OSError("standard output is closed")
-    sys.stdout.write(text)
+    sys.stdout.writelines(parts)
     sys.stdout.flush()  # a closed pipe raises here, as an i/o error, not at exit
     if output:
-        Path(output).write_text(text, encoding="utf-8")
+        with open(output, "w", encoding="utf-8") as file:
+            file.writelines(parts)
 
 
 def _summarize(lines: list[str]) -> None:

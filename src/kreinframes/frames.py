@@ -468,11 +468,6 @@ def optimal_j_frame_bounds(frame: VectorFrame, tol_def: float = TOL_DEF) -> Boun
     return _verified(frame, tol_def, TOL_RANK)["bounds"]
 
 
-def frame_bound_estimates(frame: VectorFrame, tol_rank: float = TOL_RANK) -> Bounds4:
-    """Singular-value bound estimates (never sharper than the optimal bounds)."""
-    return verify_j_frame(frame, tol_rank=tol_rank).bound_estimates
-
-
 def frame_part_pencils(frame: VectorFrame) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Rayleigh pencils ``(numerator, denominator)`` per nonempty sign part.
 

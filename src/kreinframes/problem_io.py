@@ -11,17 +11,20 @@ Serialization is canonical: two-space indent, non-ASCII and control
 characters as ``\\uXXXX`` escapes, keys in insertion order, shortest
 round-trip floats, and a trailing newline.  The text is exactly
 ``json.dumps(jsonify(doc), indent=2, allow_nan=False) + "\\n"``, so saving
-the same document twice gives identical bytes.  ``dumps_canonical`` builds
-it in one walk and hands each run of scalars, such as a matrix row, to the C
-encoder of :mod:`json` in a single call.
+the same document twice gives identical bytes.  :func:`canonical_parts`
+builds it in one walk, as parts that :func:`save_json` and the CLI write
+without joining them; it hands each run of scalars, such as a matrix row,
+to the C encoder of :mod:`json` in a single call.
 
 The one exception is the problem a report echoes.  A :class:`ParsedProblem`
 read from a file keeps the file's text, and a report built from it carries
 that text as the value of ``problem``, after validation, without the
 whitespace around it and with each non-ASCII character escaped as
 ``\\uXXXX``: it re-parses to the validated document, and nothing is encoded
-twice.  A problem given as a dict, or parsed from a dict (as ``oracle``
-parses the problem of a stored report), is written in the canonical form.
+twice.  Such a problem keeps no decoded document: the decoded lists are
+freed once the arrays are built.  A problem given as a dict, or parsed from
+a dict (as ``oracle`` parses the problem of a stored report), is written in
+the canonical form.
 """
 
 import enum
@@ -136,8 +139,12 @@ def _check_matrix(rows, n_cols: int | None, path: str) -> np.ndarray:
 class ParsedProblem(NamedTuple):
     """A validated problem document with arrays decoded.
 
-    ``text`` is the JSON text ``document`` was read from, when it was read
-    from a file; a report built from this problem echoes it.
+    ``text`` is the problem file's JSON text, when the problem was read from
+    a file (:func:`load_problem`); a report built from this problem echoes
+    it, and ``document`` is then None, so that the decoded document is not
+    held next to the text and the arrays.  A problem parsed from a dict
+    (:func:`parse_problem`) keeps that dict as ``document`` and has no
+    ``text``.
     """
 
     dimension: int
@@ -146,7 +153,7 @@ class ParsedProblem(NamedTuple):
     vectors: np.ndarray | None
     operator: np.ndarray | None
     comment: str | None
-    document: dict
+    document: dict | None
     text: str | None = None
 
 
@@ -229,8 +236,10 @@ def parse_problem(doc: dict, path: str = "$") -> ParsedProblem:
 
 
 def load_problem(path) -> ParsedProblem:
+    """The problem file at ``path``: its text and validated arrays, without
+    the decoded document, which is freed once the arrays are built."""
     text = _read_text(path)
-    return parse_problem(loads_strict(text))._replace(text=text)
+    return parse_problem(loads_strict(text))._replace(document=None, text=text)
 
 
 def _parse_report(doc: dict) -> ParsedProblem:
@@ -266,27 +275,28 @@ def _non_finite(x: float) -> ParseError:
     return ParseError(f"refusing to serialize non-finite number {x!r}")
 
 
-def _plain_lists(arr: np.ndarray):
-    """``arr.tolist()`` if that holds only bools, ints and finite floats, else None.
+def _plain(arr: np.ndarray) -> bool:
+    """Whether ``arr.tolist()`` holds only bools, ints and finite floats.
 
-    Floating arrays are checked in one vectorized pass that names the first
-    non-finite element in the order ``tolist`` visits them.
+    A floating array is checked in one vectorized pass, which names the
+    first non-finite element in the order ``tolist`` visits them.
     """
     if arr.dtype.kind not in "biuf" or arr.dtype.itemsize > 8:
-        return None
+        return False
     if arr.dtype.kind == "f":
         bad = ~np.isfinite(arr)
         if bad.any():
             raise _non_finite(float(arr[bad][0]))
-    return arr.tolist()
+    return True
 
 
 def jsonify(obj):
     """Convert package objects to JSON-ready structures.
 
     Named tuples and dataclasses become objects of their fields, enums
-    their values, arrays nested lists; non-finite floats are refused rather
-    than smuggled into a file.
+    their values, arrays nested lists, and a problem read from a file the
+    decoding of its text; non-finite floats are refused rather than
+    smuggled into a file.
     """
     if obj is None or isinstance(obj, (bool, str)):
         return obj
@@ -300,10 +310,9 @@ def jsonify(obj):
     if isinstance(obj, enum.Enum):
         return obj.value
     if isinstance(obj, np.ndarray):
-        lists = _plain_lists(obj)
-        return jsonify(obj.tolist()) if lists is None else lists
+        return obj.tolist() if _plain(obj) else jsonify(obj.tolist())
     if isinstance(obj, ParsedProblem):
-        return jsonify(obj.document)
+        return jsonify(obj.document if obj.text is None else loads_strict(obj.text))
     if hasattr(type(obj), "__dataclass_fields__"):  # a dataclass instance
         import dataclasses  # loaded already, since it made the class of obj
         return {f.name: jsonify(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
@@ -316,9 +325,10 @@ def jsonify(obj):
     raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
 
 
-def dumps_canonical(doc) -> str:
-    """The canonical text of ``doc``: ``json.dumps(jsonify(doc), indent=2,
-    allow_nan=False) + "\\n"``, with the same errors, built in one walk.
+def canonical_parts(doc) -> list[str]:
+    """The canonical text of ``doc`` as a list of parts, built in one walk:
+    their join is ``json.dumps(jsonify(doc), indent=2, allow_nan=False) +
+    "\\n"``, and the errors are the same.
 
     A :class:`ParsedProblem` that keeps its input text is written as that
     text (see :func:`_echo`) instead of as the encoding of its document.
@@ -326,7 +336,12 @@ def dumps_canonical(doc) -> str:
     out: list[str] = []
     _write(doc, 0, out)
     out.append("\n")
-    return "".join(out)
+    return out
+
+
+def dumps_canonical(doc) -> str:
+    """The canonical text of ``doc``: the join of :func:`canonical_parts`."""
+    return "".join(canonical_parts(doc))
 
 
 def _write(obj, level: int, out: list[str]) -> None:
@@ -347,8 +362,10 @@ def _write(obj, level: int, out: list[str]) -> None:
         text = json.dumps(obj.value, indent=2, allow_nan=False)
         out.append(text.replace("\n", "\n" + _INDENT * level))
     elif isinstance(obj, np.ndarray):
-        lists = _plain_lists(obj)
-        _write(obj.tolist() if lists is None else lists, level, out)
+        if type(obj) is np.ndarray and obj.ndim == 2 and obj.size and _plain(obj):
+            _write_rows(obj, level, out)
+        else:
+            _write(obj.tolist(), level, out)
     elif isinstance(obj, ParsedProblem):
         if obj.text is None:
             _write(obj.document, level, out)
@@ -402,21 +419,37 @@ def _run_encoder(level: int) -> json.JSONEncoder:
                             separators=(",\n" + _INDENT * (level + 1), ": "))
 
 
+def _run(items, level: int) -> str:
+    """The text of a non-empty list of scalars nested ``level`` deep, from one
+    call of the C encoder."""
+    try:
+        text = _run_encoder(level).encode(items)
+    except ValueError:
+        for x in items:
+            if type(x) is float and not math.isfinite(x):
+                raise _non_finite(x) from None
+        raise
+    return "[\n" + _INDENT * (level + 1) + text[1:-1] + "\n" + _INDENT * level + "]"
+
+
+def _write_rows(matrix: np.ndarray, level: int, out: list[str]) -> None:
+    """A non-empty 2-D array that :func:`_plain` accepted, one row (one run of
+    scalars) at a time, so that the matrix is never held as Python numbers."""
+    opening = "[\n" + _INDENT * (level + 1)
+    for row in matrix:
+        out.append(opening + _run(row.tolist(), level + 1))
+        opening = ",\n" + _INDENT * (level + 1)
+    out.append("\n" + _INDENT * level + "]")
+
+
 def _write_list(items, level: int, out: list[str]) -> None:
     if not items:
         out.append("[]")
         return
-    inner = "\n" + _INDENT * (level + 1)
     if set(map(type, items)) <= _SCALAR_TYPES:
-        try:
-            text = _run_encoder(level).encode(items)
-        except ValueError:
-            for x in items:
-                if type(x) is float and not math.isfinite(x):
-                    raise _non_finite(x) from None
-            raise
-        out.append("[" + inner + text[1:-1] + "\n" + _INDENT * level + "]")
+        out.append(_run(items, level))
         return
+    inner = "\n" + _INDENT * (level + 1)
     opening = "["
     for x in items:
         out.append(opening + inner)
@@ -426,13 +459,17 @@ def _write_list(items, level: int, out: list[str]) -> None:
 
 
 def save_json(doc, path) -> None:
-    Path(path).write_text(dumps_canonical(doc), encoding="utf-8")
+    """Write the canonical parts of ``doc`` to ``path`` once all are built:
+    a document that cannot be serialized writes nothing."""
+    parts = canonical_parts(doc)
+    with open(path, "w", encoding="utf-8") as file:
+        file.writelines(parts)
 
 
 def make_report(command: str, problem: ParsedProblem | dict, parameters: dict,
                 result: dict) -> dict:
     """The report envelope.  ``problem`` is the parsed problem the command ran
-    on, or a problem document; :func:`dumps_canonical` writes a parsed problem
+    on, or a problem document; :func:`canonical_parts` writes a parsed problem
     read from a file as its input text."""
     return {
         "report_version": REPORT_VERSION,

@@ -102,12 +102,6 @@ def _images(t: np.ndarray, subspaces, tol_rank: float = TOL_RANK) -> list[Subspa
             for sub, (basis, _) in zip(subspaces, column_spaces(mapped, tol_rank))]
 
 
-def subspace_from_basis(space: KreinSpace, basis_columns: np.ndarray,
-                        tol_rank: float = TOL_RANK) -> Subspace:
-    """Build a subspace from column vectors, re-orthonormalizing defensively."""
-    return span(np.asarray(basis_columns, dtype=float).T, space, tol_rank)
-
-
 def gram_operator(subspace: Subspace) -> np.ndarray:
     return subspace.gram
 

@@ -266,6 +266,35 @@ def test_oracle_detects_tampered_verdict(capsys, tmp_path):
     assert code == 3
 
 
+def _without_witness(doc: dict) -> str:
+    del doc["result"]["rejected"]["witness"]
+    return "$.result.rejected.witness: field absent from the stored result"
+
+
+def _with_added_key(doc: dict) -> str:
+    doc["result"]["rejected"]["note"] = 1.0
+    return "$.result.rejected.note: field absent from the recomputed result"
+
+
+@pytest.mark.parametrize("edit", [_without_witness, _with_added_key], ids=["deleted", "added"])
+def test_oracle_refuses_a_layout_mismatch(capsys, tmp_path, edit):
+    """A stored result whose keys are not those of the recomputed one is a
+    layout mismatch, refused with exit 2 and the path of the key, even where
+    a number disagrees too; such as a ``bounds`` rejection of a neutral
+    vector written before rejections carried their ``witness``."""
+    problem, report_file = tmp_path / "problem.json", tmp_path / "report.json"
+    assert run_cli(capsys, "gen", "--kind", "frame", "--n", "4", "--p", "2",
+                   "--plant", "neutral_entry", "-o", problem)[0] == 0
+    assert run_cli(capsys, "bounds", problem, "-o", report_file)[0] == 1
+    doc = json.loads(report_file.read_text())
+    message = edit(doc)
+    report_file.write_text(json.dumps(doc))
+    assert run_cli(capsys, "oracle", report_file) == (2, None, f"input error: {message}\n")
+    doc["result"]["rejected"]["self_product"] += 1.0
+    report_file.write_text(json.dumps(doc))
+    assert run_cli(capsys, "oracle", report_file) == (2, None, f"input error: {message}\n")
+
+
 def _near_neutral_problem(tmp_path, kind: str) -> Path:
     """A generated problem at n = 16 whose parts are barely definite (tilt
     0.9999999); a family has one entry that fills each part span and one

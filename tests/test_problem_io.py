@@ -2,7 +2,11 @@
 
 import dataclasses
 import enum
+import gc
+import io
 import json
+import sys
+import tracemalloc
 from pathlib import Path
 from typing import NamedTuple
 
@@ -400,6 +404,14 @@ def test_unsupported_types_are_type_errors(doc):
     assert str(caught.value) == str(reference.value)
 
 
+def test_matrix_subclass_is_the_reference_encoding():
+    """Only a plain 2-D array is written row by row: the rows of an
+    ``np.matrix`` are matrices again, so it is written through ``tolist``."""
+    with pytest.warns(PendingDeprecationWarning):
+        doc = {"m": np.matrix([[1.0, -0.0], [2.5, 3.0]])}
+    assert kf.dumps_canonical(doc) == dumps_reference(doc)
+
+
 def test_cli_reports_are_the_reference_encoding(capsys, monkeypatch, tmp_path):
     """The envelope and ``result`` of every report are the reference encoding;
     the problem is the input's own text, or, in an ``oracle`` report, the
@@ -408,9 +420,9 @@ def test_cli_reports_are_the_reference_encoding(capsys, monkeypatch, tmp_path):
 
     def recording(doc):
         emitted.append(doc)
-        return kf.dumps_canonical(doc)
+        return kf.canonical_parts(doc)
 
-    monkeypatch.setattr(cli, "dumps_canonical", recording)
+    monkeypatch.setattr(cli, "canonical_parts", recording)
     checked = 0
     for fixture in sorted(FIXTURES.glob("*.json")):
         for command in COMMANDS:
@@ -436,6 +448,119 @@ def test_cli_reports_are_the_reference_encoding(capsys, monkeypatch, tmp_path):
                                                    f'\n  "problem": {text},\n', 1)
                 checked += 1
     assert checked >= 40
+
+
+# ---------------------------------------------------------------------------
+# reports written from their parts, and one live form of the problem
+
+
+def _generated(tmp_path, kind: str, n: int) -> Path:
+    """A generated problem written as compact JSON, as the benchmark corpus
+    writes its inputs: a rotated frame of 2n vectors, or a rotated family
+    with an invertible operator."""
+    vectors = n if kind == "frame" else 0
+    doc = kf.gen_problem(kf.GeneratorConfig(kind=kind, seed=n, dim=n, num_positive=n // 2,
+                                            num_vectors_positive=vectors,
+                                            num_vectors_negative=vectors, rotate=True))
+    if kind == "fusion":
+        rotation = np.linalg.qr(np.random.default_rng(n).standard_normal((n, n)))[0]
+        doc["operator"] = (2.0 * rotation).tolist()
+    path = tmp_path / f"{kind}{n}.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_loaded_problem_keeps_its_text_and_no_document(tmp_path):
+    problem = _generated(tmp_path, "fusion", 4)
+    parsed = kf.load_problem(problem)
+    assert parsed.text == problem.read_text() and parsed.document is None
+    assert kf.jsonify(parsed) == json.loads(problem.read_text())
+    assert kf.jsonify(kf.parse_problem(json.loads(problem.read_text()))) == kf.jsonify(parsed)
+
+
+def test_every_route_writes_the_same_report_bytes(capsysbinary, tmp_path):
+    """``dumps_canonical``, ``save_json``, stdout and the ``-o`` file agree
+    byte for byte on a ``dual`` report whose dual vectors are written row by
+    row, and on ``gen`` output; the report is the reference encoding."""
+    problem = _generated(tmp_path, "frame", 16)
+    parsed = kf.load_problem(problem)
+    params = cli.Params(kf.TOL_DEF, kf.TOL_RANK)
+    result = cli.run_dual(parsed, params).result
+    assert result["dual_vectors"].shape == (32, 16)
+    report = kf.make_report("dual", parsed, params._asdict(), result)
+    envelope = dumps_reference({**report, "problem": None})
+    assert kf.dumps_canonical(report) == envelope.replace(
+        '\n  "problem": null,\n', f'\n  "problem": {problem.read_text()},\n', 1)
+    generated = kf.gen_problem(kf.GeneratorConfig(kind="fusion", seed=3, dim=16,
+                                                  num_positive=8, rotate=True))
+    gen_argv = ["gen", "--seed", "3", "--n", "16", "--p", "8", "--rotate"]
+    for argv, doc in ((["dual", str(problem)], report), (gen_argv, generated)):
+        out, saved = tmp_path / "out.json", tmp_path / "saved.json"
+        assert cli.main([*argv, "-o", str(out)]) == 0
+        stdout = capsysbinary.readouterr().out
+        kf.save_json(doc, saved)
+        assert stdout == out.read_bytes() == saved.read_bytes() == kf.dumps_canonical(doc).encode()
+
+
+@pytest.mark.parametrize("where", ["dual_vectors", "dual_operator_residual"])
+def test_non_finite_result_writes_nothing(capsysbinary, tmp_path, monkeypatch, where):
+    """A NaN in the last row of the dual vectors, or in the last number of
+    the result, fails the report before any byte reaches stdout or ``-o``."""
+    problem = _generated(tmp_path, "frame", 16)
+    run_dual = cli.COMMAND_CORES["dual"]
+
+    def planting(parsed, params):
+        outcome = run_dual(parsed, params)
+        if where == "dual_vectors":
+            outcome.result[where][-1, -1] = np.nan
+        else:
+            outcome.result[where] = np.nan
+        return outcome
+
+    monkeypatch.setitem(cli.COMMAND_CORES, "dual", planting)
+    out = tmp_path / "out.json"
+    assert cli.main(["dual", str(problem), "-o", str(out)]) == 2
+    captured = capsysbinary.readouterr()
+    assert captured.out == b"" and not out.exists()
+    assert captured.err == b"input error: refusing to serialize non-finite number nan\n"
+    with pytest.raises(kf.ParseError):
+        kf.save_json({"rows": np.array([[1.0, 2.0], [3.0, np.nan]])}, out)
+    assert not out.exists()
+
+
+def _traced_peak(call) -> int:
+    gc.collect()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class _Discard(io.TextIOBase):
+    """A stdout that keeps nothing, so that only the program's own memory is traced."""
+
+    def writable(self) -> bool:
+        return True
+
+    def write(self, text: str) -> int:
+        return len(text)
+
+
+@pytest.mark.parametrize("kind", ["frame", "fusion"])
+def test_dual_holds_the_problem_and_report_once(tmp_path, monkeypatch, kind):
+    """At n = 128, ``dual`` in process peaks within 1.15 times the peak of
+    loading its problem (text, decoded lists and arrays, all live during the
+    parse): no decoded document kept next to the arrays, no matrix held as
+    Python numbers, no report held both as parts and as their join."""
+    problem = _generated(tmp_path, kind, 128)
+    monkeypatch.setattr(sys, "stdout", _Discard())
+    monkeypatch.setattr(sys, "stderr", _Discard())
+    assert cli.main(["dual", str(problem)]) == 0  # first-call caches
+    loading = _traced_peak(lambda: kf.load_problem(problem))
+    running = _traced_peak(lambda: cli.main(["dual", str(problem)]))
+    assert running <= 1.15 * loading, running / loading
 
 
 # ---------------------------------------------------------------------------
