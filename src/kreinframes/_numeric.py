@@ -15,6 +15,7 @@ __all__ = [
     "column_space",
     "column_spaces",
     "orth_columns",
+    "q_factors",
     "null_space",
     "scaled_below_overflow",
     "definite_pair_extrema",
@@ -185,6 +186,16 @@ def orth_columns(m: np.ndarray, tol_rank: float) -> np.ndarray:
     """Orthonormal basis (columns) of the column space of ``m``; the basis of
     :func:`column_space`, with its relative rank cutoff ``tol_rank``."""
     return column_space(m, tol_rank)[0]
+
+
+def q_factors(matrices) -> list[np.ndarray]:
+    """The Q factor of a Householder QR of each of ``matrices`` (full column
+    rank), its columns signed so that R has a positive diagonal: the one
+    orthonormal basis of the column space whose Gram-Schmidt coefficients
+    are positive, with no rank decision.  One stacked QR per distinct shape
+    (:func:`stacked`)."""
+    return [q * np.where(np.diagonal(r) < 0.0, -1.0, 1.0)
+            for q, r in stacked(np.linalg.qr, matrices)]
 
 
 def null_space(m: np.ndarray, tol_rank: float) -> np.ndarray:

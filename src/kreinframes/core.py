@@ -84,15 +84,17 @@ def make_krein_space(symmetry, tol_sym: float = TOL_SYM) -> KreinSpace:
     """Validate a fundamental symmetry and build the space around it.
 
     Rejects matrices that are not symmetric involutions within ``tol_sym``
-    (relative to the matrix scale).  The signature is read off the spectrum.
+    (relative to the matrix scale).
 
-    One ``eigvalsh`` of the symmetrized J gives the signature, the scale and
-    the involution defect ``max |lam^2 - 1|``, and the Frobenius norm of
-    ``J - J^T``, which bounds its spectral norm from above, screens the
-    symmetry defect.  A J that this screen does not pass with half the
-    tolerance to spare takes the exact route (:func:`_checked_defects`), so
-    accept/reject decisions and the defect a rejection reports are those of
-    the spectral norms.
+    A J whose defects ``||J - J^T||`` and ``||J_s^2 - I||`` (J_s the
+    symmetric part) are at most ``tol_sym / 2`` in the Frobenius norm, which
+    bounds the spectral norm, is accepted without an eigendecomposition.
+    Each eigenvalue ``lam`` of J_s is then within ``|lam^2 - 1|`` of its
+    sign, and these distances sum to at most ``sqrt(n) ||J_s^2 - I||_F``;
+    below 1, the signature p is ``round((n + tr J_s) / 2)``.  Any other J
+    takes the exact route (:func:`_checked_defects`, then the eigenvalues of
+    J_s), so accept/reject decisions, the defect a rejection reports and the
+    signature are those of the spectral norms and the spectrum.
     """
     j = as_matrix(symmetry, "symmetry")
     n = j.shape[0]
@@ -102,14 +104,14 @@ def make_krein_space(symmetry, tol_sym: float = TOL_SYM) -> KreinSpace:
         raise DimensionMismatch("symmetry must be at least 1x1")
     with np.errstate(over="ignore", invalid="ignore"):
         j_sym = 0.5 * (j + j.T)
-        eigvals = np.linalg.eigvalsh(j_sym) if np.isfinite(j_sym).all() else np.array([np.inf])
-        scale = max(1.0, float(np.max(np.abs(eigvals))))
-        defect = max(float(np.linalg.norm(j - j.T)),
-                     float(np.max(np.abs(eigvals * eigvals - 1.0)))) / scale
-    if not defect <= 0.5 * tol_sym:
+        sym_defect = float(np.linalg.norm(j - j.T))
+        inv_defect = float(np.linalg.norm(j_sym @ j_sym - np.eye(n)))
+    half = 0.5 * tol_sym
+    if sym_defect <= half and inv_defect <= half and np.sqrt(n) * inv_defect < 1.0:
+        p = round(0.5 * (n + float(np.trace(j_sym))))
+    else:
         _checked_defects(j, tol_sym)
-        eigvals = np.linalg.eigvalsh(j_sym)
-    p = int(np.sum(eigvals > 0.0))
+        p = int(np.sum(np.linalg.eigvalsh(j_sym) > 0.0))
     return KreinSpace(symmetry=j_sym, dim=n, num_positive=p, num_negative=n - p)
 
 

@@ -25,6 +25,7 @@ from ._numeric import (
     column_space,
     definite_pair_extrema,
     operator_norm,
+    q_factors,
     scaled_below_overflow,
 )
 from .core import TOL_DEF, TOL_RANK, KreinSpace, Operator
@@ -41,9 +42,8 @@ from .subspaces import Classification, Subspace, SubspaceKind, classify, smalles
 Bounds4 = tuple[float | None, float | None, float | None, float | None]
 
 
-# One nonempty sign class: its indices, its span, and the singular values,
-# in descending order, of its synthesis columns.
-ClassSpan = tuple[tuple[int, ...], Subspace, np.ndarray]
+# One nonempty sign class: its indices and its span.
+ClassSpan = tuple[tuple[int, ...], Subspace]
 
 
 class _SignClasses:
@@ -56,20 +56,23 @@ class _SignClasses:
     ``_synthesis_columns(indices)``; the numerator of the class's Rayleigh
     pencil in the coordinates of an orthonormal ``basis``, ``_numerator(
     indices, basis)``; the matrix of S, ``_operator_matrix(tol_def)``; its
-    canonical dual from S and S^{-1}, ``_dual(s, s_inv, tol_def)``; what it
-    is called, ``_what``; and the error that refuses it, ``_refusal``.  The
+    canonical dual from S^{-1}, ``_dual(s_inv, tol_def)``; what it is
+    called, ``_what``; and the error that refuses it, ``_refusal``.  The
     span of each nonempty class and the singular values of its columns come
-    from one SVD of them (:func:`~kreinframes._numeric.column_space`).
+    from one SVD of them (:func:`~kreinframes._numeric.column_space`),
+    unless the spans were fixed at construction (a canonical dual's, see
+    :func:`_canonical_dual_of`).
     """
 
-    # The dimension each class span takes in place of a rank decision, by
-    # label, or None (see ``kreinframes.fusion.WeightedSubspaceFamily._dual``).
-    _part_dims: dict[str, int] | None = None
+    # The :data:`ClassSpan` of each nonempty class at every cutoff, by label,
+    # where the system was built with them, or None.
+    _fixed_spans: dict[str, ClassSpan] | None = None
 
     def __init__(self, space: KreinSpace, signs: np.ndarray):
         self.space = space
         self.signs = signs
         self._spans_at: dict[float, dict[str, ClassSpan]] = {}
+        self._svals: dict[tuple[int, ...], np.ndarray] = {}
         self._operators_at: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
     @cached_property
@@ -88,19 +91,28 @@ class _SignClasses:
     def _class_spans(self, tol_rank: float = TOL_RANK) -> dict[str, ClassSpan]:
         """The :data:`ClassSpan` of each nonempty class (``"positive"``,
         ``"negative"``), at the relative rank cutoff ``tol_rank``; computed
-        once per cutoff."""
+        once per cutoff, with the singular values of the class's columns,
+        unless the spans were fixed at construction."""
+        if self._fixed_spans is not None:
+            return self._fixed_spans
         if tol_rank not in self._spans_at:
             spans = {}
             for label, indices in (("positive", self.positive_indices),
                                    ("negative", self.negative_indices)):
                 if indices:
-                    dim = None if self._part_dims is None else self._part_dims[label]
-                    basis, svals = column_space(self._synthesis_columns(indices),
-                                                tol_rank if dim is None else 0.0)
-                    spans[label] = (indices, Subspace(space=self.space, basis=basis[:, :dim]),
-                                    svals)
+                    basis, self._svals[indices] = column_space(self._synthesis_columns(indices),
+                                                               tol_rank)
+                    spans[label] = (indices, Subspace(space=self.space, basis=basis))
             self._spans_at[tol_rank] = spans
         return self._spans_at[tol_rank]
+
+    def _class_svals(self, indices: tuple[int, ...]) -> np.ndarray:
+        """The singular values, in descending order, of the synthesis columns
+        of a class: those of the SVD that gave its span, or, for a span fixed
+        at construction, of one SVD on first use."""
+        if indices not in self._svals:
+            self._svals[indices] = column_space(self._synthesis_columns(indices), 0.0)[1]
+        return self._svals[indices]
 
     def _operator(self, tol_def: float) -> tuple[np.ndarray, np.ndarray]:
         """The matrix of S and its singular values (:func:`_singular_values`),
@@ -156,9 +168,9 @@ class VectorFrame(_SignClasses):
         """Refuse a condition number beyond the double range, as :func:`verify_j_frame` does."""
         _condition_number(self, svals)
 
-    def _dual(self, s: np.ndarray, s_inv: np.ndarray, tol_def: float) -> "VectorFrame":
-        """The vectors S^{-1} f_i, from one solve with S, partitioned afresh by sign."""
-        return partition_by_sign(np.linalg.solve(s, self.vectors.T).T, self.space, tol_def)
+    def _dual(self, s_inv: np.ndarray, tol_def: float) -> "VectorFrame":
+        """The vectors S^{-1} f_i, from one product with S^{-1}, partitioned afresh by sign."""
+        return partition_by_sign(self.vectors @ s_inv.T, self.space, tol_def)
 
 
 def _require_finite(values, what: str) -> None:
@@ -291,45 +303,43 @@ def _bessel_bound(synthesis: np.ndarray) -> float:
     return bessel
 
 
+def _pencil(system: _SignClasses, label: str, class_span: ClassSpan
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """The signed Rayleigh pencil (numerator, denominator) of a class, in the
+    coordinates of its span's basis.  The negative class's numerator and
+    denominator are both negative, so the eigenvalues of its pencil are the
+    (negative) bound values themselves."""
+    indices, part_span = class_span
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by _pencil_range
+        numerator = system._numerator(indices, part_span.basis)
+    return numerator, part_span.gram if label == "positive" else -part_span.gram
+
+
 def _sign_parts(system: _SignClasses, tol_rank: float) -> dict[str, SignPart]:
     """The :data:`SignPart` of each nonempty sign class of a frame or a
-    family, its span at the relative rank cutoff ``tol_rank``.  The negative
-    class's numerator and denominator are both negative, so the eigenvalues
-    of its pencil are the (negative) bound values themselves."""
-    parts = {}
-    for label, (indices, part_span, svals) in system._class_spans(tol_rank).items():
-        with np.errstate(over="ignore", invalid="ignore"):  # refused by _verify_sign_parts
-            numerator = system._numerator(indices, part_span.basis)
-        denominator = part_span.gram if label == "positive" else -part_span.gram
-        parts[label] = (indices, part_span, (numerator, denominator), svals)
-    return parts
+    family, its span at the relative rank cutoff ``tol_rank``."""
+    return {label: (*class_span, _pencil(system, label, class_span),
+                    system._class_svals(class_span[0]))
+            for label, class_span in system._class_spans(tol_rank).items()}
 
 
-def _verify_sign_parts(system: _SignClasses, tol_def: float,
-                       tol_rank: float) -> tuple[bool, dict]:
-    """The sign-partitioned check shared by vector frames and fusion families.
-
-    Each sign class (:func:`_sign_parts`) must span a maximal uniformly definite
-    subspace of its sign; its bounds are the extreme eigenvalues of its
-    signed pencil, and its estimates come from reduced minimum moduli: of
-    the synthesis, from its singular values, and of the span's Gram, from
-    the eigenvalues :func:`classify` computed.
-    Returns the verdict and the report fields both report classes share.
-    Bounds or a Bessel constant beyond the double range raise
-    :class:`InputError`.
-    """
-    space, parts = system.space, _sign_parts(system, tol_rank)
-    bessel = _bessel_bound(system.synthesis)
+def _checked_classes(system: _SignClasses, tol_def: float, tol_rank: float
+                     ) -> tuple[dict[str, PartReport | None], list[str]]:
+    """Each sign class, at the cutoff ``tol_rank``, classified and checked:
+    it must span a maximal uniformly definite subspace of its sign.  Returns
+    the :class:`PartReport` of each class without its ranges (None for an
+    empty class), and the reasons of the checks that fail."""
+    space, spans = system.space, system._class_spans(tol_rank)
     reasons: list[str] = []
     reports: dict[str, PartReport | None] = {}
     for label, good_kind in _PART_KINDS:
         required = space.num_positive if label == "positive" else space.num_negative
-        if label not in parts:
+        if label not in spans:
             if required != 0:
                 reasons.append(f"{label} part is empty but signature requires dimension {required}")
             reports[label] = None
             continue
-        indices, part_span, (numerator, denominator), synthesis_svals = parts[label]
+        indices, part_span = spans[label]
         cls = classify(part_span, tol_def, tol_rank)
         kind_ok = cls.kind is good_kind
         dim_ok = part_span.dim == required
@@ -337,45 +347,95 @@ def _verify_sign_parts(system: _SignClasses, tol_def: float,
             reasons.append(f"{label} span is {cls.kind.value}, not uniformly {label}")
         if not dim_ok:
             reasons.append(f"{label} span has dimension {part_span.dim}, signature requires {required}")
-        ratio = estimate = None
-        if kind_ok:
-            with np.errstate(over="ignore", invalid="ignore"):
-                _require_finite(numerator + numerator.T, f"the {label} frame bound")
-            ratio = definite_pair_extrema(numerator, denominator)
-            gamma_t = smallest_nonzero_modulus(synthesis_svals, tol_rank)
-            gamma_g = cls.gamma
-            outer = float(synthesis_svals[0]) ** 2 / gamma_g
-            inner = gamma_t**2 * gamma_g**2
-            estimate = (inner, outer) if label == "positive" else (-outer, -inner)
-            _require_finite(ratio + estimate, f"the {label} frame bound")
-        reports[label] = PartReport(
-            indices=tuple(indices),
-            classification=cls,
-            required_dim=required,
-            dim_ok=dim_ok,
-            kind_ok=kind_ok,
-            ratio_range=ratio,
-            estimate_range=estimate,
-        )
+        reports[label] = PartReport(indices=indices, classification=cls, required_dim=required,
+                                    dim_ok=dim_ok, kind_ok=kind_ok,
+                                    ratio_range=None, estimate_range=None)
+    return reports, reasons
 
+
+def _pencil_range(label: str, pencil: tuple[np.ndarray, np.ndarray]) -> tuple[float, float]:
+    """The extreme eigenvalues of a class's signed pencil: its bounds.
+    Bounds beyond the double range raise :class:`InputError`."""
+    numerator, denominator = pencil
+    with np.errstate(over="ignore", invalid="ignore"):
+        _require_finite(numerator + numerator.T, f"the {label} frame bound")
+    ratio = definite_pair_extrema(numerator, denominator)
+    _require_finite(ratio, f"the {label} frame bound")
+    return ratio
+
+
+def _verdict_fields(space: KreinSpace, reports: dict[str, PartReport | None],
+                    reasons: list[str], pencils: dict) -> tuple[bool, dict]:
+    """The verdict on checked classes, and the report fields every
+    verification writes: the parts, the bounds (when the verdict is true),
+    the reasons and the pencils."""
     pos, neg = reports["positive"], reports["negative"]
     verdict = ((pos.ok if pos is not None else space.num_positive == 0)
                and (neg.ok if neg is not None else space.num_negative == 0))
-
-    def pair(part: PartReport | None, attr: str, keep: bool):
-        value = getattr(part, attr) if (keep and part is not None) else None
-        return value if value is not None else (None, None)
-
     return verdict, {
         "positive": pos,
         "negative": neg,
-        "bessel_bound": bessel,
-        "bounds": (*pair(neg, "ratio_range", verdict), *pair(pos, "ratio_range", verdict)),
-        "bound_estimates": (*pair(neg, "estimate_range", True),
-                            *pair(pos, "estimate_range", True)),
+        "bounds": (*_pair(neg, "ratio_range", verdict), *_pair(pos, "ratio_range", verdict)),
         "reasons": tuple(reasons),
-        "pencils": {label: part[2] for label, part in parts.items()},
+        "pencils": pencils,
     }
+
+
+def _pair(part: PartReport | None, attr: str, keep: bool) -> tuple:
+    value = getattr(part, attr) if (keep and part is not None) else None
+    return value if value is not None else (None, None)
+
+
+def _verify_sign_parts(system: _SignClasses, tol_def: float,
+                       tol_rank: float) -> tuple[bool, dict]:
+    """The sign-partitioned check shared by vector frames and fusion families.
+
+    Each sign class (:func:`_sign_parts`) is checked (:func:`_checked_classes`);
+    the bounds of each class of the right kind are the extreme eigenvalues of
+    its signed pencil, and its estimates come from reduced minimum moduli:
+    of the synthesis, from its singular values, and of the span's Gram, from
+    the eigenvalues :func:`classify` computed.
+    Returns the verdict and the report fields both report classes share.
+    Bounds or a Bessel constant beyond the double range raise
+    :class:`InputError`.
+    """
+    parts = _sign_parts(system, tol_rank)
+    bessel = _bessel_bound(system.synthesis)
+    reports, reasons = _checked_classes(system, tol_def, tol_rank)
+    for label, part in reports.items():
+        if part is not None and part.kind_ok:
+            _, _, pencil, synthesis_svals = parts[label]
+            ratio = _pencil_range(label, pencil)
+            gamma_t = smallest_nonzero_modulus(synthesis_svals, tol_rank)
+            gamma_g = part.classification.gamma
+            outer = float(synthesis_svals[0]) ** 2 / gamma_g
+            inner = gamma_t**2 * gamma_g**2
+            estimate = (inner, outer) if label == "positive" else (-outer, -inner)
+            _require_finite(estimate, f"the {label} frame bound")
+            reports[label] = part._replace(ratio_range=ratio, estimate_range=estimate)
+    verdict, fields = _verdict_fields(system.space, reports, reasons,
+                                      {label: part[2] for label, part in parts.items()})
+    pos, neg = reports["positive"], reports["negative"]
+    return verdict, {
+        **fields,
+        "bessel_bound": bessel,
+        "bound_estimates": (*_pair(neg, "estimate_range", True),
+                            *_pair(pos, "estimate_range", True)),
+    }
+
+
+def _verify_bounds(system: _SignClasses, tol_def: float, tol_rank: float) -> tuple[bool, dict]:
+    """The part of :func:`_verify_sign_parts` that the bounds need, as a
+    canonical dual is verified: each class checked, and the pencil and
+    bounds of each class of the right kind; no Bessel bound, no estimates.
+    Returns the verdict and the :func:`_verdict_fields`."""
+    reports, reasons = _checked_classes(system, tol_def, tol_rank)
+    pencils = {}
+    for label, part in reports.items():
+        if part is not None and part.kind_ok:
+            pencils[label] = _pencil(system, label, system._class_spans(tol_rank)[label])
+            reports[label] = part._replace(ratio_range=_pencil_range(label, pencils[label]))
+    return _verdict_fields(system.space, reports, reasons, pencils)
 
 
 def _singular_values(s: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -454,7 +514,11 @@ def _condition_number(frame: VectorFrame, svals: np.ndarray) -> float:
 
 def _verified(system: _SignClasses, tol_def: float, tol_rank: float) -> dict:
     """The :func:`_verify_sign_parts` fields of a system that must verify, or its ``_refusal``."""
-    verdict, fields = _verify_sign_parts(system, tol_def, tol_rank)
+    return _accepted(system, *_verify_sign_parts(system, tol_def, tol_rank))
+
+
+def _accepted(system: _SignClasses, verdict: bool, fields: dict) -> dict:
+    """``fields`` of a system whose verdict is true, else its ``_refusal``."""
     if not verdict:
         raise system._refusal("; ".join(fields["reasons"]))
     return fields
@@ -491,19 +555,36 @@ def _canonical_dual_of(system: _SignClasses, tol_def: float, tol_rank: float
                        ) -> tuple[dict, _SignClasses, np.ndarray, np.ndarray]:
     """The report fields of a frame or family that must verify, its
     canonical dual (the class's ``_dual``), S^{-1} and the singular values
-    of S."""
+    of S.
+
+    Where the dual keeps the sign pattern, as a verified system does in
+    exact arithmetic, its class spans are S^{-1} M+/-: each the Q factor of
+    ``S^{-1} U`` with U the system's class basis at ``tol_rank`` and a
+    positive diagonal in R, unique since S^{-1} is invertible.  The dual
+    keeps them at every cutoff, so they take the dimensions of M+/- in place
+    of a rank decided from singular values, which near neutral can flip at
+    rounding level.  A dual of another sign pattern takes its spans from
+    SVDs of its own classes.
+    """
     fields = _verified(system, tol_def, tol_rank)
     s, svals = _require_invertible(system, tol_def)
     s_inv = np.linalg.inv(s)
-    return fields, system._dual(s, s_inv, tol_def), s_inv, svals
+    dual = system._dual(s_inv, tol_def)
+    if np.array_equal(dual.signs, system.signs):
+        spans = system._class_spans(tol_rank)
+        bases = q_factors([s_inv @ part_span.basis for _, part_span in spans.values()])
+        dual._fixed_spans = {label: (indices, Subspace(space=system.space, basis=basis))
+                             for (label, (indices, _)), basis in zip(spans.items(), bases)}
+    return fields, dual, s_inv, svals
 
 
 def _dual_diagnostics(system: _SignClasses, tol_def: float, tol_rank: float
                       ) -> tuple[_SignClasses, np.ndarray, dict]:
     """The canonical dual, S^{-1} and the :func:`_dual_comparison` fields of a
-    frame or family; it and its dual are each verified once, at one cutoff."""
+    frame or family: it is verified once and its dual once for the bounds
+    (:func:`_verify_bounds`), at one cutoff."""
     fields, dual, s_inv, svals = _canonical_dual_of(system, tol_def, tol_rank)
-    dual_bounds = _verified(dual, tol_def, tol_rank)["bounds"]
+    dual_bounds = _accepted(dual, *_verify_bounds(dual, tol_def, tol_rank))["bounds"]
     return dual, s_inv, _dual_comparison(fields["bounds"], dual_bounds, s_inv,
                                          dual._operator_matrix(tol_def),
                                          system.space.symmetry, svals[-1])

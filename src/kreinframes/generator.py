@@ -254,7 +254,7 @@ def _listify(obj):
     if isinstance(obj, dict):
         return {k: _listify(v) for k, v in obj.items()}
     if isinstance(obj, np.ndarray):
-        return [[float(x) for x in row] for row in np.atleast_2d(obj)]
+        return np.atleast_2d(obj).astype(float, copy=False).tolist()
     if isinstance(obj, list):
         return [_listify(v) for v in obj]
     return obj

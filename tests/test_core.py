@@ -1,6 +1,8 @@
 """Fundamental symmetry, indefinite product, and J-adjoint."""
 
 import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -132,3 +134,90 @@ def test_every_exported_name_resolves():
     # the generator's names load on first use, and its config stays a dataclass
     config = dataclasses.replace(kf.GeneratorConfig(), seed=7)
     assert config == kf.GeneratorConfig(seed=7)
+
+
+def _exact_route(j: np.ndarray, tol_sym: float):
+    """What ``make_krein_space`` must return: the spectral-norm defects of
+    ``core._checked_defects`` decide, and the signature is read off the
+    eigenvalues of the symmetric part."""
+    try:
+        kf.core._checked_defects(j, tol_sym)
+    except kf.NotAnInvolution as exc:
+        return "rejected", str(exc), exc.symmetry_defect, exc.involution_defect
+    p = int(np.sum(np.linalg.eigvalsh(0.5 * (j + j.T)) > 0.0))
+    return "accepted", p, j.shape[0] - p
+
+
+def _outcome(j: np.ndarray, tol_sym: float):
+    try:
+        space = kf.make_krein_space(j, tol_sym)
+    except kf.NotAnInvolution as exc:
+        return "rejected", str(exc), exc.symmetry_defect, exc.involution_defect
+    return "accepted", space.num_positive, space.num_negative
+
+
+def _rotated_symmetries():
+    rng = np.random.default_rng(SEED + 3)
+    for n in (4, 5, 16, 64, 256):
+        for p in (0, 1, n // 2, n):
+            q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            j = q @ np.diag([1.0] * p + [-1.0] * (n - p)) @ q.T
+            yield f"rotated-n{n}-p{p}", 0.5 * (j + j.T)
+
+
+def _fixture_symmetries():
+    for path in sorted((Path(__file__).resolve().parent.parent / "fixtures").glob("*.json")):
+        spec = json.loads(path.read_text(encoding="utf-8"))["J"]
+        rows = spec["rows"] if spec["type"] == "matrix" else np.diag(spec["signs"])
+        yield path.stem, np.array(rows, dtype=float)
+
+
+def test_valid_symmetries_take_no_eigendecomposition(monkeypatch):
+    """Every fixture J and rotated J at n = 4..256 is accepted by its
+    Frobenius defects alone, with the signature of its eigenvalues."""
+    cases = [*_fixture_symmetries(), *_rotated_symmetries()]
+    expected = {name: _exact_route(j, kf.TOL_SYM) for name, j in cases}
+
+    def refused(*args):
+        raise AssertionError("an exact route was taken")
+
+    monkeypatch.setattr(kf.core, "_checked_defects", refused)
+    monkeypatch.setattr(kf.core.np.linalg, "eigvalsh", refused)
+    for name, j in cases:
+        assert _outcome(j, kf.TOL_SYM) == expected[name], name
+        assert expected[name][0] == "accepted", name
+
+
+def _involution_off_by(defect: float, n: int = 6) -> np.ndarray:
+    """A rotated symmetric J whose first eigenvalue is 1 + ``defect``."""
+    rng = np.random.default_rng(SEED + 4)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    j = q @ np.diag([1.0 + defect] + [1.0, -1.0] * (n // 2 - 1) + [-1.0]) @ q.T
+    return 0.5 * (j + j.T)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("rows, tol_sym", [
+    ([[1.0, 0.5], [0.0, -1.0]], kf.TOL_SYM),
+    ([[2.0, 0.0], [0.0, -1.0]], kf.TOL_SYM),
+    ([[1e308, 0.0], [0.0, -1.0]], kf.TOL_SYM),
+    ([[0.0, 1e308], [-1e308, 0.0]], kf.TOL_SYM),
+    ([[1e308, 1e308], [1e308, 1e308]], kf.TOL_SYM),
+    ([[1.0, 1e-10], [0.0, -1.0]], kf.TOL_SYM),
+    ([[1.0, 6e-11], [0.0, -1.0]], kf.TOL_SYM),
+    ([[1.0, 3e-11], [0.0, -1.0]], kf.TOL_SYM),
+    (_involution_off_by(3e-11), kf.TOL_SYM),
+    (_involution_off_by(9e-11), kf.TOL_SYM),
+    (_involution_off_by(2e-10), kf.TOL_SYM),
+    (_involution_off_by(-0.5), 1.0),
+    (np.diag([1.0, 0.0]), 3.0),
+    (0.9 * np.eye(16), 2.0),
+])
+def test_make_krein_space_decides_as_the_exact_route(rows, tol_sym):
+    """Accept/reject decisions, the reported defects and the signature are
+    those of the spectral norms and the eigenvalues, also where the
+    Frobenius screen passes J to the exact route: defects between half the
+    tolerance and the tolerance, overflowing defects, and (at a loose
+    tolerance) a J whose trace would misread the signature, 0.9 I."""
+    j = np.array(rows, dtype=float)
+    assert _outcome(j, tol_sym) == _exact_route(j, tol_sym)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import kreinframes as kf
+from kreinframes import cli
+from kreinframes._numeric import column_space, definite_pair_extrema
 
 EXACT_TOL = 1e-12
 NUM_TOL = 1e-9
@@ -199,21 +201,26 @@ def test_reciprocity_report_carries_the_canonical_dual():
     assert np.allclose(kf.frame_operator(report.dual).matrix, s_inv, atol=1e-12)
 
 
+def _recording(calls: list, name: str, fn):
+    """``fn``, appending ``(name, first argument, other arguments, keyword
+    arguments)`` of each call to ``calls``."""
+    def recorded(first, *args, **kwargs):
+        calls.append((name, first, args, kwargs))
+        return fn(first, *args, **kwargs)
+    return recorded
+
+
 def test_dual_reciprocity_verifies_frame_and_dual_once(monkeypatch):
-    """The dual route verifies the frame once and its dual once, at the
-    caller's cutoffs."""
+    """The dual route verifies the frame once in full and its dual once for
+    its bounds, at the caller's cutoffs."""
     calls = []
-    verify = kf.frames._verify_sign_parts
-
-    def counting(system, *args, **kwargs):
-        calls.append((system, args, kwargs))
-        return verify(system, *args, **kwargs)
-
-    monkeypatch.setattr(kf.frames, "_verify_sign_parts", counting)
+    for name in ("_verify_sign_parts", "_verify_bounds"):
+        monkeypatch.setattr(kf.frames, name, _recording(calls, name, getattr(kf.frames, name)))
     frame = _tilted_frame()
     report = kf.dual_reciprocity(frame, 1e-11, 1e-9)
-    assert [system for system, _, _ in calls] == [frame, report.dual]
-    assert all(args == (1e-11, 1e-9) and not kwargs for _, args, kwargs in calls)
+    assert [(name, system) for name, system, _, _ in calls] == [
+        ("_verify_sign_parts", frame), ("_verify_bounds", report.dual)]
+    assert all(args == (1e-11, 1e-9) and not kwargs for _, _, args, kwargs in calls)
 
 
 def test_dual_reciprocity_builds_each_frame_operator_once(monkeypatch):
@@ -230,6 +237,90 @@ def test_dual_reciprocity_builds_each_frame_operator_once(monkeypatch):
     report = kf.dual_reciprocity(frame)
     assert len(calls) == 2
     assert calls[0] is frame and calls[1] is report.dual
+
+
+def _generated(kind: str, n: int, tilt: float, seed: int):
+    """A generated frame (m = 2n) or family at tilt ``tilt``, rotated on odd seeds."""
+    cfg = kf.GeneratorConfig(kind=kind, seed=seed, dim=n, num_positive=n // 2, tilt=tilt,
+                             rotate=seed % 2 == 1, num_vectors_positive=n,
+                             num_vectors_negative=n)
+    return kf.gen_frame(cfg) if kind == "frame" else kf.gen_family(cfg)
+
+
+def _dual_report(system, *args):
+    derive = kf.dual_reciprocity if isinstance(system, kf.VectorFrame) else kf.fusion_dual_diagnostics
+    return derive(system, *args)
+
+
+@pytest.mark.parametrize("kind", ["frame", "fusion"])
+def test_dual_spans_are_the_q_factors_of_the_inverse_on_the_system_spans(kind, monkeypatch):
+    """One dual takes an SVD (``column_spaces``) of the system's own classes
+    only, and one Bessel bound, the system's: each dual class span is the Q
+    factor of S^{-1} U+/-, with U+/- the system's class basis and a positive
+    diagonal in R, at every cutoff, and a frame's dual vectors are S^{-1} f_i
+    from one product with S^{-1}."""
+    system = _generated(kind, 8, 0.5, 1)
+    calls = []
+    monkeypatch.setattr(kf._numeric, "column_spaces",
+                        _recording(calls, "svd", kf._numeric.column_spaces))
+    monkeypatch.setattr(kf.frames, "_bessel_bound",
+                        _recording(calls, "bessel", kf.frames._bessel_bound))
+    dual = _dual_report(system).dual
+    svds = [m for name, matrices, _, _ in calls if name == "svd" for m in matrices]
+    classes = (system.positive_indices, system.negative_indices)
+    assert len(svds) == 2
+    assert all(np.array_equal(m, system._synthesis_columns(indices))
+               for m, indices in zip(svds, classes))
+    bessel = [synthesis for name, synthesis, _, _ in calls if name == "bessel"]
+    assert len(bessel) == 1 and np.array_equal(bessel[0], system.synthesis)
+    s_inv = np.linalg.inv(system._operator(kf.TOL_DEF)[0])
+    if kind == "frame":
+        assert np.array_equal(dual.vectors, system.vectors @ s_inv.T)
+    for label, (indices, span) in system._class_spans().items():
+        q, r = np.linalg.qr(s_inv @ span.basis)
+        dual_indices, dual_span = dual._class_spans()[label]
+        assert dual_indices == indices
+        assert np.array_equal(dual_span.basis, q * np.where(np.diagonal(r) < 0.0, -1.0, 1.0))
+        assert dual._class_spans(1e-3)[label][1] is dual_span
+
+
+@pytest.mark.parametrize("kind", ["frame", "fusion"])
+@pytest.mark.parametrize("n", [4, 6, 16])
+@pytest.mark.parametrize("tilt", [1.0 - 1e-7, 1.0 - 1e-9])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_near_neutral_dual_bounds_are_those_of_the_svd_route_within_their_width(
+        kind, n, tilt, seed):
+    """Each dual bound is within its rounding width (``cli._bound_width``, at
+    the dual's Bessel bound and margin) of the bound that the dual's own
+    SVD spans, at the dimensions of M+/-, give."""
+    system = _generated(kind, n, tilt, seed)
+    report = _dual_report(system)
+    dual = report.dual
+    beta = kf.frames._bessel_bound(dual.synthesis)
+    for label, (indices, span) in system._class_spans().items():
+        basis, _ = column_space(dual._synthesis_columns(indices), 0.0)
+        reference_span = kf.Subspace(space=dual.space, basis=basis[:, :span.dim])
+        reference = definite_pair_extrema(*kf.frames._pencil(dual, label,
+                                                             (indices, reference_span)))
+        margin = kf.classify(reference_span).margin
+        for slot, bound in zip(cli.BOUND_SLOTS[label], reference):
+            assert abs(report.dual_bounds[slot] - bound) <= cli._bound_width(bound, beta, margin)
+
+
+def test_bounds_only_verification_builds_pencils_of_the_right_kind_only():
+    """The dual's verification builds no pencil for a class that fails its
+    kind check; the full verification keeps every class's pencil."""
+    space = kf.make_krein_space(np.diag([1.0, 1.0, -1.0]))
+    frame = kf.partition_by_sign(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                                           [2.0, 0.0, 1.9], [0.0, 0.0, 1.0]]), space)
+    verdict, fields = kf.frames._verify_bounds(frame, kf.TOL_DEF, kf.TOL_RANK)
+    full_verdict, full = kf.frames._verify_sign_parts(frame, kf.TOL_DEF, kf.TOL_RANK)
+    assert not verdict and not full_verdict
+    assert fields["reasons"] == full["reasons"]
+    assert not fields["positive"].kind_ok and fields["negative"].kind_ok
+    assert list(fields["pencils"]) == ["negative"]
+    assert list(full["pencils"]) == ["positive", "negative"]
+    assert fields["negative"].ratio_range == full["negative"].ratio_range
 
 
 TINY_FRAME = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])

@@ -361,6 +361,22 @@ def test_dual_of_verified_family_is_verified(tilted_family):
     assert np.allclose(inverse.matrix @ s, np.eye(tilted_family.space.dim), atol=1e-9)
 
 
+def test_near_neutral_dual_family_verifies_in_full_with_estimates():
+    """A dual from ``canonical_dual_fusion`` of a near-neutral family (the
+    worst move of the dual bounds measured at the sign-fixed QR spans)
+    verifies in full at any cutoff, spans of the signature's dimensions,
+    with estimates."""
+    family = kf.gen_family(kf.GeneratorConfig(kind="fusion", seed=1, dim=6, num_positive=3,
+                                              tilt=1.0 - 1e-9, rotate=True))
+    dual, _ = kf.canonical_dual_fusion(family)
+    for tol_rank in (kf.TOL_RANK, 1e-3):
+        report = kf.verify_j_fusion_frame(dual, tol_rank=tol_rank)
+        assert report.is_j_fusion_frame
+        assert (report.positive.required_dim, report.negative.required_dim) == (3, 3)
+        assert None not in report.bound_estimates
+        assert all(np.isfinite(report.bound_estimates))
+
+
 # ---------------------------------------------------------------------------
 # J-images, projection alignment, flattening
 
@@ -369,8 +385,9 @@ def test_dual_of_verified_family_is_verified(tilted_family):
 def test_part_spans_and_estimates_come_from_one_svd_of_the_weighted_synthesis(tilt):
     """Each part span and the singular values behind its estimates are one
     ``column_space`` of the class's weighted synthesis columns ``v_i B_i``,
-    bit for bit; the dual's part spans take the dimension of M+/- from the
-    same SVD of its own weighted synthesis."""
+    bit for bit; the dual's part spans S^{-1} M+/- are the Q factors of
+    S^{-1} U+/-, with U+/- those part span bases and a positive diagonal in
+    R, at every cutoff."""
     family = kf.gen_family(kf.GeneratorConfig(
         kind="fusion", seed=3, dim=8, num_positive=4, tilt=tilt, rotate=True,
         entry_dims_positive=(2, 1, 1, 2), entry_dims_negative=(1, 2, 1, 1)))
@@ -393,10 +410,10 @@ def test_part_spans_and_estimates_come_from_one_svd_of_the_weighted_synthesis(ti
         outer = float(svals[0]) ** 2 / gamma_g
         assert part.estimate_range == ((inner, outer) if label == "positive"
                                        else (-outer, -inner))
-        dual_basis, _ = column_space(
-            np.hstack([dual.weights[i] * dual.subspaces[i].basis for i in indices]), 0.0)
-        assert np.array_equal(getattr(dual, f"{label}_span").basis,
-                              dual_basis[:, :span.dim])
+        q, r = np.linalg.qr(np.linalg.inv(kf.fusion_frame_operator(family).matrix) @ span.basis)
+        dual_span = getattr(dual, f"{label}_span")
+        assert np.array_equal(dual_span.basis, q * np.where(np.diagonal(r) < 0.0, -1.0, 1.0))
+        assert dual._class_spans(1e-3)[label] == (indices, dual_span)
 
 
 def test_j_image_family_preserves_validity(tilted_family):
@@ -502,20 +519,24 @@ def test_rps_requires_regular_entries(tilted_family):
         kf.j_projection(weakest, tol_def=1.01 * min(margins))
 
 
-def test_dual_diagnostics_verify_original_family_once(tilted_family, monkeypatch):
-    """The dual route verifies the family once and its dual once, at the
-    caller's cutoffs."""
-    calls = []
-    verify = kf.frames._verify_sign_parts
-
-    def counting(system, *args, **kwargs):
-        calls.append((system, args, kwargs))
+def _recording(calls: list, name: str, verify):
+    """``verify``, appending ``(name, system, args, kwargs)`` to ``calls``."""
+    def recorded(system, *args, **kwargs):
+        calls.append((name, system, args, kwargs))
         return verify(system, *args, **kwargs)
+    return recorded
 
-    monkeypatch.setattr(kf.frames, "_verify_sign_parts", counting)
+
+def test_dual_diagnostics_verify_original_family_once(tilted_family, monkeypatch):
+    """The dual route verifies the family once in full and its dual once for
+    its bounds, at the caller's cutoffs."""
+    calls = []
+    for name in ("_verify_sign_parts", "_verify_bounds"):
+        monkeypatch.setattr(kf.frames, name, _recording(calls, name, getattr(kf.frames, name)))
     diag = kf.fusion_dual_diagnostics(tilted_family, 1e-11, 1e-9)
-    assert [system for system, _, _ in calls] == [tilted_family, diag.dual]
-    assert all(args == (1e-11, 1e-9) and not kwargs for _, args, kwargs in calls)
+    assert [(name, system) for name, system, _, _ in calls] == [
+        ("_verify_sign_parts", tilted_family), ("_verify_bounds", diag.dual)]
+    assert all(args == (1e-11, 1e-9) and not kwargs for _, _, args, kwargs in calls)
 
 
 def test_dual_diagnostics_build_each_synthesis_and_operator_once(tilted_family, monkeypatch):
