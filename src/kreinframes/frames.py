@@ -11,6 +11,11 @@ positive pair is the sharp range of ``sum_{i in I+} [f, f_i]^2 / [f, f]``
 over the positive span; the negative pair is the sharp range of the analogous
 ratio over the negative span (both entries negative, ``B- <= A- < 0``).
 Missing parts contribute ``None`` slots.
+
+A frame, like a weighted family, is verified by its part bounds alone
+(:func:`_verify_bounds`); only the reports of :func:`verify_j_frame` and
+:func:`~kreinframes.fusion.verify_j_fusion_frame` add the Bessel bound and
+the bound estimates.
 """
 
 from functools import cached_property
@@ -116,9 +121,12 @@ class _SignClasses:
 
     def _operator(self, tol_def: float) -> tuple[np.ndarray, np.ndarray]:
         """The matrix of S and its singular values (:func:`_singular_values`),
-        once per ``tol_def``, which decides only if family entries are regular."""
+        once per ``tol_def``, which decides only if family entries are regular.
+        An S or singular values beyond the double range raise :class:`InputError`."""
         if tol_def not in self._operators_at:
-            s = self._operator_matrix(tol_def)
+            with np.errstate(over="ignore", invalid="ignore"):
+                s = self._operator_matrix(tol_def)
+            _require_finite(s, "the frame operator")
             self._operators_at[tol_def] = (s, _singular_values(s, self.space.symmetry))
         return self._operators_at[tol_def]
 
@@ -162,7 +170,7 @@ class VectorFrame(_SignClasses):
         return numerator if self.signs[indices[0]] > 0 else -numerator
 
     def _operator_matrix(self, tol_def: float) -> np.ndarray:
-        return frame_operator(self).matrix
+        return _frame_product(self, slice(None))
 
     def _refuse_ill_conditioned(self, svals: np.ndarray) -> None:
         """Refuse a condition number beyond the double range, as :func:`verify_j_frame` does."""
@@ -222,22 +230,20 @@ def _self_products(v: np.ndarray, space: KreinSpace) -> tuple[np.ndarray, np.nda
     return np.einsum("ij,ij->i", v @ space.symmetry, v), np.einsum("ij,ij->i", v, v)
 
 
+def _frame_product(frame: VectorFrame, indices: list[int] | slice) -> np.ndarray:
+    """``sum_i sigma_i f_i f_i^T J`` over the members ``indices``: zero for none."""
+    v = frame.vectors[indices]
+    return (v * frame.signs[indices, None]).T @ v @ frame.space.symmetry
+
+
 def frame_operator(frame: VectorFrame) -> Operator:
     """S = sum_i sigma_i f_i f_i^T J, i.e. S f = sum_i sigma_i [f, f_i] f_i."""
-    v = frame.vectors
-    s = (v * frame.signs[:, None]).T @ v @ frame.space.symmetry
-    return Operator(frame.space, s)
+    return Operator(frame.space, _frame_product(frame, slice(None)))
 
 
 def partial_frame_operator(frame: VectorFrame, indices) -> Operator:
     """Frame operator of a subfamily, signs inherited from the full frame."""
-    idx = _validate_indices(frame, indices)
-    n = frame.space.dim
-    if not idx:
-        return Operator(frame.space, np.zeros((n, n)))
-    v = frame.vectors[idx]
-    s = (v * frame.signs[idx, None]).T @ v @ frame.space.symmetry
-    return Operator(frame.space, s)
+    return Operator(frame.space, _frame_product(frame, _validate_indices(frame, indices)))
 
 
 def _validate_indices(frame: VectorFrame, indices) -> list[int]:
@@ -284,11 +290,6 @@ class JFrameReport(NamedTuple):
     pencils: dict
 
 
-# One nonempty sign class: indices, span, signed Rayleigh pencil
-# (numerator, denominator) and the singular values, in descending order, of
-# its synthesis matrix (whose columns are the weighted members of the class).
-SignPart = tuple[tuple[int, ...], Subspace, tuple[np.ndarray, np.ndarray], np.ndarray]
-
 _PART_KINDS = (("positive", SubspaceKind.UNIFORMLY_POSITIVE),
                ("negative", SubspaceKind.UNIFORMLY_NEGATIVE))
 
@@ -315,42 +316,11 @@ def _pencil(system: _SignClasses, label: str, class_span: ClassSpan
     return numerator, part_span.gram if label == "positive" else -part_span.gram
 
 
-def _sign_parts(system: _SignClasses, tol_rank: float) -> dict[str, SignPart]:
-    """The :data:`SignPart` of each nonempty sign class of a frame or a
-    family, its span at the relative rank cutoff ``tol_rank``."""
-    return {label: (*class_span, _pencil(system, label, class_span),
-                    system._class_svals(class_span[0]))
+def _class_pencils(system: _SignClasses, tol_rank: float
+                   ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """The :func:`_pencil` of each nonempty class, its span at ``tol_rank``."""
+    return {label: _pencil(system, label, class_span)
             for label, class_span in system._class_spans(tol_rank).items()}
-
-
-def _checked_classes(system: _SignClasses, tol_def: float, tol_rank: float
-                     ) -> tuple[dict[str, PartReport | None], list[str]]:
-    """Each sign class, at the cutoff ``tol_rank``, classified and checked:
-    it must span a maximal uniformly definite subspace of its sign.  Returns
-    the :class:`PartReport` of each class without its ranges (None for an
-    empty class), and the reasons of the checks that fail."""
-    space, spans = system.space, system._class_spans(tol_rank)
-    reasons: list[str] = []
-    reports: dict[str, PartReport | None] = {}
-    for label, good_kind in _PART_KINDS:
-        required = space.num_positive if label == "positive" else space.num_negative
-        if label not in spans:
-            if required != 0:
-                reasons.append(f"{label} part is empty but signature requires dimension {required}")
-            reports[label] = None
-            continue
-        indices, part_span = spans[label]
-        cls = classify(part_span, tol_def, tol_rank)
-        kind_ok = cls.kind is good_kind
-        dim_ok = part_span.dim == required
-        if not kind_ok:
-            reasons.append(f"{label} span is {cls.kind.value}, not uniformly {label}")
-        if not dim_ok:
-            reasons.append(f"{label} span has dimension {part_span.dim}, signature requires {required}")
-        reports[label] = PartReport(indices=indices, classification=cls, required_dim=required,
-                                    dim_ok=dim_ok, kind_ok=kind_ok,
-                                    ratio_range=None, estimate_range=None)
-    return reports, reasons
 
 
 def _pencil_range(label: str, pencil: tuple[np.ndarray, np.ndarray]) -> tuple[float, float]:
@@ -364,12 +334,43 @@ def _pencil_range(label: str, pencil: tuple[np.ndarray, np.ndarray]) -> tuple[fl
     return ratio
 
 
-def _verdict_fields(space: KreinSpace, reports: dict[str, PartReport | None],
-                    reasons: list[str], pencils: dict) -> tuple[bool, dict]:
-    """The verdict on checked classes, and the report fields every
-    verification writes: the parts, the bounds (when the verdict is true),
-    the reasons and the pencils."""
-    pos, neg = reports["positive"], reports["negative"]
+def _verify_bounds(system: _SignClasses, tol_def: float, tol_rank: float) -> tuple[bool, dict]:
+    """The verification of a frame or a family, by its part bounds alone.
+
+    Each nonempty sign class takes its span at the relative rank cutoff
+    ``tol_rank``, which must be a maximal uniformly definite subspace of its
+    sign: its signed pencil is built (:func:`_class_pencils`), its span
+    classified and its kind and dimension checked; the bounds of a class of
+    the right kind are the extreme eigenvalues of its pencil.  Returns the verdict and the report
+    fields every verification writes: the :class:`PartReport` of each class
+    without estimates (None for an empty class), the bounds (when the
+    verdict is true), the reasons of the checks that fail and the pencils.
+    Bounds beyond the double range raise :class:`InputError`.
+    """
+    space, spans = system.space, system._class_spans(tol_rank)
+    pencils = _class_pencils(system, tol_rank)
+    reasons: list[str] = []
+    parts: dict[str, PartReport | None] = {}
+    for label, good_kind in _PART_KINDS:
+        required = space.num_positive if label == "positive" else space.num_negative
+        if label not in spans:
+            if required != 0:
+                reasons.append(f"{label} part is empty but signature requires dimension {required}")
+            parts[label] = None
+            continue
+        indices, part_span = spans[label]
+        cls = classify(part_span, tol_def, tol_rank)
+        kind_ok = cls.kind is good_kind
+        dim_ok = part_span.dim == required
+        if not kind_ok:
+            reasons.append(f"{label} span is {cls.kind.value}, not uniformly {label}")
+        if not dim_ok:
+            reasons.append(f"{label} span has dimension {part_span.dim}, signature requires {required}")
+        ratio = _pencil_range(label, pencils[label]) if kind_ok else None
+        parts[label] = PartReport(indices=indices, classification=cls, required_dim=required,
+                                  dim_ok=dim_ok, kind_ok=kind_ok, ratio_range=ratio,
+                                  estimate_range=None)
+    pos, neg = parts["positive"], parts["negative"]
     verdict = ((pos.ok if pos is not None else space.num_positive == 0)
                and (neg.ok if neg is not None else space.num_negative == 0))
     return verdict, {
@@ -386,64 +387,60 @@ def _pair(part: PartReport | None, attr: str, keep: bool) -> tuple:
     return value if value is not None else (None, None)
 
 
+def _with_estimates(system: _SignClasses, label: str, part: PartReport | None,
+                    tol_rank: float) -> PartReport | None:
+    """``part`` with its bound estimates, where it has bounds: from reduced
+    minimum moduli, of the synthesis, from its singular values
+    (``_class_svals``), and of the span's Gram, from the eigenvalues
+    :func:`classify` computed.  Estimates beyond the double range raise
+    :class:`InputError`."""
+    if part is None or part.ratio_range is None:
+        return part
+    synthesis_svals = system._class_svals(part.indices)
+    gamma_t = smallest_nonzero_modulus(synthesis_svals, tol_rank)
+    gamma_g = part.classification.gamma
+    with np.errstate(over="ignore"):
+        outer = float(synthesis_svals[0]) ** 2 / gamma_g
+        inner = gamma_t**2 * gamma_g**2
+    estimate = (inner, outer) if label == "positive" else (-outer, -inner)
+    _require_finite(estimate, f"the {label} bound estimate")
+    return part._replace(estimate_range=estimate)
+
+
 def _verify_sign_parts(system: _SignClasses, tol_def: float,
                        tol_rank: float) -> tuple[bool, dict]:
-    """The sign-partitioned check shared by vector frames and fusion families.
-
-    Each sign class (:func:`_sign_parts`) is checked (:func:`_checked_classes`);
-    the bounds of each class of the right kind are the extreme eigenvalues of
-    its signed pencil, and its estimates come from reduced minimum moduli:
-    of the synthesis, from its singular values, and of the span's Gram, from
-    the eigenvalues :func:`classify` computed.
-    Returns the verdict and the report fields both report classes share.
-    Bounds or a Bessel constant beyond the double range raise
-    :class:`InputError`.
+    """The verification that the two reports write: the Bessel bound, then
+    :func:`_verify_bounds`, then the estimates of each class with bounds
+    (:func:`_with_estimates`).  Returns the verdict and the report fields
+    both report classes share.  A Bessel constant beyond the double range
+    raises :class:`InputError`.
     """
-    parts = _sign_parts(system, tol_rank)
     bessel = _bessel_bound(system.synthesis)
-    reports, reasons = _checked_classes(system, tol_def, tol_rank)
-    for label, part in reports.items():
-        if part is not None and part.kind_ok:
-            _, _, pencil, synthesis_svals = parts[label]
-            ratio = _pencil_range(label, pencil)
-            gamma_t = smallest_nonzero_modulus(synthesis_svals, tol_rank)
-            gamma_g = part.classification.gamma
-            outer = float(synthesis_svals[0]) ** 2 / gamma_g
-            inner = gamma_t**2 * gamma_g**2
-            estimate = (inner, outer) if label == "positive" else (-outer, -inner)
-            _require_finite(estimate, f"the {label} frame bound")
-            reports[label] = part._replace(ratio_range=ratio, estimate_range=estimate)
-    verdict, fields = _verdict_fields(system.space, reports, reasons,
-                                      {label: part[2] for label, part in parts.items()})
-    pos, neg = reports["positive"], reports["negative"]
+    verdict, fields = _verify_bounds(system, tol_def, tol_rank)
+    pos, neg = (_with_estimates(system, label, fields[label], tol_rank)
+                for label in ("positive", "negative"))
     return verdict, {
         **fields,
+        "positive": pos,
+        "negative": neg,
         "bessel_bound": bessel,
         "bound_estimates": (*_pair(neg, "estimate_range", True),
                             *_pair(pos, "estimate_range", True)),
     }
 
 
-def _verify_bounds(system: _SignClasses, tol_def: float, tol_rank: float) -> tuple[bool, dict]:
-    """The part of :func:`_verify_sign_parts` that the bounds need, as a
-    canonical dual is verified: each class checked, and the pencil and
-    bounds of each class of the right kind; no Bessel bound, no estimates.
-    Returns the verdict and the :func:`_verdict_fields`."""
-    reports, reasons = _checked_classes(system, tol_def, tol_rank)
-    pencils = {}
-    for label, part in reports.items():
-        if part is not None and part.kind_ok:
-            pencils[label] = _pencil(system, label, system._class_spans(tol_rank)[label])
-            reports[label] = part._replace(ratio_range=_pencil_range(label, pencils[label]))
-    return _verdict_fields(system.space, reports, reasons, pencils)
-
-
 def _singular_values(s: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Singular values, in descending order, of a frame operator S, which is
     J-selfadjoint: ``J S`` is symmetric and S = J (J S) with J orthogonal, so
-    they are the eigenvalue moduli of ``J S``, from one ``eigvalsh``."""
-    js = j @ s
-    return np.sort(np.abs(np.linalg.eigvalsh(0.5 * (js + js.T))))[::-1]
+    they are the eigenvalue moduli of ``J S``, from one ``eigvalsh``.  Values
+    beyond the double range raise :class:`InputError`, as S itself does."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        js = j @ s
+        sym = 0.5 * (js + js.T)
+    _require_finite(sym, "the frame operator")
+    svals = np.sort(np.abs(np.linalg.eigvalsh(sym)))[::-1]
+    _require_finite(svals, "the frame operator")
+    return svals
 
 
 def _require_invertible(system: _SignClasses, tol_def: float) -> tuple[np.ndarray, np.ndarray]:
@@ -513,12 +510,8 @@ def _condition_number(frame: VectorFrame, svals: np.ndarray) -> float:
 
 
 def _verified(system: _SignClasses, tol_def: float, tol_rank: float) -> dict:
-    """The :func:`_verify_sign_parts` fields of a system that must verify, or its ``_refusal``."""
-    return _accepted(system, *_verify_sign_parts(system, tol_def, tol_rank))
-
-
-def _accepted(system: _SignClasses, verdict: bool, fields: dict) -> dict:
-    """``fields`` of a system whose verdict is true, else its ``_refusal``."""
+    """The :func:`_verify_bounds` fields of a system that must verify, or its ``_refusal``."""
+    verdict, fields = _verify_bounds(system, tol_def, tol_rank)
     if not verdict:
         raise system._refusal("; ".join(fields["reasons"]))
     return fields
@@ -539,7 +532,7 @@ def frame_part_pencils(frame: VectorFrame) -> dict[str, tuple[np.ndarray, np.nda
     range of the pencil equals the corresponding pair of optimal bounds
     directly (negative values for the negative part).
     """
-    return {label: part[2] for label, part in _sign_parts(frame, TOL_RANK).items()}
+    return _class_pencils(frame, TOL_RANK)
 
 
 def canonical_dual(frame: VectorFrame, tol_def: float = TOL_DEF) -> VectorFrame:
@@ -553,9 +546,9 @@ def canonical_dual(frame: VectorFrame, tol_def: float = TOL_DEF) -> VectorFrame:
 
 def _canonical_dual_of(system: _SignClasses, tol_def: float, tol_rank: float
                        ) -> tuple[dict, _SignClasses, np.ndarray, np.ndarray]:
-    """The report fields of a frame or family that must verify, its
-    canonical dual (the class's ``_dual``), S^{-1} and the singular values
-    of S.
+    """The :func:`_verified` fields of a frame or family that must verify
+    (no Bessel bound, no estimates), its canonical dual (the class's
+    ``_dual``), S^{-1} and the singular values of S.
 
     Where the dual keeps the sign pattern, as a verified system does in
     exact arithmetic, its class spans are S^{-1} M+/-: each the Q factor of
@@ -581,10 +574,10 @@ def _canonical_dual_of(system: _SignClasses, tol_def: float, tol_rank: float
 def _dual_diagnostics(system: _SignClasses, tol_def: float, tol_rank: float
                       ) -> tuple[_SignClasses, np.ndarray, dict]:
     """The canonical dual, S^{-1} and the :func:`_dual_comparison` fields of a
-    frame or family: it is verified once and its dual once for the bounds
+    frame or family: it and its dual are each verified once, for the bounds
     (:func:`_verify_bounds`), at one cutoff."""
     fields, dual, s_inv, svals = _canonical_dual_of(system, tol_def, tol_rank)
-    dual_bounds = _accepted(dual, *_verify_bounds(dual, tol_def, tol_rank))["bounds"]
+    dual_bounds = _verified(dual, tol_def, tol_rank)["bounds"]
     return dual, s_inv, _dual_comparison(fields["bounds"], dual_bounds, s_inv,
                                          dual._operator_matrix(tol_def),
                                          system.space.symmetry, svals[-1])
@@ -634,7 +627,7 @@ def interlacing_identity(frame: VectorFrame, subset, f,
     idx = _validate_indices(frame, subset)
     _verified(frame, tol_def, TOL_RANK)
     complement = [i for i in range(frame.size) if i not in set(idx)]
-    s = frame_operator(frame).matrix
+    s = frame._operator(tol_def)[0]
     s1 = partial_frame_operator(frame, idx).matrix
     s2 = partial_frame_operator(frame, complement).matrix
     j = frame.space.symmetry

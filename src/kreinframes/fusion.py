@@ -12,7 +12,10 @@ T is the synthesis map from the direct sum and A the analysis map, and is
 computed as that product.
 
 Bound conventions match :mod:`kreinframes.frames`: ascending four-tuples
-``(B-, A-, A+, B+)`` with ``None`` slots for missing parts.
+``(B-, A-, A+, B+)`` with ``None`` slots for missing parts.  So does the
+verification: a family is verified by its part bounds alone; only
+:func:`verify_j_fusion_frame` adds the Bessel bound and the estimates, and
+the optimal bounds and the canonical dual read the bounds only.
 """
 
 from functools import cached_property
@@ -43,9 +46,9 @@ from .frames import (
     VectorFrame,
     _bessel_bound,
     _canonical_dual_of,
+    _class_pencils,
     _dual_diagnostics,
     _SignClasses,
-    _sign_parts,
     _verified,
     _verify_sign_parts,
     partition_by_sign,
@@ -353,7 +356,7 @@ def part_pencils(family: WeightedSubspaceFamily
     range of the pencil equals the corresponding pair of optimal bounds
     directly (negative values for the negative part).
     """
-    return {label: part[2] for label, part in _sign_parts(family, TOL_RANK).items()}
+    return _class_pencils(family, TOL_RANK)
 
 
 def canonical_dual_fusion(family: WeightedSubspaceFamily, tol_def: float = TOL_DEF

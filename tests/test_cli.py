@@ -833,11 +833,32 @@ OVERFLOWING_BOUNDS = {
     "condition_number": ("vectors", [[1.0, 0.0], [0.0, 1e-200]],
                          "input error: the condition number of the frame operator "
                          "overflows a double"),
+    # B+ = 1.0000002e300 and the Bessel bound 1e300 are finite; the estimate
+    # sigma^2 / gamma, about 5e308, is not, and neither is S
+    "estimate": ("family", {"entries": [{"basis": [[1.0, 1.0 - 2e-9]], "weight": 1e150},
+                                        {"basis": [[0.0, 1.0]], "weight": 1.0}]},
+                 "input error: the positive bound estimate overflows a double"),
+    # the bounds are finite; S and the Bessel bound are not
+    "operator": ("vectors", [[7e153, 7e153 * (1.0 - 2e-9)]] * 4 + [[0.0, 1.0]],
+                 "input error: the Bessel bound overflows a double"),
+    # S is finite, its largest singular value (about 1.96e308) is not
+    "operator_norm": ("vectors", [[7e153, 7e153 * (1.0 - 2e-9)]] * 2 + [[0.0, 1.0]],
+                      "input error: the Bessel bound overflows a double"),
 }
-OVERFLOW_REFUSALS = [pytest.param(command, section, value, message, id=f"{command}-{name}")
-                     for name, (section, value, message) in OVERFLOWING_BOUNDS.items()
-                     for command in ("verify" if section == "family" else "verify-frame",
-                                     "bounds", "dual")]
+# ``dual`` verifies the original for its bounds only, so it names the first
+# quantity that it computes and that overflows: a bound, or S itself
+DUAL_OVERFLOWS = {
+    "bessel": "input error: the positive frame bound overflows a double",
+    "estimate": "input error: the frame operator overflows a double",
+    "operator": "input error: the frame operator overflows a double",
+    "operator_norm": "input error: the frame operator overflows a double",
+}
+OVERFLOW_REFUSALS = [
+    pytest.param(command, section, value,
+                 DUAL_OVERFLOWS.get(name, message) if command == "dual" else message,
+                 id=f"{command}-{name}")
+    for name, (section, value, message) in OVERFLOWING_BOUNDS.items()
+    for command in ("verify" if section == "family" else "verify-frame", "bounds", "dual")]
 
 
 @pytest.mark.parametrize("scale", [1e-200, 1e-160])

@@ -211,28 +211,29 @@ def _recording(calls: list, name: str, fn):
 
 
 def test_dual_reciprocity_verifies_frame_and_dual_once(monkeypatch):
-    """The dual route verifies the frame once in full and its dual once for
-    its bounds, at the caller's cutoffs."""
+    """The dual route verifies the frame once and its dual once, each for
+    its bounds only, at the caller's cutoffs."""
     calls = []
     for name in ("_verify_sign_parts", "_verify_bounds"):
         monkeypatch.setattr(kf.frames, name, _recording(calls, name, getattr(kf.frames, name)))
     frame = _tilted_frame()
     report = kf.dual_reciprocity(frame, 1e-11, 1e-9)
     assert [(name, system) for name, system, _, _ in calls] == [
-        ("_verify_sign_parts", frame), ("_verify_bounds", report.dual)]
+        ("_verify_bounds", frame), ("_verify_bounds", report.dual)]
     assert all(args == (1e-11, 1e-9) and not kwargs for _, _, args, kwargs in calls)
 
 
 def test_dual_reciprocity_builds_each_frame_operator_once(monkeypatch):
-    """S of the frame and S of its dual, each built once by its verification."""
+    """S of the frame and S of its dual, each built once, by the one product
+    that every frame operator takes."""
     calls = []
-    build = kf.frames.frame_operator
+    build = kf.frames._frame_product
 
-    def counting(frame):
+    def counting(frame, indices):
         calls.append(frame)
-        return build(frame)
+        return build(frame, indices)
 
-    monkeypatch.setattr(kf.frames, "frame_operator", counting)
+    monkeypatch.setattr(kf.frames, "_frame_product", counting)
     frame = _tilted_frame()
     report = kf.dual_reciprocity(frame)
     assert len(calls) == 2
@@ -255,7 +256,7 @@ def _dual_report(system, *args):
 @pytest.mark.parametrize("kind", ["frame", "fusion"])
 def test_dual_spans_are_the_q_factors_of_the_inverse_on_the_system_spans(kind, monkeypatch):
     """One dual takes an SVD (``column_spaces``) of the system's own classes
-    only, and one Bessel bound, the system's: each dual class span is the Q
+    only, and no Bessel bound: each dual class span is the Q
     factor of S^{-1} U+/-, with U+/- the system's class basis and a positive
     diagonal in R, at every cutoff, and a frame's dual vectors are S^{-1} f_i
     from one product with S^{-1}."""
@@ -271,8 +272,7 @@ def test_dual_spans_are_the_q_factors_of_the_inverse_on_the_system_spans(kind, m
     assert len(svds) == 2
     assert all(np.array_equal(m, system._synthesis_columns(indices))
                for m, indices in zip(svds, classes))
-    bessel = [synthesis for name, synthesis, _, _ in calls if name == "bessel"]
-    assert len(bessel) == 1 and np.array_equal(bessel[0], system.synthesis)
+    assert not [name for name, _, _, _ in calls if name == "bessel"]
     s_inv = np.linalg.inv(system._operator(kf.TOL_DEF)[0])
     if kind == "frame":
         assert np.array_equal(dual.vectors, system.vectors @ s_inv.T)
@@ -307,20 +307,35 @@ def test_near_neutral_dual_bounds_are_those_of_the_svd_route_within_their_width(
             assert abs(report.dual_bounds[slot] - bound) <= cli._bound_width(bound, beta, margin)
 
 
-def test_bounds_only_verification_builds_pencils_of_the_right_kind_only():
-    """The dual's verification builds no pencil for a class that fails its
-    kind check; the full verification keeps every class's pencil."""
+def _same_arrays(a, b) -> bool:
+    return all(np.array_equal(x, y) for x, y in zip(a, b, strict=True))
+
+
+def test_bounds_verification_and_report_agree_on_a_failing_frame():
+    """The verification core (bounds only) and the report agree on verdict,
+    reasons, parts (but for the estimates, which only the report takes) and
+    pencils, one for every nonempty class whatever its kind; the report's
+    pencils are those of :func:`frame_part_pencils`."""
     space = kf.make_krein_space(np.diag([1.0, 1.0, -1.0]))
     frame = kf.partition_by_sign(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
                                            [2.0, 0.0, 1.9], [0.0, 0.0, 1.0]]), space)
     verdict, fields = kf.frames._verify_bounds(frame, kf.TOL_DEF, kf.TOL_RANK)
-    full_verdict, full = kf.frames._verify_sign_parts(frame, kf.TOL_DEF, kf.TOL_RANK)
-    assert not verdict and not full_verdict
-    assert fields["reasons"] == full["reasons"]
-    assert not fields["positive"].kind_ok and fields["negative"].kind_ok
-    assert list(fields["pencils"]) == ["negative"]
-    assert list(full["pencils"]) == ["positive", "negative"]
-    assert fields["negative"].ratio_range == full["negative"].ratio_range
+    report = kf.verify_j_frame(frame)
+    assert not verdict and not report.is_j_frame
+    assert fields["reasons"] == report.reasons
+    assert not report.positive.kind_ok and report.negative.kind_ok
+    for label in ("positive", "negative"):
+        part, full = fields[label], getattr(report, label)
+        assert part.estimate_range is None
+        assert (part._replace(classification=None)
+                == full._replace(classification=None, estimate_range=None))
+        assert _same_arrays(part.classification, full.classification)
+    pencils = kf.frame_part_pencils(frame)
+    assert list(fields["pencils"]) == list(report.pencils) == list(pencils) == ["positive",
+                                                                                "negative"]
+    for label, pencil in pencils.items():
+        assert _same_arrays(fields["pencils"][label], report.pencils[label])
+        assert _same_arrays(report.pencils[label], pencil)
 
 
 TINY_FRAME = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])

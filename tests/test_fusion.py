@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 import kreinframes as kf
 from kreinframes import SubspaceKind
 from kreinframes._numeric import column_space, operator_norm
-from kreinframes.frames import _sign_parts
 from kreinframes.subspaces import smallest_nonzero_modulus
 
 EXACT_TOL = 1e-12
@@ -394,7 +393,7 @@ def test_part_spans_and_estimates_come_from_one_svd_of_the_weighted_synthesis(ti
     assert len(set(family.entry_dims)) > 1
     report = kf.verify_j_fusion_frame(family)
     assert report.is_j_fusion_frame
-    parts = _sign_parts(family, kf.TOL_RANK)
+    spans = family._class_spans(kf.TOL_RANK)
     dual = kf.fusion_dual_diagnostics(family).dual
     for label, indices in (("positive", family.positive_indices),
                            ("negative", family.negative_indices)):
@@ -403,7 +402,8 @@ def test_part_spans_and_estimates_come_from_one_svd_of_the_weighted_synthesis(ti
             kf.TOL_RANK)
         span = getattr(family, f"{label}_span")
         assert np.array_equal(span.basis, basis)
-        assert parts[label][1] is span and np.array_equal(parts[label][3], svals)
+        assert spans[label] == (indices, span)
+        assert np.array_equal(family._class_svals(indices), svals)
         part = getattr(report, label)
         gamma_g = part.classification.gamma
         inner = smallest_nonzero_modulus(svals, kf.TOL_RANK) ** 2 * gamma_g**2
@@ -528,14 +528,14 @@ def _recording(calls: list, name: str, verify):
 
 
 def test_dual_diagnostics_verify_original_family_once(tilted_family, monkeypatch):
-    """The dual route verifies the family once in full and its dual once for
-    its bounds, at the caller's cutoffs."""
+    """The dual route verifies the family once and its dual once, each for
+    its bounds only, at the caller's cutoffs."""
     calls = []
     for name in ("_verify_sign_parts", "_verify_bounds"):
         monkeypatch.setattr(kf.frames, name, _recording(calls, name, getattr(kf.frames, name)))
     diag = kf.fusion_dual_diagnostics(tilted_family, 1e-11, 1e-9)
     assert [(name, system) for name, system, _, _ in calls] == [
-        ("_verify_sign_parts", tilted_family), ("_verify_bounds", diag.dual)]
+        ("_verify_bounds", tilted_family), ("_verify_bounds", diag.dual)]
     assert all(args == (1e-11, 1e-9) and not kwargs for _, _, args, kwargs in calls)
 
 
