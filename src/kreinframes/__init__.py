@@ -40,6 +40,7 @@ from .errors import (
     NotRegular,
     NotSurjective,
     NotUniformlyDefinite,
+    NumericalFailure,
     ParseError,
     SchemaError,
     SingularFrameOperator,
@@ -142,7 +143,7 @@ __all__ = [
     "KreinSpace", "Operator", "make_krein_space", "indefinite_product",
     "j_adjoint", "j_adjoint_matrix",
     # errors
-    "KreinFrameError", "InputError", "InternalInconsistency",
+    "KreinFrameError", "InputError", "InternalInconsistency", "NumericalFailure",
     "NotAnInvolution", "DimensionMismatch", "ZeroSubspace", "NotRegular",
     "NotContained", "NotUniformlyDefinite", "NeutralVector",
     "NonPositiveWeight", "IndefiniteOrNeutralSubspace", "NotAJFrame",

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotPositiveDefinite
+from .errors import DimensionMismatch, NotPositiveDefinite, NumericalFailure
 
 __all__ = [
     "as_matrix",
     "as_vector",
     "operator_norm",
     "operator_norms",
+    "shape_groups",
     "stacked",
     "column_space",
     "column_spaces",
@@ -89,6 +90,15 @@ def operator_norms(m: np.ndarray) -> np.ndarray:
     return np.ldexp(_gram_norms(np.ldexp(m, -exponent[:, None, None])), exponent)
 
 
+def shape_groups(*operands) -> list[list[int]]:
+    """The indices of the items of ``operands`` grouped by the shapes of
+    their arguments, in order of first appearance."""
+    groups: dict[tuple, list[int]] = {}
+    for i, shapes in enumerate(zip(*([a.shape for a in op] for op in operands))):
+        groups.setdefault(shapes, []).append(i)
+    return list(groups.values())
+
+
 def stacked(fn, *operands) -> list:
     """``[fn(*args) for args in zip(*operands)]``, with one call of ``fn`` per
     distinct combination of operand shapes, on those operands stacked along a
@@ -101,11 +111,8 @@ def stacked(fn, *operands) -> list:
     the same matrices as they do item by item, so the results are the same
     bits, which ``tests/test_numeric.py`` pins.
     """
-    groups: dict[tuple, list[int]] = {}
-    for i, args in enumerate(zip(*operands)):
-        groups.setdefault(tuple(a.shape for a in args), []).append(i)
     out: list = [None] * len(operands[0])
-    for idx in groups.values():
+    for idx in shape_groups(*operands):
         res = fn(*(np.stack([op[i] for i in idx]) for op in operands))
         for i, item in zip(idx, zip(*res) if isinstance(res, tuple) else res):
             out[i] = item
@@ -166,19 +173,32 @@ def column_space(m: np.ndarray, tol_rank: float) -> tuple[np.ndarray, np.ndarray
 
 def column_spaces(matrices, tol_rank: float) -> list[tuple[np.ndarray, np.ndarray]]:
     """:func:`column_space` of each of ``matrices``, with one stacked SVD per
-    distinct shape (:func:`stacked`)."""
-    exponents = [_rescale_exponent(m, 0.0) for m in matrices]
+    distinct shape (:func:`shape_groups`): the rescale exponents, ranks and
+    singular values of a stack are taken in whole-stack passes.  An SVD that
+    LAPACK fails to converge raises :class:`NumericalFailure`."""
+    out = [(np.zeros((m.shape[0], 0)), np.zeros(0)) if not m.size else None for m in matrices]
     nonempty = [i for i, m in enumerate(matrices) if m.size]
-    factors = stacked(lambda s: np.linalg.svd(s, full_matrices=False),
-                      [np.ldexp(matrices[i], -exponents[i]) if exponents[i] else matrices[i]
-                       for i in nonempty])
-    out = [(np.zeros((m.shape[0], 0)), np.zeros(0)) for m in matrices]
-    for i, (u, svals, _) in zip(nonempty, factors):
-        rank = _rank(svals, tol_rank)
-        if exponents[i]:
+    for group in shape_groups([matrices[i] for i in nonempty]):
+        idx = [nonempty[k] for k in group]
+        stack = np.stack([matrices[i] for i in idx])
+        # the exponent of _rescale_exponent(m, 0.0) of each, from one pass
+        peaks = np.max(np.abs(stack), axis=(1, 2))
+        scaled = bool(peaks.max() > OVERFLOW_GUARD)
+        if scaled:  # ldexp by 0 leaves an item as it is
+            exponents = np.where(peaks > OVERFLOW_GUARD, np.frexp(peaks)[1], 0)
+            stack = np.ldexp(stack, -exponents[:, None, None])
+        try:
+            u, svals, _ = np.linalg.svd(stack, full_matrices=False)
+        except np.linalg.LinAlgError:
+            raise NumericalFailure(f"the SVD (LAPACK gesdd) of a {stack.shape[1]}x"
+                                   f"{stack.shape[2]} matrix did not converge") from None
+        top = svals[:, 0]
+        ranks = np.where(top > 0.0, np.sum(svals > tol_rank * top[:, None], axis=1), 0)
+        if scaled:
             with np.errstate(over="ignore"):  # beyond the double range: inf
-                svals = np.ldexp(svals, exponents[i])
-        out[i] = (u[:, :rank], svals)
+                svals = np.ldexp(svals, exponents[:, None])
+        for i, basis, values, rank in zip(idx, u, svals, ranks.tolist()):
+            out[i] = (basis[:, :rank], values)
     return out
 
 

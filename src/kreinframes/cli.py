@@ -11,7 +11,9 @@ output that cannot be written (closed stdout, broken pipe, ``-o`` path);
 3 internal inconsistency (fast path and oracle recomputation disagree by more
 than the rounding error of the quantity allows, or a stored report does not
 match its own problem).  Valid input that is merely ill-conditioned does not
-exit 3.
+exit 3.  4 numerical failure: a LAPACK kernel failed on the input (an SVD
+that did not converge), so there is no answer to report; the message names
+the kernel.
 
 Every verifying command whose verdict is true checks each reported bound,
 and the margin and reduced modulus of each part span, by an inertia bracket
@@ -45,11 +47,13 @@ from .errors import (
     NonPositiveWeight,
     NotAJFrame,
     NotAJFusionFrame,
+    NumericalFailure,
     ParseError,
     SchemaError,
 )
 from .frames import dual_reciprocity, partition_by_sign, verify_j_frame
 from .fusion import (
+    _SIGNS,
     WeightedSubspaceFamily,
     _rps_entries,
     family_from_spans,
@@ -66,10 +70,8 @@ from .problem_io import (
     make_report,
 )
 from .subspaces import (
-    SubspaceKind,
     _classify_all,
-    _spanning_columns,
-    _spans,
+    _entry_spans,
     classify,
 )
 from .transforms import image_fusion_check
@@ -290,16 +292,14 @@ def _refusing(core):
 def run_classify(parsed: ParsedProblem, params: Params) -> Outcome:
     _need(parsed, "family")
     space = parsed.space
-    all_subs = _spans([_spanning_columns(rows, space) for rows, _ in parsed.entries],
-                      space, params.tol_rank)
+    all_subs = _entry_spans([rows for rows, _ in parsed.entries], space, params.tol_rank)
     classes = _classify_all(all_subs, params.tol_def, params.tol_rank)
     entries = [{"index": i, "dim": sub.dim, "weight": weight, "classification": cls}
                for i, (sub, cls, (_, weight)) in enumerate(zip(all_subs, classes, parsed.entries))]
 
     # the uniformly definite entries grouped by sign, at unit weight; the rest in neither class
-    sign = {SubspaceKind.UNIFORMLY_POSITIVE: 1, SubspaceKind.UNIFORMLY_NEGATIVE: -1}
     spans = WeightedSubspaceFamily(space, tuple(all_subs), np.ones(len(all_subs)),
-                                   np.array([sign.get(cls.kind, 0) for cls in classes]),
+                                   np.array([_SIGNS.get(cls.kind, 0) for cls in classes]),
                                    tuple(classes))._class_spans(params.tol_rank)
 
     def span_block(label: str):
@@ -730,6 +730,9 @@ def main(argv=None) -> int:
     except InternalInconsistency as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 3
+    except NumericalFailure as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 4
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

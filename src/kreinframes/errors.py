@@ -4,7 +4,9 @@ Two branches matter operationally: :class:`InputError` covers everything a
 caller can fix (bad shapes, degenerate subspaces, requests that are undefined
 for the given data), while :class:`InternalInconsistency` flags disagreement
 between two routes that should have produced the same answer.  The CLI maps
-the former to exit code 2 and the latter to exit code 3.
+the former to exit code 2 and the latter to exit code 3.  A third,
+:class:`NumericalFailure`, is a LAPACK kernel that failed on the input (exit
+code 4).
 """
 
 from __future__ import annotations
@@ -20,6 +22,11 @@ class InputError(KreinFrameError):
 
 class InternalInconsistency(KreinFrameError):
     """Two independent computation routes disagreed beyond tolerance."""
+
+
+class NumericalFailure(KreinFrameError):
+    """A LAPACK kernel failed on the input (an SVD that did not converge):
+    no answer was computed, so none is reported."""
 
 
 class NotAnInvolution(InputError):

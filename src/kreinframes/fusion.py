@@ -59,10 +59,9 @@ from .subspaces import (
     Subspace,
     SubspaceKind,
     _classify_all,
+    _entry_spans,
     _images,
     _require_regular,
-    _spanning_columns,
-    _spans,
 )
 
 class WeightedSubspaceFamily(_SignClasses):
@@ -102,7 +101,10 @@ class WeightedSubspaceFamily(_SignClasses):
         return self.offsets[-1]
 
     def _synthesis_columns(self, indices: tuple[int, ...]) -> np.ndarray:
-        return np.hstack([self.weights[i] * self.subspaces[i].basis for i in indices])
+        """The weighted bases ``v_i B_i`` side by side, weighted in one product."""
+        indices = list(indices)
+        columns = np.hstack([self.subspaces[i].basis for i in indices])
+        return columns * np.repeat(self.weights[indices], [self.entry_dims[i] for i in indices])
 
     def _numerator(self, indices: tuple[int, ...], basis: np.ndarray) -> np.ndarray:
         """``sum_i v_i^2 [pi_i x, pi_i x]`` over the class: with T_part its
@@ -152,29 +154,33 @@ def make_weighted_family(subspaces, weights, tol_def: float = TOL_DEF) -> Weight
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.shape[0] != len(subs):
         raise DimensionMismatch(f"{len(subs)} entries but weight array of shape {w.shape}")
-    for i, wi in enumerate(w):
-        if not np.isfinite(wi) or wi <= 0.0:
-            raise NonPositiveWeight(f"weight {i} is {wi!r}, must be strictly positive",
-                                    index=i, weight=float(wi))
+    bad = np.flatnonzero(~np.isfinite(w) | (w <= 0.0))
+    if bad.size:
+        i = int(bad[0])
+        raise NonPositiveWeight(f"weight {i} is {float(w[i])!r}, must be strictly positive",
+                                index=i, weight=float(w[i]))
     return _signed_family(subs, w, tuple(_classify_all(subs, tol_def)))
+
+
+_SIGNS = {SubspaceKind.UNIFORMLY_POSITIVE: 1, SubspaceKind.UNIFORMLY_NEGATIVE: -1}
 
 
 def _signed_family(subs: tuple[Subspace, ...], weights: np.ndarray,
                    classifications: tuple[Classification, ...]) -> WeightedSubspaceFamily:
-    """The family of validated entries and weights, signed by their classifications."""
-    signs = np.zeros(len(subs), dtype=int)
-    for i, cls in enumerate(classifications):
-        if cls.kind is SubspaceKind.UNIFORMLY_POSITIVE:
-            signs[i] = 1
-        elif cls.kind is SubspaceKind.UNIFORMLY_NEGATIVE:
-            signs[i] = -1
-        else:
-            raise IndefiniteOrNeutralSubspace(
-                f"entry {i} is {cls.kind.value}, not uniformly definite",
-                index=i,
-                witness=cls.witness,
-                self_product=float(cls.margin),
-            )
+    """The family of validated entries and weights, signed by their
+    classifications; the first entry that is not uniformly definite raises
+    :class:`IndefiniteOrNeutralSubspace`."""
+    signs = np.array([_SIGNS.get(cls.kind, 0) for cls in classifications], dtype=int)
+    unsigned = np.flatnonzero(signs == 0)
+    if unsigned.size:
+        i = int(unsigned[0])
+        cls = classifications[i]
+        raise IndefiniteOrNeutralSubspace(
+            f"entry {i} is {cls.kind.value}, not uniformly definite",
+            index=i,
+            witness=cls.witness,
+            self_product=float(cls.margin),
+        )
     return WeightedSubspaceFamily(
         space=subs[0].space,
         subspaces=subs,
@@ -191,15 +197,9 @@ def family_from_spans(entry_vectors, weights, space: KreinSpace,
     Each entry is spanned and classified as :func:`~kreinframes.subspaces.span`
     and :func:`~kreinframes.subspaces.classify` do it, with one stacked SVD
     per distinct spanning-set shape and one stacked ``eigh`` per entry
-    dimension.
+    dimension; a refusal of an entry's spanning set names the entry.
     """
-    columns = []
-    for i, rows in enumerate(entry_vectors):
-        try:
-            columns.append(_spanning_columns(rows, space))
-        except DimensionMismatch as exc:
-            raise DimensionMismatch(f"entry {i}: {exc}") from exc
-    return make_weighted_family(_spans(columns, space, tol_rank), weights, tol_def)
+    return make_weighted_family(_entry_spans(entry_vectors, space, tol_rank), weights, tol_def)
 
 
 class DirectSumSpace:
@@ -260,7 +260,7 @@ def fusion_analysis(family: WeightedSubspaceFamily, tol_def: float = TOL_DEF) ->
     bt_j = np.hstack([sub.basis for sub in family.subspaces]).T @ family.space.symmetry
     solved = stacked(np.linalg.solve, [sub.gram for sub in family.subspaces],
                      np.split(bt_j, family.offsets[1:-1]))
-    return np.vstack([w * x for w, x in zip(family.weights, solved)])
+    return np.vstack(solved) * np.repeat(family.weights, family.entry_dims)[:, None]
 
 
 def _require_regular_entries(family: WeightedSubspaceFamily, tol_def: float) -> None:

@@ -4,8 +4,13 @@ The documented schema lives in ``docs/format.md``.  Validation is
 deliberately unforgiving: unknown keys, non-finite numbers (a number that
 overflows a double, such as ``1e400`` or a 400-digit integer, counts as
 infinite), and shape mismatches are rejected with the JSON path of the
-offense.  A matrix is validated in one vectorized pass; only a matrix that
-fails it is walked element by element to name the offense.
+offense.  A matrix is decoded in one typed pass: each row is packed into a
+preallocated float array by one ``struct`` call, which refuses anything but
+floats and ints of the double range.  The types are scanned only in the
+rows that hold an exact 0 or 1, where a JSON bool could hide, and the bases
+of all entries of a family share one such pass and one array.  Only a
+matrix (or a family) that the pass cannot vouch for is walked element by
+element (entry by entry), to name the first offense with its path.
 
 Serialization is canonical: two-space indent, non-ASCII and control
 characters as ``\\uXXXX`` escapes, keys in insertion order, shortest
@@ -33,6 +38,7 @@ import itertools
 import json
 import math
 import re
+import struct
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import NamedTuple
@@ -43,6 +49,7 @@ from .core import KreinSpace, make_krein_space
 from .errors import ParseError, SchemaError
 
 PROBLEM_KEYS = {"dimension", "J", "family", "vectors", "operator", "comment"}
+_ENTRY_KEYS = {"basis", "weight"}
 REPORT_KEYS = {"report_version", "command", "problem", "parameters", "result"}
 REPORT_VERSION = 9
 
@@ -113,18 +120,14 @@ def _check_rows(rows: list, path: str) -> None:
                 raise SchemaError("expected a number", f"{path}[{i}][{jdx}]")
 
 
-def _check_matrix(rows, n_cols: int | None, path: str) -> np.ndarray:
+def _walk_matrix(rows, width: int, path: str) -> np.ndarray:
+    """The exact walk: ``rows`` validated element by element, so that the
+    first offense is named with its path, then decoded by numpy."""
     if not isinstance(rows, list) or not rows:
         raise SchemaError("expected a list of at least 1 rows", path)
-    # one pass at C speed for the common case: equal-width lists of plain
-    # floats and ints; anything else takes the walk that names the offense
-    if not (set(map(type, rows)) == {list}
-            and len(set(map(len, rows))) == 1 and rows[0]
-            and set(map(type, itertools.chain.from_iterable(rows))) <= _NUMBER_TYPES):
-        _check_rows(rows, path)
-    width = len(rows[0])
-    if n_cols is not None and width != n_cols:
-        raise SchemaError(f"row length {width}, expected {n_cols}", path)
+    _check_rows(rows, path)
+    if len(rows[0]) != width:
+        raise SchemaError(f"row length {len(rows[0])}, expected {width}", path)
     try:
         matrix = np.array(rows, dtype=float)
     except OverflowError:  # an integer beyond the range of a double
@@ -134,6 +137,75 @@ def _check_matrix(rows, n_cols: int | None, path: str) -> np.ndarray:
                       for jdx, x in enumerate(row) if not is_finite_number(x))
         raise SchemaError("expected a finite number", f"{path}[{i}][{jdx}]")
     return matrix
+
+
+def _decoded(matrices: list, width: int) -> list[np.ndarray] | None:
+    """Each of ``matrices`` (lists of rows) as a float array of ``width``
+    columns, from one typed pass over all their rows into one array; None
+    where that pass cannot vouch for every number.
+
+    Each row is packed as ``width`` C doubles by one ``struct`` call, which
+    takes floats and ints and refuses a row of another length, a str, None,
+    a list, a dict or an integer beyond the double range.  What it cannot
+    tell apart is a bool, which it packs as 0.0 or 1.0: the types are
+    scanned only in the rows that hold an exact 0 or 1.  A matrix without
+    rows, a row that is not a list and a number that is not finite also
+    give None.
+    """
+    if not all(type(rows) is list and rows for rows in matrices):
+        return None
+    counts = [len(rows) for rows in matrices]
+    stack = np.empty((sum(counts), width))
+    pack, step = struct.Struct(f"{width}d").pack_into, 8 * width
+    try:
+        for k, row in enumerate(itertools.chain.from_iterable(matrices)):
+            if type(row) is not list:
+                return None
+            pack(stack, k * step, *row)
+    except struct.error:
+        return None
+    if not np.isfinite(stack).all():
+        return None
+    bits = (stack == 0.0) | (stack == 1.0)
+    if bits.any():
+        all_rows = list(itertools.chain.from_iterable(matrices))
+        if not all(set(map(type, all_rows[i])) <= _NUMBER_TYPES
+                   for i in np.flatnonzero(bits.any(axis=1)).tolist()):
+            return None
+    starts = [0, *itertools.accumulate(counts)]
+    return [stack[a:b] for a, b in zip(starts, starts[1:])]
+
+
+def _check_matrix(rows, width: int, path: str) -> np.ndarray:
+    """``rows`` as a float matrix of ``width`` columns: the typed pass, or,
+    where it cannot vouch for the numbers, the exact walk."""
+    decoded = _decoded([rows], width)
+    return _walk_matrix(rows, width, path) if decoded is None else decoded[0]
+
+
+def _check_entries(raw_entries: list, n: int, path: str) -> tuple[tuple[np.ndarray, float], ...]:
+    """The (basis, weight) of each family entry.  All bases are decoded in
+    one typed pass; where any entry is not a plain valid one, the entries are
+    checked one by one, so that the first offense is named in entry order."""
+    if all(type(entry) is dict and entry.keys() == _ENTRY_KEYS for entry in raw_entries):
+        weights = [entry["weight"] for entry in raw_entries]
+        bases = (_decoded([entry["basis"] for entry in raw_entries], n)
+                 if all(map(is_finite_number, weights)) else None)
+        if bases is not None:
+            return tuple(zip(bases, map(float, weights)))
+    decoded = []
+    for i, entry in enumerate(raw_entries):
+        epath = f"{path}[{i}]"
+        if not isinstance(entry, dict):
+            raise SchemaError("entry must be an object", epath)
+        _check_keys(entry, _ENTRY_KEYS, _ENTRY_KEYS, epath)
+        basis = _check_matrix(entry["basis"], n, f"{epath}.basis")
+        if not _is_number(entry["weight"]):
+            raise SchemaError("weight must be a number", f"{epath}.weight")
+        if not is_finite_number(entry["weight"]):
+            raise SchemaError("weight must be a finite number", f"{epath}.weight")
+        decoded.append((basis, float(entry["weight"])))
+    return tuple(decoded)
 
 
 class ParsedProblem(NamedTuple):
@@ -194,19 +266,7 @@ def parse_problem(doc: dict, path: str = "$") -> ParsedProblem:
         raw_entries = fam["entries"]
         if not isinstance(raw_entries, list) or not raw_entries:
             raise SchemaError("entries must be a non-empty list", f"{path}.family.entries")
-        decoded = []
-        for i, entry in enumerate(raw_entries):
-            epath = f"{path}.family.entries[{i}]"
-            if not isinstance(entry, dict):
-                raise SchemaError("entry must be an object", epath)
-            _check_keys(entry, {"basis", "weight"}, {"basis", "weight"}, epath)
-            basis = _check_matrix(entry["basis"], n, f"{epath}.basis")
-            if not _is_number(entry["weight"]):
-                raise SchemaError("weight must be a number", f"{epath}.weight")
-            if not is_finite_number(entry["weight"]):
-                raise SchemaError("weight must be a finite number", f"{epath}.weight")
-            decoded.append((basis, float(entry["weight"])))
-        entries = tuple(decoded)
+        entries = _check_entries(raw_entries, n, f"{path}.family.entries")
 
     vectors = None
     if "vectors" in doc:

@@ -12,7 +12,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._numeric import as_matrix, column_spaces, null_space, operator_norm, orth_columns, stacked
+from ._numeric import (
+    as_matrix,
+    column_spaces,
+    null_space,
+    operator_norm,
+    orth_columns,
+    shape_groups,
+    stacked,
+)
 from .core import TOL_DEF, TOL_NUM, TOL_RANK, KreinSpace, Operator
 from .errors import (
     DimensionMismatch,
@@ -60,8 +68,9 @@ def span(vectors, space: KreinSpace, tol_rank: float = TOL_RANK) -> Subspace:
 
     The spanning set is reduced to an orthonormal basis by a thin SVD with a
     relative rank cutoff of ``tol_rank`` (:func:`~kreinframes._numeric.column_space`).
+    A spanning set of numerical rank zero raises :class:`ZeroSubspace`.
     """
-    return _spans([_spanning_columns(vectors, space)], space, tol_rank)[0]
+    return _entry_spans([vectors], space, tol_rank, "")[0]
 
 
 def _spanning_columns(vectors, space: KreinSpace) -> np.ndarray:
@@ -74,32 +83,44 @@ def _spanning_columns(vectors, space: KreinSpace) -> np.ndarray:
     return m.T
 
 
+def _entry_spans(entry_vectors, space: KreinSpace, tol_rank: float = TOL_RANK,
+                 name: str = "entry {}: ") -> list[Subspace]:
+    """The :func:`span` of each of ``entry_vectors`` (the spanning rows of
+    each family entry), from one stacked SVD per distinct shape; a refusal
+    of an entry (:class:`DimensionMismatch`, :class:`ZeroSubspace`) starts
+    with ``name`` formatted with its index."""
+    columns = []
+    for i, rows in enumerate(entry_vectors):
+        try:
+            columns.append(_spanning_columns(rows, space))
+        except DimensionMismatch as exc:
+            raise DimensionMismatch(name.format(i) + str(exc)) from exc
+    subs = _spans(columns, space, tol_rank)
+    for i, sub in enumerate(subs):
+        if sub.dim == 0:
+            raise ZeroSubspace(name.format(i) + "spanning set has numerical rank zero")
+    return subs
+
+
 def _spans(columns, space: KreinSpace, tol_rank: float = TOL_RANK) -> list[Subspace]:
-    """The column space of each of ``columns`` (as :func:`_spanning_columns`
-    returns them), with the bases :func:`span` gives, from one stacked SVD per
-    distinct shape.  The first entry of numerical rank zero raises
-    :class:`ZeroSubspace`.
+    """The column space of each of ``columns``, spanned as :func:`span` spans
+    its vectors, from one stacked SVD per distinct shape; a column space of
+    numerical rank zero has an empty basis.
 
     Each basis is copied to C order where the rank cut it out of a wider
     factor: a product with a strided single column takes another BLAS route
     than with a contiguous one, so only contiguous bases give every entry
     Gram the same bits whether it is formed alone or in a stack.
     """
-    out = []
-    for basis, _ in column_spaces(columns, tol_rank):
-        if basis.shape[1] == 0:
-            raise ZeroSubspace("spanning set has numerical rank zero")
-        out.append(Subspace(space=space, basis=np.ascontiguousarray(basis)))
-    return out
+    return [Subspace(space=space, basis=np.ascontiguousarray(basis))
+            for basis, _ in column_spaces(columns, tol_rank)]
 
 
 def _images(t: np.ndarray, subspaces, tol_rank: float = TOL_RANK) -> list[Subspace]:
-    """The images ``t W`` of ``subspaces``, each spanned as :func:`span` spans
-    its vectors, from stacked products and SVDs; an image of numerical rank
-    zero has an empty basis."""
-    mapped = stacked(lambda b: t @ b, [sub.basis for sub in subspaces])
-    return [Subspace(space=sub.space, basis=basis)
-            for sub, (basis, _) in zip(subspaces, column_spaces(mapped, tol_rank))]
+    """The images ``t W`` of ``subspaces`` (a non-empty sequence):
+    :func:`_spans` of the stacked products."""
+    return _spans(stacked(lambda b: t @ b, [sub.basis for sub in subspaces]),
+                  subspaces[0].space, tol_rank)
 
 
 def gram_operator(subspace: Subspace) -> np.ndarray:
@@ -139,77 +160,88 @@ def smallest_nonzero_modulus(values: np.ndarray, tol_rank: float) -> float:
 def classify(subspace: Subspace, tol_def: float = TOL_DEF,
              tol_rank: float = TOL_RANK) -> Classification:
     """Classify a subspace by the spectrum of its compressed Gram operator."""
-    eigvals, eigvecs = np.linalg.eigh(subspace.gram)
-    return _classification(subspace, eigvals, eigvecs, tol_def, tol_rank)
+    return _classify_all([subspace], tol_def, tol_rank)[0]
+
+
+# the kinds by the codes that _classify_all assigns them: 0 and 1 are the
+# uniformly definite kinds, 4 neutral and 5 indefinite
+_KINDS = (SubspaceKind.UNIFORMLY_POSITIVE, SubspaceKind.UNIFORMLY_NEGATIVE,
+          SubspaceKind.POSITIVE_NON_UNIFORM, SubspaceKind.NEGATIVE_NON_UNIFORM,
+          SubspaceKind.NEUTRAL, SubspaceKind.INDEFINITE)
+
+
+def _grams(subspaces: list[Subspace]) -> list[np.ndarray]:
+    """``Subspace.gram`` of each of ``subspaces``, which share one space: a
+    Gram not computed yet of a C-contiguous basis comes from one stacked
+    product per distinct dimension (the bits ``Subspace.gram`` computes),
+    and is kept as the subspace's own."""
+    pending = [sub for sub in subspaces
+               if "gram" not in sub.__dict__ and sub.basis.flags.c_contiguous]
+    if pending:
+        j = pending[0].space.symmetry
+
+        def grams(b: np.ndarray) -> np.ndarray:
+            g = np.swapaxes(b, 1, 2) @ j @ b
+            return 0.5 * (g + np.swapaxes(g, 1, 2))
+
+        for sub, g in zip(pending, stacked(grams, [sub.basis for sub in pending])):
+            sub.__dict__["gram"] = g  # the cached_property's slot
+    return [sub.gram for sub in subspaces]
 
 
 def _classify_all(subspaces, tol_def: float = TOL_DEF,
-                 tol_rank: float = TOL_RANK) -> list[Classification]:
+                  tol_rank: float = TOL_RANK) -> list[Classification]:
     """:func:`classify` of each of ``subspaces``, which share one space, with
-    one stacked Gram product and ``eigh`` per distinct dimension; each Gram
-    is kept as the subspace's own (``Subspace.gram``)."""
+    one stacked ``eigh`` per distinct dimension (:func:`_grams` for the
+    Grams).  Margins, reduced moduli, kinds and maximality are taken in
+    whole-stack passes; only the witness of a subspace that is not uniformly
+    definite is built on its own."""
     subspaces = list(subspaces)
-    if not subspaces:
-        return []
-    j = subspaces[0].space.symmetry
+    grams = _grams(subspaces)
+    out: list = [None] * len(subspaces)
+    for idx in shape_groups(grams):
+        eigvals, eigvecs = np.linalg.eigh(np.stack([grams[i] for i in idx]))
+        mods = np.abs(eigvals)
+        margins = mods.min(axis=1)
+        regular = margins > tol_def  # no eigenvalue in [-tol_def, tol_def]
+        # smallest_nonzero_modulus of each spectrum: inf where none is nonzero
+        gammas = np.where(mods > tol_rank * mods.max(axis=1)[:, None], mods, np.inf).min(axis=1)
+        has_pos, has_neg = eigvals[:, -1] > tol_def, eigvals[:, 0] < -tol_def
+        # both or neither sign: 5 or 4; one sign: 0 or 1 if regular, else 2 or 3
+        codes = np.where(has_pos == has_neg, 4 + has_pos, has_neg + 2 * ~regular)
+        space, dim = subspaces[idx[0]].space, eigvals.shape[1]
+        maximal = (dim == space.num_positive, dim == space.num_negative)
+        for k, (i, code, margin, reg, gamma) in enumerate(zip(
+                idx, codes.tolist(), margins.tolist(), regular.tolist(), gammas.tolist())):
+            out[i] = Classification(
+                kind=_KINDS[code],
+                margin=margin,
+                regular=reg,
+                gamma=gamma if gamma != np.inf else 0.0,
+                maximal_definite=code < 2 and maximal[code],
+                witness=(_witness(subspaces[i], eigvals[k], eigvecs[k], code == 5)
+                         if code > 1 else None),
+                eigenvalues=eigvals[k],
+            )
+    return out
 
-    def grams(b: np.ndarray) -> np.ndarray:
-        g = np.swapaxes(b, 1, 2) @ j @ b
-        return 0.5 * (g + np.swapaxes(g, 1, 2))
 
-    for sub, g in zip(subspaces, stacked(grams, [sub.basis for sub in subspaces])):
-        sub.__dict__["gram"] = g  # the cached_property's slot; the same bits it computes
-    spectra = stacked(np.linalg.eigh, [sub.gram for sub in subspaces])
-    return [_classification(sub, eigvals, eigvecs, tol_def, tol_rank)
-            for sub, (eigvals, eigvecs) in zip(subspaces, spectra)]
-
-
-def _classification(subspace: Subspace, eigvals: np.ndarray, eigvecs: np.ndarray,
-                    tol_def: float, tol_rank: float) -> Classification:
-    """The :class:`Classification` of a subspace whose Gram has the spectral
-    decomposition ``eigvals``, ``eigvecs`` (ascending, as ``eigh`` returns it)."""
-    values = eigvals.tolist()
-    margin = min(map(abs, values))
-    regular = margin > tol_def  # no eigenvalue in [-tol_def, tol_def]
-    gamma = smallest_nonzero_modulus(eigvals, tol_rank)
-    has_pos, has_neg = values[-1] > tol_def, values[0] < -tol_def
-
-    witness = None
-    if has_pos and has_neg:
-        kind = SubspaceKind.INDEFINITE
-        # Exact neutral combination of the extreme eigenvectors:
+def _witness(subspace: Subspace, eigvals: np.ndarray, eigvecs: np.ndarray,
+             indefinite: bool) -> np.ndarray:
+    """A unit vector exhibiting that a subspace is not uniformly definite,
+    from the spectral decomposition of its Gram (ascending, as ``eigh``
+    returns it): for an indefinite subspace the exact neutral combination
+    of the extreme eigenvectors, else the eigenvector of the eigenvalue of
+    least modulus."""
+    if indefinite:
         # [w, w] = (-lam_minus) * lam_plus + lam_plus * lam_minus = 0.
         lam_plus = float(eigvals[-1])
         lam_minus = float(eigvals[0])
         combo = np.sqrt(-lam_minus) * eigvecs[:, -1] + np.sqrt(lam_plus) * eigvecs[:, 0]
-        witness = subspace.embed(combo)
-        witness = witness / np.linalg.norm(witness)
-    elif has_pos:
-        kind = SubspaceKind.UNIFORMLY_POSITIVE if regular else SubspaceKind.POSITIVE_NON_UNIFORM
-    elif has_neg:
-        kind = SubspaceKind.UNIFORMLY_NEGATIVE if regular else SubspaceKind.NEGATIVE_NON_UNIFORM
     else:
-        kind = SubspaceKind.NEUTRAL
-
-    if witness is None and kind not in (SubspaceKind.UNIFORMLY_POSITIVE,
-                                        SubspaceKind.UNIFORMLY_NEGATIVE):
-        idx = int(np.argmin(np.abs(eigvals)))
-        witness = subspace.embed(eigvecs[:, idx])
-        witness = witness / np.linalg.norm(witness)
-
-    maximal = (
-        (kind is SubspaceKind.UNIFORMLY_POSITIVE and subspace.dim == subspace.space.num_positive)
-        or (kind is SubspaceKind.UNIFORMLY_NEGATIVE and subspace.dim == subspace.space.num_negative)
-    )
-    return Classification(
-        kind=kind,
-        margin=margin,
-        regular=regular,
-        gamma=gamma,
-        maximal_definite=maximal,
-        witness=witness,
-        eigenvalues=eigvals,
-    )
+        combo = eigvecs[:, int(np.argmin(np.abs(eigvals)))]
+    witness = subspace.embed(combo)
+    return witness / np.linalg.norm(witness)
 
 
 def orthogonal_projection(subspace: Subspace) -> Operator:

@@ -954,3 +954,48 @@ def test_generated_exit_codes_follow_the_plant(capsys, tmp_path, kind, dim, p_of
     problem.write_text(json.dumps(kf.gen_problem(cfg)))
     expected = 0 if plant == "none" else 1
     assert _verify_then_oracle(capsys, tmp_path, problem, kind) == [expected, expected]
+
+
+def _family_file(tmp_path, entries) -> Path:
+    doc = {"dimension": 2, "J": {"type": "diagonal", "signs": [1, -1]},
+           "family": {"entries": entries}, "operator": [[2.0, 0.0], [0.0, 1.0]]}
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("command", ["verify", "bounds", "dual"])
+def test_non_positive_weight_reason_is_the_plain_float(capsys, tmp_path, command):
+    path = _family_file(tmp_path, [{"basis": [[1.0, 0.0]], "weight": -1.5},
+                                   {"basis": [[0.0, 1.0]], "weight": 1.0}])
+    code, report, _ = run_cli(capsys, command, path)
+    assert code == 1
+    assert report["result"]["rejected"] == {
+        "reason": "weight 0 is -1.5, must be strictly positive", "index": 0}
+
+
+@pytest.mark.parametrize("command", ["verify", "bounds", "dual", "classify", "transform"])
+def test_entry_of_rank_zero_is_named(capsys, tmp_path, command):
+    path = _family_file(tmp_path, [{"basis": [[1.0, 0.0]], "weight": 1.0},
+                                   {"basis": [[0, 0]], "weight": 1.0}])
+    code, report, err = run_cli(capsys, command, path)
+    assert code == 2
+    assert report is None
+    assert err == "input error: entry 1: spanning set has numerical rank zero\n"
+
+
+def test_svd_that_does_not_converge_is_a_numerical_failure(capsys, tmp_path, monkeypatch):
+    """LAPACK's SVD failing on an entry's spanning set: exit 4 and a message
+    that names the kernel, with no report and no traceback."""
+    def diverging(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", diverging)
+    report_file = tmp_path / "report.json"
+    for command in ("verify", "classify", "dual"):
+        code, report, err = run_cli(capsys, command, FIXTURES / "fusion_dim6.json",
+                                    "-o", report_file)
+        assert code == 4
+        assert report is None and not report_file.exists()
+        assert err == ("numerical failure: the SVD (LAPACK gesdd) of a 6x2 matrix did not "
+                       "converge\n")

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import kreinframes as kf
-from kreinframes import cli
+from kreinframes import cli, problem_io
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 COMMANDS = ("classify", "verify", "verify-frame", "bounds", "dual", "transform")
@@ -144,6 +144,97 @@ def test_numbers_overflowing_a_double_are_rejected_with_path(literal, template, 
 def test_parse_rejects_non_finite_in_memory():
     with pytest.raises(kf.SchemaError, match=r"\$\.vectors\[0\]\[0\]: expected a finite number"):
         kf.parse_problem(_doc_with(vectors=[[float("nan"), 0.0]]))
+
+
+# The typed pass (``_check_matrix``, ``_check_entries``) against the exact
+# walk: the same array bits where both accept, the same message and path
+# where they refuse.  The cells mix what JSON can hold: floats, exact 0 and
+# 1 (as floats and ints), bools (which read as 0 or 1), integers above 2**53
+# and beyond the double range, 1e400 (decoded as inf), numeric strings,
+# None, nested lists and dicts.
+CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 1.0, 0, 1, True, False, float("inf"), float("-inf")]),
+    st.integers(min_value=2**53, max_value=2**1100).map(lambda k: k * (-1) ** (k % 2)),
+    st.sampled_from(["1.5", "0", None, [1.0], [], {}, {"a": 1.0}]),
+)
+PLAIN_CELLS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                        st.sampled_from([0.0, 1.0, 0, 1, 2**60]))
+
+
+@st.composite
+def row_lists(draw, width: int):
+    """A matrix of ``width`` columns as JSON rows, plain or with offenses:
+    odd cells, ragged or empty rows, or no list at all."""
+    cells = draw(st.sampled_from([PLAIN_CELLS, CELLS]))
+    rows = draw(st.lists(st.lists(cells, min_size=width, max_size=width), min_size=1, max_size=4))
+    for _ in range(draw(st.sampled_from([0, 0, 0, 0, 1, 2]))):
+        i = draw(st.integers(0, len(rows) - 1))
+        rows[i] = draw(st.one_of(st.lists(cells, max_size=width + 1), st.none(),
+                                 st.sampled_from([1.0, "row", {}])))
+    return draw(st.sampled_from([rows] * 8 + [[], None, {"rows": rows}]))
+
+
+def _walked(fn, *args):
+    try:
+        return "accepted", _bits(fn(*args))
+    except kf.SchemaError as exc:
+        return "refused", str(exc), exc.path
+
+
+def _bits(value):
+    if isinstance(value, np.ndarray):
+        return value.shape, value.tobytes()
+    return [(_bits(basis), np.float64(weight).tobytes()) for basis, weight in value]
+
+
+@seed(19)
+@settings(max_examples=600, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda width: st.tuples(st.just(width), row_lists(width))))
+def test_typed_pass_is_the_exact_walk(case):
+    width, rows = case
+    assert (_walked(problem_io._check_matrix, rows, width, "$.m")
+            == _walked(problem_io._walk_matrix, rows, width, "$.m"))
+
+
+def _entries_walk(raw_entries, n, path):
+    """The entries of a family decoded one by one, each basis by the exact walk."""
+    decoded = []
+    for i, entry in enumerate(raw_entries):
+        epath = f"{path}[{i}]"
+        if not isinstance(entry, dict):
+            raise kf.SchemaError("entry must be an object", epath)
+        problem_io._check_keys(entry, {"basis", "weight"}, {"basis", "weight"}, epath)
+        basis = problem_io._walk_matrix(entry["basis"], n, f"{epath}.basis")
+        if not problem_io._is_number(entry["weight"]):
+            raise kf.SchemaError("weight must be a number", f"{epath}.weight")
+        if not problem_io.is_finite_number(entry["weight"]):
+            raise kf.SchemaError("weight must be a finite number", f"{epath}.weight")
+        decoded.append((basis, float(entry["weight"])))
+    return decoded
+
+
+@st.composite
+def family_entries(draw, width: int):
+    entries = draw(st.lists(st.fixed_dictionaries({
+        "basis": row_lists(width),
+        "weight": st.one_of(st.floats(0.5, 2.0), st.sampled_from([1, True, "1", 1e400, -1.0])),
+    }), min_size=1, max_size=4))
+    if draw(st.booleans()):  # one entry that is not a plain {basis, weight} object
+        i = draw(st.integers(0, len(entries) - 1))
+        entries[i] = draw(st.sampled_from([[1.0], {"basis": [[1.0] * width]},
+                                           dict(entries[i], extra=1)]))
+    return entries
+
+
+@seed(20)
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda width: st.tuples(st.just(width), family_entries(width))))
+def test_family_pass_is_the_walk_entry_by_entry(case):
+    width, entries = case
+    path = "$.family.entries"
+    assert (_walked(problem_io._check_entries, entries, width, path)
+            == _walked(_entries_walk, entries, width, path))
 
 
 @pytest.mark.parametrize("text", ["[" * 100_000 + "]" * 100_000, "1" * 5000])

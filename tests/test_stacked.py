@@ -15,7 +15,12 @@ import kreinframes as kf
 from kreinframes import cli
 from kreinframes._numeric import operator_norm, orth_columns
 from kreinframes.core import _checked_defects
-from kreinframes.subspaces import regular_gram
+from kreinframes.subspaces import (
+    _classify_all,
+    _entry_spans,
+    regular_gram,
+    smallest_nonzero_modulus,
+)
 from kreinframes.transforms import _transport
 
 REL_TOL = 1e-12
@@ -75,6 +80,84 @@ def test_build_is_span_and_classify_entry_by_entry(n, tilt):
         assert (cls.kind, cls.margin, cls.gamma, cls.regular, cls.maximal_definite) == (
             ref_cls.kind, ref_cls.margin, ref_cls.gamma, ref_cls.regular,
             ref_cls.maximal_definite)
+
+
+def _indefinite_and_neutral_rows(space, tilt, rng):
+    """Spanning rows of entries that are not uniformly definite: a positive
+    and a negative eigenvector of J (indefinite), their sum (neutral), a
+    near-neutral tilt of it, and the span of all three (indefinite, with a
+    redundant row)."""
+    eigvals, eigvecs = np.linalg.eigh(space.symmetry)
+    plus, minus = eigvecs[:, -1], eigvecs[:, 0]
+    q, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+    pair = q @ np.vstack([plus, minus])
+    neutral = (plus + minus) / np.sqrt(2.0)
+    tilted = (plus + tilt * minus) / np.linalg.norm(plus + tilt * minus)
+    return [pair, neutral[None], tilted[None], np.vstack([pair, neutral, pair[0] + pair[1]])]
+
+
+def _classification_reference(sub, tol_def=kf.TOL_DEF, tol_rank=kf.TOL_RANK):
+    """The classification of one subspace, decided eigenvalue by eigenvalue
+    from ``eigh`` of its Gram (the loop the stacked passes replace)."""
+    eigvals, eigvecs = np.linalg.eigh(sub.gram)
+    values = eigvals.tolist()
+    margin = min(map(abs, values))
+    regular = margin > tol_def
+    has_pos, has_neg = values[-1] > tol_def, values[0] < -tol_def
+    witness = None
+    if has_pos and has_neg:
+        kind = kf.SubspaceKind.INDEFINITE
+        lam_plus, lam_minus = float(eigvals[-1]), float(eigvals[0])
+        witness = sub.embed(np.sqrt(-lam_minus) * eigvecs[:, -1]
+                            + np.sqrt(lam_plus) * eigvecs[:, 0])
+    elif has_pos:
+        kind = (kf.SubspaceKind.UNIFORMLY_POSITIVE if regular
+                else kf.SubspaceKind.POSITIVE_NON_UNIFORM)
+    elif has_neg:
+        kind = (kf.SubspaceKind.UNIFORMLY_NEGATIVE if regular
+                else kf.SubspaceKind.NEGATIVE_NON_UNIFORM)
+    else:
+        kind = kf.SubspaceKind.NEUTRAL
+    if witness is None and kind not in (kf.SubspaceKind.UNIFORMLY_POSITIVE,
+                                        kf.SubspaceKind.UNIFORMLY_NEGATIVE):
+        witness = sub.embed(eigvecs[:, int(np.argmin(np.abs(eigvals)))])
+    if witness is not None:
+        witness = witness / np.linalg.norm(witness)
+    maximal = ((kind is kf.SubspaceKind.UNIFORMLY_POSITIVE and sub.dim == sub.space.num_positive)
+               or (kind is kf.SubspaceKind.UNIFORMLY_NEGATIVE
+                   and sub.dim == sub.space.num_negative))
+    return kf.Classification(kind=kind, margin=margin, regular=regular,
+                             gamma=smallest_nonzero_modulus(eigvals, tol_rank),
+                             maximal_definite=maximal, witness=witness, eigenvalues=eigvals)
+
+
+@pytest.mark.parametrize("n, tilt", CASES)
+def test_stacked_entries_are_span_and_classify_bit_for_bit(n, tilt):
+    """Every field of each entry's span and classification, witnesses
+    included, from the stacked build (as ``classify`` the command takes it)
+    against ``span`` of the entry alone, its Gram by definition and the
+    classification decided eigenvalue by eigenvalue."""
+    rows, _, space = _problem(n, tilt)
+    rows = rows + _indefinite_and_neutral_rows(space, tilt, np.random.default_rng(n))
+    subs = _entry_spans(rows, space)
+    classes = _classify_all(subs)
+    kinds = {cls.kind for cls in classes}
+    assert {kf.SubspaceKind.INDEFINITE, kf.SubspaceKind.NEUTRAL} <= kinds
+    assert len({sub.dim for sub in subs}) > 1
+    for r, sub, cls in zip(rows, subs, classes, strict=True):
+        ref = kf.span(r, space)
+        assert np.array_equal(sub.basis, ref.basis)
+        g = ref.basis.T @ space.symmetry @ ref.basis
+        assert np.array_equal(sub.gram, 0.5 * (g + g.T))
+        for ref_cls in (_classification_reference(ref), kf.classify(ref)):
+            for field, value in cls._asdict().items():
+                want = getattr(ref_cls, field)
+                if isinstance(value, np.ndarray) or isinstance(want, np.ndarray):
+                    assert np.array_equal(value, want), field
+                else:
+                    assert type(value) is type(want) and value == want, field
+        assert (cls.witness is None) == (cls.kind in (kf.SubspaceKind.UNIFORMLY_POSITIVE,
+                                                      kf.SubspaceKind.UNIFORMLY_NEGATIVE))
 
 
 @pytest.mark.parametrize("n, tilt", CASES)
