@@ -5,9 +5,9 @@ involution J.  The package classifies subspaces by the sign behaviour of the
 product on them, verifies frame and fusion-frame conditions part by part,
 computes optimal bounds and singular-value estimates for them, builds
 canonical duals, and audits how bounded invertible operators transport
-these structures.  Independently coded oracle routines back every
-reported number, and a seeded generator produces problem instances with
-known ground truth.
+these structures.  The CLI checks every bound, margin and modulus it
+reports by an inertia bracket (:mod:`kreinframes.oracles`), and a seeded
+generator produces problem instances with known ground truth.
 """
 
 from .core import (

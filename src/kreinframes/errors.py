@@ -43,7 +43,7 @@ class DimensionMismatch(InputError):
 
 
 class ZeroSubspace(InputError):
-    """The spanning set has numerical rank zero."""
+    """The spanning set has numerical rank zero, or a subspace has dimension zero."""
 
 
 class NotRegular(InputError):

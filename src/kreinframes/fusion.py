@@ -28,7 +28,6 @@ from ._numeric import (
     block_diag,
     operator_norm,
     operator_norms,
-    orth_columns,
     q_factors,
     stacked,
 )
@@ -62,6 +61,7 @@ from .subspaces import (
     _entry_spans,
     _images,
     _require_regular,
+    subspace_sum,
 )
 
 class WeightedSubspaceFamily(_SignClasses):
@@ -334,8 +334,7 @@ def verify_j_fusion_frame(family: WeightedSubspaceFamily, tol_def: float = TOL_D
     rank of its stacked bases.
     """
     verdict, fields = _verify_sign_parts(family, tol_def, tol_rank)
-    complete = verdict or orth_columns(np.hstack([s.basis for s in family.subspaces]),
-                                       tol_rank).shape[1] == family.space.dim
+    complete = verdict or subspace_sum(family.subspaces, tol_rank).dim == family.space.dim
     return JFusionReport(is_j_fusion_frame=verdict, complete=complete, **fields)
 
 

@@ -5,12 +5,16 @@ deliberately unforgiving: unknown keys, non-finite numbers (a number that
 overflows a double, such as ``1e400`` or a 400-digit integer, counts as
 infinite), and shape mismatches are rejected with the JSON path of the
 offense.  A matrix is decoded in one typed pass: each row is packed into a
-preallocated float array by one ``struct`` call, which refuses anything but
-floats and ints of the double range.  The types are scanned only in the
-rows that hold an exact 0 or 1, where a JSON bool could hide, and the bases
-of all entries of a family share one such pass and one array.  Only a
-matrix (or a family) that the pass cannot vouch for is walked element by
-element (entry by entry), to name the first offense with its path.
+preallocated float array by one ``struct`` call, which refuses strings,
+null, lists, objects and integers beyond the double range, and the bases of
+all entries of a family share one such pass and one array.  What the call
+takes but the schema refuses is found by the types: in a document decoded
+from JSON text only a bool can pass for a number, so there the types are
+scanned only in the rows that hold an exact 0 or 1; a document built in
+memory may hold any number-like object, so there every row is scanned.
+Only a matrix (or a family) that the pass cannot vouch for is walked
+element by element (entry by entry), to name the first offense with its
+path.
 
 Serialization is canonical: two-space indent, non-ASCII and control
 characters as ``\\uXXXX`` escapes, keys in insertion order, shortest
@@ -139,18 +143,20 @@ def _walk_matrix(rows, width: int, path: str) -> np.ndarray:
     return matrix
 
 
-def _decoded(matrices: list, width: int) -> list[np.ndarray] | None:
+def _decoded(matrices: list, width: int, from_text: bool = False) -> list[np.ndarray] | None:
     """Each of ``matrices`` (lists of rows) as a float array of ``width``
     columns, from one typed pass over all their rows into one array; None
     where that pass cannot vouch for every number.
 
     Each row is packed as ``width`` C doubles by one ``struct`` call, which
     takes floats and ints and refuses a row of another length, a str, None,
-    a list, a dict or an integer beyond the double range.  What it cannot
-    tell apart is a bool, which it packs as 0.0 or 1.0: the types are
-    scanned only in the rows that hold an exact 0 or 1.  A matrix without
-    rows, a row that is not a list and a number that is not finite also
-    give None.
+    a list, a dict or an integer beyond the double range.  It also packs
+    every object that converts to a float, such as a bool (as 0.0 or 1.0),
+    a ``Decimal`` or a numpy scalar, so the types of each row are scanned.
+    ``from_text`` says that the rows were decoded from JSON text, where only
+    a bool can be such an object: then only the rows that hold an exact 0
+    or 1 are scanned.  A matrix without rows, a row that is not a list and a
+    number that is not finite also give None.
     """
     if not all(type(rows) is list and rows for rows in matrices):
         return None
@@ -166,30 +172,31 @@ def _decoded(matrices: list, width: int) -> list[np.ndarray] | None:
         return None
     if not np.isfinite(stack).all():
         return None
-    bits = (stack == 0.0) | (stack == 1.0)
-    if bits.any():
+    scanned = (np.flatnonzero(((stack == 0.0) | (stack == 1.0)).any(axis=1)).tolist()
+               if from_text else range(len(stack)))
+    if scanned:
         all_rows = list(itertools.chain.from_iterable(matrices))
-        if not all(set(map(type, all_rows[i])) <= _NUMBER_TYPES
-                   for i in np.flatnonzero(bits.any(axis=1)).tolist()):
+        if not all(set(map(type, all_rows[i])) <= _NUMBER_TYPES for i in scanned):
             return None
     starts = [0, *itertools.accumulate(counts)]
     return [stack[a:b] for a, b in zip(starts, starts[1:])]
 
 
-def _check_matrix(rows, width: int, path: str) -> np.ndarray:
+def _check_matrix(rows, width: int, path: str, from_text: bool = False) -> np.ndarray:
     """``rows`` as a float matrix of ``width`` columns: the typed pass, or,
     where it cannot vouch for the numbers, the exact walk."""
-    decoded = _decoded([rows], width)
+    decoded = _decoded([rows], width, from_text)
     return _walk_matrix(rows, width, path) if decoded is None else decoded[0]
 
 
-def _check_entries(raw_entries: list, n: int, path: str) -> tuple[tuple[np.ndarray, float], ...]:
+def _check_entries(raw_entries: list, n: int, path: str, from_text: bool = False
+                   ) -> tuple[tuple[np.ndarray, float], ...]:
     """The (basis, weight) of each family entry.  All bases are decoded in
     one typed pass; where any entry is not a plain valid one, the entries are
     checked one by one, so that the first offense is named in entry order."""
     if all(type(entry) is dict and entry.keys() == _ENTRY_KEYS for entry in raw_entries):
         weights = [entry["weight"] for entry in raw_entries]
-        bases = (_decoded([entry["basis"] for entry in raw_entries], n)
+        bases = (_decoded([entry["basis"] for entry in raw_entries], n, from_text)
                  if all(map(is_finite_number, weights)) else None)
         if bases is not None:
             return tuple(zip(bases, map(float, weights)))
@@ -199,7 +206,7 @@ def _check_entries(raw_entries: list, n: int, path: str) -> tuple[tuple[np.ndarr
         if not isinstance(entry, dict):
             raise SchemaError("entry must be an object", epath)
         _check_keys(entry, _ENTRY_KEYS, _ENTRY_KEYS, epath)
-        basis = _check_matrix(entry["basis"], n, f"{epath}.basis")
+        basis = _check_matrix(entry["basis"], n, f"{epath}.basis", from_text)
         if not _is_number(entry["weight"]):
             raise SchemaError("weight must be a number", f"{epath}.weight")
         if not is_finite_number(entry["weight"]):
@@ -230,6 +237,15 @@ class ParsedProblem(NamedTuple):
 
 
 def parse_problem(doc: dict, path: str = "$") -> ParsedProblem:
+    """The problem document ``doc`` validated, its arrays decoded; a number
+    is taken only where it is an int or a float (not a bool), whatever its
+    value."""
+    return _parse_problem(doc, path, from_text=False)
+
+
+def _parse_problem(doc: dict, path: str, from_text: bool) -> ParsedProblem:
+    """:func:`parse_problem`; ``from_text`` says that ``doc`` was decoded
+    from JSON text (see :func:`_decoded`)."""
     _check_keys(doc, PROBLEM_KEYS, {"dimension", "J"}, path)
 
     n = doc["dimension"]
@@ -250,7 +266,7 @@ def parse_problem(doc: dict, path: str = "$") -> ParsedProblem:
         j = np.diag(np.array(signs, dtype=float))
     elif jtype == "matrix":
         _check_keys(jspec, {"type", "rows"}, {"type", "rows"}, f"{path}.J")
-        j = _check_matrix(jspec["rows"], n, f"{path}.J.rows")
+        j = _check_matrix(jspec["rows"], n, f"{path}.J.rows", from_text)
         if j.shape[0] != n:
             raise SchemaError(f"{j.shape[0]} rows, expected {n}", f"{path}.J.rows")
     else:
@@ -266,15 +282,15 @@ def parse_problem(doc: dict, path: str = "$") -> ParsedProblem:
         raw_entries = fam["entries"]
         if not isinstance(raw_entries, list) or not raw_entries:
             raise SchemaError("entries must be a non-empty list", f"{path}.family.entries")
-        entries = _check_entries(raw_entries, n, f"{path}.family.entries")
+        entries = _check_entries(raw_entries, n, f"{path}.family.entries", from_text)
 
     vectors = None
     if "vectors" in doc:
-        vectors = _check_matrix(doc["vectors"], n, f"{path}.vectors")
+        vectors = _check_matrix(doc["vectors"], n, f"{path}.vectors", from_text)
 
     operator = None
     if "operator" in doc:
-        operator = _check_matrix(doc["operator"], n, f"{path}.operator")
+        operator = _check_matrix(doc["operator"], n, f"{path}.operator", from_text)
         if operator.shape[0] != n:
             raise SchemaError(f"{operator.shape[0]} rows, expected {n}", f"{path}.operator")
 
@@ -299,10 +315,11 @@ def load_problem(path) -> ParsedProblem:
     """The problem file at ``path``: its text and validated arrays, without
     the decoded document, which is freed once the arrays are built."""
     text = _read_text(path)
-    return parse_problem(loads_strict(text))._replace(document=None, text=text)
+    return _parse_problem(loads_strict(text), "$", from_text=True)._replace(
+        document=None, text=text)
 
 
-def _parse_report(doc: dict) -> ParsedProblem:
+def _parse_report(doc: dict, from_text: bool) -> ParsedProblem:
     """Validate a report document; returns its embedded problem, parsed."""
     _check_keys(doc, REPORT_KEYS, REPORT_KEYS, "$")
     if doc["report_version"] != REPORT_VERSION:
@@ -316,19 +333,19 @@ def _parse_report(doc: dict) -> ParsedProblem:
         raise SchemaError("parameters must be an object", "$.parameters")
     if not isinstance(doc["result"], dict):
         raise SchemaError("result must be an object", "$.result")
-    return parse_problem(doc["problem"], "$.problem")
+    return _parse_problem(doc["problem"], "$.problem", from_text)
 
 
 def parse_report(doc: dict) -> dict:
     """Validate a report document, its embedded problem included; returns ``doc``."""
-    _parse_report(doc)
+    _parse_report(doc, from_text=False)
     return doc
 
 
 def load_report(path) -> tuple[dict, ParsedProblem]:
     """The report document at ``path`` and its embedded problem, both validated."""
     doc = loads_strict(_read_text(path))
-    return doc, _parse_report(doc)
+    return doc, _parse_report(doc, from_text=True)
 
 
 def _non_finite(x: float) -> ParseError:

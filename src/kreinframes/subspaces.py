@@ -159,8 +159,11 @@ def smallest_nonzero_modulus(values: np.ndarray, tol_rank: float) -> float:
 
 def classify(subspace: Subspace, tol_def: float = TOL_DEF,
              tol_rank: float = TOL_RANK) -> Classification:
-    """Classify a subspace by the spectrum of its compressed Gram operator."""
-    return _classify_all([subspace], tol_def, tol_rank)[0]
+    """Classify a subspace by the spectrum of its compressed Gram operator.
+
+    A subspace of dimension zero raises :class:`ZeroSubspace`.
+    """
+    return _classify_all([subspace], tol_def, tol_rank, "")[0]
 
 
 # the kinds by the codes that _classify_all assigns them: 0 and 1 are the
@@ -189,17 +192,21 @@ def _grams(subspaces: list[Subspace]) -> list[np.ndarray]:
     return [sub.gram for sub in subspaces]
 
 
-def _classify_all(subspaces, tol_def: float = TOL_DEF,
-                  tol_rank: float = TOL_RANK) -> list[Classification]:
+def _classify_all(subspaces, tol_def: float = TOL_DEF, tol_rank: float = TOL_RANK,
+                  name: str = "entry {}: ") -> list[Classification]:
     """:func:`classify` of each of ``subspaces``, which share one space, with
     one stacked ``eigh`` per distinct dimension (:func:`_grams` for the
     Grams).  Margins, reduced moduli, kinds and maximality are taken in
     whole-stack passes; only the witness of a subspace that is not uniformly
-    definite is built on its own."""
+    definite is built on its own.  The first subspace of dimension zero
+    raises :class:`ZeroSubspace`, starting with ``name`` formatted with its
+    index."""
     subspaces = list(subspaces)
     grams = _grams(subspaces)
     out: list = [None] * len(subspaces)
     for idx in shape_groups(grams):
+        if not grams[idx[0]].size:
+            raise ZeroSubspace(name.format(idx[0]) + "subspace has dimension zero")
         eigvals, eigvecs = np.linalg.eigh(np.stack([grams[i] for i in idx]))
         mods = np.abs(eigvals)
         margins = mods.min(axis=1)

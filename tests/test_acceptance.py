@@ -20,6 +20,12 @@ import numpy as np
 
 import kreinframes as kf
 from kreinframes.cli import main
+from oracle_references import (
+    gamma_brute,
+    min_singular_brute,
+    rayleigh_extrema,
+    rayleigh_extrema_sampled,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -121,7 +127,7 @@ def _oracle_bound_gap(bounds, pencils) -> float:
     the oracle being the algebraic Rayleigh extrema of the part's pencil."""
     gap = 0.0
     for part, slots in (("negative", (0, 1)), ("positive", (2, 3))):
-        for slot, extremum in zip(slots, kf.oracles.rayleigh_extrema(*pencils[part])):
+        for slot, extremum in zip(slots, rayleigh_extrema(*pencils[part])):
             gap = max(gap, abs(bounds[slot] - extremum) / (1 + abs(bounds[slot])))
     return gap
 
@@ -449,19 +455,19 @@ def test_criterion_09_oracle_agreement(capsys):
         slots = {"negative": (0, 1), "positive": (2, 3)}
         for part, (lo_i, hi_i) in slots.items():
             num, den = pencils[part]
-            lo, hi = kf.oracles.rayleigh_extrema(num, den)
+            lo, hi = rayleigh_extrema(num, den)
             compare(f"{name}:{part}:lo", report.bounds[lo_i], lo, ORACLE_ALGEBRAIC_TOL)
             compare(f"{name}:{part}:hi", report.bounds[hi_i], hi, ORACLE_ALGEBRAIC_TOL)
-            slo, shi = kf.oracles.rayleigh_extrema_sampled(num, den, seed=99)
+            slo, shi = rayleigh_extrema_sampled(num, den, seed=99)
             compare(f"{name}:{part}:lo~", report.bounds[lo_i], slo, ORACLE_SAMPLED_TOL)
             compare(f"{name}:{part}:hi~", report.bounds[hi_i], shi, ORACLE_SAMPLED_TOL)
             span_obj = spans[part]
             cls = kf.classify(span_obj)
             compare(f"{name}:{part}:margin", cls.margin,
-                    kf.oracles.min_singular_brute(span_obj.gram, seed=99),
+                    min_singular_brute(span_obj.gram, seed=99),
                     ORACLE_SAMPLED_TOL)
             compare(f"{name}:{part}:gamma", cls.gamma,
-                    kf.oracles.gamma_brute(span_obj.gram, seed=99),
+                    gamma_brute(span_obj.gram, seed=99),
                     ORACLE_SAMPLED_TOL)
 
     cli_runs = [

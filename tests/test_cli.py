@@ -765,14 +765,13 @@ def test_oracle_rejects_superseded_report_version(capsys, tmp_path, version):
 def test_oracle_validates_the_embedded_problem_once(capsys, tmp_path, monkeypatch):
     report_file, _ = _saved_report(capsys, tmp_path)
     calls = []
-    parse = kf.problem_io.parse_problem
+    parse = kf.problem_io._parse_problem
 
-    def counting(doc, path="$"):
+    def counting(doc, path, from_text):
         calls.append(path)
-        return parse(doc, path)
+        return parse(doc, path, from_text)
 
-    monkeypatch.setattr(kf.problem_io, "parse_problem", counting)
-    monkeypatch.setattr(kf.cli, "parse_problem", counting, raising=False)
+    monkeypatch.setattr(kf.problem_io, "_parse_problem", counting)
     code, _, _ = run_cli(capsys, "oracle", report_file)
     assert code == 0
     assert calls == ["$.problem"]

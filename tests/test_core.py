@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import kreinframes as kf
+import kreinframes._numeric
 
 EXACT_TOL = 1e-12
 SEED = 20240811
@@ -126,7 +127,9 @@ def test_space_equality_is_by_symmetry():
 
 
 def test_every_exported_name_resolves():
-    missing = [name for name in kf.__all__ if not hasattr(kf, name)]
+    missing = [f"{module.__name__}.{name}"
+               for module in (kf, kf.oracles, kreinframes._numeric)
+               for name in module.__all__ if not hasattr(module, name)]
     assert missing == []
     assert set(kf.__all__) <= set(dir(kf))
     with pytest.raises(AttributeError):

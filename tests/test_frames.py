@@ -6,6 +6,7 @@ import pytest
 import kreinframes as kf
 from kreinframes import cli
 from kreinframes._numeric import column_space, definite_pair_extrema
+from oracle_references import rayleigh_extrema
 
 EXACT_TOL = 1e-12
 NUM_TOL = 1e-9
@@ -113,10 +114,10 @@ def test_part_pencils_reproduce_bounds():
     frame = _tilted_frame()
     report = kf.verify_j_frame(frame)
     pencils = kf.frame_part_pencils(frame)
-    lo, hi = kf.oracles.rayleigh_extrema(*pencils["positive"])
+    lo, hi = rayleigh_extrema(*pencils["positive"])
     assert lo == pytest.approx(report.bounds[2], rel=1e-10)
     assert hi == pytest.approx(report.bounds[3], rel=1e-10)
-    lo, hi = kf.oracles.rayleigh_extrema(*pencils["negative"])
+    lo, hi = rayleigh_extrema(*pencils["negative"])
     assert lo == pytest.approx(report.bounds[0], rel=1e-10)
     assert hi == pytest.approx(report.bounds[1], rel=1e-10)
 

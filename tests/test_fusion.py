@@ -9,6 +9,7 @@ import kreinframes as kf
 from kreinframes import SubspaceKind
 from kreinframes._numeric import column_space, operator_norm
 from kreinframes.subspaces import smallest_nonzero_modulus
+from oracle_references import rayleigh_extrema
 
 EXACT_TOL = 1e-12
 NUM_TOL = 1e-9
@@ -110,6 +111,12 @@ def test_family_rejects_nonpositive_weight(minkowski2):
     subs = [kf.span(np.array([[1.0, 0.0]]), minkowski2)]
     with pytest.raises(kf.NonPositiveWeight):
         kf.make_weighted_family(subs, [0.0])
+
+
+def test_family_rejects_entry_of_dimension_zero(minkowski2):
+    subs = [kf.span(np.array([[1.0, 0.0]]), minkowski2), kf.Subspace(minkowski2, np.zeros((2, 0)))]
+    with pytest.raises(kf.ZeroSubspace, match="^entry 1: subspace has dimension zero$"):
+        kf.make_weighted_family(subs, [1.0, 1.0])
 
 
 def test_family_rejects_neutral_entry(minkowski2):
@@ -258,10 +265,10 @@ def test_skewed_pair_frozen_values():
 def test_part_pencils_reproduce_bounds(tilted_family):
     report = kf.verify_j_fusion_frame(tilted_family)
     pencils = kf.part_pencils(tilted_family)
-    lo, hi = kf.oracles.rayleigh_extrema(*pencils["positive"])
+    lo, hi = rayleigh_extrema(*pencils["positive"])
     assert lo == pytest.approx(report.bounds[2], rel=1e-10)
     assert hi == pytest.approx(report.bounds[3], rel=1e-10)
-    lo, hi = kf.oracles.rayleigh_extrema(*pencils["negative"])
+    lo, hi = rayleigh_extrema(*pencils["negative"])
     assert lo == pytest.approx(report.bounds[0], rel=1e-10)
     assert hi == pytest.approx(report.bounds[1], rel=1e-10)
 

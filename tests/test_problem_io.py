@@ -7,6 +7,8 @@ import io
 import json
 import sys
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
@@ -99,6 +101,10 @@ def _doc_with(**sections):
     ({"family": {"entries": [{"basis": [[1.0, False]], "weight": 1.0}]}},
      "$.family.entries[0].basis[0][1]: expected a number"),
     ({"operator": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]}, "$.operator: 3 rows, expected 2"),
+    # a number that is not a JSON number is refused in memory at any value
+    *(({"vectors": [[0.25, 2.0], [number, 2.0]]}, "$.vectors[1][0]: expected a number")
+      for number in (Decimal("0.5"), np.float32(0.5), Fraction(1, 3), np.int64(2),
+                     Decimal("1"), np.float32(1.0))),
     # a structural error ahead of an overflow keeps its message
     ({"vectors": [[10**400, 0.0], [1.0]]}, "$.vectors[1]: row length 1 differs from 2"),
     ({"vectors": [[10**400, 0.0, 1.0]]}, "$.vectors: row length 3, expected 2"),
@@ -148,25 +154,34 @@ def test_parse_rejects_non_finite_in_memory():
 
 # The typed pass (``_check_matrix``, ``_check_entries``) against the exact
 # walk: the same array bits where both accept, the same message and path
-# where they refuse.  The cells mix what JSON can hold: floats, exact 0 and
+# where they refuse.  JSON_CELLS mix what JSON can hold: floats, exact 0 and
 # 1 (as floats and ints), bools (which read as 0 or 1), integers above 2**53
 # and beyond the double range, 1e400 (decoded as inf), numeric strings,
-# None, nested lists and dicts.
-CELLS = st.one_of(
+# None, nested lists and dicts.  A document built in memory may also hold
+# objects that convert to a float but are not JSON numbers, which the walk
+# refuses at any value: CELLS adds them at 0, 1 and 0.5 (2 for an integer).
+JSON_CELLS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from([0.0, -0.0, 1.0, 0, 1, True, False, float("inf"), float("-inf")]),
     st.integers(min_value=2**53, max_value=2**1100).map(lambda k: k * (-1) ** (k % 2)),
     st.sampled_from(["1.5", "0", None, [1.0], [], {}, {"a": 1.0}]),
+)
+CELLS = st.one_of(
+    JSON_CELLS,
+    st.sampled_from([Decimal("0"), Decimal("1"), Decimal("0.5"),
+                     np.float32(0.0), np.float32(1.0), np.float32(0.5),
+                     Fraction(0), Fraction(1), Fraction(1, 2),
+                     np.int64(0), np.int64(1), np.int64(2)]),
 )
 PLAIN_CELLS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                         st.sampled_from([0.0, 1.0, 0, 1, 2**60]))
 
 
 @st.composite
-def row_lists(draw, width: int):
-    """A matrix of ``width`` columns as JSON rows, plain or with offenses:
-    odd cells, ragged or empty rows, or no list at all."""
-    cells = draw(st.sampled_from([PLAIN_CELLS, CELLS]))
+def row_lists(draw, width: int, odd_cells=CELLS):
+    """A matrix of ``width`` columns as rows, plain or with offenses: odd
+    cells, ragged or empty rows, or no list at all."""
+    cells = draw(st.sampled_from([PLAIN_CELLS, odd_cells]))
     rows = draw(st.lists(st.lists(cells, min_size=width, max_size=width), min_size=1, max_size=4))
     for _ in range(draw(st.sampled_from([0, 0, 0, 0, 1, 2]))):
         i = draw(st.integers(0, len(rows) - 1))
@@ -197,6 +212,18 @@ def test_typed_pass_is_the_exact_walk(case):
             == _walked(problem_io._walk_matrix, rows, width, "$.m"))
 
 
+@seed(21)
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda width: st.tuples(st.just(width), row_lists(width, JSON_CELLS))))
+def test_typed_pass_of_json_text_is_the_exact_walk(case):
+    """Rows decoded from JSON text, whose types are scanned only where they
+    hold an exact 0 or 1."""
+    width, rows = case
+    assert (_walked(problem_io._check_matrix, rows, width, "$.m", True)
+            == _walked(problem_io._walk_matrix, rows, width, "$.m"))
+
+
 def _entries_walk(raw_entries, n, path):
     """The entries of a family decoded one by one, each basis by the exact walk."""
     decoded = []
@@ -215,9 +242,9 @@ def _entries_walk(raw_entries, n, path):
 
 
 @st.composite
-def family_entries(draw, width: int):
+def family_entries(draw, width: int, odd_cells=CELLS):
     entries = draw(st.lists(st.fixed_dictionaries({
-        "basis": row_lists(width),
+        "basis": row_lists(width, odd_cells),
         "weight": st.one_of(st.floats(0.5, 2.0), st.sampled_from([1, True, "1", 1e400, -1.0])),
     }), min_size=1, max_size=4))
     if draw(st.booleans()):  # one entry that is not a plain {basis, weight} object
@@ -234,6 +261,17 @@ def test_family_pass_is_the_walk_entry_by_entry(case):
     width, entries = case
     path = "$.family.entries"
     assert (_walked(problem_io._check_entries, entries, width, path)
+            == _walked(_entries_walk, entries, width, path))
+
+
+@seed(22)
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda width: st.tuples(st.just(width), family_entries(width, JSON_CELLS))))
+def test_family_pass_of_json_text_is_the_walk_entry_by_entry(case):
+    width, entries = case
+    path = "$.family.entries"
+    assert (_walked(problem_io._check_entries, entries, width, path, True)
             == _walked(_entries_walk, entries, width, path))
 
 

@@ -27,6 +27,11 @@ def test_span_rejects_zero_input(minkowski2):
         kf.span(np.zeros((2, 2)), minkowski2)
 
 
+def test_classify_rejects_zero_dimensional_subspace(minkowski2):
+    with pytest.raises(kf.ZeroSubspace, match="^subspace has dimension zero$"):
+        kf.classify(kf.Subspace(minkowski2, np.zeros((2, 0))))
+
+
 def test_classify_canonical_positive_plane(minkowski3):
     sub = kf.span(np.array([[1.0, 0, 0], [0, 1.0, 0]]), minkowski3)
     cls = kf.classify(sub)

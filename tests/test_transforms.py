@@ -45,6 +45,12 @@ def test_apply_operator_rejects_neutral_image(minkowski2):
     assert abs(kf.indefinite_product(w, w, minkowski2)) <= EXACT_TOL
 
 
+def test_apply_operator_rejects_an_image_of_dimension_zero(minkowski2):
+    """An operator that kills an entry is refused with the entry's index."""
+    with pytest.raises(kf.ZeroSubspace, match="^entry 0: subspace has dimension zero$"):
+        kf.apply_operator(np.diag([0.0, 1.0]), _eigenline_family(minkowski2))
+
+
 def test_preservation_audit_sufficient_for_definite_scaling():
     # a mild diagonal scaling in canonical coordinates keeps every sign
     space = kf.make_krein_space(np.diag([1.0, 1.0, -1.0, -1.0]))
