@@ -15,13 +15,12 @@ exit 3.  4 numerical failure: a LAPACK kernel failed on the input (an SVD
 that did not converge), so there is no answer to report; the message names
 the kernel.
 
-Every verifying command whose verdict is true checks each reported bound,
-and the margin and reduced modulus of each part span, by an inertia bracket
-(:func:`kreinframes.oracles.bracket_lowest`): two Cholesky factorizations
-of the shifted pencil decide whether the number is within its rounding
-width of the extreme eigenvalue it claims to be, at any dimension and
-without randomness.  ``classify`` checks each entry's margin against the
-singular values of its Gram.  A failed check exits 3.
+Every verifying command whose verdict is true brackets each bound, margin
+and reduced modulus it reports (:func:`kreinframes.oracles.certify`), and
+``classify`` each entry's margin; ``oracle`` compares a stored result with
+its recomputation.  A failed check exits 3.  :mod:`kreinframes.oracles`
+decides how close each number must be; this module only says where each
+number, and its tolerance, sits in the report.
 
 The environment variable KREINFRAME_TOLERANCE, when set to a float, becomes
 the default for both tolerance flags; ``gen`` takes neither.
@@ -36,7 +35,6 @@ from typing import NamedTuple, NoReturn
 import numpy as np
 
 from . import oracles
-from ._numeric import stacked
 from .core import TOL_DEF, TOL_RANK
 from .errors import (
     IndefiniteOrNeutralSubspace,
@@ -76,19 +74,8 @@ from .subspaces import (
 )
 from .transforms import image_fusion_check
 
-# Relative tolerance of an ``oracle`` re-run on every stored number whose
-# rounding error has no larger bound (see :func:`run_oracle`), and the
-# largest it allows any number.
-ORACLE_TOL = 1e-9
-ORACLE_TOL_CAP = 1e-6
-# Multiple of eps (beta + |lam|) / margin within which ``oracle`` holds a
-# stored bound (see :func:`_bound_tolerances`); over 1040 generated problems
-# (n = 4..256, tilts up to 1 - 1e-7) an SVD and a pivoted-QR basis of each
-# part span moved no bound by more than 17.4 times it.
-BOUND_ROUNDING_FACTOR = 64.0
 # The slots of the bound four-tuple (B-, A-, A+, B+) that each part fills.
 BOUND_SLOTS = {"negative": (0, 1), "positive": (2, 3)}
-EPS = float(np.finfo(float).eps)
 
 
 class Params(NamedTuple):
@@ -102,7 +89,7 @@ class Outcome(NamedTuple):
     """What a command core returns: the ``result`` of the report, the exit
     code and the summary lines, and the relative tolerance at which ``oracle``
     compares each stored number, by its path such as ``result.bounds[2]``,
-    whose rounding error may exceed ``ORACLE_TOL``."""
+    whose rounding error may exceed ``oracles.ORACLE_TOL``."""
 
     result: dict
     code: int
@@ -133,105 +120,18 @@ def _resolve_params(args: argparse.Namespace) -> Params:
     return Params(tol_def=tol_def, tol_rank=tol_rank)
 
 
-# ---------------------------------------------------------------------------
-# oracle cross-checking
-
-
-def _compare(fast: float, slow: float, tol: float) -> bool:
-    return abs(fast - slow) <= tol * (1.0 + abs(fast))
-
-
-def _bound_width(lam: float, beta: float, margin: float) -> float:
-    """The rounding width of a bound ``lam`` of a part with Gram margin
-    ``margin`` in a system with Bessel bound ``beta``.
-
-    The bound carries the rounding of the part-span basis its pencil is
-    written in, as well as of reducing that pencil; with the numerator
-    bounded by ``beta``, its first-order error is ``eps (beta + |lam|) /
-    margin``.  The width is ``BOUND_ROUNDING_FACTOR`` times that, and never
-    below ``ORACLE_TOL (1 + |lam|)``.
-    """
-    return max(ORACLE_TOL * (1.0 + abs(lam)),
-               BOUND_ROUNDING_FACTOR * EPS * (beta + abs(lam)) / margin)
-
-
-def _modulus_width(value: float) -> float:
-    """The rounding width of a margin or reduced modulus ``value`` of the Gram
-    of an orthonormal basis, whose norm is at most 1: ``BOUND_ROUNDING_FACTOR
-    eps (1 + value)``."""
-    return BOUND_ROUNDING_FACTOR * EPS * (1.0 + value)
-
-
-def _oracle_block(report, verdict: bool, tol_rank: float) -> dict | None:
-    """Inertia brackets (:func:`oracles.bracket_lowest`) of what a verified
-    frame or family reports about its parts: each bound, as the lower or
-    upper extreme of its part pencil ``(A, G)`` within :func:`_bound_width`,
-    and the margin and reduced modulus of each part span, as the lowest
-    eigenvalue of ``(G, I)`` within :func:`_modulus_width` (``G`` is the
-    signed Gram, so it is positive definite).  The reduced modulus skips
-    eigenvalues up to ``tol_rank ||G||``, and ``||G|| <= 1``, so it is
-    bracketed only where the margin exceeds ``tol_rank``.  Returns the
-    half-width of each bracket by quantity; a bracket that fails raises
-    :class:`InternalInconsistency`."""
-    if not verdict:
-        return None
-    checks = {}
-    for label, (numerator, denominator) in report.pencils.items():
-        part = getattr(report, label)
-        for which, sign, lam in (("lower", 1.0, part.ratio_range[0]),
-                                 ("upper", -1.0, part.ratio_range[1])):
-            quantity = f"{label}_{which}_bound"
-            delta = _bound_width(lam, report.bessel_bound, part.classification.margin)
-            oracles.bracket_lowest(sign * numerator, denominator, sign * lam, delta, quantity)
-            checks[quantity] = delta
-        identity = np.eye(denominator.shape[0])
-        moduli = ("margin", "gamma") if part.classification.margin > tol_rank else ("margin",)
-        for name in moduli:
-            quantity = f"{label}_span_{name}"
-            value = getattr(part.classification, name)
-            delta = _modulus_width(value)
-            oracles.bracket_lowest(denominator, identity, value, delta, quantity)
-            checks[quantity] = delta
-    return {"checks": checks, "agreement": True}
-
-
-def _held(error: float) -> float:
-    """The ``oracle`` tolerance of a number whose first-order rounding error,
-    relative to ``1 + |x|``, is ``error``: never below ``ORACLE_TOL``, and
-    never above ``ORACLE_TOL_CAP``, since past that ``oracle`` would rather
-    refuse a number it cannot tell from noise than accept one far off."""
-    return min(ORACLE_TOL_CAP, max(ORACLE_TOL, error))
-
-
 def _bound_tolerances(key: str, report) -> dict[str, float]:
-    """``oracle`` tolerances of the bounds that ``report`` computed, stored at
-    ``result.<key>`` and, where a result repeats them per part, at
-    ``result.<part>.ratio_range``.
-
-    Each is held to its rounding width (:func:`_bound_width`) relative to
-    ``1 + |lam|``.
-    """
+    """The :func:`oracles.bound_tolerance` of each bound that ``report``
+    computed, at its path ``result.<key>[slot]`` and, where a result repeats
+    it per part, ``result.<part>.ratio_range[i]``."""
     tols = {}
-    for label, part in (("negative", report.negative), ("positive", report.positive)):
-        if part is None or part.ratio_range is None:
-            continue
-        margin = part.classification.margin
-        for i, (slot, lam) in enumerate(zip(BOUND_SLOTS[label], part.ratio_range)):
-            width = _bound_width(lam, report.bessel_bound, margin)
-            tols[f"result.{label}.ratio_range[{i}]"] = tols[f"result.{key}[{slot}]"] = _held(
-                width / (1.0 + abs(lam)))
-    return tols
-
-
-def _verify_tolerances(report, family: WeightedSubspaceFamily, rps) -> dict[str, float]:
-    """``oracle`` tolerances of a ``verify`` result: the bounds, and each
-    r' at its first-order rounding error n eps / margin, with margin the
-    Gram margin of the entry (r' of an entry that fills a barely definite
-    part span is rounding noise of that size)."""
-    tols = _bound_tolerances("bounds", report)
-    noise = family.space.dim * EPS
-    for i, cls in enumerate(family.entry_classifications if rps else ()):
-        tols[f"result.projection_alignment[{i}].r_prime"] = _held(noise / cls.margin)
+    for label, slots in BOUND_SLOTS.items():
+        for i, slot in enumerate(slots):
+            width = report.bound_widths[slot]
+            if width is not None:
+                lam = getattr(report, label).ratio_range[i]
+                tols[f"result.{label}.ratio_range[{i}]"] = tols[f"result.{key}[{slot}]"] = (
+                    oracles.bound_tolerance(lam, width))
     return tols
 
 
@@ -314,18 +214,8 @@ def run_classify(parsed: ParsedProblem, params: Params) -> Outcome:
         "positive_span": span_block("positive"),
         "negative_span": span_block("negative"),
         "complete": oracles.completeness_check(all_subs, space, params.tol_rank),
+        "oracle": oracles.certify_entries(all_subs, classes),
     }
-    checks = {}
-    smallest = stacked(lambda g: np.linalg.svd(g, compute_uv=False)[..., -1],
-                       [sub.gram for sub in all_subs])
-    for i, (cls, sigma) in enumerate(zip(classes, smallest)):
-        delta = _modulus_width(cls.margin)
-        if abs(float(sigma) - cls.margin) > delta:
-            raise InternalInconsistency(
-                f"entry_{i}_margin {cls.margin!r}: the smallest singular value of the "
-                f"entry's Gram is {float(sigma)!r}, more than {delta!r} away")
-        checks[f"entry_{i}_margin"] = delta
-    result["oracle"] = {"checks": checks, "agreement": True}
     kinds = ",".join(e["classification"].kind.value for e in entries)
     return Outcome(result, 0, [f"classified {len(entries)} entries: {kinds}",
                                f"complete={result['complete']}"])
@@ -347,11 +237,14 @@ def run_verify(parsed: ParsedProblem, params: Params) -> Outcome:
         "negative": report.negative,
         "reasons": list(report.reasons),
         "projection_alignment": rps,
-        "oracle": _oracle_block(report, report.is_j_fusion_frame, params.tol_rank),
+        "oracle": oracles.certify(report, params.tol_rank) if report.is_j_fusion_frame else None,
     }
+    tolerances = _bound_tolerances("bounds", report)
+    for i, cls in enumerate(family.entry_classifications if rps else ()):
+        tolerances[f"result.projection_alignment[{i}].r_prime"] = oracles.alignment_tolerance(
+            family.space.dim, cls.margin)
     return Outcome(result, 0 if report.is_j_fusion_frame else 1,
-                   _verdict_lines(report.is_j_fusion_frame, report),
-                   _verify_tolerances(report, family, rps))
+                   _verdict_lines(report.is_j_fusion_frame, report), tolerances)
 
 
 @_refusing
@@ -368,7 +261,7 @@ def run_verify_frame(parsed: ParsedProblem, params: Params) -> Outcome:
         "positive": report.positive,
         "negative": report.negative,
         "reasons": list(report.reasons),
-        "oracle": _oracle_block(report, report.is_j_frame, params.tol_rank),
+        "oracle": oracles.certify(report, params.tol_rank) if report.is_j_frame else None,
     }
     return Outcome(result, 0 if report.is_j_frame else 1,
                    _verdict_lines(report.is_j_frame, report),
@@ -388,18 +281,14 @@ def _verdict_lines(verdict: bool, report) -> list[str]:
 def _sandwich_flags(report) -> dict:
     """Whether the estimate interval of each part with bounds contains its
     optimal interval, each bound taken within its own rounding width
-    (:func:`_bound_width`): on an untilted part the two intervals are equal
-    in exact arithmetic, so a fixed slack would decide by the scale alone."""
-    ok = {}
-    for label, (lo_slot, hi_slot) in BOUND_SLOTS.items():
-        lo, hi = report.bounds[lo_slot], report.bounds[hi_slot]
-        lo_est, hi_est = report.bound_estimates[lo_slot], report.bound_estimates[hi_slot]
-        if lo is None or lo_est is None:
-            continue
-        margin = getattr(report, label).classification.margin
-        ok[label] = bool(lo_est <= lo + _bound_width(lo, report.bessel_bound, margin)
-                         and hi <= hi_est + _bound_width(hi, report.bessel_bound, margin))
-    return ok
+    (``report.bound_widths``): on an untilted part the two intervals are
+    equal in exact arithmetic, so a fixed slack would decide by the scale
+    alone."""
+    bound, estimate, width = report.bounds, report.bound_estimates, report.bound_widths
+    return {label: bool(estimate[lo] <= bound[lo] + width[lo]
+                        and bound[hi] <= estimate[hi] + width[hi])
+            for label, (lo, hi) in BOUND_SLOTS.items()
+            if bound[lo] is not None and estimate[lo] is not None}
 
 
 @_refusing
@@ -415,7 +304,7 @@ def run_bounds(parsed: ParsedProblem, params: Params) -> Outcome:
         "bound_estimates": list(report.bound_estimates),
         "estimates_contain_optimal": _sandwich_flags(report),
         "reasons": list(report.reasons),
-        "oracle": _oracle_block(report, verdict, params.tol_rank),
+        "oracle": oracles.certify(report, params.tol_rank) if verdict else None,
     }
     return Outcome(result, 0 if verdict else 1,
                    [f"{kind} bounds={report.bounds} estimates={report.bound_estimates}"],
@@ -466,14 +355,8 @@ def run_transform(parsed: ParsedProblem, params: Params) -> Outcome:
     _need(parsed, "operator")
     _, family = _system(parsed, params, "family")
     check = image_fusion_check(parsed.operator, family, params.tol_def, params.tol_rank)
-    entries = [{
-        "index": e.index,
-        "input_kind": e.input_kind,
-        "image_kind": e.image_kind,
-        "input_dim": e.input_dim,
-        "image_dim": e.image_dim,
-        "sign_preserved": e.sign_preserved,
-    } for e in check.preservation.entries]
+    entries = [{k: v for k, v in e._asdict().items() if k != "witness"}
+               for e in check.preservation.entries]
     rejection = None
     if check.rejected_entry is not None:
         witness = check.rejection_witness
@@ -518,15 +401,13 @@ COMMAND_CORES = {
 def run_oracle(report_doc: dict, parsed: ParsedProblem) -> Outcome:
     """Re-derive the result of a validated report; ``parsed`` is its embedded problem.
 
-    Every stored number must agree with its recomputation within
-    ``ORACLE_TOL`` relative, or within the tolerance its rounding error
-    needs where that is larger, up to ``ORACLE_TOL_CAP``: a bound within
-    the rounding of its part-span basis and pencil
-    (:func:`_bound_tolerances`), an r' within n eps / margin
-    (:func:`_verify_tolerances`).  Every other number, ``dual`` results
-    included, is held to ``ORACLE_TOL``.  A stored result whose objects do
-    not have the keys of the recomputed ones is refused as a layout
-    mismatch (:class:`SchemaError`, exit 2), whatever its numbers.
+    Every stored number must agree with its recomputation as
+    :func:`oracles.compare_trees` decides: a bound within its
+    :func:`oracles.bound_tolerance`, an r' within its
+    :func:`oracles.alignment_tolerance`, every other number, ``dual``
+    results included, within ``oracles.ORACLE_TOL``.  A stored result whose
+    objects do not have the keys of the recomputed ones is refused as a
+    layout mismatch (:class:`SchemaError`, exit 2), whatever its numbers.
     """
     command = report_doc["command"]
     if command not in COMMAND_CORES:
@@ -541,7 +422,8 @@ def run_oracle(report_doc: dict, parsed: ParsedProblem) -> Outcome:
                     tol_rank=float(stored_params["tol_rank"]))
     fresh = COMMAND_CORES[command](parsed, params)
     diffs: list[str] = []
-    _compare_trees(report_doc["result"], jsonify(fresh.result), "result", diffs, fresh.tolerances)
+    oracles.compare_trees(report_doc["result"], jsonify(fresh.result), "result", diffs,
+                          fresh.tolerances)
     agreement = not diffs
     result = {
         "checked_command": command,
@@ -553,41 +435,6 @@ def run_oracle(report_doc: dict, parsed: ParsedProblem) -> Outcome:
             "stored report disagrees with recomputation: " + "; ".join(diffs[:10])
         )
     return Outcome(result, 0, [f"recomputed {command}: agreement"])
-
-
-def _compare_trees(stored, fresh, path: str, diffs: list[str],
-                   tolerances: dict[str, float] | None = None) -> None:
-    """Append to ``diffs`` every difference between two result trees; numbers
-    are compared at ``tolerances[path]``, or ``ORACLE_TOL`` where it has none,
-    relative to the recomputed value, so that no stored value is judged on
-    its own scale.  Two objects with different keys are no difference of
-    values but of layout: :class:`SchemaError` at the first such key."""
-    if isinstance(stored, dict) and isinstance(fresh, dict):
-        odd = sorted(set(stored) ^ set(fresh))
-        if odd:
-            side = "recomputed" if odd[0] in stored else "stored"
-            raise SchemaError(f"field absent from the {side} result", f"$.{path}.{odd[0]}")
-        for key in sorted(fresh):
-            _compare_trees(stored[key], fresh[key], f"{path}.{key}", diffs, tolerances)
-        return
-    if isinstance(stored, list) and isinstance(fresh, list):
-        if len(stored) != len(fresh):
-            diffs.append(f"{path}: length {len(stored)} vs {len(fresh)}")
-            return
-        for i, (a, b) in enumerate(zip(stored, fresh)):
-            _compare_trees(a, b, f"{path}[{i}]", diffs, tolerances)
-        return
-    if isinstance(stored, bool) or isinstance(fresh, bool):
-        if stored is not fresh:
-            diffs.append(f"{path}: {stored!r} vs {fresh!r}")
-        return
-    if isinstance(stored, (int, float)) and isinstance(fresh, (int, float)):
-        tol = (tolerances or {}).get(path, ORACLE_TOL)
-        if not (is_finite_number(stored) and _compare(float(fresh), float(stored), tol)):
-            diffs.append(f"{path}: {stored!r} vs {fresh!r}")
-        return
-    if stored != fresh:
-        diffs.append(f"{path}: {stored!r} vs {fresh!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ Missing parts contribute ``None`` slots.
 
 A frame, like a weighted family, is verified by its part bounds alone
 (:func:`_verify_bounds`); only the reports of :func:`verify_j_frame` and
-:func:`~kreinframes.fusion.verify_j_fusion_frame` add the Bessel bound and
-the bound estimates.
+:func:`~kreinframes.fusion.verify_j_fusion_frame` add the Bessel bound, the
+bound estimates and the bound widths.
 """
 
 from functools import cached_property
@@ -42,6 +42,7 @@ from .errors import (
     NotAJFrame,
     SingularFrameOperator,
 )
+from .oracles import bound_width
 from .subspaces import Classification, Subspace, SubspaceKind, classify, smallest_nonzero_modulus
 
 Bounds4 = tuple[float | None, float | None, float | None, float | None]
@@ -276,7 +277,8 @@ class JFrameReport(NamedTuple):
     """Verdict, bounds and estimates of a vector frame.
 
     ``pencils`` holds the Rayleigh pencils the bounds were computed from, as
-    :func:`frame_part_pencils` returns them.
+    :func:`frame_part_pencils` returns them, and ``bound_widths`` the
+    rounding width of each bound (:func:`~kreinframes.oracles.bound_width`).
     """
 
     is_j_frame: bool
@@ -285,6 +287,7 @@ class JFrameReport(NamedTuple):
     bessel_bound: float
     bounds: Bounds4
     bound_estimates: Bounds4
+    bound_widths: Bounds4
     condition_number: float | None
     reasons: tuple[str, ...]
     pencils: dict
@@ -407,13 +410,22 @@ def _with_estimates(system: _SignClasses, label: str, part: PartReport | None,
     return part._replace(estimate_range=estimate)
 
 
+def _widths(part: PartReport | None, bessel: float) -> tuple:
+    """The width of each bound in ``part.ratio_range``, which is there
+    whatever the verdict; (None, None) for a part without bounds."""
+    if part is None or part.ratio_range is None:
+        return (None, None)
+    return tuple(bound_width(lam, bessel, part.classification.margin)
+                 for lam in part.ratio_range)
+
+
 def _verify_sign_parts(system: _SignClasses, tol_def: float,
                        tol_rank: float) -> tuple[bool, dict]:
     """The verification that the two reports write: the Bessel bound, then
-    :func:`_verify_bounds`, then the estimates of each class with bounds
-    (:func:`_with_estimates`).  Returns the verdict and the report fields
-    both report classes share.  A Bessel constant beyond the double range
-    raises :class:`InputError`.
+    :func:`_verify_bounds`, then the estimates (:func:`_with_estimates`) and
+    the rounding widths (:func:`_widths`) of each class with bounds.
+    Returns the verdict and the report fields both report classes share.  A
+    Bessel constant beyond the double range raises :class:`InputError`.
     """
     bessel = _bessel_bound(system.synthesis)
     verdict, fields = _verify_bounds(system, tol_def, tol_rank)
@@ -426,6 +438,7 @@ def _verify_sign_parts(system: _SignClasses, tol_def: float,
         "bessel_bound": bessel,
         "bound_estimates": (*_pair(neg, "estimate_range", True),
                             *_pair(pos, "estimate_range", True)),
+        "bound_widths": (*_widths(neg, bessel), *_widths(pos, bessel)),
     }
 
 

@@ -14,8 +14,8 @@ computed as that product.
 Bound conventions match :mod:`kreinframes.frames`: ascending four-tuples
 ``(B-, A-, A+, B+)`` with ``None`` slots for missing parts.  So does the
 verification: a family is verified by its part bounds alone; only
-:func:`verify_j_fusion_frame` adds the Bessel bound and the estimates, and
-the optimal bounds and the canonical dual read the bounds only.
+:func:`verify_j_fusion_frame` adds the Bessel bound, estimates and
+widths, and the optimal bounds and the canonical dual read the bounds only.
 """
 
 from functools import cached_property
@@ -310,7 +310,8 @@ class JFusionReport(NamedTuple):
     """Verdict, bounds and estimates of a weighted family.
 
     ``pencils`` holds the Rayleigh pencils the bounds were computed from, as
-    :func:`part_pencils` returns them.
+    :func:`part_pencils` returns them; ``bound_widths`` as in
+    :class:`~kreinframes.frames.JFrameReport`.
     """
 
     is_j_fusion_frame: bool
@@ -319,6 +320,7 @@ class JFusionReport(NamedTuple):
     bessel_bound: float
     bounds: Bounds4
     bound_estimates: Bounds4
+    bound_widths: Bounds4
     complete: bool
     reasons: tuple[str, ...]
     pencils: dict

@@ -260,7 +260,7 @@ def _parse_problem(doc: dict, path: str, from_text: bool) -> ParsedProblem:
         _check_keys(jspec, {"type", "signs"}, {"type", "signs"}, f"{path}.J")
         signs = jspec["signs"]
         if (not isinstance(signs, list) or len(signs) != n
-                or any(s not in (1, -1) or isinstance(s, bool) for s in signs)):
+                or any(type(s) is not int or s not in (1, -1) for s in signs)):
             raise SchemaError(f"signs must be a list of {n} entries from {{1, -1}}",
                               f"{path}.J.signs")
         j = np.diag(np.array(signs, dtype=float))

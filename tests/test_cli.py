@@ -14,8 +14,8 @@ from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
 import kreinframes as kf
-from kreinframes import cli
-from kreinframes.cli import _compare_trees, main
+from kreinframes import cli, oracles
+from kreinframes.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SRC = Path(cli.__file__).resolve().parents[1]
@@ -157,10 +157,10 @@ def test_bounds_skewed_pair(capsys, tmp_path):
 def test_sandwich_flag_is_false_past_the_rounding_width():
     """An estimate inside its optimal interval by more than the bound's
     rounding width is reported as not containing it."""
-    part = SimpleNamespace(classification=SimpleNamespace(margin=1.0))
-    report = SimpleNamespace(bounds=(-2.0, -1.0, 1.0, 2.0), bessel_bound=2.0,
+    report = SimpleNamespace(bounds=(-2.0, -1.0, 1.0, 2.0),
                              bound_estimates=(-2.0, -1.0, 1.0 + 1e-6, 2.0),
-                             negative=part, positive=part)
+                             bound_widths=tuple(oracles.bound_width(lam, 2.0, 1.0)
+                                                for lam in (-2.0, -1.0, 1.0, 2.0)))
     assert cli._sandwich_flags(report) == {"negative": True, "positive": False}
 
 
@@ -315,6 +315,17 @@ def _leaf(doc: dict, path: str):
     return doc, keys[-1]
 
 
+def _deficient_problem(tmp_path) -> Path:
+    """A generated family at n = 8 that fails (verdict false: its positive
+    span lacks a direction) and whose parts are barely definite (tilt
+    0.9999999), so that its report holds each part's ``ratio_range``."""
+    cfg = kf.GeneratorConfig(kind="fusion", seed=0, dim=8, num_positive=4, tilt=0.9999999,
+                             plant="deficient", rotate=True)
+    problem = tmp_path / "deficient.json"
+    problem.write_text(json.dumps(kf.gen_problem(cfg)))
+    return problem
+
+
 @pytest.mark.parametrize("kind, command, key", [
     ("frame", "verify-frame", "bounds"),
     ("frame", "verify-frame", "ratio_range"),
@@ -322,20 +333,23 @@ def _leaf(doc: dict, path: str):
     ("fusion", "verify", "bounds"),
     ("fusion", "verify", "r_prime"),
     ("fusion", "bounds", "bounds"),
+    ("deficient", "verify", "ratio_range"),
 ])
 def test_oracle_allows_each_number_its_rounding_error(capsys, tmp_path, kind, command, key):
     """On barely definite parts ``oracle`` judges a bound at the rounding of
-    its part-span basis and pencil, and r' at n eps / margin: a stored value
-    moved by half its tolerance, which is more than ``ORACLE_TOL`` allows,
-    still agrees; one moved by twice its tolerance does not."""
-    problem = _near_neutral_problem(tmp_path, kind)
+    its part-span basis and pencil, and r' at n eps / margin, in a report
+    whose verdict is false too: a stored value moved by half its tolerance,
+    which is more than ``ORACLE_TOL`` allows, still agrees; one moved by
+    twice its tolerance does not."""
+    problem = (_deficient_problem(tmp_path) if kind == "deficient"
+               else _near_neutral_problem(tmp_path, kind))
     report_file = tmp_path / "report.json"
     code, _, err = run_cli(capsys, command, problem, "-o", report_file)
-    assert code == 0, err
+    assert code == (1 if kind == "deficient" else 0), err
     outcome = cli.COMMAND_CORES[command](kf.load_problem(problem), cli.Params(1e-10, 1e-10))
     path, tol = max(((p, t) for p, t in outcome.tolerances.items() if key in p),
                     key=lambda item: item[1])
-    assert 2 * cli.ORACLE_TOL < tol <= cli.ORACLE_TOL_CAP
+    assert 2 * oracles.ORACLE_TOL < tol <= oracles.ORACLE_TOL_CAP
     doc = json.loads(report_file.read_text())
     container, leaf = _leaf(doc, path)
     stored = container[leaf]
@@ -389,6 +403,49 @@ def test_oracle_refuses_near_neutral_number_moved_twofold(capsys, tmp_path, kind
 
 QUANTITIES = ("negative_lower_bound", "negative_upper_bound",
               "positive_lower_bound", "positive_upper_bound")
+
+
+@pytest.mark.parametrize("command", ["verify", "verify-frame", "bounds"])
+def test_each_bound_is_certified_and_held_at_its_library_width(tmp_path, command):
+    """On the fixtures and on near-neutral problems, one of them failing,
+    the bracket of each bound has the half-width ``bound_widths`` of the
+    library's report, and ``oracle`` holds the bound, and its part's
+    ``ratio_range``, at that width relative to ``1 + |lam|``, capped; a
+    report has a width exactly where it has an estimate."""
+    params = cli.Params(1e-10, 1e-10)
+    problems = [*sorted(FIXTURES.glob("*.json")), _near_neutral_problem(tmp_path, "frame"),
+                _near_neutral_problem(tmp_path, "fusion"), _deficient_problem(tmp_path)]
+    section = {"verify": "family", "verify-frame": "vectors", "bounds": None}[command]
+    checked = 0
+    for problem in problems:
+        parsed = kf.load_problem(problem)
+        try:
+            kind, system = cli._system(parsed, params, section)
+        except (kf.InputError, *cli.REFUSALS):
+            continue
+        verify = kf.verify_j_fusion_frame if kind == "fusion" else kf.verify_j_frame
+        report = verify(system, params.tol_def, params.tol_rank)
+        widths = report.bound_widths
+        assert [w is None for w in widths] == [e is None for e in report.bound_estimates]
+        outcome = cli.COMMAND_CORES[command](parsed, params)
+        checks = (outcome.result["oracle"] or {"checks": {}})["checks"]
+        for label, slots in cli.BOUND_SLOTS.items():
+            for i, slot in enumerate(slots):
+                tolerances = {path: outcome.tolerances.get(path) for path in (
+                    f"result.bounds[{slot}]", f"result.{label}.ratio_range[{i}]")}
+                if widths[slot] is None:
+                    assert QUANTITIES[slot] not in checks
+                    assert set(tolerances.values()) == {None}
+                    continue
+                lam = getattr(report, label).ratio_range[i]
+                if outcome.result["oracle"] is not None:
+                    assert checks[QUANTITIES[slot]] == widths[slot]
+                    checked += 1
+                held = min(oracles.ORACLE_TOL_CAP, widths[slot] / (1.0 + abs(lam)))
+                assert tolerances[f"result.bounds[{slot}]"] == held
+                if command != "bounds":
+                    assert tolerances[f"result.{label}.ratio_range[{i}]"] == held
+    assert checked >= 8
 
 
 @pytest.mark.parametrize("slot", range(4))
@@ -817,7 +874,7 @@ def test_near_limit_input_matches_unit_scale(capsys, tmp_path, command, expected
         assert code == 0, err
     for result in results[:-1]:
         diffs: list[str] = []
-        _compare_trees(results[-1], result, "result", diffs)
+        oracles.compare_trees(results[-1], result, "result", diffs)
         assert not diffs
 
 

@@ -291,7 +291,7 @@ def test_dual_spans_are_the_q_factors_of_the_inverse_on_the_system_spans(kind, m
 @pytest.mark.parametrize("seed", [0, 1])
 def test_near_neutral_dual_bounds_are_those_of_the_svd_route_within_their_width(
         kind, n, tilt, seed):
-    """Each dual bound is within its rounding width (``cli._bound_width``, at
+    """Each dual bound is within its rounding width (``oracles.bound_width``, at
     the dual's Bessel bound and margin) of the bound that the dual's own
     SVD spans, at the dimensions of M+/-, give."""
     system = _generated(kind, n, tilt, seed)
@@ -305,7 +305,8 @@ def test_near_neutral_dual_bounds_are_those_of_the_svd_route_within_their_width(
                                                              (indices, reference_span)))
         margin = kf.classify(reference_span).margin
         for slot, bound in zip(cli.BOUND_SLOTS[label], reference):
-            assert abs(report.dual_bounds[slot] - bound) <= cli._bound_width(bound, beta, margin)
+            width = kf.oracles.bound_width(bound, beta, margin)
+            assert abs(report.dual_bounds[slot] - bound) <= width
 
 
 def _same_arrays(a, b) -> bool:
