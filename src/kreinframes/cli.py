@@ -23,7 +23,9 @@ decides how close each number must be; this module only says where each
 number, and its tolerance, sits in the report.
 
 The environment variable KREINFRAME_TOLERANCE, when set to a float, becomes
-the default for both tolerance flags; ``gen`` takes neither.
+the default for both tolerance flags, which every command but ``gen`` and
+``oracle`` takes; ``oracle`` re-runs at, and records, the parameters stored
+in its report, and ``gen`` takes its defaults from ``GeneratorConfig``.
 """
 
 import argparse
@@ -46,13 +48,10 @@ from .errors import (
     NotAJFrame,
     NotAJFusionFrame,
     NumericalFailure,
-    ParseError,
     SchemaError,
 )
 from .frames import dual_reciprocity, partition_by_sign, verify_j_frame
 from .fusion import (
-    _SIGNS,
-    WeightedSubspaceFamily,
     _rps_entries,
     family_from_spans,
     fusion_dual_diagnostics,
@@ -68,9 +67,11 @@ from .problem_io import (
     make_report,
 )
 from .subspaces import (
+    SubspaceKind,
     _classify_all,
     _entry_spans,
     classify,
+    subspace_sum,
 )
 from .transforms import image_fusion_check
 
@@ -197,22 +198,19 @@ def run_classify(parsed: ParsedProblem, params: Params) -> Outcome:
     entries = [{"index": i, "dim": sub.dim, "weight": weight, "classification": cls}
                for i, (sub, cls, (_, weight)) in enumerate(zip(all_subs, classes, parsed.entries))]
 
-    # the uniformly definite entries grouped by sign, at unit weight; the rest in neither class
-    spans = WeightedSubspaceFamily(space, tuple(all_subs), np.ones(len(all_subs)),
-                                   np.array([_SIGNS.get(cls.kind, 0) for cls in classes]),
-                                   tuple(classes))._class_spans(params.tol_rank)
-
-    def span_block(label: str):
-        if label not in spans:
+    def span_block(kind: SubspaceKind):
+        """The span of the entries of ``kind``, classified; None when there are none."""
+        parts = [sub for sub, cls in zip(all_subs, classes) if cls.kind is kind]
+        if not parts:
             return None
-        total = spans[label][1]
+        total = subspace_sum(parts, params.tol_rank)
         return {"dim": total.dim, "classification": classify(total, params.tol_def, params.tol_rank)}
 
     result = {
         "signature": [space.num_positive, space.num_negative],
         "entries": entries,
-        "positive_span": span_block("positive"),
-        "negative_span": span_block("negative"),
+        "positive_span": span_block(SubspaceKind.UNIFORMLY_POSITIVE),
+        "negative_span": span_block(SubspaceKind.UNIFORMLY_NEGATIVE),
         "complete": oracles.completeness_check(all_subs, space, params.tol_rank),
         "oracle": oracles.certify_entries(all_subs, classes),
     }
@@ -398,8 +396,9 @@ COMMAND_CORES = {
 }
 
 
-def run_oracle(report_doc: dict, parsed: ParsedProblem) -> Outcome:
-    """Re-derive the result of a validated report; ``parsed`` is its embedded problem.
+def run_oracle(report_doc: dict, parsed: ParsedProblem) -> tuple[Params, Outcome]:
+    """Re-derive the result of a validated report; ``parsed`` is its embedded
+    problem.  Returns the stored parameters, which it re-ran at, and the outcome.
 
     Every stored number must agree with its recomputation as
     :func:`oracles.compare_trees` decides: a bound within its
@@ -434,7 +433,7 @@ def run_oracle(report_doc: dict, parsed: ParsedProblem) -> Outcome:
         raise InternalInconsistency(
             "stored report disagrees with recomputation: " + "; ".join(diffs[:10])
         )
-    return Outcome(result, 0, [f"recomputed {command}: agreement"])
+    return params, Outcome(result, 0, [f"recomputed {command}: agreement"])
 
 
 # ---------------------------------------------------------------------------
@@ -468,23 +467,29 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, parents=[common], help=help_text)
         p.add_argument("problem", help="problem JSON file")
 
-    p = sub.add_parser("oracle", parents=[common],
+    p = sub.add_parser("oracle", parents=[output],
                        help="re-derive a stored report and compare")
     p.add_argument("problem", help="report JSON file", metavar="report")
 
-    g = sub.add_parser("gen", parents=[output], help="generate a seeded problem instance")
-    g.add_argument("--seed", type=int, default=0, help="generator seed")
-    g.add_argument("--kind", choices=["fusion", "frame"], default="fusion")
-    g.add_argument("--n", type=int, default=4, help="ambient dimension")
-    g.add_argument("--p", type=int, default=2, help="positive signature")
-    g.add_argument("--dims-pos", default="", help="comma-separated positive entry dims")
-    g.add_argument("--dims-neg", default="", help="comma-separated negative entry dims")
-    g.add_argument("--num-pos", type=int, default=0, help="positive vector count (frame kind)")
-    g.add_argument("--num-neg", type=int, default=0, help="negative vector count (frame kind)")
-    g.add_argument("--tilt", type=float, default=0.5, help="graph contraction norm in [0,1)")
-    g.add_argument("--weight-min", type=float, default=0.5)
-    g.add_argument("--weight-max", type=float, default=2.0)
-    g.add_argument("--plant", choices=["none", "neutral_entry", "deficient"], default="none")
+    # each option stores into its GeneratorConfig field, and only when given
+    g = sub.add_parser("gen", parents=[output], argument_default=argparse.SUPPRESS,
+                       help="generate a seeded problem instance")
+    g.add_argument("--seed", type=int, help="generator seed")
+    g.add_argument("--kind", choices=["fusion", "frame"])
+    g.add_argument("--n", type=int, dest="dim", metavar="N", help="ambient dimension")
+    g.add_argument("--p", type=int, dest="num_positive", metavar="P", help="positive signature")
+    g.add_argument("--dims-pos", dest="entry_dims_positive", metavar="DIMS_POS",
+                   help="comma-separated positive entry dims")
+    g.add_argument("--dims-neg", dest="entry_dims_negative", metavar="DIMS_NEG",
+                   help="comma-separated negative entry dims")
+    g.add_argument("--num-pos", type=int, dest="num_vectors_positive", metavar="NUM_POS",
+                   help="positive vector count (frame kind)")
+    g.add_argument("--num-neg", type=int, dest="num_vectors_negative", metavar="NUM_NEG",
+                   help="negative vector count (frame kind)")
+    g.add_argument("--tilt", type=float, help="graph contraction norm in [0,1)")
+    g.add_argument("--weight-min", type=float, dest="weight_low", metavar="WEIGHT_MIN")
+    g.add_argument("--weight-max", type=float, dest="weight_high", metavar="WEIGHT_MAX")
+    g.add_argument("--plant", choices=["none", "neutral_entry", "deficient"])
     g.add_argument("--rotate", action="store_true", help="conjugate by a random rotation")
     return parser
 
@@ -534,46 +539,28 @@ def main(argv=None) -> int:
         if args.command == "gen":
             from .generator import GeneratorConfig, gen_problem  # only gen pays its import
 
-            cfg = GeneratorConfig(
-                kind=args.kind,
-                seed=args.seed,
-                dim=args.n,
-                num_positive=args.p,
-                entry_dims_positive=_parse_dims(args.dims_pos),
-                entry_dims_negative=_parse_dims(args.dims_neg),
-                num_vectors_positive=args.num_pos,
-                num_vectors_negative=args.num_neg,
-                tilt=args.tilt,
-                weight_low=args.weight_min,
-                weight_high=args.weight_max,
-                plant=args.plant,
-                rotate=args.rotate,
-            )
-            problem = gen_problem(cfg)
-            _emit(problem, args.output)
-            _summarize([f"generated {args.kind} problem (seed={args.seed}, dim={args.n}, "
-                        f"plant={args.plant})"])
+            options = {k: v for k, v in vars(args).items() if k not in ("command", "output")}
+            for name in ("entry_dims_positive", "entry_dims_negative"):
+                if name in options:
+                    options[name] = _parse_dims(options[name])
+            cfg = GeneratorConfig(**options)
+            _emit(gen_problem(cfg), args.output)
+            _summarize([f"generated {cfg.kind} problem (seed={cfg.seed}, dim={cfg.dim}, "
+                        f"plant={cfg.plant})"])
             return 0
 
-        params = _resolve_params(args)
         if args.command == "oracle":
             report_doc, parsed = load_report(args.problem)
-            result, code, lines, _ = run_oracle(report_doc, parsed)
-            out = make_report("oracle", parsed, params._asdict(), result)
-            _emit(out, args.output)
-            _summarize(lines)
-            return code
-
-        parsed = load_problem(args.problem)
-        result, code, lines, _ = COMMAND_CORES[args.command](parsed, params)
+            params, (result, code, lines, _) = run_oracle(report_doc, parsed)
+        else:
+            params = _resolve_params(args)
+            parsed = load_problem(args.problem)
+            result, code, lines, _ = COMMAND_CORES[args.command](parsed, params)
         report = make_report(args.command, parsed, params._asdict(), result)
         _emit(report, args.output)
         _summarize(lines)
         return code
 
-    except (ParseError, SchemaError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
     except InternalInconsistency as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 3

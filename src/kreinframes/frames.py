@@ -178,8 +178,9 @@ class VectorFrame(_SignClasses):
         _condition_number(self, svals)
 
     def _dual(self, s_inv: np.ndarray, tol_def: float) -> "VectorFrame":
-        """The vectors S^{-1} f_i, from one product with S^{-1}, partitioned afresh by sign."""
-        return partition_by_sign(self.vectors @ s_inv.T, self.space, tol_def)
+        """The vectors S^{-1} f_i, from one product with S^{-1}, with the frame's
+        signs: by the theorem, [S^{-1} f_i, S^{-1} f_i] has the sign of [f_i, f_i]."""
+        return VectorFrame(self.space, self.vectors @ s_inv.T, self.signs)
 
 
 def _require_finite(values, what: str) -> None:
@@ -549,9 +550,10 @@ def frame_part_pencils(frame: VectorFrame) -> dict[str, tuple[np.ndarray, np.nda
 
 
 def canonical_dual(frame: VectorFrame, tol_def: float = TOL_DEF) -> VectorFrame:
-    """The dual sequence {S^{-1} f_i}, partitioned afresh by sign.
+    """The dual sequence {S^{-1} f_i} of a verified frame.
 
-    For a verified frame the dual keeps the sign pattern and its frame
+    The dual keeps the frame's signs, by the theorem that the canonical dual
+    of a J-frame is a J-frame of the same sign pattern, and its frame
     operator is exactly S^{-1}.
     """
     return _canonical_dual_of(frame, tol_def, TOL_RANK)[1]
@@ -563,24 +565,22 @@ def _canonical_dual_of(system: _SignClasses, tol_def: float, tol_rank: float
     (no Bessel bound, no estimates), its canonical dual (the class's
     ``_dual``), S^{-1} and the singular values of S.
 
-    Where the dual keeps the sign pattern, as a verified system does in
-    exact arithmetic, its class spans are S^{-1} M+/-: each the Q factor of
+    The dual keeps the system's signs, by the theorem, and so its sign
+    classes; its class spans are S^{-1} M+/-: each the Q factor of
     ``S^{-1} U`` with U the system's class basis at ``tol_rank`` and a
     positive diagonal in R, unique since S^{-1} is invertible.  The dual
     keeps them at every cutoff, so they take the dimensions of M+/- in place
     of a rank decided from singular values, which near neutral can flip at
-    rounding level.  A dual of another sign pattern takes its spans from
-    SVDs of its own classes.
+    rounding level.
     """
     fields = _verified(system, tol_def, tol_rank)
     s, svals = _require_invertible(system, tol_def)
     s_inv = np.linalg.inv(s)
     dual = system._dual(s_inv, tol_def)
-    if np.array_equal(dual.signs, system.signs):
-        spans = system._class_spans(tol_rank)
-        bases = q_factors([s_inv @ part_span.basis for _, part_span in spans.values()])
-        dual._fixed_spans = {label: (indices, Subspace(space=system.space, basis=basis))
-                             for (label, (indices, _)), basis in zip(spans.items(), bases)}
+    spans = system._class_spans(tol_rank)
+    bases = q_factors([s_inv @ part_span.basis for _, part_span in spans.values()])
+    dual._fixed_spans = {label: (indices, Subspace(space=system.space, basis=basis))
+                         for (label, (indices, _)), basis in zip(spans.items(), bases)}
     return fields, dual, s_inv, svals
 
 

@@ -117,7 +117,10 @@ class WeightedSubspaceFamily(_SignClasses):
         return self.synthesis @ fusion_analysis(self, tol_def)
 
     def _dual(self, s_inv: np.ndarray, tol_def: float) -> "WeightedSubspaceFamily":
-        """The family {(S^{-1} W_i, v_i)} (see :func:`canonical_dual_fusion`).
+        """The family {(S^{-1} W_i, v_i)} (see :func:`canonical_dual_fusion`),
+        with the family's signs: by the theorem, S^{-1} W_i is uniformly
+        definite of the sign of W_i.  Its entries are still classified, for
+        the Gram margins that :func:`fusion_analysis` reads.
 
         Each dual entry's basis is the Q factor of ``S^{-1} B_i`` with a
         positive diagonal in R, unique since S^{-1} is invertible: no rank
@@ -134,7 +137,8 @@ class WeightedSubspaceFamily(_SignClasses):
         mapped = np.split(s_inv @ np.hstack([sub.basis for sub in self.subspaces]),
                           self.offsets[1:-1], axis=1)
         dual_subs = tuple(Subspace(space=self.space, basis=q) for q in q_factors(mapped))
-        return _signed_family(dual_subs, self.weights, tuple(_classify_all(dual_subs, tol_def)))
+        return WeightedSubspaceFamily(self.space, dual_subs, self.weights, self.signs,
+                                      tuple(_classify_all(dual_subs, tol_def)))
 
 
 def make_weighted_family(subspaces, weights, tol_def: float = TOL_DEF) -> WeightedSubspaceFamily:

@@ -235,6 +235,23 @@ def test_gen_rejects_infeasible_config(capsys):
     assert report is None
 
 
+@pytest.mark.parametrize("kind", ["fusion", "frame"])
+def test_gen_defaults_are_those_of_generator_config(capsys, kind):
+    """``gen`` with no options writes the problem of ``GeneratorConfig()``, and
+    with every option set that of the matching explicit config."""
+    assert main(["gen"]) == 0
+    assert capsys.readouterr().out == kf.dumps_canonical(kf.gen_problem(kf.GeneratorConfig()))
+    args = ["gen", "--kind", kind, "--seed", "5", "--n", "6", "--p", "3", "--dims-pos", "2,1",
+            "--dims-neg", "1,2", "--num-pos", "4", "--num-neg", "5", "--tilt", "0.25",
+            "--weight-min", "0.75", "--weight-max", "1.5", "--plant", "deficient", "--rotate"]
+    cfg = kf.GeneratorConfig(kind=kind, seed=5, dim=6, num_positive=3,
+                             entry_dims_positive=(2, 1), entry_dims_negative=(1, 2),
+                             num_vectors_positive=4, num_vectors_negative=5, tilt=0.25,
+                             weight_low=0.75, weight_high=1.5, plant="deficient", rotate=True)
+    assert main(args) == 0
+    assert capsys.readouterr().out == kf.dumps_canonical(kf.gen_problem(cfg))
+
+
 def test_oracle_accepts_untampered_report(capsys, tmp_path):
     report_file = tmp_path / "report.json"
     code, _, _ = run_cli(capsys, "verify", FIXTURES / "fusion_dim6.json",
@@ -785,6 +802,23 @@ def test_gen_takes_no_tolerance(capsys, monkeypatch):
     plain = capsys.readouterr().out
     monkeypatch.setenv("KREINFRAME_TOLERANCE", "abc")
     assert main(args) == 0
+    assert capsys.readouterr().out == plain
+
+
+def test_oracle_takes_the_stored_parameters_only(capsys, tmp_path, monkeypatch):
+    """``oracle`` refuses the tolerance flags, ignores the environment
+    variable, and records the parameters of the stored report it re-ran at."""
+    report_file = tmp_path / "report.json"
+    assert run_cli(capsys, "verify", FIXTURES / "fusion_dim6.json", "--tol-rank", "1e-8",
+                   "-o", report_file)[0] == 0
+    code, report, err = run_cli(capsys, "oracle", "--tol-rank", "1e-3", report_file)
+    assert code == 2 and report is None
+    assert "--tol-rank" in err
+    assert main(["oracle", str(report_file)]) == 0
+    plain = capsys.readouterr().out
+    assert json.loads(plain)["parameters"] == {"tol_def": 1e-10, "tol_rank": 1e-8}
+    monkeypatch.setenv("KREINFRAME_TOLERANCE", "abc")
+    assert main(["oracle", str(report_file)]) == 0
     assert capsys.readouterr().out == plain
 
 

@@ -260,14 +260,22 @@ def test_dual_spans_are_the_q_factors_of_the_inverse_on_the_system_spans(kind, m
     only, and no Bessel bound: each dual class span is the Q
     factor of S^{-1} U+/-, with U+/- the system's class basis and a positive
     diagonal in R, at every cutoff, and a frame's dual vectors are S^{-1} f_i
-    from one product with S^{-1}."""
+    from one product with S^{-1}.  The dual keeps the system's signs, which
+    no sign decision on the dual members takes again."""
     system = _generated(kind, 8, 0.5, 1)
+
+    def no_sign_decision(*args, **kwargs):
+        raise AssertionError("the dual decided the signs of its members again")
+
+    monkeypatch.setattr(kf.frames, "partition_by_sign", no_sign_decision)
+    monkeypatch.setattr(kf.fusion, "_signed_family", no_sign_decision)
     calls = []
     monkeypatch.setattr(kf._numeric, "column_spaces",
                         _recording(calls, "svd", kf._numeric.column_spaces))
     monkeypatch.setattr(kf.frames, "_bessel_bound",
                         _recording(calls, "bessel", kf.frames._bessel_bound))
     dual = _dual_report(system).dual
+    assert np.array_equal(dual.signs, system.signs)
     svds = [m for name, matrices, _, _ in calls if name == "svd" for m in matrices]
     classes = (system.positive_indices, system.negative_indices)
     assert len(svds) == 2
