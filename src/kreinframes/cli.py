@@ -22,10 +22,11 @@ its recomputation.  A failed check exits 3.  :mod:`kreinframes.oracles`
 decides how close each number must be; this module only says where each
 number, and its tolerance, sits in the report.
 
-The environment variable KREINFRAME_TOLERANCE, when set to a float, becomes
-the default for both tolerance flags, which every command but ``gen`` and
-``oracle`` takes; ``oracle`` re-runs at, and records, the parameters stored
-in its report, and ``gen`` takes its defaults from ``GeneratorConfig``.
+Every command but ``gen`` and ``oracle`` takes the two tolerance flags,
+which default to ``TOL_DEF`` and ``TOL_RANK``; ``oracle`` re-runs at, and
+records, the parameters stored in its report, and ``gen`` takes its
+defaults from ``GeneratorConfig``.  No tolerance is read from the
+environment.
 """
 
 import argparse
@@ -98,23 +99,9 @@ class Outcome(NamedTuple):
     tolerances: dict[str, float] | None = None
 
 
-def _env_tolerance() -> float | None:
-    raw = os.environ.get("KREINFRAME_TOLERANCE")
-    if raw is None:
-        return None
-    try:
-        value = float(raw)
-    except ValueError:
-        raise InputError(f"KREINFRAME_TOLERANCE is not a float: {raw!r}") from None
-    if not np.isfinite(value) or value <= 0.0:
-        raise InputError(f"KREINFRAME_TOLERANCE must be a positive float, got {value!r}")
-    return value
-
-
 def _resolve_params(args: argparse.Namespace) -> Params:
-    env = _env_tolerance()
-    tol_def = args.tol_def if args.tol_def is not None else (env if env is not None else TOL_DEF)
-    tol_rank = args.tol_rank if args.tol_rank is not None else (env if env is not None else TOL_RANK)
+    tol_def = args.tol_def if args.tol_def is not None else TOL_DEF
+    tol_rank = args.tol_rank if args.tol_rank is not None else TOL_RANK
     for name, value in (("--tol-def", tol_def), ("--tol-rank", tol_rank)):
         if not np.isfinite(value) or value <= 0.0:
             raise InputError(f"{name} must be a positive float, got {value!r}")
@@ -353,24 +340,18 @@ def run_transform(parsed: ParsedProblem, params: Params) -> Outcome:
     _need(parsed, "operator")
     _, family = _system(parsed, params, "family")
     check = image_fusion_check(parsed.operator, family, params.tol_def, params.tol_rank)
-    entries = [{k: v for k, v in e._asdict().items() if k != "witness"}
-               for e in check.preservation.entries]
-    rejection = None
-    if check.rejected_entry is not None:
-        witness = check.rejection_witness
-        j = parsed.space.symmetry
-        rejection = {
-            "index": check.rejected_entry,
-            "witness": witness,
-            "self_product": None if witness is None else float(witness @ j @ witness),
-        }
+    rejection = None if check.rejected_entry is None else {
+        "index": check.rejected_entry,
+        "witness": check.rejection_witness,
+        "self_product": check.rejection_self_product,
+    }
     result = {
         "verdict": check.image_verdict,
         "sufficient_condition": check.sufficient,
         "decomposition_original_partition": check.decomposition_original,
         "decomposition_image_partition": check.decomposition_image,
         "rejected": rejection,
-        "entries": entries,
+        "entries": [e._asdict() for e in check.preservation.entries],
         "image_bounds": list(check.image_report.bounds) if check.image_report else None,
     }
     lines = [

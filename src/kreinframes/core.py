@@ -16,8 +16,8 @@ import numpy as np
 from ._numeric import as_matrix, as_vector, operator_norm
 from .errors import DimensionMismatch, NotAnInvolution
 
-# Default tolerances, overridable per call (and via KREINFRAME_TOLERANCE in
-# the CLI layer).  tol_sym gates symmetry/involution checks, tol_num is the
+# Default tolerances, overridable per call (and by the --tol-def and
+# --tol-rank flags of the CLI).  tol_sym gates symmetry/involution checks, tol_num is the
 # general residual tolerance, tol_def decides definiteness from eigenvalues,
 # tol_rank is the relative rank cutoff.
 TOL_SYM = 1e-10

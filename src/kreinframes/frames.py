@@ -58,7 +58,8 @@ class _SignClasses:
 
     This is the route of vector frames and weighted families alike, and it
     holds what verification and derived operations read of the whole system,
-    each computed once.  A subclass gives the synthesis columns of a class,
+    each computed once: the class spans per rank cutoff, S per ``tol_def``,
+    and the class checks and the verification per pair of the two.  A subclass gives the synthesis columns of a class,
     ``_synthesis_columns(indices)``; the numerator of the class's Rayleigh
     pencil in the coordinates of an orthonormal ``basis``, ``_numerator(
     indices, basis)``; the matrix of S, ``_operator_matrix(tol_def)``; its
@@ -80,6 +81,8 @@ class _SignClasses:
         self._spans_at: dict[float, dict[str, ClassSpan]] = {}
         self._svals: dict[tuple[int, ...], np.ndarray] = {}
         self._operators_at: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+        self._checks_at: dict[tuple[float, float], tuple[dict, dict, tuple[str, ...]]] = {}
+        self._verified_at: dict[tuple[float, float], tuple[bool, dict]] = {}
 
     @cached_property
     def positive_indices(self) -> tuple[int, ...]:
@@ -338,52 +341,77 @@ def _pencil_range(label: str, pencil: tuple[np.ndarray, np.ndarray]) -> tuple[fl
     return ratio
 
 
-def _verify_bounds(system: _SignClasses, tol_def: float, tol_rank: float) -> tuple[bool, dict]:
-    """The verification of a frame or a family, by its part bounds alone.
+def _class_checks(system: _SignClasses, tol_def: float, tol_rank: float
+                  ) -> tuple[dict, dict, tuple[str, ...]]:
+    """The checks of :func:`_verify_bounds`, without the bounds, once per
+    ``(tol_def, tol_rank)``.
 
     Each nonempty sign class takes its span at the relative rank cutoff
     ``tol_rank``, which must be a maximal uniformly definite subspace of its
-    sign: its signed pencil is built (:func:`_class_pencils`), its span
-    classified and its kind and dimension checked; the bounds of a class of
-    the right kind are the extreme eigenvalues of its pencil.  Returns the verdict and the report
-    fields every verification writes: the :class:`PartReport` of each class
-    without estimates (None for an empty class), the bounds (when the
-    verdict is true), the reasons of the checks that fail and the pencils.
-    Bounds beyond the double range raise :class:`InputError`.
+    sign: the span is classified and its kind and dimension checked.
+    Returns the :class:`PartReport` of each class without bounds or
+    estimates (None for an empty class), whether each class passes (an
+    empty one where the signature asks for none of its sign) and the
+    reasons of the checks that fail.
     """
-    space, spans = system.space, system._class_spans(tol_rank)
-    pencils = _class_pencils(system, tol_rank)
-    reasons: list[str] = []
-    parts: dict[str, PartReport | None] = {}
-    for label, good_kind in _PART_KINDS:
-        required = space.num_positive if label == "positive" else space.num_negative
-        if label not in spans:
-            if required != 0:
-                reasons.append(f"{label} part is empty but signature requires dimension {required}")
-            parts[label] = None
-            continue
-        indices, part_span = spans[label]
-        cls = classify(part_span, tol_def, tol_rank)
-        kind_ok = cls.kind is good_kind
-        dim_ok = part_span.dim == required
-        if not kind_ok:
-            reasons.append(f"{label} span is {cls.kind.value}, not uniformly {label}")
-        if not dim_ok:
-            reasons.append(f"{label} span has dimension {part_span.dim}, signature requires {required}")
-        ratio = _pencil_range(label, pencils[label]) if kind_ok else None
-        parts[label] = PartReport(indices=indices, classification=cls, required_dim=required,
-                                  dim_ok=dim_ok, kind_ok=kind_ok, ratio_range=ratio,
-                                  estimate_range=None)
-    pos, neg = parts["positive"], parts["negative"]
-    verdict = ((pos.ok if pos is not None else space.num_positive == 0)
-               and (neg.ok if neg is not None else space.num_negative == 0))
-    return verdict, {
-        "positive": pos,
-        "negative": neg,
-        "bounds": (*_pair(neg, "ratio_range", verdict), *_pair(pos, "ratio_range", verdict)),
-        "reasons": tuple(reasons),
-        "pencils": pencils,
-    }
+    key = (tol_def, tol_rank)
+    if key not in system._checks_at:
+        space, spans = system.space, system._class_spans(tol_rank)
+        reasons: list[str] = []
+        parts: dict[str, PartReport | None] = {}
+        passed: dict[str, bool] = {}
+        for label, good_kind in _PART_KINDS:
+            required = space.num_positive if label == "positive" else space.num_negative
+            if label not in spans:
+                if required != 0:
+                    reasons.append(f"{label} part is empty but signature requires dimension {required}")
+                parts[label], passed[label] = None, required == 0
+                continue
+            indices, part_span = spans[label]
+            cls = classify(part_span, tol_def, tol_rank)
+            kind_ok = cls.kind is good_kind
+            dim_ok = part_span.dim == required
+            if not kind_ok:
+                reasons.append(f"{label} span is {cls.kind.value}, not uniformly {label}")
+            if not dim_ok:
+                reasons.append(f"{label} span has dimension {part_span.dim}, signature requires {required}")
+            parts[label] = PartReport(indices=indices, classification=cls, required_dim=required,
+                                      dim_ok=dim_ok, kind_ok=kind_ok, ratio_range=None,
+                                      estimate_range=None)
+            passed[label] = parts[label].ok
+        system._checks_at[key] = parts, passed, tuple(reasons)
+    return system._checks_at[key]
+
+
+def _verify_bounds(system: _SignClasses, tol_def: float, tol_rank: float) -> tuple[bool, dict]:
+    """The verification of a frame or a family, by its part bounds alone,
+    once per ``(tol_def, tol_rank)``.
+
+    The classes are checked by :func:`_class_checks`, and each class's
+    signed pencil is built (:func:`_class_pencils`); the bounds of a class
+    of the right kind are the extreme eigenvalues of its pencil.  Returns
+    the verdict and the report fields every verification writes: the
+    :class:`PartReport` of each class without estimates (None for an empty
+    class), the bounds (when the verdict is true), the reasons of the
+    checks that fail and the pencils.  Bounds beyond the double range raise
+    :class:`InputError`.
+    """
+    key = (tol_def, tol_rank)
+    if key not in system._verified_at:
+        checked, passed, reasons = _class_checks(system, tol_def, tol_rank)
+        pencils = _class_pencils(system, tol_rank)
+        pos, neg = (part._replace(ratio_range=_pencil_range(label, pencils[label]))
+                    if part is not None and part.kind_ok else part
+                    for label, part in checked.items())
+        verdict = passed["positive"] and passed["negative"]
+        system._verified_at[key] = verdict, {
+            "positive": pos,
+            "negative": neg,
+            "bounds": (*_pair(neg, "ratio_range", verdict), *_pair(pos, "ratio_range", verdict)),
+            "reasons": reasons,
+            "pencils": pencils,
+        }
+    return system._verified_at[key]
 
 
 def _pair(part: PartReport | None, attr: str, keep: bool) -> tuple:

@@ -183,7 +183,7 @@ def _signed_family(subs: tuple[Subspace, ...], weights: np.ndarray,
             f"entry {i} is {cls.kind.value}, not uniformly definite",
             index=i,
             witness=cls.witness,
-            self_product=float(cls.margin),
+            self_product=float(cls.witness @ subs[0].space.symmetry @ cls.witness),
         )
     return WeightedSubspaceFamily(
         space=subs[0].space,
@@ -209,20 +209,15 @@ def family_from_spans(entry_vectors, weights, space: KreinSpace,
 class DirectSumSpace:
     """Coordinate model of the external direct sum of the entries.
 
-    Coordinates are stacked per-entry basis coefficients.  ``symmetry`` is
-    the block-diagonal sign operator; ``indefinite_gram`` the block diagonal
-    of entry Gram operators (the intrinsic indefinite pairing, against which
-    the analysis operator is the exact adjoint of the synthesis); and
-    ``hilbert_gram = symmetry @ indefinite_gram`` the associated positive
-    pairing.
+    Coordinates are stacked per-entry basis coefficients, and
+    ``indefinite_gram`` is the block diagonal of entry Gram operators: the
+    intrinsic indefinite pairing, against which the analysis operator is
+    the exact adjoint of the synthesis.
     """
 
-    def __init__(self, family: WeightedSubspaceFamily, symmetry: np.ndarray,
-                 indefinite_gram: np.ndarray, hilbert_gram: np.ndarray):
+    def __init__(self, family: WeightedSubspaceFamily, indefinite_gram: np.ndarray):
         self.family = family
-        self.symmetry = symmetry
         self.indefinite_gram = indefinite_gram
-        self.hilbert_gram = hilbert_gram
 
     @property
     def dim(self) -> int:
@@ -233,15 +228,7 @@ class DirectSumSpace:
 
 
 def direct_sum_space(family: WeightedSubspaceFamily) -> DirectSumSpace:
-    sym = block_diag([s * np.eye(k) for s, k in zip(family.signs, family.entry_dims)])
-    gram = block_diag([sub.gram for sub in family.subspaces])
-    hilbert = block_diag([s * sub.gram for s, sub in zip(family.signs, family.subspaces)])
-    return DirectSumSpace(
-        family=family,
-        symmetry=sym,
-        indefinite_gram=gram,
-        hilbert_gram=0.5 * (hilbert + hilbert.T),
-    )
+    return DirectSumSpace(family, block_diag([sub.gram for sub in family.subspaces]))
 
 
 def fusion_synthesis(family: WeightedSubspaceFamily) -> np.ndarray:

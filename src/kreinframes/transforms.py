@@ -5,6 +5,12 @@ Answers three related questions: what family does an operator produce
 condition hold (:func:`preservation_audit`), and does the image actually
 verify as a fusion frame, both as a whole and split by either the original
 or the image sign partition (:func:`image_fusion_check`).
+
+The audit of T M+/- is no decision of its own: the images T W_i grouped by
+the original signs form a family whose part spans are T M+/-, and the
+verification core (:mod:`kreinframes.frames`) checks that family's parts
+as it checks those of any family.  Where T keeps every sign, that grouping
+is the image family, so it is verified once.
 """
 
 from typing import NamedTuple
@@ -13,13 +19,10 @@ import numpy as np
 
 from ._numeric import operator_norm, scaled_below_overflow
 from .core import TOL_DEF, TOL_RANK, KreinSpace, Operator, j_adjoint_matrix
-from .errors import (
-    DimensionMismatch,
-    IndefiniteOrNeutralSubspace,
-    InternalInconsistency,
-    NotSurjective,
-)
+from .errors import DimensionMismatch, IndefiniteOrNeutralSubspace, NotSurjective
+from .frames import _class_checks
 from .fusion import (
+    _SIGNS,
     JFusionReport,
     WeightedSubspaceFamily,
     _signed_family,
@@ -32,7 +35,6 @@ from .subspaces import (
     SubspaceKind,
     _classify_all,
     _images,
-    classify,
     j_projection,
 )
 
@@ -72,7 +74,6 @@ class PreservationEntry(NamedTuple):
     input_dim: int
     image_dim: int
     sign_preserved: bool
-    witness: np.ndarray | None = None
 
 
 class PreservationReport(NamedTuple):
@@ -111,9 +112,14 @@ def _transport(operator, family: WeightedSubspaceFamily, tol_def: float, tol_ran
     """:func:`preservation_audit`, and the entry images T W_i it computed
     grouped by the signs of ``family``: the family of the images, their
     classifications (stacked by dimension) and the weights, with the signs of
-    ``family`` whatever the images' own.  Its part spans, at ``tol_rank``,
-    are the spans T M of the images of each sign class, so that callers
-    transport and span each of them once.
+    ``family`` whatever the images' own.
+
+    The part spans of that grouping, at ``tol_rank``, are the spans T M+/-
+    of the images of each sign class, so the audit of T M+/- is the
+    verification of the grouping: each ``*_span_image`` and ``*_span_ok``
+    is the classification and the pass of its part, as the verification
+    core checks it (:func:`~kreinframes.frames._class_checks`, which keeps
+    them for a later verification of the grouping at the same cutoffs).
     """
     t = _operator_matrix(operator, family.space)
     svals = np.linalg.svd(t, compute_uv=False)
@@ -125,40 +131,23 @@ def _transport(operator, family: WeightedSubspaceFamily, tol_def: float, tol_ran
     images = tuple(_images(t, family.subspaces, tol_rank))
     classes = tuple(_classify_all(images, tol_def))
     grouped = WeightedSubspaceFamily(family.space, images, family.weights, family.signs, classes)
-    sign_kind = {1: SubspaceKind.UNIFORMLY_POSITIVE, -1: SubspaceKind.UNIFORMLY_NEGATIVE}
-    entries = []
-    for i, (sub, image, cls) in enumerate(zip(family.subspaces, images, classes)):
-        expected = sign_kind[int(family.signs[i])]
-        entries.append(PreservationEntry(
-            index=i,
-            input_kind=family.entry_classifications[i].kind,
-            image_kind=cls.kind,
-            input_dim=sub.dim,
-            image_dim=image.dim,
-            sign_preserved=cls.kind is expected,
-            witness=cls.witness,
-        ))
-
-    spans = grouped._class_spans(tol_rank)
-
-    def span_image(label: str, required: int, kind: SubspaceKind):
-        if label not in spans:
-            return None, required == 0
-        cls = classify(spans[label][1], tol_def, tol_rank)
-        return cls, cls.maximal_definite and cls.kind is kind
-
-    pos_cls, pos_ok = span_image("positive", family.space.num_positive,
-                                 SubspaceKind.UNIFORMLY_POSITIVE)
-    neg_cls, neg_ok = span_image("negative", family.space.num_negative,
-                                 SubspaceKind.UNIFORMLY_NEGATIVE)
-
+    entries = tuple(PreservationEntry(
+        index=i,
+        input_kind=family.entry_classifications[i].kind,
+        image_kind=cls.kind,
+        input_dim=sub.dim,
+        image_dim=image.dim,
+        sign_preserved=_SIGNS.get(cls.kind) == int(family.signs[i]),
+    ) for i, (sub, image, cls) in enumerate(zip(family.subspaces, images, classes)))
+    parts, passed, _ = _class_checks(grouped, tol_def, tol_rank)
+    pos, neg = parts["positive"], parts["negative"]
     report = PreservationReport(
         surjective=True,
-        entries=tuple(entries),
-        positive_span_image=pos_cls,
-        negative_span_image=neg_cls,
-        positive_span_ok=bool(pos_ok),
-        negative_span_ok=bool(neg_ok),
+        entries=entries,
+        positive_span_image=pos.classification if pos is not None else None,
+        negative_span_image=neg.classification if neg is not None else None,
+        positive_span_ok=passed["positive"],
+        negative_span_ok=passed["negative"],
     )
     return report, grouped
 
@@ -170,7 +159,9 @@ class ImageCheckReport(NamedTuple):
     ``decomposition_image`` regroups them by the signs their images actually
     carry.  When the operator shuffles signs the original grouping routinely
     fails.  The image grouping is the sign partition of the image family
-    itself, so ``decomposition_image`` is ``image_verdict``.
+    itself, so ``decomposition_image`` is ``image_verdict``.  The first
+    entry image that is not uniformly definite is refused with its index,
+    a witness in it and the witness's self-product.
     """
 
     sufficient: bool
@@ -179,6 +170,7 @@ class ImageCheckReport(NamedTuple):
     decomposition_image: bool
     rejected_entry: int | None
     rejection_witness: np.ndarray | None
+    rejection_self_product: float | None
     preservation: PreservationReport
     image_report: JFusionReport | None
 
@@ -188,44 +180,38 @@ def image_fusion_check(operator, family: WeightedSubspaceFamily, tol_def: float 
     """Verify the image family and both sign-grouping decompositions.
 
     The images grouped by the original signs decompose the space exactly
-    when the preservation audit finds T M+ and T M- maximal uniformly
-    definite, since T M+/- is the span of those images.  Where the images
-    keep the original signs, that grouping is the image family, and its part
-    spans are reused.
+    when T M+ and T M- are maximal uniformly definite, since T M+/- is the
+    span of those images; the preservation audit decides that as the
+    verification of that grouping.  Where the images keep the original
+    signs, the grouping is the image family, so its verification reuses
+    the audit's classifications and each part span is classified once.
+    The sufficient hypotheses then give the image verdict by the same
+    checks, so they imply it.
     """
     preservation, grouped = _transport(operator, family, tol_def, tol_rank)
 
-    rejected_entry = None
-    rejection_witness = None
+    rejected_entry = rejection_witness = rejection_self_product = None
     image_report = None
-    image_verdict = False
     try:
         image_family = _signed_family(grouped.subspaces, family.weights,
                                       grouped.entry_classifications)
     except IndefiniteOrNeutralSubspace as exc:
-        rejected_entry = exc.index
-        rejection_witness = exc.witness
+        rejected_entry, rejection_witness = exc.index, exc.witness
+        rejection_self_product = exc.self_product
     else:
         if np.array_equal(image_family.signs, family.signs):
             image_family = grouped
         image_report = verify_j_fusion_frame(image_family, tol_def, tol_rank)
-        image_verdict = image_report.is_j_fusion_frame
-
-    decomposition_original = preservation.positive_span_ok and preservation.negative_span_ok
-
-    if preservation.sufficient and not image_verdict:
-        raise InternalInconsistency(
-            "preservation hypotheses verified on the data, yet the image family "
-            "failed verification"
-        )
+    image_verdict = image_report is not None and image_report.is_j_fusion_frame
 
     return ImageCheckReport(
         sufficient=preservation.sufficient,
         image_verdict=image_verdict,
-        decomposition_original=decomposition_original,
+        decomposition_original=preservation.positive_span_ok and preservation.negative_span_ok,
         decomposition_image=image_verdict,
         rejected_entry=rejected_entry,
         rejection_witness=rejection_witness,
+        rejection_self_product=rejection_self_product,
         preservation=preservation,
         image_report=image_report,
     )

@@ -75,6 +75,31 @@ def test_verify_neutral_entry_rejection(capsys):
     assert abs(rejected["self_product"]) <= 1e-10
 
 
+REFUSED_ENTRY_FAMILY = {
+    "dimension": 3, "J": {"type": "diagonal", "signs": [1, -1, -1]},
+    "family": {"entries": [{"basis": [[1, 0, 0], [0, 0.5, 0]], "weight": 1},
+                           {"basis": [[0, 0, 1]], "weight": 1}]},
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "bounds", "dual"])
+@pytest.mark.parametrize("problem", ["indefinite_entry", "neutral_entry_family.json"])
+def test_refused_entry_self_product_is_that_of_its_witness(capsys, tmp_path, command, problem):
+    """``rejected.self_product`` of a refused family entry is ``[w, w]`` of
+    the witness it writes, not the entry's Gram margin (1.0 for the
+    indefinite plane, and of the other sign on the neutral fixture)."""
+    path = FIXTURES / problem
+    if not problem.endswith(".json"):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(REFUSED_ENTRY_FAMILY))
+    code, report, _ = run_cli(capsys, command, path)
+    assert code == 1
+    rejected = report["result"]["rejected"]
+    w = np.array(rejected["witness"])
+    j = kf.load_problem(path).space.symmetry
+    assert rejected["self_product"] == pytest.approx(float(w @ j @ w), rel=1e-12, abs=1e-30)
+
+
 def test_verify_embeds_problem_verbatim(capsys):
     original = json.loads((FIXTURES / "fusion_dim6.json").read_text())
     _, report, _ = run_cli(capsys, "verify", FIXTURES / "fusion_dim6.json")
@@ -570,27 +595,13 @@ def test_tolerance_flags_recorded_in_report(capsys):
     assert params["tol_def"] == 1e-8
 
 
-def test_tolerance_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("KREINFRAME_TOLERANCE", "1e-7")
+def test_tolerance_environment_is_not_read(capsys, monkeypatch):
+    """The flags are the only settable source of a tolerance: a variable
+    that once set both defaults leaves them as they are, whatever it holds."""
+    monkeypatch.setenv("KREINFRAME_TOLERANCE", "banana")
     code, report, _ = run_cli(capsys, "verify", FIXTURES / "fusion_dim6.json")
     assert code == 0
-    assert report["parameters"] == {"tol_def": 1e-7, "tol_rank": 1e-7}
-
-
-def test_flag_beats_env(capsys, monkeypatch):
-    monkeypatch.setenv("KREINFRAME_TOLERANCE", "1e-7")
-    code, report, _ = run_cli(capsys, "verify", FIXTURES / "fusion_dim6.json",
-                              "--tol-def", "1e-9")
-    assert code == 0
-    assert report["parameters"]["tol_def"] == 1e-9
-    assert report["parameters"]["tol_rank"] == 1e-7
-
-
-def test_bad_env_tolerance_is_input_error(capsys, monkeypatch):
-    monkeypatch.setenv("KREINFRAME_TOLERANCE", "banana")
-    code, report, err = run_cli(capsys, "verify", FIXTURES / "fusion_dim6.json")
-    assert code == 2
-    assert report is None
+    assert report["parameters"] == {"tol_def": kf.TOL_DEF, "tol_rank": kf.TOL_RANK}
 
 
 def test_malformed_json_is_input_error(capsys, tmp_path):

@@ -249,6 +249,27 @@ def _generated(kind: str, n: int, tilt: float, seed: int):
     return kf.gen_frame(cfg) if kind == "frame" else kf.gen_family(cfg)
 
 
+@pytest.mark.parametrize("kind", ["frame", "fusion"])
+def test_a_system_verified_again_at_the_same_cutoffs_builds_no_pencil(kind, monkeypatch):
+    """The verification of a system is kept per cutoff pair, so a second
+    verification, its optimal bounds and its canonical dual read it."""
+    system = _generated(kind, 8, 0.5, 1)
+    calls = []
+    monkeypatch.setattr(kf.frames, "_class_pencils",
+                        _recording(calls, "pencils", kf.frames._class_pencils))
+    if kind == "frame":
+        verify, bounds, dual = kf.verify_j_frame, kf.optimal_j_frame_bounds, kf.canonical_dual
+    else:
+        verify, bounds, dual = (kf.verify_j_fusion_frame, kf.optimal_fusion_bounds,
+                                kf.canonical_dual_fusion)
+    first = verify(system)
+    assert verify(system).bounds == first.bounds == bounds(system)
+    dual(system)
+    assert [(name, built) for name, built, _, _ in calls] == [("pencils", system)]
+    verify(system, kf.TOL_DEF, 1e-9)
+    assert len(calls) == 2
+
+
 def _dual_report(system, *args):
     derive = kf.dual_reciprocity if isinstance(system, kf.VectorFrame) else kf.fusion_dual_diagnostics
     return derive(system, *args)

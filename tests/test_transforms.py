@@ -80,14 +80,17 @@ def test_sufficient_hypotheses_imply_image_verdict(tilted_family):
         assert check.image_verdict
 
 
+def _near_identity(family):
+    rng = np.random.default_rng(SEED)
+    n = family.space.dim
+    return np.eye(n) + 0.05 * rng.standard_normal((n, n))
+
+
 def test_image_report_parts_are_the_audited_span_images(tilted_family):
     """An operator that keeps every sign: the image family is the grouping
     the audit spanned, so each part classification of the image report is
     the audit's span-image classification, bit for bit."""
-    rng = np.random.default_rng(SEED)
-    n = tilted_family.space.dim
-    t = np.eye(n) + 0.05 * rng.standard_normal((n, n))
-    check = kf.image_fusion_check(t, tilted_family)
+    check = kf.image_fusion_check(_near_identity(tilted_family), tilted_family)
     assert all(e.sign_preserved for e in check.preservation.entries)
     for label in ("positive", "negative"):
         image = getattr(check.image_report, label).classification
@@ -98,6 +101,47 @@ def test_image_report_parts_are_the_audited_span_images(tilted_family):
                 assert np.array_equal(value, other)
             else:
                 assert value == other
+
+
+def test_sign_keeping_image_classifies_each_part_span_once(tilted_family, monkeypatch):
+    """The audit of T M+/- is the verification of the grouped images, so an
+    image family that keeps its signs has each part span classified once."""
+    spans_classified = []
+    classify_all = kf.subspaces._classify_all
+
+    def counting(subspaces, *args, **kwargs):
+        spans_classified.append(subspaces)
+        return classify_all(subspaces, *args, **kwargs)
+
+    monkeypatch.setattr(kf.subspaces, "_classify_all", counting)
+    check = kf.image_fusion_check(_near_identity(tilted_family), tilted_family)
+    assert check.sufficient and check.image_verdict
+    assert len(spans_classified) == 2
+
+
+@pytest.mark.parametrize("case", ["sign swap", "sign keeping", "rejected image"])
+def test_audited_span_passes_are_those_of_the_grouped_images(case, minkowski2, tilted_family):
+    """Each ``*_span_ok`` of the audit is the pass of that part in a
+    verification, from scratch, of the images grouped by the original signs;
+    where the images keep their signs, also that of the image report."""
+    t, family = {
+        "sign swap": (np.array([[0.0, 1.0], [1.0, 0.0]]), _eigenline_family(minkowski2)),
+        "sign keeping": (_near_identity(tilted_family), tilted_family),
+        "rejected image": (np.array([[1.0, 1.0], [1.0, 2.0]]), _eigenline_family(minkowski2)),
+    }[case]
+    check = kf.image_fusion_check(t, family)
+    images = kf.subspaces._images(t, family.subspaces)
+    grouped = kf.WeightedSubspaceFamily(family.space, tuple(images), family.weights,
+                                        family.signs, tuple(map(kf.classify, images)))
+    fresh = kf.verify_j_fusion_frame(grouped)
+    reports = [fresh] + ([check.image_report] if check.sufficient else [])
+    for label, required in (("positive", family.space.num_positive),
+                            ("negative", family.space.num_negative)):
+        audited = getattr(check.preservation, f"{label}_span_ok")
+        for report in reports:
+            part = getattr(report, label)
+            assert audited == (part.ok if part is not None else required == 0)
+    assert check.decomposition_original == fresh.is_j_fusion_frame
 
 
 def test_sign_swap_operator_regroups_entries(minkowski2):
@@ -124,7 +168,8 @@ def test_image_check_reports_neutral_rejection(minkowski2):
     check = kf.image_fusion_check(t, fam)
     assert not check.image_verdict
     assert check.rejected_entry == 0
-    assert check.rejection_witness is not None
+    w = check.rejection_witness
+    assert check.rejection_self_product == float(w @ minkowski2.symmetry @ w)
     assert check.image_report is None
 
 
