@@ -43,7 +43,6 @@ from .errors import (
     NumericalFailure,
     ParseError,
     SchemaError,
-    SingularFrameOperator,
     ZeroSubspace,
 )
 from .frames import (
@@ -147,7 +146,7 @@ __all__ = [
     "NotAnInvolution", "DimensionMismatch", "ZeroSubspace", "NotRegular",
     "NotContained", "NotUniformlyDefinite", "NeutralVector",
     "NonPositiveWeight", "IndefiniteOrNeutralSubspace", "NotAJFrame",
-    "NotAJFusionFrame", "SingularFrameOperator", "NotSurjective",
+    "NotAJFusionFrame", "NotSurjective",
     "NotPositiveDefinite", "IndexOutOfRange", "InfeasibleConfig",
     "ParseError", "SchemaError",
     # subspaces

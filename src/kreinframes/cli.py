@@ -53,7 +53,7 @@ from .errors import (
 )
 from .frames import dual_reciprocity, partition_by_sign, verify_j_frame
 from .fusion import (
-    _rps_entries,
+    check_rps_corollary,
     family_from_spans,
     fusion_dual_diagnostics,
     verify_j_fusion_frame,
@@ -146,7 +146,8 @@ def _system(parsed: ParsedProblem, params: Params, section: str | None = None):
     section = section or ("family" if parsed.entries is not None else "vectors")
     _need(parsed, section)
     if section == "vectors":
-        return "frame", partition_by_sign(parsed.vectors, parsed.space, params.tol_def)
+        return "frame", partition_by_sign(parsed.vectors, parsed.space, params.tol_def,
+                                          params.tol_rank)
     return "fusion", family_from_spans(
         [rows for rows, _ in parsed.entries],
         [w for _, w in parsed.entries],
@@ -209,9 +210,8 @@ def run_classify(parsed: ParsedProblem, params: Params) -> Outcome:
 @_refusing
 def run_verify(parsed: ParsedProblem, params: Params) -> Outcome:
     _, family = _system(parsed, params, "family")
-    report = verify_j_fusion_frame(family, params.tol_def, params.tol_rank)
-    rps = (_rps_entries(family, params.tol_def, params.tol_rank) if report.is_j_fusion_frame
-           else None)
+    report = verify_j_fusion_frame(family)
+    rps = check_rps_corollary(family) if report.is_j_fusion_frame else None
     result = {
         "verdict": report.is_j_fusion_frame,
         "bounds": list(report.bounds),
@@ -235,7 +235,7 @@ def run_verify(parsed: ParsedProblem, params: Params) -> Outcome:
 @_refusing
 def run_verify_frame(parsed: ParsedProblem, params: Params) -> Outcome:
     _, frame = _system(parsed, params, "vectors")
-    report = verify_j_frame(frame, params.tol_def, params.tol_rank)
+    report = verify_j_frame(frame)
     result = {
         "verdict": report.is_j_frame,
         "signs": [int(s) for s in frame.signs],
@@ -280,7 +280,7 @@ def _sandwich_flags(report) -> dict:
 def run_bounds(parsed: ParsedProblem, params: Params) -> Outcome:
     kind, system = _system(parsed, params)
     verify = verify_j_fusion_frame if kind == "fusion" else verify_j_frame
-    report = verify(system, params.tol_def, params.tol_rank)
+    report = verify(system)
     verdict = report.is_j_fusion_frame if kind == "fusion" else report.is_j_frame
     result = {
         "kind": kind,
@@ -321,7 +321,7 @@ def _dual_output(head: dict, rep, tail: dict) -> Outcome:
 def run_dual(parsed: ParsedProblem, params: Params) -> Outcome:
     kind, system = _system(parsed, params)
     if kind == "fusion":
-        diag = fusion_dual_diagnostics(system, params.tol_def, params.tol_rank)
+        diag = fusion_dual_diagnostics(system)
         dual_entries = [{
             "basis": sub.basis.T,
             "weight": float(w),
@@ -329,7 +329,7 @@ def run_dual(parsed: ParsedProblem, params: Params) -> Outcome:
         } for sub, w, s in zip(diag.dual.subspaces, diag.dual.weights, diag.dual.signs)]
         return _dual_output({"kind": "fusion", "verdict": True, "dual_entries": dual_entries},
                             diag, {"span_identity_residual": diag.span_identity_residual})
-    rep = dual_reciprocity(system, params.tol_def, params.tol_rank)
+    rep = dual_reciprocity(system)
     return _dual_output({"kind": "frame", "verdict": True, "dual_vectors": rep.dual.vectors},
                         rep, {})
 
@@ -339,7 +339,7 @@ def run_transform(parsed: ParsedProblem, params: Params) -> Outcome:
     _need(parsed, "family")
     _need(parsed, "operator")
     _, family = _system(parsed, params, "family")
-    check = image_fusion_check(parsed.operator, family, params.tol_def, params.tol_rank)
+    check = image_fusion_check(parsed.operator, family)
     rejection = None if check.rejected_entry is None else {
         "index": check.rejected_entry,
         "witness": check.rejection_witness,

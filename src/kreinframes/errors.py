@@ -105,14 +105,6 @@ class NotAJFusionFrame(InputError):
     """The weighted family fails the fusion verification."""
 
 
-class SingularFrameOperator(InternalInconsistency):
-    """A verified frame produced a numerically singular frame operator.
-
-    Verification guarantees bijectivity, so hitting this means the fast path
-    and the verification disagree.
-    """
-
-
 class NotSurjective(InputError):
     """The operator is numerically rank-deficient where surjectivity is required."""
 

@@ -34,14 +34,7 @@ from ._numeric import (
     scaled_below_overflow,
 )
 from .core import TOL_DEF, TOL_RANK, KreinSpace, Operator
-from .errors import (
-    DimensionMismatch,
-    IndexOutOfRange,
-    InputError,
-    NeutralVector,
-    NotAJFrame,
-    SingularFrameOperator,
-)
+from .errors import DimensionMismatch, IndexOutOfRange, InputError, NeutralVector, NotAJFrame
 from .oracles import bound_width
 from .subspaces import Classification, Subspace, SubspaceKind, classify, smallest_nonzero_modulus
 
@@ -58,31 +51,29 @@ class _SignClasses:
 
     This is the route of vector frames and weighted families alike, and it
     holds what verification and derived operations read of the whole system,
-    each computed once: the class spans per rank cutoff, S per ``tol_def``,
-    and the class checks and the verification per pair of the two.  A subclass gives the synthesis columns of a class,
-    ``_synthesis_columns(indices)``; the numerator of the class's Rayleigh
-    pencil in the coordinates of an orthonormal ``basis``, ``_numerator(
-    indices, basis)``; the matrix of S, ``_operator_matrix(tol_def)``; its
-    canonical dual from S^{-1}, ``_dual(s_inv, tol_def)``; what it is
-    called, ``_what``; and the error that refuses it, ``_refusal``.  The
-    span of each nonempty class and the singular values of its columns come
-    from one SVD of them (:func:`~kreinframes._numeric.column_space`),
-    unless the spans were fixed at construction (a canonical dual's, see
-    :func:`_canonical_dual_of`).
+    each computed once, at the definiteness tolerance ``tol_def`` and the
+    relative rank cutoff ``tol_rank`` the system was built at: the class
+    spans, S, the class checks and the verification.  A subclass gives the
+    synthesis columns of a class, ``_synthesis_columns(indices)``; the
+    numerator of the class's Rayleigh pencil in the coordinates of an
+    orthonormal ``basis``, ``_numerator(indices, basis)``; the matrix of S,
+    ``_operator_matrix()``; its canonical dual from S^{-1}, ``_dual(s_inv)``;
+    what it is called, ``_what``; and the error that refuses it,
+    ``_refusal``.  The span of each nonempty class and the singular values
+    of its columns come from one SVD of them
+    (:func:`~kreinframes._numeric.column_space`); a canonical dual's spans
+    are set when it is built (see :func:`_canonical_dual_of`).
     """
 
-    # The :data:`ClassSpan` of each nonempty class at every cutoff, by label,
-    # where the system was built with them, or None.
-    _fixed_spans: dict[str, ClassSpan] | None = None
+    # What :func:`_class_checks` and :func:`_verify_bounds` found, once known.
+    _checks: tuple[dict, dict, tuple[str, ...]] | None = None
+    _verification: tuple[bool, dict] | None = None
 
-    def __init__(self, space: KreinSpace, signs: np.ndarray):
+    def __init__(self, space: KreinSpace, signs: np.ndarray, tol_def: float, tol_rank: float):
         self.space = space
         self.signs = signs
-        self._spans_at: dict[float, dict[str, ClassSpan]] = {}
-        self._svals: dict[tuple[int, ...], np.ndarray] = {}
-        self._operators_at: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-        self._checks_at: dict[tuple[float, float], tuple[dict, dict, tuple[str, ...]]] = {}
-        self._verified_at: dict[tuple[float, float], tuple[bool, dict]] = {}
+        self.tol_def = tol_def
+        self.tol_rank = tol_rank
 
     @cached_property
     def positive_indices(self) -> tuple[int, ...]:
@@ -97,42 +88,29 @@ class _SignClasses:
         """The synthesis matrix T: the synthesis columns of every member."""
         return self._synthesis_columns(tuple(range(self.signs.size)))
 
-    def _class_spans(self, tol_rank: float = TOL_RANK) -> dict[str, ClassSpan]:
-        """The :data:`ClassSpan` of each nonempty class (``"positive"``,
-        ``"negative"``), at the relative rank cutoff ``tol_rank``; computed
-        once per cutoff, with the singular values of the class's columns,
-        unless the spans were fixed at construction."""
-        if self._fixed_spans is not None:
-            return self._fixed_spans
-        if tol_rank not in self._spans_at:
-            spans = {}
-            for label, indices in (("positive", self.positive_indices),
-                                   ("negative", self.negative_indices)):
-                if indices:
-                    basis, self._svals[indices] = column_space(self._synthesis_columns(indices),
-                                                               tol_rank)
-                    spans[label] = (indices, Subspace(space=self.space, basis=basis))
-            self._spans_at[tol_rank] = spans
-        return self._spans_at[tol_rank]
+    @cached_property
+    def _class_svds(self) -> dict[str, tuple[tuple[int, ...], np.ndarray, np.ndarray]]:
+        """The indices of each nonempty class (``"positive"``, ``"negative"``)
+        with the basis of the span of its synthesis columns, at ``tol_rank``,
+        and their singular values, in descending order, from one SVD."""
+        return {label: (indices, *column_space(self._synthesis_columns(indices), self.tol_rank))
+                for label, indices in (("positive", self.positive_indices),
+                                       ("negative", self.negative_indices)) if indices}
 
-    def _class_svals(self, indices: tuple[int, ...]) -> np.ndarray:
-        """The singular values, in descending order, of the synthesis columns
-        of a class: those of the SVD that gave its span, or, for a span fixed
-        at construction, of one SVD on first use."""
-        if indices not in self._svals:
-            self._svals[indices] = column_space(self._synthesis_columns(indices), 0.0)[1]
-        return self._svals[indices]
+    @cached_property
+    def _class_spans(self) -> dict[str, ClassSpan]:
+        """The :data:`ClassSpan` of each nonempty class, by label."""
+        return {label: (indices, Subspace(space=self.space, basis=basis))
+                for label, (indices, basis, _) in self._class_svds.items()}
 
-    def _operator(self, tol_def: float) -> tuple[np.ndarray, np.ndarray]:
-        """The matrix of S and its singular values (:func:`_singular_values`),
-        once per ``tol_def``, which decides only if family entries are regular.
+    @cached_property
+    def _operator(self) -> tuple[np.ndarray, np.ndarray]:
+        """The matrix of S and its singular values (:func:`_singular_values`).
         An S or singular values beyond the double range raise :class:`InputError`."""
-        if tol_def not in self._operators_at:
-            with np.errstate(over="ignore", invalid="ignore"):
-                s = self._operator_matrix(tol_def)
-            _require_finite(s, "the frame operator")
-            self._operators_at[tol_def] = (s, _singular_values(s, self.space.symmetry))
-        return self._operators_at[tol_def]
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = self._operator_matrix()
+        _require_finite(s, "the frame operator")
+        return s, _singular_values(s, self.space.symmetry)
 
     def _refuse_ill_conditioned(self, svals: np.ndarray) -> None:
         """A hook that may refuse a verified system by the singular values of
@@ -140,11 +118,11 @@ class _SignClasses:
 
     @property
     def positive_span(self) -> Subspace | None:
-        return self._class_spans().get("positive", (None, None))[1]
+        return self._class_spans.get("positive", (None, None))[1]
 
     @property
     def negative_span(self) -> Subspace | None:
-        return self._class_spans().get("negative", (None, None))[1]
+        return self._class_spans.get("negative", (None, None))[1]
 
 
 class VectorFrame(_SignClasses):
@@ -152,8 +130,9 @@ class VectorFrame(_SignClasses):
 
     _what, _refusal = "frame", NotAJFrame
 
-    def __init__(self, space: KreinSpace, vectors: np.ndarray, signs: np.ndarray):
-        super().__init__(space, signs)
+    def __init__(self, space: KreinSpace, vectors: np.ndarray, signs: np.ndarray,
+                 tol_def: float, tol_rank: float):
+        super().__init__(space, signs, tol_def, tol_rank)
         self.vectors = vectors
 
     @property
@@ -173,17 +152,18 @@ class VectorFrame(_SignClasses):
         numerator = g_vecs @ g_vecs.T
         return numerator if self.signs[indices[0]] > 0 else -numerator
 
-    def _operator_matrix(self, tol_def: float) -> np.ndarray:
+    def _operator_matrix(self) -> np.ndarray:
         return _frame_product(self, slice(None))
 
     def _refuse_ill_conditioned(self, svals: np.ndarray) -> None:
         """Refuse a condition number beyond the double range, as :func:`verify_j_frame` does."""
         _condition_number(self, svals)
 
-    def _dual(self, s_inv: np.ndarray, tol_def: float) -> "VectorFrame":
+    def _dual(self, s_inv: np.ndarray) -> "VectorFrame":
         """The vectors S^{-1} f_i, from one product with S^{-1}, with the frame's
         signs: by the theorem, [S^{-1} f_i, S^{-1} f_i] has the sign of [f_i, f_i]."""
-        return VectorFrame(self.space, self.vectors @ s_inv.T, self.signs)
+        return VectorFrame(self.space, self.vectors @ s_inv.T, self.signs, self.tol_def,
+                           self.tol_rank)
 
 
 def _require_finite(values, what: str) -> None:
@@ -191,8 +171,10 @@ def _require_finite(values, what: str) -> None:
         raise InputError(f"{what} overflows a double")
 
 
-def partition_by_sign(vectors, space: KreinSpace, tol_def: float = TOL_DEF) -> VectorFrame:
-    """Partition vectors by the sign of their self-product.
+def partition_by_sign(vectors, space: KreinSpace, tol_def: float = TOL_DEF,
+                      tol_rank: float = TOL_RANK) -> VectorFrame:
+    """Partition vectors by the sign of their self-product, into a frame
+    whose every quantity is computed at ``tol_def`` and ``tol_rank``.
 
     A vector with ``|[f, f]| <= tol_def * ||f||^2`` (including the zero
     vector) is neutral within tolerance and rejected.  The test does not
@@ -227,7 +209,7 @@ def partition_by_sign(vectors, space: KreinSpace, tol_def: float = TOL_DEF) -> V
             self_product=float(self_products[i]),
             witness=v[i],
         )
-    return VectorFrame(space=space, vectors=v, signs=np.where(products > 0.0, 1, -1))
+    return VectorFrame(space, v, np.where(products > 0.0, 1, -1), tol_def, tol_rank)
 
 
 def _self_products(v: np.ndarray, space: KreinSpace) -> tuple[np.ndarray, np.ndarray]:
@@ -323,11 +305,10 @@ def _pencil(system: _SignClasses, label: str, class_span: ClassSpan
     return numerator, part_span.gram if label == "positive" else -part_span.gram
 
 
-def _class_pencils(system: _SignClasses, tol_rank: float
-                   ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """The :func:`_pencil` of each nonempty class, its span at ``tol_rank``."""
+def _class_pencils(system: _SignClasses) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """The :func:`_pencil` of each nonempty class."""
     return {label: _pencil(system, label, class_span)
-            for label, class_span in system._class_spans(tol_rank).items()}
+            for label, class_span in system._class_spans.items()}
 
 
 def _pencil_range(label: str, pencil: tuple[np.ndarray, np.ndarray]) -> tuple[float, float]:
@@ -341,22 +322,19 @@ def _pencil_range(label: str, pencil: tuple[np.ndarray, np.ndarray]) -> tuple[fl
     return ratio
 
 
-def _class_checks(system: _SignClasses, tol_def: float, tol_rank: float
-                  ) -> tuple[dict, dict, tuple[str, ...]]:
-    """The checks of :func:`_verify_bounds`, without the bounds, once per
-    ``(tol_def, tol_rank)``.
+def _class_checks(system: _SignClasses) -> tuple[dict, dict, tuple[str, ...]]:
+    """The checks of :func:`_verify_bounds`, without the bounds, taken once.
 
-    Each nonempty sign class takes its span at the relative rank cutoff
-    ``tol_rank``, which must be a maximal uniformly definite subspace of its
-    sign: the span is classified and its kind and dimension checked.
+    The span of each nonempty sign class must be a maximal uniformly
+    definite subspace of its sign: the span is classified, at the system's
+    tolerances, and its kind and dimension checked.
     Returns the :class:`PartReport` of each class without bounds or
     estimates (None for an empty class), whether each class passes (an
     empty one where the signature asks for none of its sign) and the
     reasons of the checks that fail.
     """
-    key = (tol_def, tol_rank)
-    if key not in system._checks_at:
-        space, spans = system.space, system._class_spans(tol_rank)
+    if system._checks is None:
+        space, spans = system.space, system._class_spans
         reasons: list[str] = []
         parts: dict[str, PartReport | None] = {}
         passed: dict[str, bool] = {}
@@ -368,7 +346,7 @@ def _class_checks(system: _SignClasses, tol_def: float, tol_rank: float
                 parts[label], passed[label] = None, required == 0
                 continue
             indices, part_span = spans[label]
-            cls = classify(part_span, tol_def, tol_rank)
+            cls = classify(part_span, system.tol_def, system.tol_rank)
             kind_ok = cls.kind is good_kind
             dim_ok = part_span.dim == required
             if not kind_ok:
@@ -379,13 +357,13 @@ def _class_checks(system: _SignClasses, tol_def: float, tol_rank: float
                                       dim_ok=dim_ok, kind_ok=kind_ok, ratio_range=None,
                                       estimate_range=None)
             passed[label] = parts[label].ok
-        system._checks_at[key] = parts, passed, tuple(reasons)
-    return system._checks_at[key]
+        system._checks = parts, passed, tuple(reasons)
+    return system._checks
 
 
-def _verify_bounds(system: _SignClasses, tol_def: float, tol_rank: float) -> tuple[bool, dict]:
+def _verify_bounds(system: _SignClasses) -> tuple[bool, dict]:
     """The verification of a frame or a family, by its part bounds alone,
-    once per ``(tol_def, tol_rank)``.
+    taken once.
 
     The classes are checked by :func:`_class_checks`, and each class's
     signed pencil is built (:func:`_class_pencils`); the bounds of a class
@@ -396,22 +374,21 @@ def _verify_bounds(system: _SignClasses, tol_def: float, tol_rank: float) -> tup
     checks that fail and the pencils.  Bounds beyond the double range raise
     :class:`InputError`.
     """
-    key = (tol_def, tol_rank)
-    if key not in system._verified_at:
-        checked, passed, reasons = _class_checks(system, tol_def, tol_rank)
-        pencils = _class_pencils(system, tol_rank)
+    if system._verification is None:
+        checked, passed, reasons = _class_checks(system)
+        pencils = _class_pencils(system)
         pos, neg = (part._replace(ratio_range=_pencil_range(label, pencils[label]))
                     if part is not None and part.kind_ok else part
                     for label, part in checked.items())
         verdict = passed["positive"] and passed["negative"]
-        system._verified_at[key] = verdict, {
+        system._verification = verdict, {
             "positive": pos,
             "negative": neg,
             "bounds": (*_pair(neg, "ratio_range", verdict), *_pair(pos, "ratio_range", verdict)),
             "reasons": reasons,
             "pencils": pencils,
         }
-    return system._verified_at[key]
+    return system._verification
 
 
 def _pair(part: PartReport | None, attr: str, keep: bool) -> tuple:
@@ -419,17 +396,17 @@ def _pair(part: PartReport | None, attr: str, keep: bool) -> tuple:
     return value if value is not None else (None, None)
 
 
-def _with_estimates(system: _SignClasses, label: str, part: PartReport | None,
-                    tol_rank: float) -> PartReport | None:
+def _with_estimates(system: _SignClasses, label: str, part: PartReport | None
+                    ) -> PartReport | None:
     """``part`` with its bound estimates, where it has bounds: from reduced
     minimum moduli, of the synthesis, from its singular values
-    (``_class_svals``), and of the span's Gram, from the eigenvalues
+    (``_class_svds``), and of the span's Gram, from the eigenvalues
     :func:`classify` computed.  Estimates beyond the double range raise
     :class:`InputError`."""
     if part is None or part.ratio_range is None:
         return part
-    synthesis_svals = system._class_svals(part.indices)
-    gamma_t = smallest_nonzero_modulus(synthesis_svals, tol_rank)
+    synthesis_svals = system._class_svds[label][2]
+    gamma_t = smallest_nonzero_modulus(synthesis_svals, system.tol_rank)
     gamma_g = part.classification.gamma
     with np.errstate(over="ignore"):
         outer = float(synthesis_svals[0]) ** 2 / gamma_g
@@ -448,8 +425,7 @@ def _widths(part: PartReport | None, bessel: float) -> tuple:
                  for lam in part.ratio_range)
 
 
-def _verify_sign_parts(system: _SignClasses, tol_def: float,
-                       tol_rank: float) -> tuple[bool, dict]:
+def _verify_sign_parts(system: _SignClasses) -> tuple[bool, dict]:
     """The verification that the two reports write: the Bessel bound, then
     :func:`_verify_bounds`, then the estimates (:func:`_with_estimates`) and
     the rounding widths (:func:`_widths`) of each class with bounds.
@@ -457,8 +433,8 @@ def _verify_sign_parts(system: _SignClasses, tol_def: float,
     Bessel constant beyond the double range raises :class:`InputError`.
     """
     bessel = _bessel_bound(system.synthesis)
-    verdict, fields = _verify_bounds(system, tol_def, tol_rank)
-    pos, neg = (_with_estimates(system, label, fields[label], tol_rank)
+    verdict, fields = _verify_bounds(system)
+    pos, neg = (_with_estimates(system, label, fields[label])
                 for label in ("positive", "negative"))
     return verdict, {
         **fields,
@@ -485,19 +461,15 @@ def _singular_values(s: np.ndarray, j: np.ndarray) -> np.ndarray:
     return svals
 
 
-def _require_invertible(system: _SignClasses, tol_def: float) -> tuple[np.ndarray, np.ndarray]:
+def _require_invertible(system: _SignClasses) -> tuple[np.ndarray, np.ndarray]:
     """S and its singular values of a verified frame or family, refused when
     S^{-1} exceeds the double range (:class:`InputError`, after the class's
-    ``_refuse_ill_conditioned``) or S is singular at ``tol_def``
-    (:class:`SingularFrameOperator`)."""
-    s, svals = system._operator(tol_def)
+    ``_refuse_ill_conditioned``).  A verified system has an invertible S, by
+    the theorem, however small its smallest singular value."""
+    s, svals = system._operator
     system._refuse_ill_conditioned(svals)
     with np.errstate(divide="ignore", over="ignore"):
         _require_finite(1.0 / svals[-1], "the inverse frame operator")
-    if svals[-1] <= tol_def * svals[0]:
-        raise SingularFrameOperator(
-            f"verified {system._what} produced singular frame operator (sigma_min={svals[-1]:.3e})"
-        )
     return s, svals
 
 
@@ -509,27 +481,31 @@ def _dual_comparison(original: Bounds4, dual_bounds: Bounds4, s_inv: np.ndarray,
     against ``s_inv``, the inverse of an S whose smallest singular value is
     ``sigma_min``.  Both operators are J-selfadjoint, so the norm of their
     difference is that of the symmetric ``J (s_dual - s_inv)``, and
-    ``||S^{-1}|| = 1 / sigma_min``."""
+    ``||S^{-1}|| = 1 / sigma_min``.  A deviation or residual beyond the
+    double range raises :class:`InputError`."""
     bm, am, ap, bp = original
     expected = tuple(None if x is None else 1.0 / x for x in (am, bm, bp, ap))
     deviation = max((abs(a - e) / max(abs(e), 1e-300)
                      for a, e in zip(dual_bounds, expected) if a is not None and e is not None),
                     default=0.0)
-    diff = j @ (s_dual - s_inv)
+    _require_finite(deviation, "max_relative_deviation of the dual bounds")
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = j @ (s_dual - s_inv)
+        residual = operator_norm(0.5 * (diff + diff.T)) * sigma_min
+    _require_finite(residual, "dual_operator_residual of the dual frame operator")
     return {
         "original_bounds": original,
         "dual_bounds": dual_bounds,
         "reciprocal_expected": expected,
         "max_relative_deviation": deviation,
-        "dual_operator_residual": operator_norm(0.5 * (diff + diff.T)) * sigma_min,
+        "dual_operator_residual": residual,
     }
 
 
-def verify_j_frame(frame: VectorFrame, tol_def: float = TOL_DEF,
-                   tol_rank: float = TOL_RANK) -> JFrameReport:
+def verify_j_frame(frame: VectorFrame) -> JFrameReport:
     """Check the two sign classes and compute bounds when both pass."""
-    verdict, fields = _verify_sign_parts(frame, tol_def, tol_rank)
-    condition = _condition_number(frame, frame._operator(tol_def)[1]) if verdict else None
+    verdict, fields = _verify_sign_parts(frame)
+    condition = _condition_number(frame, frame._operator[1]) if verdict else None
     return JFrameReport(is_j_frame=verdict, condition_number=condition, **fields)
 
 
@@ -543,7 +519,7 @@ def _condition_number(frame: VectorFrame, svals: np.ndarray) -> float:
     """
     scaled = scaled_below_overflow(frame.vectors, UNDERFLOW_GUARD)
     if scaled is not frame.vectors:
-        unit = VectorFrame(space=frame.space, vectors=scaled, signs=frame.signs)
+        unit = VectorFrame(frame.space, scaled, frame.signs, frame.tol_def, frame.tol_rank)
         svals = _singular_values(frame_operator(unit).matrix, frame.space.symmetry)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         condition = float(svals[0] / svals[-1])
@@ -551,20 +527,20 @@ def _condition_number(frame: VectorFrame, svals: np.ndarray) -> float:
     return condition
 
 
-def _verified(system: _SignClasses, tol_def: float, tol_rank: float) -> dict:
+def _verified(system: _SignClasses) -> dict:
     """The :func:`_verify_bounds` fields of a system that must verify, or its ``_refusal``."""
-    verdict, fields = _verify_bounds(system, tol_def, tol_rank)
+    verdict, fields = _verify_bounds(system)
     if not verdict:
         raise system._refusal("; ".join(fields["reasons"]))
     return fields
 
 
-def is_j_frame(frame: VectorFrame, tol_def: float = TOL_DEF) -> bool:
-    return verify_j_frame(frame, tol_def).is_j_frame
+def is_j_frame(frame: VectorFrame) -> bool:
+    return verify_j_frame(frame).is_j_frame
 
 
-def optimal_j_frame_bounds(frame: VectorFrame, tol_def: float = TOL_DEF) -> Bounds4:
-    return _verified(frame, tol_def, TOL_RANK)["bounds"]
+def optimal_j_frame_bounds(frame: VectorFrame) -> Bounds4:
+    return _verified(frame)["bounds"]
 
 
 def frame_part_pencils(frame: VectorFrame) -> dict[str, tuple[np.ndarray, np.ndarray]]:
@@ -574,54 +550,52 @@ def frame_part_pencils(frame: VectorFrame) -> dict[str, tuple[np.ndarray, np.nda
     range of the pencil equals the corresponding pair of optimal bounds
     directly (negative values for the negative part).
     """
-    return _class_pencils(frame, TOL_RANK)
+    return _class_pencils(frame)
 
 
-def canonical_dual(frame: VectorFrame, tol_def: float = TOL_DEF) -> VectorFrame:
+def canonical_dual(frame: VectorFrame) -> VectorFrame:
     """The dual sequence {S^{-1} f_i} of a verified frame.
 
     The dual keeps the frame's signs, by the theorem that the canonical dual
     of a J-frame is a J-frame of the same sign pattern, and its frame
     operator is exactly S^{-1}.
     """
-    return _canonical_dual_of(frame, tol_def, TOL_RANK)[1]
+    return _canonical_dual_of(frame)[1]
 
 
-def _canonical_dual_of(system: _SignClasses, tol_def: float, tol_rank: float
-                       ) -> tuple[dict, _SignClasses, np.ndarray, np.ndarray]:
+def _canonical_dual_of(system: _SignClasses) -> tuple[dict, _SignClasses, np.ndarray, np.ndarray]:
     """The :func:`_verified` fields of a frame or family that must verify
     (no Bessel bound, no estimates), its canonical dual (the class's
-    ``_dual``), S^{-1} and the singular values of S.
+    ``_dual``, at the system's tolerances), S^{-1} and the singular values
+    of S.
 
     The dual keeps the system's signs, by the theorem, and so its sign
     classes; its class spans are S^{-1} M+/-: each the Q factor of
-    ``S^{-1} U`` with U the system's class basis at ``tol_rank`` and a
-    positive diagonal in R, unique since S^{-1} is invertible.  The dual
-    keeps them at every cutoff, so they take the dimensions of M+/- in place
-    of a rank decided from singular values, which near neutral can flip at
-    rounding level.
+    ``S^{-1} U`` with U the system's class basis and a positive diagonal in
+    R, unique since S^{-1} is invertible.  They are set here, so they take
+    the dimensions of M+/- in place of a rank decided from singular values,
+    which near neutral can flip at rounding level.
     """
-    fields = _verified(system, tol_def, tol_rank)
-    s, svals = _require_invertible(system, tol_def)
+    fields = _verified(system)
+    s, svals = _require_invertible(system)
     s_inv = np.linalg.inv(s)
-    dual = system._dual(s_inv, tol_def)
-    spans = system._class_spans(tol_rank)
+    dual = system._dual(s_inv)
+    spans = system._class_spans
     bases = q_factors([s_inv @ part_span.basis for _, part_span in spans.values()])
-    dual._fixed_spans = {label: (indices, Subspace(space=system.space, basis=basis))
+    dual._class_spans = {label: (indices, Subspace(space=system.space, basis=basis))
                          for (label, (indices, _)), basis in zip(spans.items(), bases)}
     return fields, dual, s_inv, svals
 
 
-def _dual_diagnostics(system: _SignClasses, tol_def: float, tol_rank: float
-                      ) -> tuple[_SignClasses, np.ndarray, dict]:
+def _dual_diagnostics(system: _SignClasses) -> tuple[_SignClasses, np.ndarray, dict]:
     """The canonical dual, S^{-1} and the :func:`_dual_comparison` fields of a
     frame or family: it and its dual are each verified once, for the bounds
-    (:func:`_verify_bounds`), at one cutoff."""
-    fields, dual, s_inv, svals = _canonical_dual_of(system, tol_def, tol_rank)
-    dual_bounds = _verified(dual, tol_def, tol_rank)["bounds"]
+    (:func:`_verify_bounds`)."""
+    fields, dual, s_inv, svals = _canonical_dual_of(system)
+    dual_bounds = _verified(dual)["bounds"]
     return dual, s_inv, _dual_comparison(fields["bounds"], dual_bounds, s_inv,
-                                         dual._operator_matrix(tol_def),
-                                         system.space.symmetry, svals[-1])
+                                         dual._operator_matrix(), system.space.symmetry,
+                                         svals[-1])
 
 
 class ReciprocityReport(NamedTuple):
@@ -645,16 +619,14 @@ class ReciprocityReport(NamedTuple):
     dual_operator_residual: float
 
 
-def dual_reciprocity(frame: VectorFrame, tol_def: float = TOL_DEF,
-                     tol_rank: float = TOL_RANK) -> ReciprocityReport:
+def dual_reciprocity(frame: VectorFrame) -> ReciprocityReport:
     """Measure how far the canonical dual's bounds are from the reciprocal
-    pattern; the frame and its dual take their part spans at ``tol_rank``."""
-    dual, _, comparison = _dual_diagnostics(frame, tol_def, tol_rank)
+    pattern."""
+    dual, _, comparison = _dual_diagnostics(frame)
     return ReciprocityReport(dual=dual, **comparison)
 
 
-def interlacing_identity(frame: VectorFrame, subset, f,
-                         tol_def: float = TOL_DEF) -> tuple[float, float]:
+def interlacing_identity(frame: VectorFrame, subset, f) -> tuple[float, float]:
     """Two sides of the subset-complement energy identity.
 
     For a subset I1 with complement I2,
@@ -666,9 +638,9 @@ def interlacing_identity(frame: VectorFrame, subset, f,
     J-selfadjointness of all three operators).
     """
     idx = _validate_indices(frame, subset)
-    _verified(frame, tol_def, TOL_RANK)
+    _verified(frame)
     complement = [i for i in range(frame.size) if i not in set(idx)]
-    s = frame._operator(tol_def)[0]
+    s = frame._operator[0]
     s1 = partial_frame_operator(frame, idx).matrix
     s2 = partial_frame_operator(frame, complement).matrix
     j = frame.space.symmetry

@@ -60,7 +60,6 @@ from .subspaces import (
     _classify_all,
     _entry_spans,
     _images,
-    _require_regular,
     subspace_sum,
 )
 
@@ -75,8 +74,9 @@ class WeightedSubspaceFamily(_SignClasses):
     _what, _refusal = "fusion frame", NotAJFusionFrame
 
     def __init__(self, space: KreinSpace, subspaces: tuple[Subspace, ...], weights: np.ndarray,
-                 signs: np.ndarray, entry_classifications: tuple[Classification, ...]):
-        super().__init__(space, signs)
+                 signs: np.ndarray, entry_classifications: tuple[Classification, ...],
+                 tol_def: float, tol_rank: float):
+        super().__init__(space, signs, tol_def, tol_rank)
         self.subspaces = subspaces
         self.weights = weights
         self.entry_classifications = entry_classifications
@@ -113,14 +113,14 @@ class WeightedSubspaceFamily(_SignClasses):
         y = basis.T @ self._synthesis_columns(indices)
         return y @ block_diag([self.subspaces[i].gram for i in indices]) @ y.T
 
-    def _operator_matrix(self, tol_def: float) -> np.ndarray:
-        return self.synthesis @ fusion_analysis(self, tol_def)
+    def _operator_matrix(self) -> np.ndarray:
+        return self.synthesis @ fusion_analysis(self)
 
-    def _dual(self, s_inv: np.ndarray, tol_def: float) -> "WeightedSubspaceFamily":
+    def _dual(self, s_inv: np.ndarray) -> "WeightedSubspaceFamily":
         """The family {(S^{-1} W_i, v_i)} (see :func:`canonical_dual_fusion`),
-        with the family's signs: by the theorem, S^{-1} W_i is uniformly
-        definite of the sign of W_i.  Its entries are still classified, for
-        the Gram margins that :func:`fusion_analysis` reads.
+        with the family's signs and tolerances: by the theorem, S^{-1} W_i is
+        uniformly definite of the sign of W_i.  Its entries are still
+        classified, for its ``entry_classifications``.
 
         Each dual entry's basis is the Q factor of ``S^{-1} B_i`` with a
         positive diagonal in R, unique since S^{-1} is invertible: no rank
@@ -137,12 +137,16 @@ class WeightedSubspaceFamily(_SignClasses):
         mapped = np.split(s_inv @ np.hstack([sub.basis for sub in self.subspaces]),
                           self.offsets[1:-1], axis=1)
         dual_subs = tuple(Subspace(space=self.space, basis=q) for q in q_factors(mapped))
-        return WeightedSubspaceFamily(self.space, dual_subs, self.weights, self.signs,
-                                      tuple(_classify_all(dual_subs, tol_def)))
+        return WeightedSubspaceFamily(
+            self.space, dual_subs, self.weights, self.signs,
+            tuple(_classify_all(dual_subs, self.tol_def, self.tol_rank)), self.tol_def,
+            self.tol_rank)
 
 
-def make_weighted_family(subspaces, weights, tol_def: float = TOL_DEF) -> WeightedSubspaceFamily:
-    """Validate entries and weights and attach signs.
+def make_weighted_family(subspaces, weights, tol_def: float = TOL_DEF,
+                         tol_rank: float = TOL_RANK) -> WeightedSubspaceFamily:
+    """Validate entries and weights and attach signs, into a family whose
+    every quantity is computed at ``tol_def`` and ``tol_rank``.
 
     Every entry must be uniformly definite within ``tol_def``; the rejection
     carries the entry index and a neutral-or-wrong-sign witness vector.
@@ -163,17 +167,19 @@ def make_weighted_family(subspaces, weights, tol_def: float = TOL_DEF) -> Weight
         i = int(bad[0])
         raise NonPositiveWeight(f"weight {i} is {float(w[i])!r}, must be strictly positive",
                                 index=i, weight=float(w[i]))
-    return _signed_family(subs, w, tuple(_classify_all(subs, tol_def)))
+    return _signed_family(subs, w, tuple(_classify_all(subs, tol_def, tol_rank)), tol_def,
+                          tol_rank)
 
 
 _SIGNS = {SubspaceKind.UNIFORMLY_POSITIVE: 1, SubspaceKind.UNIFORMLY_NEGATIVE: -1}
 
 
 def _signed_family(subs: tuple[Subspace, ...], weights: np.ndarray,
-                   classifications: tuple[Classification, ...]) -> WeightedSubspaceFamily:
-    """The family of validated entries and weights, signed by their
-    classifications; the first entry that is not uniformly definite raises
-    :class:`IndefiniteOrNeutralSubspace`."""
+                   classifications: tuple[Classification, ...], tol_def: float,
+                   tol_rank: float) -> WeightedSubspaceFamily:
+    """The family of validated entries and weights, at ``tol_def`` and
+    ``tol_rank``, signed by their classifications; the first entry that is
+    not uniformly definite raises :class:`IndefiniteOrNeutralSubspace`."""
     signs = np.array([_SIGNS.get(cls.kind, 0) for cls in classifications], dtype=int)
     unsigned = np.flatnonzero(signs == 0)
     if unsigned.size:
@@ -185,25 +191,22 @@ def _signed_family(subs: tuple[Subspace, ...], weights: np.ndarray,
             witness=cls.witness,
             self_product=float(cls.witness @ subs[0].space.symmetry @ cls.witness),
         )
-    return WeightedSubspaceFamily(
-        space=subs[0].space,
-        subspaces=subs,
-        weights=weights,
-        signs=signs,
-        entry_classifications=classifications,
-    )
+    return WeightedSubspaceFamily(subs[0].space, subs, weights, signs, classifications, tol_def,
+                                  tol_rank)
 
 
 def family_from_spans(entry_vectors, weights, space: KreinSpace,
                       tol_def: float = TOL_DEF, tol_rank: float = TOL_RANK) -> WeightedSubspaceFamily:
-    """Build a family from per-entry spanning vectors (rows).
+    """Build a family from per-entry spanning vectors (rows), at ``tol_def``
+    and ``tol_rank`` as :func:`make_weighted_family` builds it.
 
     Each entry is spanned and classified as :func:`~kreinframes.subspaces.span`
     and :func:`~kreinframes.subspaces.classify` do it, with one stacked SVD
     per distinct spanning-set shape and one stacked ``eigh`` per entry
     dimension; a refusal of an entry's spanning set names the entry.
     """
-    return make_weighted_family(_entry_spans(entry_vectors, space, tol_rank), weights, tol_def)
+    return make_weighted_family(_entry_spans(entry_vectors, space, tol_rank), weights, tol_def,
+                                tol_rank)
 
 
 class DirectSumSpace:
@@ -236,7 +239,7 @@ def fusion_synthesis(family: WeightedSubspaceFamily) -> np.ndarray:
     return family.synthesis
 
 
-def fusion_analysis(family: WeightedSubspaceFamily, tol_def: float = TOL_DEF) -> np.ndarray:
+def fusion_analysis(family: WeightedSubspaceFamily) -> np.ndarray:
     """Analysis matrix (sum k_i x n), per-entry coordinate blocks.
 
     Row block ``v_i G_i^{-1} B_i^T J`` holds the coordinates of
@@ -244,23 +247,18 @@ def fusion_analysis(family: WeightedSubspaceFamily, tol_def: float = TOL_DEF) ->
     the indefinite direct-sum pairing (block-diagonal entry Grams), and
     ``synthesis @ analysis`` is the frame operator.  J is applied once, to
     the stacked bases, and the Gram solves are stacked by entry dimension.
-    An entry whose Gram margin (from its classification) is at most
-    ``tol_def`` raises :class:`~kreinframes.errors.NotRegular`.
+    Every entry is regular: an entry of a family that
+    :func:`make_weighted_family` accepted is uniformly definite, so its Gram
+    margin exceeds ``tol_def``, and a canonical dual's entries are uniformly
+    definite by the theorem.
     """
-    _require_regular_entries(family, tol_def)
     bt_j = np.hstack([sub.basis for sub in family.subspaces]).T @ family.space.symmetry
     solved = stacked(np.linalg.solve, [sub.gram for sub in family.subspaces],
                      np.split(bt_j, family.offsets[1:-1]))
     return np.vstack(solved) * np.repeat(family.weights, family.entry_dims)[:, None]
 
 
-def _require_regular_entries(family: WeightedSubspaceFamily, tol_def: float) -> None:
-    """Refuse a family with an entry whose Gram margin is at most ``tol_def``."""
-    for cls in family.entry_classifications:
-        _require_regular(cls.margin, tol_def)
-
-
-def fusion_frame_operator(family: WeightedSubspaceFamily, tol_def: float = TOL_DEF) -> Operator:
+def fusion_frame_operator(family: WeightedSubspaceFamily) -> Operator:
     """The fusion frame operator S = sum_i v_i^2 Q_{W_i}, taken as ``T @ A``.
 
     No explicit entry sign appears: Q_{W_i} already acts negatively on a
@@ -268,11 +266,10 @@ def fusion_frame_operator(family: WeightedSubspaceFamily, tol_def: float = TOL_D
     identity on a fundamental decomposition with unit weights, and S+ - S-
     with both parts positive for the indefinite product.
     """
-    return Operator(family.space, family._operator_matrix(tol_def))
+    return Operator(family.space, family._operator_matrix())
 
 
-def fusion_operator_parts(family: WeightedSubspaceFamily,
-                          tol_def: float = TOL_DEF) -> tuple[Operator, Operator]:
+def fusion_operator_parts(family: WeightedSubspaceFamily) -> tuple[Operator, Operator]:
     """(S+, S-) with S = S+ - S- and both parts positive for [.,.].
 
     S+ is ``T A`` restricted to the positive entries' coordinates; S- is
@@ -280,7 +277,7 @@ def fusion_operator_parts(family: WeightedSubspaceFamily,
     behaviour to J-positive.
     """
     t = fusion_synthesis(family)
-    a = fusion_analysis(family, tol_def)
+    a = fusion_analysis(family)
     columns = np.repeat(family.signs, family.entry_dims)
     plus, minus = columns > 0, columns < 0
     return (Operator(family.space, t[:, plus] @ a[plus]),
@@ -317,8 +314,7 @@ class JFusionReport(NamedTuple):
     pencils: dict
 
 
-def verify_j_fusion_frame(family: WeightedSubspaceFamily, tol_def: float = TOL_DEF,
-                          tol_rank: float = TOL_RANK) -> JFusionReport:
+def verify_j_fusion_frame(family: WeightedSubspaceFamily) -> JFusionReport:
     """Check span maximality per sign and compute bounds when both pass.
 
     A family that verifies is complete as a theorem: a uniformly positive
@@ -326,18 +322,17 @@ def verify_j_fusion_frame(family: WeightedSubspaceFamily, tol_def: float = TOL_D
     p and q add up to the whole space.  Only a family that fails takes the
     rank of its stacked bases.
     """
-    verdict, fields = _verify_sign_parts(family, tol_def, tol_rank)
-    complete = verdict or subspace_sum(family.subspaces, tol_rank).dim == family.space.dim
+    verdict, fields = _verify_sign_parts(family)
+    complete = verdict or subspace_sum(family.subspaces, family.tol_rank).dim == family.space.dim
     return JFusionReport(is_j_fusion_frame=verdict, complete=complete, **fields)
 
 
-def optimal_fusion_bounds(family: WeightedSubspaceFamily, tol_def: float = TOL_DEF) -> Bounds4:
-    return _verified(family, tol_def, TOL_RANK)["bounds"]
+def optimal_fusion_bounds(family: WeightedSubspaceFamily) -> Bounds4:
+    return _verified(family)["bounds"]
 
 
-def fusion_bound_estimates(family: WeightedSubspaceFamily,
-                           tol_rank: float = TOL_RANK) -> Bounds4:
-    return verify_j_fusion_frame(family, tol_rank=tol_rank).bound_estimates
+def fusion_bound_estimates(family: WeightedSubspaceFamily) -> Bounds4:
+    return verify_j_fusion_frame(family).bound_estimates
 
 
 def part_pencils(family: WeightedSubspaceFamily
@@ -348,10 +343,10 @@ def part_pencils(family: WeightedSubspaceFamily
     range of the pencil equals the corresponding pair of optimal bounds
     directly (negative values for the negative part).
     """
-    return _class_pencils(family, TOL_RANK)
+    return _class_pencils(family)
 
 
-def canonical_dual_fusion(family: WeightedSubspaceFamily, tol_def: float = TOL_DEF
+def canonical_dual_fusion(family: WeightedSubspaceFamily
                           ) -> tuple[WeightedSubspaceFamily, Operator]:
     """Dual family {(S^{-1} W_i, v_i)} together with S^{-1}.
 
@@ -361,7 +356,7 @@ def canonical_dual_fusion(family: WeightedSubspaceFamily, tol_def: float = TOL_D
     ``S^{-1} Q_{W_i} f`` lies in ``S^{-1} W_i``.  Its own frame operator is
     *not* S^{-1} in general (see :func:`fusion_dual_diagnostics`).
     """
-    _, dual, s_inv, _ = _canonical_dual_of(family, tol_def, TOL_RANK)
+    _, dual, s_inv, _ = _canonical_dual_of(family)
     return dual, Operator(family.space, s_inv)
 
 
@@ -388,13 +383,11 @@ class FusionDualReport(NamedTuple):
     span_identity_residual: float
 
 
-def fusion_dual_diagnostics(family: WeightedSubspaceFamily, tol_def: float = TOL_DEF,
-                            tol_rank: float = TOL_RANK) -> FusionDualReport:
-    """The canonical dual family and its diagnostics; the family and its dual
-    take their part spans at ``tol_rank``."""
-    dual, s_inv, comparison = _dual_diagnostics(family, tol_def, tol_rank)
+def fusion_dual_diagnostics(family: WeightedSubspaceFamily) -> FusionDualReport:
+    """The canonical dual family and its diagnostics."""
+    dual, s_inv, comparison = _dual_diagnostics(family)
     j = family.space.symmetry
-    spans, dual_spans = family._class_spans(tol_rank), dual._class_spans(tol_rank)
+    spans, dual_spans = family._class_spans, dual._class_spans
     span_residual = max((operator_norm((j @ spans[other][1].basis).T @ dual_spans[label][1].basis)
                          for label, other in (("positive", "negative"), ("negative", "positive"))
                          if label in dual_spans and other in spans), default=0.0)
@@ -406,14 +399,15 @@ def fusion_dual_diagnostics(family: WeightedSubspaceFamily, tol_def: float = TOL
     )
 
 
-def j_image_family(family: WeightedSubspaceFamily, tol_def: float = TOL_DEF) -> WeightedSubspaceFamily:
-    """The family {(J W_i, v_i)}: signs are preserved and validity transfers."""
-    return make_weighted_family(_images(family.space.symmetry, family.subspaces),
-                                family.weights, tol_def)
+def j_image_family(family: WeightedSubspaceFamily) -> WeightedSubspaceFamily:
+    """The family {(J W_i, v_i)}, at the family's tolerances: signs are
+    preserved and validity transfers."""
+    return make_weighted_family(_images(family.space.symmetry, family.subspaces, family.tol_rank),
+                                family.weights, family.tol_def, family.tol_rank)
 
 
 def adjoint_identity_residual(family: WeightedSubspaceFamily, seed: int = 0,
-                              ntrials: int = 50, tol_def: float = TOL_DEF) -> float:
+                              ntrials: int = 50) -> float:
     """Max normalized defect of [T c, f] = [c, A f] over random pairs.
 
     The pairing on the direct sum is the intrinsic indefinite one
@@ -422,7 +416,7 @@ def adjoint_identity_residual(family: WeightedSubspaceFamily, seed: int = 0,
     """
     dsum = direct_sum_space(family)
     t = fusion_synthesis(family)
-    a = fusion_analysis(family, tol_def)
+    a = fusion_analysis(family)
     j = family.space.symmetry
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -459,8 +453,7 @@ class RpsEntry(NamedTuple):
     r_prime: float
 
 
-def check_rps_corollary(family: WeightedSubspaceFamily,
-                        tol_def: float = TOL_DEF) -> tuple[RpsEntry, ...]:
+def check_rps_corollary(family: WeightedSubspaceFamily) -> tuple[RpsEntry, ...]:
     """Projection-alignment residuals of every entry against its part span.
 
     Both spectral norms are taken in entry coordinates, never on n x n
@@ -477,22 +470,13 @@ def check_rps_corollary(family: WeightedSubspaceFamily,
       orthonormal columns even when ``JW = W`` makes the block
       rank-deficient, so ``r = || R Y ||``, a 2k x n problem.
 
-    Each entry must be regular: :class:`~kreinframes.errors.NotRegular` is
-    raised, as :func:`~kreinframes.subspaces.j_projection` raises it, when
-    the Gram margin of an entry is at most ``tol_def``.  The entries of each
+    The part spans are those the family's verification reads, and every
+    entry is regular (see :func:`fusion_analysis`).  The entries of each
     part are taken in stacks of one entry dimension.
     """
-    return _rps_entries(family, tol_def, TOL_RANK)
-
-
-def _rps_entries(family: WeightedSubspaceFamily, tol_def: float,
-                 tol_rank: float) -> tuple[RpsEntry, ...]:
-    """:func:`check_rps_corollary` against the part spans at the relative
-    rank cutoff ``tol_rank``: those a verification at ``tol_rank`` reads."""
-    _require_regular_entries(family, tol_def)
     j = family.space.symmetry
     out: list = [None] * family.size
-    for label, (indices, part_span) in family._class_spans(tol_rank).items():
+    for label, (indices, part_span) in family._class_spans.items():
         b_m = part_span.basis
 
         def residuals(b: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -537,7 +521,7 @@ def equivalence_check(entry_vectors, weights, space: KreinSpace,
     hypothesis_ok = True
     try:
         family = family_from_spans(entry_vectors, w, space, tol_def)
-        fusion_verdict = verify_j_fusion_frame(family, tol_def).is_j_fusion_frame
+        fusion_verdict = verify_j_fusion_frame(family).is_j_fusion_frame
     except IndefiniteOrNeutralSubspace:
         hypothesis_ok = False
         fusion_verdict = False
@@ -549,7 +533,7 @@ def equivalence_check(entry_vectors, weights, space: KreinSpace,
     stacked = np.vstack(flat)
     try:
         frame = partition_by_sign(stacked, space, tol_def)
-        frame_verdict = verify_j_frame(frame, tol_def).is_j_frame
+        frame_verdict = verify_j_frame(frame).is_j_frame
     except KreinFrameError:
         frame_verdict = False
     return EquivalenceReport(
@@ -560,8 +544,9 @@ def equivalence_check(entry_vectors, weights, space: KreinSpace,
 
 
 def flatten_family(family: WeightedSubspaceFamily) -> VectorFrame:
-    """The weighted concatenation {v_i b_ij}_ij of the entry basis vectors."""
+    """The weighted concatenation {v_i b_ij}_ij of the entry basis vectors,
+    as a frame at the family's tolerances."""
     rows = []
     for w, sub in zip(family.weights, family.subspaces):
         rows.append(w * sub.basis.T)
-    return partition_by_sign(np.vstack(rows), family.space)
+    return partition_by_sign(np.vstack(rows), family.space, family.tol_def, family.tol_rank)

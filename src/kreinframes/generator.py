@@ -23,7 +23,7 @@ from .core import TOL_RANK
 from .errors import InfeasibleConfig
 from .frames import VectorFrame, partition_by_sign
 from .fusion import WeightedSubspaceFamily, family_from_spans
-from .problem_io import parse_problem
+from .problem_io import jsonify, parse_problem
 
 PLANTS = ("none", "neutral_entry", "deficient")
 KINDS = ("fusion", "frame")
@@ -247,17 +247,7 @@ def gen_problem(cfg: GeneratorConfig) -> dict:
         f"generated instance: kind={cfg.kind} seed={cfg.seed} dim={n} "
         f"signature=({p},{q}) tilt={cfg.tilt} plant={cfg.plant}"
     )
-    return _listify(problem)
-
-
-def _listify(obj):
-    if isinstance(obj, dict):
-        return {k: _listify(v) for k, v in obj.items()}
-    if isinstance(obj, np.ndarray):
-        return np.atleast_2d(obj).astype(float, copy=False).tolist()
-    if isinstance(obj, list):
-        return [_listify(v) for v in obj]
-    return obj
+    return jsonify(problem)
 
 
 def gen_family(cfg: GeneratorConfig) -> WeightedSubspaceFamily:

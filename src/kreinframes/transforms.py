@@ -55,16 +55,16 @@ def _operator_matrix(operator, space: KreinSpace) -> np.ndarray:
     return scaled_below_overflow(m)
 
 
-def apply_operator(operator, family: WeightedSubspaceFamily, tol_def: float = TOL_DEF,
-                   tol_rank: float = TOL_RANK) -> WeightedSubspaceFamily:
-    """The image family {(T W_i, v_i)}.
+def apply_operator(operator, family: WeightedSubspaceFamily) -> WeightedSubspaceFamily:
+    """The image family {(T W_i, v_i)}, at the family's tolerances.
 
     Raises :class:`IndefiniteOrNeutralSubspace` (with the entry index and a
     neutral witness) when some image fails to be uniformly definite, which
     happens for perfectly ordinary invertible operators.
     """
     t = _operator_matrix(operator, family.space)
-    return make_weighted_family(_images(t, family.subspaces, tol_rank), family.weights, tol_def)
+    return make_weighted_family(_images(t, family.subspaces, family.tol_rank), family.weights,
+                                family.tol_def, family.tol_rank)
 
 
 class PreservationEntry(NamedTuple):
@@ -96,31 +96,31 @@ class PreservationReport(NamedTuple):
                 and self.positive_span_ok and self.negative_span_ok)
 
 
-def preservation_audit(operator, family: WeightedSubspaceFamily, tol_def: float = TOL_DEF,
-                       tol_rank: float = TOL_RANK) -> PreservationReport:
+def preservation_audit(operator, family: WeightedSubspaceFamily) -> PreservationReport:
     """Check every hypothesis of the preservation theorem on actual data.
 
     Requires the operator to be surjective (rank n); rank-deficient input
     raises :class:`NotSurjective` because none of the audited statements are
     meaningful without it.
     """
-    return _transport(operator, family, tol_def, tol_rank)[0]
+    return _transport(operator, family)[0]
 
 
-def _transport(operator, family: WeightedSubspaceFamily, tol_def: float, tol_rank: float
+def _transport(operator, family: WeightedSubspaceFamily
                ) -> tuple[PreservationReport, WeightedSubspaceFamily]:
     """:func:`preservation_audit`, and the entry images T W_i it computed
     grouped by the signs of ``family``: the family of the images, their
-    classifications (stacked by dimension) and the weights, with the signs of
-    ``family`` whatever the images' own.
+    classifications (stacked by dimension) and the weights, with the signs
+    and the tolerances of ``family`` whatever the images' own signs.
 
-    The part spans of that grouping, at ``tol_rank``, are the spans T M+/-
-    of the images of each sign class, so the audit of T M+/- is the
-    verification of the grouping: each ``*_span_image`` and ``*_span_ok``
-    is the classification and the pass of its part, as the verification
-    core checks it (:func:`~kreinframes.frames._class_checks`, which keeps
-    them for a later verification of the grouping at the same cutoffs).
+    The part spans of that grouping are the spans T M+/- of the images of
+    each sign class, so the audit of T M+/- is the verification of the
+    grouping: each ``*_span_image`` and ``*_span_ok`` is the classification
+    and the pass of its part, as the verification core checks it
+    (:func:`~kreinframes.frames._class_checks`, which keeps them for a later
+    verification of the grouping).
     """
+    tol_def, tol_rank = family.tol_def, family.tol_rank
     t = _operator_matrix(operator, family.space)
     svals = np.linalg.svd(t, compute_uv=False)
     if svals[0] == 0.0 or svals[-1] <= tol_rank * svals[0]:
@@ -129,8 +129,9 @@ def _transport(operator, family: WeightedSubspaceFamily, tol_def: float, tol_ran
         )
 
     images = tuple(_images(t, family.subspaces, tol_rank))
-    classes = tuple(_classify_all(images, tol_def))
-    grouped = WeightedSubspaceFamily(family.space, images, family.weights, family.signs, classes)
+    classes = tuple(_classify_all(images, tol_def, tol_rank))
+    grouped = WeightedSubspaceFamily(family.space, images, family.weights, family.signs, classes,
+                                     tol_def, tol_rank)
     entries = tuple(PreservationEntry(
         index=i,
         input_kind=family.entry_classifications[i].kind,
@@ -139,7 +140,7 @@ def _transport(operator, family: WeightedSubspaceFamily, tol_def: float, tol_ran
         image_dim=image.dim,
         sign_preserved=_SIGNS.get(cls.kind) == int(family.signs[i]),
     ) for i, (sub, image, cls) in enumerate(zip(family.subspaces, images, classes)))
-    parts, passed, _ = _class_checks(grouped, tol_def, tol_rank)
+    parts, passed, _ = _class_checks(grouped)
     pos, neg = parts["positive"], parts["negative"]
     report = PreservationReport(
         surjective=True,
@@ -175,8 +176,7 @@ class ImageCheckReport(NamedTuple):
     image_report: JFusionReport | None
 
 
-def image_fusion_check(operator, family: WeightedSubspaceFamily, tol_def: float = TOL_DEF,
-                       tol_rank: float = TOL_RANK) -> ImageCheckReport:
+def image_fusion_check(operator, family: WeightedSubspaceFamily) -> ImageCheckReport:
     """Verify the image family and both sign-grouping decompositions.
 
     The images grouped by the original signs decompose the space exactly
@@ -188,20 +188,21 @@ def image_fusion_check(operator, family: WeightedSubspaceFamily, tol_def: float 
     The sufficient hypotheses then give the image verdict by the same
     checks, so they imply it.
     """
-    preservation, grouped = _transport(operator, family, tol_def, tol_rank)
+    preservation, grouped = _transport(operator, family)
 
     rejected_entry = rejection_witness = rejection_self_product = None
     image_report = None
     try:
         image_family = _signed_family(grouped.subspaces, family.weights,
-                                      grouped.entry_classifications)
+                                      grouped.entry_classifications, family.tol_def,
+                                      family.tol_rank)
     except IndefiniteOrNeutralSubspace as exc:
         rejected_entry, rejection_witness = exc.index, exc.witness
         rejection_self_product = exc.self_product
     else:
         if np.array_equal(image_family.signs, family.signs):
             image_family = grouped
-        image_report = verify_j_fusion_frame(image_family, tol_def, tol_rank)
+        image_report = verify_j_fusion_frame(image_family)
     image_verdict = image_report is not None and image_report.is_j_fusion_frame
 
     return ImageCheckReport(

@@ -466,7 +466,7 @@ def test_each_bound_is_certified_and_held_at_its_library_width(tmp_path, command
         except (kf.InputError, *cli.REFUSALS):
             continue
         verify = kf.verify_j_fusion_frame if kind == "fusion" else kf.verify_j_frame
-        report = verify(system, params.tol_def, params.tol_rank)
+        report = verify(system)
         widths = report.bound_widths
         assert [w is None for w in widths] == [e is None for e in report.bound_estimates]
         outcome = cli.COMMAND_CORES[command](parsed, params)
@@ -979,6 +979,39 @@ def test_frame_of_tiny_vectors(capsys, tmp_path, recwarn, scale):
     assert code == 2
     assert report is None
     assert err == "input error: the inverse frame operator overflows a double\n"
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_dual_of_an_ill_conditioned_frame_is_answered(capsys, tmp_path, recwarn):
+    """S of [[1e6, 0], [0, 1e-6]] has singular values 1e12 and 1e-12: it is
+    invertible, however ill-conditioned, so ``dual`` answers and ``oracle``
+    agrees with its report."""
+    problem = tmp_path / "ill_conditioned.json"
+    problem.write_text(json.dumps({"dimension": 2, "J": DIAG_J,
+                                   "vectors": [[1e6, 0.0], [0.0, 1e-6]]}))
+    report_file = tmp_path / "report.json"
+    code, report, err = run_cli(capsys, "dual", problem, "-o", report_file)
+    assert code == 0, err
+    assert report["result"]["dual_bounds"] == pytest.approx([-1e12, -1e12, 1e-12, 1e-12])
+    code, _, err = run_cli(capsys, "oracle", report_file)
+    assert code == 0, err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_dual_deviation_beyond_the_double_range_is_refused_by_name(capsys, tmp_path, recwarn):
+    """Eigenlines of weights 1e150, 1, 1 under diag(1, -1, -1): a dual bound
+    near 1e300 against its reciprocal expectation near 1e-300 deviates by
+    1e600, which ``dual`` refuses by name, with no report."""
+    problem = tmp_path / "deviation.json"
+    problem.write_text(json.dumps({
+        "dimension": 3, "J": {"type": "diagonal", "signs": [1, -1, -1]},
+        "family": {"entries": [{"basis": [[1.0, 0.0, 0.0]], "weight": 1e150},
+                               {"basis": [[0.0, 1.0, 0.0]], "weight": 1.0},
+                               {"basis": [[0.0, 0.0, 1.0]], "weight": 1.0}]}}))
+    code, report, err = run_cli(capsys, "dual", problem)
+    assert code == 2
+    assert report is None
+    assert err == "input error: max_relative_deviation of the dual bounds overflows a double\n"
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 

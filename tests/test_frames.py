@@ -213,15 +213,17 @@ def _recording(calls: list, name: str, fn):
 
 def test_dual_reciprocity_verifies_frame_and_dual_once(monkeypatch):
     """The dual route verifies the frame once and its dual once, each for
-    its bounds only, at the caller's cutoffs."""
+    its bounds only, at the cutoffs the frame was built at."""
     calls = []
     for name in ("_verify_sign_parts", "_verify_bounds"):
         monkeypatch.setattr(kf.frames, name, _recording(calls, name, getattr(kf.frames, name)))
-    frame = _tilted_frame()
-    report = kf.dual_reciprocity(frame, 1e-11, 1e-9)
+    tilted = _tilted_frame()
+    frame = kf.partition_by_sign(tilted.vectors, tilted.space, 1e-11, 1e-9)
+    report = kf.dual_reciprocity(frame)
     assert [(name, system) for name, system, _, _ in calls] == [
         ("_verify_bounds", frame), ("_verify_bounds", report.dual)]
-    assert all(args == (1e-11, 1e-9) and not kwargs for _, _, args, kwargs in calls)
+    assert all((system.tol_def, system.tol_rank) == (1e-11, 1e-9) and not args and not kwargs
+               for _, system, args, kwargs in calls)
 
 
 def test_dual_reciprocity_builds_each_frame_operator_once(monkeypatch):
@@ -249,10 +251,19 @@ def _generated(kind: str, n: int, tilt: float, seed: int):
     return kf.gen_frame(cfg) if kind == "frame" else kf.gen_family(cfg)
 
 
+def _rebuilt(system, tol_def: float, tol_rank: float):
+    """The frame or family of ``system``'s vectors or entries and weights,
+    built at ``tol_def`` and ``tol_rank``."""
+    if isinstance(system, kf.VectorFrame):
+        return kf.partition_by_sign(system.vectors, system.space, tol_def, tol_rank)
+    return kf.make_weighted_family(system.subspaces, system.weights, tol_def, tol_rank)
+
+
 @pytest.mark.parametrize("kind", ["frame", "fusion"])
 def test_a_system_verified_again_at_the_same_cutoffs_builds_no_pencil(kind, monkeypatch):
-    """The verification of a system is kept per cutoff pair, so a second
-    verification, its optimal bounds and its canonical dual read it."""
+    """The verification of a system is kept with it, so a second
+    verification, its optimal bounds and its canonical dual read it; the
+    same data built at another cutoff is verified anew."""
     system = _generated(kind, 8, 0.5, 1)
     calls = []
     monkeypatch.setattr(kf.frames, "_class_pencils",
@@ -266,13 +277,13 @@ def test_a_system_verified_again_at_the_same_cutoffs_builds_no_pencil(kind, monk
     assert verify(system).bounds == first.bounds == bounds(system)
     dual(system)
     assert [(name, built) for name, built, _, _ in calls] == [("pencils", system)]
-    verify(system, kf.TOL_DEF, 1e-9)
+    verify(_rebuilt(system, kf.TOL_DEF, 1e-9))
     assert len(calls) == 2
 
 
-def _dual_report(system, *args):
+def _dual_report(system):
     derive = kf.dual_reciprocity if isinstance(system, kf.VectorFrame) else kf.fusion_dual_diagnostics
-    return derive(system, *args)
+    return derive(system)
 
 
 @pytest.mark.parametrize("kind", ["frame", "fusion"])
@@ -280,9 +291,9 @@ def test_dual_spans_are_the_q_factors_of_the_inverse_on_the_system_spans(kind, m
     """One dual takes an SVD (``column_spaces``) of the system's own classes
     only, and no Bessel bound: each dual class span is the Q
     factor of S^{-1} U+/-, with U+/- the system's class basis and a positive
-    diagonal in R, at every cutoff, and a frame's dual vectors are S^{-1} f_i
-    from one product with S^{-1}.  The dual keeps the system's signs, which
-    no sign decision on the dual members takes again."""
+    diagonal in R, and a frame's dual vectors are S^{-1} f_i from one product
+    with S^{-1}.  The dual keeps the system's signs, which no sign decision
+    on the dual members takes again, and its tolerances."""
     system = _generated(kind, 8, 0.5, 1)
 
     def no_sign_decision(*args, **kwargs):
@@ -303,15 +314,15 @@ def test_dual_spans_are_the_q_factors_of_the_inverse_on_the_system_spans(kind, m
     assert all(np.array_equal(m, system._synthesis_columns(indices))
                for m, indices in zip(svds, classes))
     assert not [name for name, _, _, _ in calls if name == "bessel"]
-    s_inv = np.linalg.inv(system._operator(kf.TOL_DEF)[0])
+    assert (dual.tol_def, dual.tol_rank) == (system.tol_def, system.tol_rank)
+    s_inv = np.linalg.inv(system._operator[0])
     if kind == "frame":
         assert np.array_equal(dual.vectors, system.vectors @ s_inv.T)
-    for label, (indices, span) in system._class_spans().items():
+    for label, (indices, span) in system._class_spans.items():
         q, r = np.linalg.qr(s_inv @ span.basis)
-        dual_indices, dual_span = dual._class_spans()[label]
+        dual_indices, dual_span = dual._class_spans[label]
         assert dual_indices == indices
         assert np.array_equal(dual_span.basis, q * np.where(np.diagonal(r) < 0.0, -1.0, 1.0))
-        assert dual._class_spans(1e-3)[label][1] is dual_span
 
 
 @pytest.mark.parametrize("kind", ["frame", "fusion"])
@@ -327,7 +338,7 @@ def test_near_neutral_dual_bounds_are_those_of_the_svd_route_within_their_width(
     report = _dual_report(system)
     dual = report.dual
     beta = kf.frames._bessel_bound(dual.synthesis)
-    for label, (indices, span) in system._class_spans().items():
+    for label, (indices, span) in system._class_spans.items():
         basis, _ = column_space(dual._synthesis_columns(indices), 0.0)
         reference_span = kf.Subspace(space=dual.space, basis=basis[:, :span.dim])
         reference = definite_pair_extrema(*kf.frames._pencil(dual, label,
@@ -350,7 +361,7 @@ def test_bounds_verification_and_report_agree_on_a_failing_frame():
     space = kf.make_krein_space(np.diag([1.0, 1.0, -1.0]))
     frame = kf.partition_by_sign(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
                                            [2.0, 0.0, 1.9], [0.0, 0.0, 1.0]]), space)
-    verdict, fields = kf.frames._verify_bounds(frame, kf.TOL_DEF, kf.TOL_RANK)
+    verdict, fields = kf.frames._verify_bounds(frame)
     report = kf.verify_j_frame(frame)
     assert not verdict and not report.is_j_frame
     assert fields["reasons"] == report.reasons
@@ -425,3 +436,22 @@ def test_interlacing_identity_empty_subset(minkowski2):
     frame = kf.partition_by_sign(EIGEN_VECTORS, minkowski2)
     lhs, rhs = kf.interlacing_identity(frame, [], np.array([1.0, 2.0]))
     assert abs(lhs - rhs) <= EXACT_TOL
+
+
+# Two positive vectors 1e-9 apart in angle: their span has dimension 2 at the
+# default rank cutoff and dimension 1 at a cutoff of 1e-8.
+NEAR_PARALLEL = np.array([[1.0, 0.0, 0.0], [1.0, 1e-9, 0.0], [0.0, 0.0, 1.0]])
+
+
+def test_a_frame_is_judged_at_the_rank_cutoff_it_was_built_at(minkowski3):
+    """Built at a cutoff of 1e-8, the frame fails, and its optimal bounds,
+    canonical dual and reciprocity report are refused at that cutoff too;
+    built at the default cutoff, it verifies."""
+    frame = kf.partition_by_sign(NEAR_PARALLEL, minkowski3, tol_rank=1e-8)
+    report = kf.verify_j_frame(frame)
+    assert not report.is_j_frame
+    assert "positive span has dimension 1, signature requires 2" in report.reasons
+    for derived in (kf.optimal_j_frame_bounds, kf.canonical_dual, kf.dual_reciprocity):
+        with pytest.raises(kf.NotAJFrame, match="positive span has dimension 1"):
+            derived(frame)
+    assert kf.verify_j_frame(kf.partition_by_sign(NEAR_PARALLEL, minkowski3)).is_j_frame

@@ -369,14 +369,15 @@ def test_dual_of_verified_family_is_verified(tilted_family):
 
 def test_near_neutral_dual_family_verifies_in_full_with_estimates():
     """A dual from ``canonical_dual_fusion`` of a near-neutral family (the
-    worst move of the dual bounds measured at the sign-fixed QR spans)
-    verifies in full at any cutoff, spans of the signature's dimensions,
-    with estimates."""
+    worst move of the dual bounds measured at the sign-fixed QR spans),
+    built at either cutoff, verifies in full, spans of the signature's
+    dimensions, with estimates."""
     family = kf.gen_family(kf.GeneratorConfig(kind="fusion", seed=1, dim=6, num_positive=3,
                                               tilt=1.0 - 1e-9, rotate=True))
-    dual, _ = kf.canonical_dual_fusion(family)
     for tol_rank in (kf.TOL_RANK, 1e-3):
-        report = kf.verify_j_fusion_frame(dual, tol_rank=tol_rank)
+        dual, _ = kf.canonical_dual_fusion(
+            kf.make_weighted_family(family.subspaces, family.weights, kf.TOL_DEF, tol_rank))
+        report = kf.verify_j_fusion_frame(dual)
         assert report.is_j_fusion_frame
         assert (report.positive.required_dim, report.negative.required_dim) == (3, 3)
         assert None not in report.bound_estimates
@@ -393,14 +394,14 @@ def test_part_spans_and_estimates_come_from_one_svd_of_the_weighted_synthesis(ti
     ``column_space`` of the class's weighted synthesis columns ``v_i B_i``,
     bit for bit; the dual's part spans S^{-1} M+/- are the Q factors of
     S^{-1} U+/-, with U+/- those part span bases and a positive diagonal in
-    R, at every cutoff."""
+    R, at the family's cutoffs."""
     family = kf.gen_family(kf.GeneratorConfig(
         kind="fusion", seed=3, dim=8, num_positive=4, tilt=tilt, rotate=True,
         entry_dims_positive=(2, 1, 1, 2), entry_dims_negative=(1, 2, 1, 1)))
     assert len(set(family.entry_dims)) > 1
     report = kf.verify_j_fusion_frame(family)
     assert report.is_j_fusion_frame
-    spans = family._class_spans(kf.TOL_RANK)
+    spans = family._class_spans
     dual = kf.fusion_dual_diagnostics(family).dual
     for label, indices in (("positive", family.positive_indices),
                            ("negative", family.negative_indices)):
@@ -410,7 +411,7 @@ def test_part_spans_and_estimates_come_from_one_svd_of_the_weighted_synthesis(ti
         span = getattr(family, f"{label}_span")
         assert np.array_equal(span.basis, basis)
         assert spans[label] == (indices, span)
-        assert np.array_equal(family._class_svals(indices), svals)
+        assert np.array_equal(family._class_svds[label][2], svals)
         part = getattr(report, label)
         gamma_g = part.classification.gamma
         inner = smallest_nonzero_modulus(svals, kf.TOL_RANK) ** 2 * gamma_g**2
@@ -420,7 +421,8 @@ def test_part_spans_and_estimates_come_from_one_svd_of_the_weighted_synthesis(ti
         q, r = np.linalg.qr(np.linalg.inv(kf.fusion_frame_operator(family).matrix) @ span.basis)
         dual_span = getattr(dual, f"{label}_span")
         assert np.array_equal(dual_span.basis, q * np.where(np.diagonal(r) < 0.0, -1.0, 1.0))
-        assert dual._class_spans(1e-3)[label] == (indices, dual_span)
+        assert dual._class_spans[label] == (indices, dual_span)
+    assert (dual.tol_def, dual.tol_rank) == (family.tol_def, family.tol_rank)
 
 
 def test_j_image_family_preserves_validity(tilted_family):
@@ -513,14 +515,14 @@ def test_entry_coordinate_kernels_match_dense_reference(family):
 
 
 def test_rps_requires_regular_entries(tilted_family):
-    """An entry whose Gram margin is at most tol_def has no indefinite projector."""
+    """An entry whose Gram margin is at most tol_def has no indefinite
+    projector: a family at that tol_def is refused when it is built."""
     margins = [c.margin for c in tilted_family.entry_classifications]
-    kf.check_rps_corollary(tilted_family, tol_def=0.5 * min(margins))
-    with pytest.raises(kf.NotRegular) as info:
-        kf.check_rps_corollary(tilted_family, tol_def=1.01 * min(margins))
-    smin = info.value.smallest_singular_value
-    assert smin <= 1.01 * min(margins)
-    assert any(smin == pytest.approx(m, rel=1e-12) for m in margins)
+    subspaces, weights = tilted_family.subspaces, tilted_family.weights
+    kf.check_rps_corollary(kf.make_weighted_family(subspaces, weights, 0.5 * min(margins)))
+    with pytest.raises(kf.IndefiniteOrNeutralSubspace) as info:
+        kf.make_weighted_family(subspaces, weights, 1.01 * min(margins))
+    assert margins[info.value.index] <= 1.01 * min(margins)
     weakest = tilted_family.subspaces[int(np.argmin(margins))]
     with pytest.raises(kf.NotRegular):
         kf.j_projection(weakest, tol_def=1.01 * min(margins))
@@ -536,14 +538,16 @@ def _recording(calls: list, name: str, verify):
 
 def test_dual_diagnostics_verify_original_family_once(tilted_family, monkeypatch):
     """The dual route verifies the family once and its dual once, each for
-    its bounds only, at the caller's cutoffs."""
+    its bounds only, at the cutoffs the family was built at."""
     calls = []
     for name in ("_verify_sign_parts", "_verify_bounds"):
         monkeypatch.setattr(kf.frames, name, _recording(calls, name, getattr(kf.frames, name)))
-    diag = kf.fusion_dual_diagnostics(tilted_family, 1e-11, 1e-9)
+    family = kf.make_weighted_family(tilted_family.subspaces, tilted_family.weights, 1e-11, 1e-9)
+    diag = kf.fusion_dual_diagnostics(family)
     assert [(name, system) for name, system, _, _ in calls] == [
-        ("_verify_bounds", tilted_family), ("_verify_bounds", diag.dual)]
-    assert all(args == (1e-11, 1e-9) and not kwargs for _, _, args, kwargs in calls)
+        ("_verify_bounds", family), ("_verify_bounds", diag.dual)]
+    assert all((system.tol_def, system.tol_rank) == (1e-11, 1e-9) and not args and not kwargs
+               for _, system, args, kwargs in calls)
 
 
 def test_dual_diagnostics_build_each_synthesis_and_operator_once(tilted_family, monkeypatch):
@@ -610,3 +614,22 @@ def test_direct_sum_space_pairing(tilted_family):
         by_blocks += c[offset:offset + k] @ sub.gram @ d[offset:offset + k]
         offset += k
     assert dsum.indefinite_product(c, d) == pytest.approx(by_blocks, rel=1e-12)
+
+
+def test_a_family_is_judged_at_the_rank_cutoff_it_was_built_at(minkowski3):
+    """The lines of two positive vectors 1e-9 apart in angle and a negative
+    eigenline: built at a cutoff of 1e-8, the family fails, and its optimal
+    bounds, canonical dual and dual diagnostics are refused at that cutoff
+    too; built at the default cutoff, it verifies."""
+    rows = [np.array([[1.0, 0.0, 0.0]]), np.array([[1.0, 1e-9, 0.0]]),
+            np.array([[0.0, 0.0, 1.0]])]
+    family = kf.family_from_spans(rows, [1.0, 1.0, 1.0], minkowski3, tol_rank=1e-8)
+    report = kf.verify_j_fusion_frame(family)
+    assert not report.is_j_fusion_frame
+    assert "positive span has dimension 1, signature requires 2" in report.reasons
+    for derived in (kf.optimal_fusion_bounds, kf.canonical_dual_fusion,
+                    kf.fusion_dual_diagnostics):
+        with pytest.raises(kf.NotAJFusionFrame, match="positive span has dimension 1"):
+            derived(family)
+    assert kf.verify_j_fusion_frame(
+        kf.family_from_spans(rows, [1.0, 1.0, 1.0], minkowski3)).is_j_fusion_frame

@@ -214,7 +214,7 @@ def test_transport_is_one_image_per_entry(n, tilt):
     rng = np.random.default_rng(n)
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     t = q * rng.uniform(0.5, 2.0, n)
-    report, grouped = _transport(t, family, kf.TOL_DEF, kf.TOL_RANK)
+    report, grouped = _transport(t, family)
     images = grouped.subspaces
     assert np.array_equal(grouped.signs, family.signs)
     for sub, image, cls in zip(family.subspaces, images, grouped.entry_classifications,
@@ -292,7 +292,7 @@ def test_frame_singular_values_are_those_of_s():
     frame = kf.gen_frame(kf.GeneratorConfig(kind="frame", seed=3, dim=12, num_positive=5,
                                             tilt=0.9, rotate=True))
     report = kf.verify_j_frame(frame)
-    s, singular_values = frame._operator(kf.TOL_DEF)
+    s, singular_values = frame._operator
     svals = np.linalg.svd(s, compute_uv=False)
     assert np.max(np.abs(singular_values - svals)) <= REL_TOL * svals[0]
     assert report.condition_number == pytest.approx(svals[0] / svals[-1], rel=1e-10)

@@ -132,7 +132,8 @@ def test_audited_span_passes_are_those_of_the_grouped_images(case, minkowski2, t
     check = kf.image_fusion_check(t, family)
     images = kf.subspaces._images(t, family.subspaces)
     grouped = kf.WeightedSubspaceFamily(family.space, tuple(images), family.weights,
-                                        family.signs, tuple(map(kf.classify, images)))
+                                        family.signs, tuple(map(kf.classify, images)),
+                                        family.tol_def, family.tol_rank)
     fresh = kf.verify_j_fusion_frame(grouped)
     reports = [fresh] + ([check.image_report] if check.sufficient else [])
     for label, required in (("positive", family.space.num_positive),
