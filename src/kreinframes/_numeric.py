@@ -16,10 +16,11 @@ __all__ = [
     "column_space",
     "column_spaces",
     "orth_columns",
-    "q_factors",
+    "qr_factors",
+    "cholesky_factors",
+    "singular_values",
     "null_space",
     "scaled_below_overflow",
-    "definite_pair_extrema",
     "block_diag",
 ]
 
@@ -154,15 +155,17 @@ def _rank(svals: np.ndarray, tol_rank: float) -> int:
     return int(np.sum(svals > tol_rank * svals[0])) if svals.size and svals[0] > 0.0 else 0
 
 
-def column_space(m: np.ndarray, tol_rank: float) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal basis (columns) of the column space of ``m``, and the
-    singular values of ``m`` in descending order.
+def column_space(m: np.ndarray, tol_rank: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Orthonormal basis (columns) of the column space of ``m``, the
+    singular values of ``m`` in descending order, and the leading rows of
+    V^T, one per basis column.
 
     One thin SVD ``m = U diag(s) V^T``, the rank-revealing factorization
-    (Golub and Van Loan, *Matrix Computations*, section 5.4): the rank counts
-    the singular values above ``tol_rank`` times the largest, and the basis is
-    the leading columns of U.  LAPACK's ``gesdd`` reduces a tall ``m`` by a
-    Householder QR first and takes the SVD of R (T. F. Chan, *ACM TOMS* 8,
+    (Golub and Van Loan, *Matrix Computations*, section 5.4): the rank k
+    counts the singular values above ``tol_rank`` times the largest, the
+    basis is the leading k columns of U, and ``m`` is ``basis diag(s_1..s_k)
+    rows`` up to the singular values it drops.  LAPACK's ``gesdd`` reduces a
+    tall ``m`` by a Householder QR first and takes the SVD of R (T. F. Chan, *ACM TOMS* 8,
     1982).  Input near the double limit is first rescaled by an exact power
     of two (:func:`scaled_below_overflow`), because the reflections would
     otherwise overflow; the singular values are returned at the scale of
@@ -171,12 +174,13 @@ def column_space(m: np.ndarray, tol_rank: float) -> tuple[np.ndarray, np.ndarray
     return column_spaces([m], tol_rank)[0]
 
 
-def column_spaces(matrices, tol_rank: float) -> list[tuple[np.ndarray, np.ndarray]]:
+def column_spaces(matrices, tol_rank: float) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """:func:`column_space` of each of ``matrices``, with one stacked SVD per
     distinct shape (:func:`shape_groups`): the rescale exponents, ranks and
     singular values of a stack are taken in whole-stack passes.  An SVD that
     LAPACK fails to converge raises :class:`NumericalFailure`."""
-    out = [(np.zeros((m.shape[0], 0)), np.zeros(0)) if not m.size else None for m in matrices]
+    out = [(np.zeros((m.shape[0], 0)), np.zeros(0), np.zeros((0, m.shape[1]))) if not m.size
+           else None for m in matrices]
     nonempty = [i for i, m in enumerate(matrices) if m.size]
     for group in shape_groups([matrices[i] for i in nonempty]):
         idx = [nonempty[k] for k in group]
@@ -188,7 +192,7 @@ def column_spaces(matrices, tol_rank: float) -> list[tuple[np.ndarray, np.ndarra
             exponents = np.where(peaks > OVERFLOW_GUARD, np.frexp(peaks)[1], 0)
             stack = np.ldexp(stack, -exponents[:, None, None])
         try:
-            u, svals, _ = np.linalg.svd(stack, full_matrices=False)
+            u, svals, vt = np.linalg.svd(stack, full_matrices=False)
         except np.linalg.LinAlgError:
             raise NumericalFailure(f"the SVD (LAPACK gesdd) of a {stack.shape[1]}x"
                                    f"{stack.shape[2]} matrix did not converge") from None
@@ -197,8 +201,8 @@ def column_spaces(matrices, tol_rank: float) -> list[tuple[np.ndarray, np.ndarra
         if scaled:
             with np.errstate(over="ignore"):  # beyond the double range: inf
                 svals = np.ldexp(svals, exponents[:, None])
-        for i, basis, values, rank in zip(idx, u, svals, ranks.tolist()):
-            out[i] = (basis[:, :rank], values)
+        for i, basis, values, rows, rank in zip(idx, u, svals, vt, ranks.tolist()):
+            out[i] = (basis[:, :rank], values, rows[:rank])
     return out
 
 
@@ -208,14 +212,37 @@ def orth_columns(m: np.ndarray, tol_rank: float) -> np.ndarray:
     return column_space(m, tol_rank)[0]
 
 
-def q_factors(matrices) -> list[np.ndarray]:
-    """The Q factor of a Householder QR of each of ``matrices`` (full column
-    rank), its columns signed so that R has a positive diagonal: the one
+def qr_factors(matrices) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The factors (Q, R) of a Householder QR of each of ``matrices`` (full
+    column rank), signed so that R has a positive diagonal: Q is the one
     orthonormal basis of the column space whose Gram-Schmidt coefficients
-    are positive, with no rank decision.  One stacked QR per distinct shape
-    (:func:`stacked`)."""
-    return [q * np.where(np.diagonal(r) < 0.0, -1.0, 1.0)
-            for q, r in stacked(np.linalg.qr, matrices)]
+    are positive, with no rank decision, and R those coefficients.  One
+    stacked QR per distinct shape (:func:`stacked`)."""
+    out = []
+    for q, r in stacked(np.linalg.qr, matrices):
+        signs = np.where(np.diagonal(r) < 0.0, -1.0, 1.0)
+        out.append((q * signs, r * signs[:, None]))
+    return out
+
+
+def cholesky_factors(matrices, what: str) -> list[np.ndarray]:
+    """The lower Cholesky factor of each of ``matrices``, stacked per shape
+    (:func:`stacked`); one without raises :class:`NotPositiveDefinite`
+    naming ``what``."""
+    try:
+        return stacked(np.linalg.cholesky, matrices)
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefinite(f"{what} is not positive definite") from None
+
+
+def singular_values(m: np.ndarray) -> np.ndarray:
+    """The singular values of ``m``, descending; an SVD that does not
+    converge raises :class:`NumericalFailure`."""
+    try:
+        return np.linalg.svd(m, compute_uv=False)
+    except np.linalg.LinAlgError:
+        raise NumericalFailure(f"the SVD (LAPACK gesdd) of a {m.shape[0]}x{m.shape[1]} "
+                               f"matrix did not converge") from None
 
 
 def null_space(m: np.ndarray, tol_rank: float) -> np.ndarray:
@@ -224,24 +251,6 @@ def null_space(m: np.ndarray, tol_rank: float) -> np.ndarray:
     counts it)."""
     _, svals, vt = np.linalg.svd(m)
     return vt[_rank(svals, tol_rank):].T
-
-
-def definite_pair_extrema(a: np.ndarray, g: np.ndarray) -> tuple[float, float]:
-    """Extreme eigenvalues of the pencil ``(a, g)`` with ``g`` positive definite.
-
-    Reduces by the Cholesky congruence ``g = L L^T`` to the symmetric matrix
-    ``L^-1 a L^-T``, which has the eigenvalues of the pencil; both solves
-    with L are LU solves, backward stable like triangular ones.  A ``g``
-    without a Cholesky factor raises :class:`NotPositiveDefinite`.
-    """
-    try:
-        chol = np.linalg.cholesky(0.5 * (g + g.T))
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefinite("pencil right-hand side is not positive definite") from None
-    half = np.linalg.solve(chol, 0.5 * (a + a.T))
-    reduced = np.linalg.solve(chol, half.T)
-    vals = np.linalg.eigvalsh(0.5 * (reduced + reduced.T))
-    return float(vals[0]), float(vals[-1])
 
 
 def block_diag(blocks) -> np.ndarray:

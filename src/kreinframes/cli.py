@@ -51,7 +51,7 @@ from .errors import (
     NumericalFailure,
     SchemaError,
 )
-from .frames import dual_reciprocity, partition_by_sign, verify_j_frame
+from .frames import _verify_sign_parts, dual_reciprocity, partition_by_sign, verify_j_frame
 from .fusion import (
     check_rps_corollary,
     family_from_spans,
@@ -278,10 +278,12 @@ def _sandwich_flags(report) -> dict:
 
 @_refusing
 def run_bounds(parsed: ParsedProblem, params: Params) -> Outcome:
+    """The part verification that ``verify`` and ``verify-frame`` share,
+    without the fields only they write (a frame's condition number, a
+    family's completeness)."""
     kind, system = _system(parsed, params)
-    verify = verify_j_fusion_frame if kind == "fusion" else verify_j_frame
-    report = verify(system)
-    verdict = report.is_j_fusion_frame if kind == "fusion" else report.is_j_frame
+    report = _verify_sign_parts(system)
+    verdict = report.verdict
     result = {
         "kind": kind,
         "verdict": verdict,

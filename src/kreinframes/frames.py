@@ -13,9 +13,11 @@ ratio over the negative span (both entries negative, ``B- <= A- < 0``).
 Missing parts contribute ``None`` slots.
 
 A frame, like a weighted family, is verified by its part bounds alone
-(:func:`_verify_bounds`); only the reports of :func:`verify_j_frame` and
-:func:`~kreinframes.fusion.verify_j_fusion_frame` add the Bessel bound, the
-bound estimates and the bound widths.
+(:func:`_verify_bounds`), each the square of an extreme singular value of
+a factor with one row per dimension of its part span (:func:`_part_bounds`); only
+the reports (:func:`_verify_sign_parts`) add the Bessel bound, the bound
+estimates, the bound widths and, for their oracle block, the Rayleigh
+pencils.
 """
 
 from functools import cached_property
@@ -27,11 +29,12 @@ from ._numeric import (
     OVERFLOW_GUARD,
     UNDERFLOW_GUARD,
     as_matrix,
+    cholesky_factors,
     column_space,
-    definite_pair_extrema,
     operator_norm,
-    q_factors,
+    qr_factors,
     scaled_below_overflow,
+    singular_values,
 )
 from .core import TOL_DEF, TOL_RANK, KreinSpace, Operator
 from .errors import DimensionMismatch, IndexOutOfRange, InputError, NeutralVector, NotAJFrame
@@ -53,16 +56,19 @@ class _SignClasses:
     holds what verification and derived operations read of the whole system,
     each computed once, at the definiteness tolerance ``tol_def`` and the
     relative rank cutoff ``tol_rank`` the system was built at: the class
-    spans, S, the class checks and the verification.  A subclass gives the
-    synthesis columns of a class, ``_synthesis_columns(indices)``; the
-    numerator of the class's Rayleigh pencil in the coordinates of an
-    orthonormal ``basis``, ``_numerator(indices, basis)``; the matrix of S,
-    ``_operator_matrix()``; its canonical dual from S^{-1}, ``_dual(s_inv)``;
-    what it is called, ``_what``; and the error that refuses it,
-    ``_refusal``.  The span of each nonempty class and the singular values
-    of its columns come from one SVD of them
-    (:func:`~kreinframes._numeric.column_space`); a canonical dual's spans
-    are set when it is built (see :func:`_canonical_dual_of`).
+    spans and factors, S, the class checks and the verification.  A
+    subclass gives the synthesis columns of a class,
+    ``_synthesis_columns(indices)``; the numerator of the class's Rayleigh
+    pencil in the coordinates of an orthonormal ``basis``,
+    ``_numerator(indices, basis)``; the factor of its bounds,
+    ``_bound_factor(indices, chol, coefficients, rows)`` (see
+    :func:`_part_bounds`); the matrix of S, ``_operator_matrix()``; its
+    canonical dual from S^{-1}, ``_dual(s_inv)``; what it is called,
+    ``_what``; and the error that refuses it, ``_refusal``.  The span of
+    each nonempty class, the singular values of its columns and its factors
+    come from one SVD of them (:func:`~kreinframes._numeric.column_space`); a
+    canonical dual's spans and factors are set when it is built (see
+    :func:`_canonical_dual_of`).
     """
 
     # What :func:`_class_checks` and :func:`_verify_bounds` found, once known.
@@ -89,10 +95,12 @@ class _SignClasses:
         return self._synthesis_columns(tuple(range(self.signs.size)))
 
     @cached_property
-    def _class_svds(self) -> dict[str, tuple[tuple[int, ...], np.ndarray, np.ndarray]]:
+    def _class_svds(self) -> dict[str, tuple[tuple[int, ...], np.ndarray, np.ndarray,
+                                             np.ndarray]]:
         """The indices of each nonempty class (``"positive"``, ``"negative"``)
         with the basis of the span of its synthesis columns, at ``tol_rank``,
-        and their singular values, in descending order, from one SVD."""
+        their singular values, in descending order, and the rows of V^T
+        that go with the basis, from one SVD."""
         return {label: (indices, *column_space(self._synthesis_columns(indices), self.tol_rank))
                 for label, indices in (("positive", self.positive_indices),
                                        ("negative", self.negative_indices)) if indices}
@@ -101,7 +109,16 @@ class _SignClasses:
     def _class_spans(self) -> dict[str, ClassSpan]:
         """The :data:`ClassSpan` of each nonempty class, by label."""
         return {label: (indices, Subspace(space=self.space, basis=basis))
-                for label, (indices, basis, _) in self._class_svds.items()}
+                for label, (indices, basis, _, _) in self._class_svds.items()}
+
+    @cached_property
+    def _class_factors(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """The synthesis columns of each nonempty class in the coordinates of
+        its span's basis B, as ``T = B K W``: the k x k ``coefficients`` K
+        and the k x m ``rows`` W.  From the class SVD, K = diag(s_1..s_k)
+        and W the rows of V^T; a canonical dual's are set when it is built."""
+        return {label: (np.diag(svals[:rows.shape[0]]), rows)
+                for label, (_, _, svals, rows) in self._class_svds.items()}
 
     @cached_property
     def _operator(self) -> tuple[np.ndarray, np.ndarray]:
@@ -154,6 +171,13 @@ class VectorFrame(_SignClasses):
 
     def _operator_matrix(self) -> np.ndarray:
         return _frame_product(self, slice(None))
+
+    def _bound_factor(self, indices: tuple[int, ...], chol: np.ndarray, coefficients: np.ndarray,
+                      rows: np.ndarray) -> np.ndarray:
+        """``L^T K``: with T = B K W the numerator ``B^T J T T^T J B`` is
+        ``G K W W^T K^T G``, and W, the class's V^T rows, which a dual keeps,
+        has orthonormal rows, so the pencil reduces to ``L^T K K^T L``."""
+        return chol.T @ coefficients
 
     def _refuse_ill_conditioned(self, svals: np.ndarray) -> None:
         """Refuse a condition number beyond the double range, as :func:`verify_j_frame` does."""
@@ -259,12 +283,29 @@ class PartReport(NamedTuple):
         return self.dim_ok and self.kind_ok
 
 
+class SignParts(NamedTuple):
+    """The verdict of a frame or family and the report fields that
+    :class:`JFrameReport` and :class:`~kreinframes.fusion.JFusionReport`
+    share, as :func:`_verify_sign_parts` computes them."""
+
+    verdict: bool
+    positive: PartReport | None
+    negative: PartReport | None
+    bessel_bound: float
+    bounds: Bounds4
+    bound_estimates: Bounds4
+    bound_widths: Bounds4
+    reasons: tuple[str, ...]
+    pencils: dict
+
+
 class JFrameReport(NamedTuple):
     """Verdict, bounds and estimates of a vector frame.
 
-    ``pencils`` holds the Rayleigh pencils the bounds were computed from, as
-    :func:`frame_part_pencils` returns them, and ``bound_widths`` the
-    rounding width of each bound (:func:`~kreinframes.oracles.bound_width`).
+    ``pencils`` holds the Rayleigh pencils of the bounds, as
+    :func:`frame_part_pencils` returns them, where the verdict is true (else
+    none), and ``bound_widths`` the rounding width of each bound
+    (:func:`~kreinframes.oracles.bound_width`).
     """
 
     is_j_frame: bool
@@ -300,7 +341,7 @@ def _pencil(system: _SignClasses, label: str, class_span: ClassSpan
     denominator are both negative, so the eigenvalues of its pencil are the
     (negative) bound values themselves."""
     indices, part_span = class_span
-    with np.errstate(over="ignore", invalid="ignore"):  # refused by _pencil_range
+    with np.errstate(over="ignore", invalid="ignore"):
         numerator = system._numerator(indices, part_span.basis)
     return numerator, part_span.gram if label == "positive" else -part_span.gram
 
@@ -311,15 +352,27 @@ def _class_pencils(system: _SignClasses) -> dict[str, tuple[np.ndarray, np.ndarr
             for label, class_span in system._class_spans.items()}
 
 
-def _pencil_range(label: str, pencil: tuple[np.ndarray, np.ndarray]) -> tuple[float, float]:
-    """The extreme eigenvalues of a class's signed pencil: its bounds.
-    Bounds beyond the double range raise :class:`InputError`."""
-    numerator, denominator = pencil
+def _part_bounds(system: _SignClasses, label: str) -> tuple[float, float]:
+    """The bounds of a nonempty class of the right kind, the extreme
+    eigenvalues of its signed Rayleigh pencil (N, G), with no N formed: with
+    ``+/-G = L L^T`` (Cholesky) and the class factors ``T = B K W``, they are
+    ``+/-sigma(X)^2`` for the class's ``_bound_factor`` X, of k rows (Golub
+    and Van Loan, *Matrix Computations*, section 8.7).  So an inner bound
+    keeps its sign however close to zero.  A Gram without a Cholesky factor
+    raises :class:`~kreinframes.errors.NotPositiveDefinite`, bounds beyond
+    half the double range :class:`InputError`.
+    """
+    indices, part_span = system._class_spans[label]
+    sign = 1.0 if label == "positive" else -1.0
+    chol = cholesky_factors([sign * part_span.gram], f"the signed Gram of the {label} span")[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        _require_finite(numerator + numerator.T, f"the {label} frame bound")
-    ratio = definite_pair_extrema(numerator, denominator)
-    _require_finite(ratio, f"the {label} frame bound")
-    return ratio
+        factor = system._bound_factor(indices, chol, *system._class_factors[label])
+    _require_finite(factor, f"the {label} frame bound")
+    with np.errstate(over="ignore"):
+        low, high = (singular_values(factor)[[-1, 0]] ** 2).tolist()
+    # the pencil of the oracle block holds N + N^T, about twice the outer bound
+    _require_finite(2.0 * high, f"the {label} frame bound")
+    return (low, high) if sign > 0 else (-high, -low)
 
 
 def _class_checks(system: _SignClasses) -> tuple[dict, dict, tuple[str, ...]]:
@@ -365,19 +418,16 @@ def _verify_bounds(system: _SignClasses) -> tuple[bool, dict]:
     """The verification of a frame or a family, by its part bounds alone,
     taken once.
 
-    The classes are checked by :func:`_class_checks`, and each class's
-    signed pencil is built (:func:`_class_pencils`); the bounds of a class
-    of the right kind are the extreme eigenvalues of its pencil.  Returns
-    the verdict and the report fields every verification writes: the
-    :class:`PartReport` of each class without estimates (None for an empty
-    class), the bounds (when the verdict is true), the reasons of the
-    checks that fail and the pencils.  Bounds beyond the double range raise
-    :class:`InputError`.
+    The classes are checked by :func:`_class_checks`; the bounds of a class
+    of the right kind are :func:`_part_bounds`.  Returns the verdict and
+    the report fields every verification writes: the :class:`PartReport` of
+    each class without estimates (None for an empty class), the bounds
+    (when the verdict is true) and the reasons of the checks that fail.
+    Bounds beyond the double range raise :class:`InputError`.
     """
     if system._verification is None:
         checked, passed, reasons = _class_checks(system)
-        pencils = _class_pencils(system)
-        pos, neg = (part._replace(ratio_range=_pencil_range(label, pencils[label]))
+        pos, neg = (part._replace(ratio_range=_part_bounds(system, label))
                     if part is not None and part.kind_ok else part
                     for label, part in checked.items())
         verdict = passed["positive"] and passed["negative"]
@@ -386,7 +436,6 @@ def _verify_bounds(system: _SignClasses) -> tuple[bool, dict]:
             "negative": neg,
             "bounds": (*_pair(neg, "ratio_range", verdict), *_pair(pos, "ratio_range", verdict)),
             "reasons": reasons,
-            "pencils": pencils,
         }
     return system._verification
 
@@ -425,26 +474,37 @@ def _widths(part: PartReport | None, bessel: float) -> tuple:
                  for lam in part.ratio_range)
 
 
-def _verify_sign_parts(system: _SignClasses) -> tuple[bool, dict]:
-    """The verification that the two reports write: the Bessel bound, then
+def _verify_sign_parts(system: _SignClasses) -> SignParts:
+    """The verification that the reports write: the Bessel bound, then
     :func:`_verify_bounds`, then the estimates (:func:`_with_estimates`) and
-    the rounding widths (:func:`_widths`) of each class with bounds.
-    Returns the verdict and the report fields both report classes share.  A
-    Bessel constant beyond the double range raises :class:`InputError`.
+    the rounding widths (:func:`_widths`) of each class with bounds, and,
+    where the verdict is true, the pencils that the oracle block brackets
+    the bounds in (:func:`_class_pencils`).  A Bessel constant beyond the
+    double range raises :class:`InputError`.
     """
     bessel = _bessel_bound(system.synthesis)
     verdict, fields = _verify_bounds(system)
     pos, neg = (_with_estimates(system, label, fields[label])
                 for label in ("positive", "negative"))
-    return verdict, {
-        **fields,
-        "positive": pos,
-        "negative": neg,
-        "bessel_bound": bessel,
-        "bound_estimates": (*_pair(neg, "estimate_range", True),
-                            *_pair(pos, "estimate_range", True)),
-        "bound_widths": (*_widths(neg, bessel), *_widths(pos, bessel)),
-    }
+    return SignParts(
+        verdict=verdict,
+        positive=pos,
+        negative=neg,
+        bessel_bound=bessel,
+        bounds=fields["bounds"],
+        bound_estimates=(*_pair(neg, "estimate_range", True),
+                         *_pair(pos, "estimate_range", True)),
+        bound_widths=(*_widths(neg, bessel), *_widths(pos, bessel)),
+        reasons=fields["reasons"],
+        pencils=_class_pencils(system) if verdict else {},
+    )
+
+
+def _report_fields(parts: SignParts) -> dict:
+    """The fields of ``parts`` but its verdict, which each report names its own way."""
+    fields = parts._asdict()
+    del fields["verdict"]
+    return fields
 
 
 def _singular_values(s: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -504,9 +564,10 @@ def _dual_comparison(original: Bounds4, dual_bounds: Bounds4, s_inv: np.ndarray,
 
 def verify_j_frame(frame: VectorFrame) -> JFrameReport:
     """Check the two sign classes and compute bounds when both pass."""
-    verdict, fields = _verify_sign_parts(frame)
-    condition = _condition_number(frame, frame._operator[1]) if verdict else None
-    return JFrameReport(is_j_frame=verdict, condition_number=condition, **fields)
+    parts = _verify_sign_parts(frame)
+    condition = _condition_number(frame, frame._operator[1]) if parts.verdict else None
+    return JFrameReport(is_j_frame=parts.verdict, condition_number=condition,
+                        **_report_fields(parts))
 
 
 def _condition_number(frame: VectorFrame, svals: np.ndarray) -> float:
@@ -548,7 +609,8 @@ def frame_part_pencils(frame: VectorFrame) -> dict[str, tuple[np.ndarray, np.nda
 
     Each denominator is positive definite and the generalized eigenvalue
     range of the pencil equals the corresponding pair of optimal bounds
-    directly (negative values for the negative part).
+    directly (negative values for the negative part); the bounds themselves
+    are computed from factors of it (:func:`_part_bounds`).
     """
     return _class_pencils(frame)
 
@@ -571,28 +633,35 @@ def _canonical_dual_of(system: _SignClasses) -> tuple[dict, _SignClasses, np.nda
 
     The dual keeps the system's signs, by the theorem, and so its sign
     classes; its class spans are S^{-1} M+/-: each the Q factor of
-    ``S^{-1} U`` with U the system's class basis and a positive diagonal in
-    R, unique since S^{-1} is invertible.  They are set here, so they take
-    the dimensions of M+/- in place of a rank decided from singular values,
-    which near neutral can flip at rounding level.
+    ``S^{-1} U = Q R`` with U the system's class basis and a positive
+    diagonal in R, unique since S^{-1} is invertible.  They are set here, so
+    they take the dimensions of M+/- in place of a rank decided from
+    singular values, which near neutral can flip at rounding level.  So are
+    its class factors: ``S^{-1} T = Q (R K) W`` for the system's ``T = U K
+    W``.
     """
     fields = _verified(system)
     s, svals = _require_invertible(system)
     s_inv = np.linalg.inv(s)
     dual = system._dual(s_inv)
-    spans = system._class_spans
-    bases = q_factors([s_inv @ part_span.basis for _, part_span in spans.values()])
-    dual._class_spans = {label: (indices, Subspace(space=system.space, basis=basis))
-                         for (label, (indices, _)), basis in zip(spans.items(), bases)}
+    spans, factors = system._class_spans, system._class_factors
+    qrs = qr_factors([s_inv @ part_span.basis for _, part_span in spans.values()])
+    dual._class_spans = {label: (indices, Subspace(space=system.space, basis=q))
+                         for (label, (indices, _)), (q, _) in zip(spans.items(), qrs)}
+    dual._class_factors = {label: (r @ factors[label][0], factors[label][1])
+                           for label, (_, r) in zip(spans, qrs)}
     return fields, dual, s_inv, svals
 
 
 def _dual_diagnostics(system: _SignClasses) -> tuple[_SignClasses, np.ndarray, dict]:
     """The canonical dual, S^{-1} and the :func:`_dual_comparison` fields of a
-    frame or family: it and its dual are each verified once, for the bounds
-    (:func:`_verify_bounds`)."""
+    frame or family.  The system is verified once, for its bounds
+    (:func:`_verify_bounds`); the dual is a frame or family of the same part
+    kinds and dimensions by the theorem, so nothing of it is classified, and
+    its bounds are :func:`_part_bounds` of its classes."""
     fields, dual, s_inv, svals = _canonical_dual_of(system)
-    dual_bounds = _verified(dual)["bounds"]
+    ranges = {label: _part_bounds(dual, label) for label in dual._class_spans}
+    dual_bounds = (*ranges.get("negative", (None, None)), *ranges.get("positive", (None, None)))
     return dual, s_inv, _dual_comparison(fields["bounds"], dual_bounds, s_inv,
                                          dual._operator_matrix(), system.space.symmetry,
                                          svals[-1])

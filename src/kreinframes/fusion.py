@@ -26,9 +26,10 @@ import numpy as np
 from ._numeric import (
     as_matrix,
     block_diag,
+    cholesky_factors,
     operator_norm,
     operator_norms,
-    q_factors,
+    qr_factors,
     stacked,
 )
 from .core import TOL_DEF, TOL_RANK, KreinSpace, Operator
@@ -47,6 +48,7 @@ from .frames import (
     _canonical_dual_of,
     _class_pencils,
     _dual_diagnostics,
+    _report_fields,
     _SignClasses,
     _verified,
     _verify_sign_parts,
@@ -59,9 +61,11 @@ from .subspaces import (
     SubspaceKind,
     _classify_all,
     _entry_spans,
+    _grams,
     _images,
     subspace_sum,
 )
+
 
 class WeightedSubspaceFamily(_SignClasses):
     """Finitely many uniformly definite subspaces with positive weights.
@@ -73,13 +77,24 @@ class WeightedSubspaceFamily(_SignClasses):
 
     _what, _refusal = "fusion frame", NotAJFusionFrame
 
+    # The R factors that a canonical dual's entry bases carry (see ``_dual``).
+    _entry_r: list[np.ndarray] | None = None
+
     def __init__(self, space: KreinSpace, subspaces: tuple[Subspace, ...], weights: np.ndarray,
-                 signs: np.ndarray, entry_classifications: tuple[Classification, ...],
+                 signs: np.ndarray, entry_classifications: tuple[Classification, ...] | None,
                  tol_def: float, tol_rank: float):
         super().__init__(space, signs, tol_def, tol_rank)
         self.subspaces = subspaces
         self.weights = weights
-        self.entry_classifications = entry_classifications
+        if entry_classifications is not None:
+            self.entry_classifications = entry_classifications
+
+    @cached_property
+    def entry_classifications(self) -> tuple[Classification, ...]:
+        """The classification of each entry: given at construction, or, for
+        a canonical dual, whose entries are uniformly definite of their
+        signs by the theorem, taken when first read."""
+        return tuple(_classify_all(self.subspaces, self.tol_def, self.tol_rank))
 
     @property
     def size(self) -> int:
@@ -113,34 +128,49 @@ class WeightedSubspaceFamily(_SignClasses):
         y = basis.T @ self._synthesis_columns(indices)
         return y @ block_diag([self.subspaces[i].gram for i in indices]) @ y.T
 
+    def _bound_factor(self, indices: tuple[int, ...], chol: np.ndarray, coefficients: np.ndarray,
+                      rows: np.ndarray) -> np.ndarray:
+        """``L^{-1} K W blockdiag(E_i)``: the numerator ``B^T T blockdiag(G_i)
+        T^T B`` is ``K W blockdiag(G_i) W^T K^T``, and ``sigma G_i = E_i
+        E_i^T`` for the class's sign sigma, with ``E_i`` the Cholesky factor
+        of ``sigma G_i``, times ``P_i^{-1}`` for a canonical dual (see
+        ``_dual``); stacked by entry dimension."""
+        sign = float(self.signs[indices[0]])
+        factors = cholesky_factors(
+            [sign * gram for gram in _grams([self.subspaces[i] for i in indices])],
+            "the signed Gram of an entry")
+        if self._entry_r is not None:
+            factors = stacked(np.linalg.solve, [self._entry_r[i] for i in indices], factors)
+        return np.linalg.solve(chol, coefficients @ (rows @ block_diag(factors)))
+
     def _operator_matrix(self) -> np.ndarray:
         return self.synthesis @ fusion_analysis(self)
 
     def _dual(self, s_inv: np.ndarray) -> "WeightedSubspaceFamily":
         """The family {(S^{-1} W_i, v_i)} (see :func:`canonical_dual_fusion`),
         with the family's signs and tolerances: by the theorem, S^{-1} W_i is
-        uniformly definite of the sign of W_i.  Its entries are still
-        classified, for its ``entry_classifications``.
+        uniformly definite of the sign of W_i, so its entries are not
+        classified here (see ``entry_classifications``).
 
-        Each dual entry's basis is the Q factor of ``S^{-1} B_i`` with a
-        positive diagonal in R, unique since S^{-1} is invertible: no rank
-        decision, and a basis that moves only as much as S^{-1} B_i does.
-        The QRs and classifications are stacked by entry dimension.  The
-        dual's part spans S^{-1} M+/- are the sign-fixed Q factors of
-        ``S^{-1} U+/-`` with U+/- the family's part span bases (see
-        :func:`~kreinframes.frames._canonical_dual_of`).  Against spans from
-        an SVD of the dual's own weighted synthesis, they moved the dual
-        bounds by at most 0.95 of their rounding width (1.4e-5 relative, n =
-        6 at tilt 1 - 1e-9), and by 0.04 of it on dense families (n = 32..256),
-        over the corpus of docs/format.md.
+        Each dual entry's basis is the Q factor of ``S^{-1} B_i = Q_i P_i``
+        with a positive diagonal in P_i, unique since S^{-1} is invertible:
+        no rank decision, and a basis that moves only as much as S^{-1} B_i
+        does.  The QRs are stacked by entry dimension.  The dual keeps each
+        P_i (times the family's own, for a dual of a dual): its synthesis
+        columns are S^{-1} times the family's, with each entry block times
+        P_i^{-1}.  Its part spans are set by
+        :func:`~kreinframes.frames._canonical_dual_of`.
         """
         mapped = np.split(s_inv @ np.hstack([sub.basis for sub in self.subspaces]),
                           self.offsets[1:-1], axis=1)
-        dual_subs = tuple(Subspace(space=self.space, basis=q) for q in q_factors(mapped))
-        return WeightedSubspaceFamily(
-            self.space, dual_subs, self.weights, self.signs,
-            tuple(_classify_all(dual_subs, self.tol_def, self.tol_rank)), self.tol_def,
-            self.tol_rank)
+        qrs = qr_factors(mapped)
+        dual = WeightedSubspaceFamily(
+            self.space, tuple(Subspace(space=self.space, basis=q) for q, _ in qrs), self.weights,
+            self.signs, None, self.tol_def, self.tol_rank)
+        entry_r = [p for _, p in qrs]
+        dual._entry_r = entry_r if self._entry_r is None else stacked(np.matmul, entry_r,
+                                                                      self._entry_r)
+        return dual
 
 
 def make_weighted_family(subspaces, weights, tol_def: float = TOL_DEF,
@@ -297,8 +327,7 @@ def bessel_bound(family: WeightedSubspaceFamily) -> float:
 class JFusionReport(NamedTuple):
     """Verdict, bounds and estimates of a weighted family.
 
-    ``pencils`` holds the Rayleigh pencils the bounds were computed from, as
-    :func:`part_pencils` returns them; ``bound_widths`` as in
+    ``pencils`` and ``bound_widths`` as in
     :class:`~kreinframes.frames.JFrameReport`.
     """
 
@@ -322,9 +351,11 @@ def verify_j_fusion_frame(family: WeightedSubspaceFamily) -> JFusionReport:
     p and q add up to the whole space.  Only a family that fails takes the
     rank of its stacked bases.
     """
-    verdict, fields = _verify_sign_parts(family)
-    complete = verdict or subspace_sum(family.subspaces, family.tol_rank).dim == family.space.dim
-    return JFusionReport(is_j_fusion_frame=verdict, complete=complete, **fields)
+    parts = _verify_sign_parts(family)
+    complete = (parts.verdict
+                or subspace_sum(family.subspaces, family.tol_rank).dim == family.space.dim)
+    return JFusionReport(is_j_fusion_frame=parts.verdict, complete=complete,
+                         **_report_fields(parts))
 
 
 def optimal_fusion_bounds(family: WeightedSubspaceFamily) -> Bounds4:

@@ -5,9 +5,9 @@ Every width comes from here: :func:`bound_width` of each bound, which the
 verification core stores as the ``bound_widths`` of its reports, and
 :func:`modulus_width` of each margin and reduced modulus.  :func:`certify`
 brackets them by :func:`bracket_lowest`, an inertia test by two Cholesky
-factorizations that shares nothing with the pencil reduction that computed
-the value beyond the matrices themselves, so agreement is evidence and
-disagreement is an internal inconsistency.  :func:`compare_trees` holds a
+factorizations of the part's Rayleigh pencil, which the route that computed
+the bounds, from factors of the class SVD, never forms, so agreement is
+evidence and disagreement is an internal inconsistency.  :func:`compare_trees` holds a
 stored result to its recomputation, and :func:`completeness_check` asks
 whether a family's entries span the whole space.
 """
@@ -106,10 +106,19 @@ def bracket_lowest(a, g, lam: float, delta: float, what: str = "value") -> None:
     ``g`` without a Cholesky factor, raises :class:`InternalInconsistency`
     naming ``what``.
     """
-    a = 0.5 * (a + a.T)
     g = 0.5 * (g + g.T)
+    _require_definite(g, what)
+    _bracket(0.5 * (a + a.T), g, lam, delta, what)
+
+
+def _require_definite(g: np.ndarray, what: str) -> None:
     if not _has_cholesky(g):
         raise InternalInconsistency(f"{what}: pencil denominator is not positive definite")
+
+
+def _bracket(a: np.ndarray, g: np.ndarray, lam: float, delta: float, what: str) -> None:
+    """:func:`bracket_lowest` of a symmetric ``a`` and a ``g`` already known
+    to be positive definite: the two factorizations of the inertia test."""
     if not _has_cholesky(a - (lam - delta) * g):
         raise InternalInconsistency(f"{what} {lam!r}: the pencil has an eigenvalue "
                                     f"more than {delta!r} below it")
@@ -127,15 +136,19 @@ def certify(report, tol_rank: float) -> dict:
     :func:`modulus_width` (``G``, the signed Gram, is positive definite).
     The reduced modulus skips eigenvalues up to ``tol_rank ||G||``, and
     ``||G|| <= 1``, so it is bracketed only where the margin exceeds
-    ``tol_rank``."""
+    ``tol_rank``.  Each part's ``G`` is factored once, to check that it is
+    positive definite, and the identity not at all."""
     checks = {}
     widths = {"negative": report.bound_widths[:2], "positive": report.bound_widths[2:]}
     for label, (numerator, denominator) in report.pencils.items():
         part = getattr(report, label)
+        numerator = 0.5 * (numerator + numerator.T)
+        denominator = 0.5 * (denominator + denominator.T)
+        _require_definite(denominator, f"{label}_lower_bound")
         for which, sign, lam, delta in zip(("lower", "upper"), (1.0, -1.0), part.ratio_range,
                                            widths[label]):
             quantity = f"{label}_{which}_bound"
-            bracket_lowest(sign * numerator, denominator, sign * lam, delta, quantity)
+            _bracket(sign * numerator, denominator, sign * lam, delta, quantity)
             checks[quantity] = delta
         identity = np.eye(denominator.shape[0])
         moduli = ("margin", "gamma") if part.classification.margin > tol_rank else ("margin",)
@@ -143,7 +156,7 @@ def certify(report, tol_rank: float) -> dict:
             quantity = f"{label}_span_{name}"
             value = getattr(part.classification, name)
             delta = modulus_width(value)
-            bracket_lowest(denominator, identity, value, delta, quantity)
+            _bracket(denominator, identity, value, delta, quantity)
             checks[quantity] = delta
     return {"checks": checks, "agreement": True}
 

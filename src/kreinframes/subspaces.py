@@ -113,7 +113,7 @@ def _spans(columns, space: KreinSpace, tol_rank: float = TOL_RANK) -> list[Subsp
     Gram the same bits whether it is formed alone or in a stack.
     """
     return [Subspace(space=space, basis=np.ascontiguousarray(basis))
-            for basis, _ in column_spaces(columns, tol_rank)]
+            for basis, _, _ in column_spaces(columns, tol_rank)]
 
 
 def _images(t: np.ndarray, subspaces, tol_rank: float = TOL_RANK) -> list[Subspace]:

@@ -1,8 +1,11 @@
 """Reference routes that the tests hold the package's numbers against.
 
 - :func:`rayleigh_extrema`, the extrema of a definite pencil by the spectral
-  congruence of its denominator, where the package reduces by a Cholesky
-  factor;
+  congruence of its denominator, and :func:`definite_pair_extrema`, the
+  same by its Cholesky factor, the package's route to the bounds until it
+  took them from factors of the class SVD;
+- :func:`part_bounds_mp`, the part bounds of a frame or family from its
+  data at 60 significant digits (mpmath);
 - the seeded brute-force searches (dense sampling of the unit sphere
   followed by a derivative-free shrinking-radius refinement):
   :func:`rayleigh_extrema_sampled`, :func:`gamma_brute`,
@@ -82,6 +85,82 @@ def rayleigh_extrema(a, g) -> tuple[float, float]:
     reduced = w.T @ a @ w
     vals = np.linalg.eigvalsh(0.5 * (reduced + reduced.T))
     return float(vals[0]), float(vals[-1])
+
+
+def definite_pair_extrema(a: np.ndarray, g: np.ndarray) -> tuple[float, float]:
+    """Extreme eigenvalues of the pencil ``(a, g)`` with ``g`` positive definite.
+
+    Reduces by the Cholesky congruence ``g = L L^T`` to the symmetric matrix
+    ``L^-1 a L^-T``, which has the eigenvalues of the pencil; both solves
+    with L are LU solves, backward stable like triangular ones.  A ``g``
+    without a Cholesky factor raises :class:`NotPositiveDefinite`.
+    """
+    try:
+        chol = np.linalg.cholesky(0.5 * (g + g.T))
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefinite("pencil right-hand side is not positive definite") from None
+    half = np.linalg.solve(chol, 0.5 * (a + a.T))
+    reduced = np.linalg.solve(chol, half.T)
+    vals = np.linalg.eigvalsh(0.5 * (reduced + reduced.T))
+    return float(vals[0]), float(vals[-1])
+
+
+def part_bounds_mp(system, dims: dict[str, int], dps: int = 60
+                   ) -> dict[str, tuple[float, float, float]]:
+    """The part bounds of a frame or family, and each part span's Gram
+    margin, from its data (vectors, or entry bases and weights, and J) at
+    ``dps`` significant digits: ``{label: (lower, upper, margin)}`` for each
+    nonempty sign class.
+
+    Each class's synthesis columns T are spanned by ``mp.svd_r``, keeping
+    the left singular vectors B of the top ``dims[label]`` singular values;
+    the pencil ``(N, G)`` with ``G = B^T J B`` and N the frame numerator
+    ``B^T J T T^T J B`` or the family numerator ``B^T T blockdiag(G_i) T^T
+    B`` (``G_i`` the Gram of entry i's basis), both signed for the negative
+    class, is reduced by ``mp.cholesky`` of the signed G and solved by
+    ``mp.eigsy``.  Nothing but the data is shared with the package.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        j = mp.matrix(system.space.symmetry.tolist())
+        out = {}
+        for label, indices in (("positive", system.positive_indices),
+                               ("negative", system.negative_indices)):
+            if not indices:
+                continue
+            sign = 1 if label == "positive" else -1
+            t = mp.matrix(system._synthesis_columns(indices).tolist())
+            u, svals, _ = mp.svd_r(t, compute_uv=True)
+            order = sorted(range(len(svals)), key=lambda i: -svals[i])[:dims[label]]
+            b = mp.matrix(t.rows, len(order))
+            for col, i in enumerate(order):
+                for row in range(t.rows):
+                    b[row, col] = u[row, i]
+            gram = b.T * j * b
+            if hasattr(system, "vectors"):
+                coefficients = b.T * j * t
+                numerator = coefficients * coefficients.T * sign
+            else:
+                y = b.T * t
+                blocks = mp.zeros(t.cols, t.cols)
+                offset = 0
+                for i in indices:
+                    basis = mp.matrix(system.subspaces[i].basis.tolist())
+                    entry_gram = basis.T * j * basis
+                    for r in range(basis.cols):
+                        for c in range(basis.cols):
+                            blocks[offset + r, offset + c] = entry_gram[r, c]
+                    offset += basis.cols
+                numerator = y * blocks * y.T
+            chol = mp.cholesky(gram * sign)
+            chol_inv = mp.inverse(chol)
+            reduced = chol_inv * numerator * chol_inv.T * sign
+            eigenvalues = sorted(mp.eigsy((reduced + reduced.T) / 2, eigvals_only=True))
+            margin = min(abs(x) for x in mp.eigsy(gram, eigvals_only=True))
+            low, high = eigenvalues[0] * sign, eigenvalues[-1] * sign
+            out[label] = (float(min(low, high)), float(max(low, high)), float(margin))
+        return out
 
 
 def _sampled_extrema(a: np.ndarray, g: np.ndarray, rng: np.random.Generator,

@@ -494,7 +494,7 @@ def test_each_bound_is_certified_and_held_at_its_library_width(tmp_path, command
 @pytest.mark.parametrize("kind", ["fusion", "frame"])
 @pytest.mark.parametrize("n", [6, 16])
 def test_oracle_block_refuses_a_moved_bound(capsys, tmp_path, monkeypatch, n, kind, slot):
-    """A pencil route that moves one bound by four times the half-width of its
+    """A bound route that moves one bound by four times the half-width of its
     bracket makes the verifying command exit 3, at every dimension."""
     problem = tmp_path / "problem.json"
     cfg = kf.GeneratorConfig(kind=kind, seed=n, dim=n, num_positive=n // 2, rotate=True)
@@ -503,15 +503,15 @@ def test_oracle_block_refuses_a_moved_bound(capsys, tmp_path, monkeypatch, n, ki
     code, report, err = run_cli(capsys, command, problem)
     assert code == 0, err
     delta = report["result"]["oracle"]["checks"][QUANTITIES[slot]]
-    exact = kf.frames.definite_pair_extrema
+    exact = kf.frames._part_bounds
 
-    def moved(a, g):
-        extrema = list(exact(a, g))
-        if (extrema[1] > 0) == (slot >= 2):  # the pencil of the part that holds the slot
+    def moved(system, label):
+        extrema = list(exact(system, label))
+        if (label == "positive") == (slot >= 2):  # the part that holds the slot
             extrema[slot % 2] += 4.0 * delta
         return tuple(extrema)
 
-    monkeypatch.setattr(kf.frames, "definite_pair_extrema", moved)
+    monkeypatch.setattr(kf.frames, "_part_bounds", moved)
     code, _, err = run_cli(capsys, command, problem)
     assert code == 3
     assert QUANTITIES[slot] in err
@@ -954,12 +954,29 @@ DUAL_OVERFLOWS = {
     "operator": "input error: the frame operator overflows a double",
     "operator_norm": "input error: the frame operator overflows a double",
 }
+# ``bounds`` writes no condition number, so it does not compute one
 OVERFLOW_REFUSALS = [
     pytest.param(command, section, value,
                  DUAL_OVERFLOWS.get(name, message) if command == "dual" else message,
                  id=f"{command}-{name}")
     for name, (section, value, message) in OVERFLOWING_BOUNDS.items()
-    for command in ("verify" if section == "family" else "verify-frame", "bounds", "dual")]
+    for command in ("verify" if section == "family" else "verify-frame", "bounds", "dual")
+    if (command, name) != ("bounds", "condition_number")]
+
+
+def test_bounds_of_a_frame_whose_condition_number_overflows(capsys, tmp_path, recwarn):
+    """``bounds`` answers a frame whose S has a condition number beyond the
+    double range, which ``verify-frame`` refuses: it writes no condition
+    number and computes none, and ``oracle`` re-derives its report."""
+    section, value, _ = OVERFLOWING_BOUNDS["condition_number"]
+    problem = tmp_path / "ill_conditioned.json"
+    problem.write_text(json.dumps({"dimension": 2, "J": DIAG_J, section: value}))
+    report_file = tmp_path / "report.json"
+    code, report, err = run_cli(capsys, "bounds", problem, "-o", report_file)
+    assert code == 0, err
+    assert report["result"]["bounds"] == [-0.0, -0.0, 1.0, 1.0]
+    assert run_cli(capsys, "oracle", report_file)[0] == 0
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.parametrize("scale", [1e-200, 1e-160])

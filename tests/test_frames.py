@@ -5,8 +5,8 @@ import pytest
 
 import kreinframes as kf
 from kreinframes import cli
-from kreinframes._numeric import column_space, definite_pair_extrema
-from oracle_references import rayleigh_extrema
+from kreinframes._numeric import column_space
+from oracle_references import definite_pair_extrema, rayleigh_extrema
 
 EXACT_TOL = 1e-12
 NUM_TOL = 1e-9
@@ -211,19 +211,24 @@ def _recording(calls: list, name: str, fn):
     return recorded
 
 
-def test_dual_reciprocity_verifies_frame_and_dual_once(monkeypatch):
-    """The dual route verifies the frame once and its dual once, each for
-    its bounds only, at the cutoffs the frame was built at."""
+def test_dual_reciprocity_verifies_the_frame_once_and_classifies_nothing_of_the_dual(
+        monkeypatch):
+    """The dual route verifies the frame once, for its bounds only, at the
+    cutoffs the frame was built at.  The dual has the frame's part kinds and
+    dimensions by the theorem, so none of its spans is classified; each of
+    its bounds is taken once, from its factors."""
     calls = []
-    for name in ("_verify_sign_parts", "_verify_bounds"):
+    for name in ("_verify_sign_parts", "_verify_bounds", "_class_checks", "_part_bounds"):
         monkeypatch.setattr(kf.frames, name, _recording(calls, name, getattr(kf.frames, name)))
     tilted = _tilted_frame()
     frame = kf.partition_by_sign(tilted.vectors, tilted.space, 1e-11, 1e-9)
     report = kf.dual_reciprocity(frame)
-    assert [(name, system) for name, system, _, _ in calls] == [
-        ("_verify_bounds", frame), ("_verify_bounds", report.dual)]
-    assert all((system.tol_def, system.tol_rank) == (1e-11, 1e-9) and not args and not kwargs
-               for _, system, args, kwargs in calls)
+    assert [(name, system, args) for name, system, args, _ in calls] == [
+        ("_verify_bounds", frame, ()), ("_class_checks", frame, ()),
+        ("_part_bounds", frame, ("positive",)), ("_part_bounds", frame, ("negative",)),
+        ("_part_bounds", report.dual, ("positive",)), ("_part_bounds", report.dual, ("negative",))]
+    assert all((system.tol_def, system.tol_rank) == (1e-11, 1e-9) and not kwargs
+               for _, system, _, kwargs in calls)
 
 
 def test_dual_reciprocity_builds_each_frame_operator_once(monkeypatch):
@@ -260,14 +265,15 @@ def _rebuilt(system, tol_def: float, tol_rank: float):
 
 
 @pytest.mark.parametrize("kind", ["frame", "fusion"])
-def test_a_system_verified_again_at_the_same_cutoffs_builds_no_pencil(kind, monkeypatch):
+def test_a_system_verified_again_at_the_same_cutoffs_builds_no_factor(kind, monkeypatch):
     """The verification of a system is kept with it, so a second
-    verification, its optimal bounds and its canonical dual read it; the
-    same data built at another cutoff is verified anew."""
+    verification, its optimal bounds and its canonical dual read it and
+    build no bound factor; the same data built at another cutoff is
+    verified anew."""
     system = _generated(kind, 8, 0.5, 1)
     calls = []
-    monkeypatch.setattr(kf.frames, "_class_pencils",
-                        _recording(calls, "pencils", kf.frames._class_pencils))
+    monkeypatch.setattr(kf.frames, "_part_bounds",
+                        _recording(calls, "factor", kf.frames._part_bounds))
     if kind == "frame":
         verify, bounds, dual = kf.verify_j_frame, kf.optimal_j_frame_bounds, kf.canonical_dual
     else:
@@ -276,9 +282,10 @@ def test_a_system_verified_again_at_the_same_cutoffs_builds_no_pencil(kind, monk
     first = verify(system)
     assert verify(system).bounds == first.bounds == bounds(system)
     dual(system)
-    assert [(name, built) for name, built, _, _ in calls] == [("pencils", system)]
+    assert [(name, built, args) for name, built, args, _ in calls] == [
+        ("factor", system, ("positive",)), ("factor", system, ("negative",))]
     verify(_rebuilt(system, kf.TOL_DEF, 1e-9))
-    assert len(calls) == 2
+    assert len(calls) == 4
 
 
 def _dual_report(system):
@@ -339,7 +346,7 @@ def test_near_neutral_dual_bounds_are_those_of_the_svd_route_within_their_width(
     dual = report.dual
     beta = kf.frames._bessel_bound(dual.synthesis)
     for label, (indices, span) in system._class_spans.items():
-        basis, _ = column_space(dual._synthesis_columns(indices), 0.0)
+        basis, _, _ = column_space(dual._synthesis_columns(indices), 0.0)
         reference_span = kf.Subspace(space=dual.space, basis=basis[:, :span.dim])
         reference = definite_pair_extrema(*kf.frames._pencil(dual, label,
                                                              (indices, reference_span)))
@@ -355,9 +362,10 @@ def _same_arrays(a, b) -> bool:
 
 def test_bounds_verification_and_report_agree_on_a_failing_frame():
     """The verification core (bounds only) and the report agree on verdict,
-    reasons, parts (but for the estimates, which only the report takes) and
-    pencils, one for every nonempty class whatever its kind; the report's
-    pencils are those of :func:`frame_part_pencils`."""
+    reasons and parts (but for the estimates, which only the report takes).
+    Neither forms a pencil: only the report of a true verdict does, for its
+    oracle block, and those are the pencils of :func:`frame_part_pencils`,
+    which has one for every nonempty class whatever its kind."""
     space = kf.make_krein_space(np.diag([1.0, 1.0, -1.0]))
     frame = kf.partition_by_sign(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
                                            [2.0, 0.0, 1.9], [0.0, 0.0, 1.0]]), space)
@@ -372,12 +380,13 @@ def test_bounds_verification_and_report_agree_on_a_failing_frame():
         assert (part._replace(classification=None)
                 == full._replace(classification=None, estimate_range=None))
         assert _same_arrays(part.classification, full.classification)
-    pencils = kf.frame_part_pencils(frame)
-    assert list(fields["pencils"]) == list(report.pencils) == list(pencils) == ["positive",
-                                                                                "negative"]
+    assert "pencils" not in fields and report.pencils == {}
+    assert list(kf.frame_part_pencils(frame)) == ["positive", "negative"]
+    verified = _tilted_frame()
+    pencils = kf.frame_part_pencils(verified)
+    assert list(kf.verify_j_frame(verified).pencils) == list(pencils) == ["positive", "negative"]
     for label, pencil in pencils.items():
-        assert _same_arrays(fields["pencils"][label], report.pencils[label])
-        assert _same_arrays(report.pencils[label], pencil)
+        assert _same_arrays(kf.verify_j_frame(verified).pencils[label], pencil)
 
 
 TINY_FRAME = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])

@@ -405,7 +405,7 @@ def test_part_spans_and_estimates_come_from_one_svd_of_the_weighted_synthesis(ti
     dual = kf.fusion_dual_diagnostics(family).dual
     for label, indices in (("positive", family.positive_indices),
                            ("negative", family.negative_indices)):
-        basis, svals = column_space(
+        basis, svals, _ = column_space(
             np.hstack([family.weights[i] * family.subspaces[i].basis for i in indices]),
             kf.TOL_RANK)
         span = getattr(family, f"{label}_span")
@@ -537,17 +537,27 @@ def _recording(calls: list, name: str, verify):
 
 
 def test_dual_diagnostics_verify_original_family_once(tilted_family, monkeypatch):
-    """The dual route verifies the family once and its dual once, each for
-    its bounds only, at the cutoffs the family was built at."""
+    """The dual route verifies the family once, for its bounds only, at the
+    cutoffs the family was built at.  The dual has the family's part kinds
+    and dimensions, and uniformly definite entries of its signs, by the
+    theorem, so neither its part spans nor its entries are classified; each
+    of its bounds is taken once, from its factors."""
     calls = []
-    for name in ("_verify_sign_parts", "_verify_bounds"):
+    for name in ("_verify_sign_parts", "_verify_bounds", "_class_checks", "_part_bounds"):
         monkeypatch.setattr(kf.frames, name, _recording(calls, name, getattr(kf.frames, name)))
     family = kf.make_weighted_family(tilted_family.subspaces, tilted_family.weights, 1e-11, 1e-9)
+
+    def no_classification(*args, **kwargs):
+        raise AssertionError("the dual route classified entries")
+
+    monkeypatch.setattr(kf.fusion, "_classify_all", no_classification)
     diag = kf.fusion_dual_diagnostics(family)
-    assert [(name, system) for name, system, _, _ in calls] == [
-        ("_verify_bounds", family), ("_verify_bounds", diag.dual)]
-    assert all((system.tol_def, system.tol_rank) == (1e-11, 1e-9) and not args and not kwargs
-               for _, system, args, kwargs in calls)
+    assert [(name, system, args) for name, system, args, _ in calls] == [
+        ("_verify_bounds", family, ()), ("_class_checks", family, ()),
+        ("_part_bounds", family, ("positive",)), ("_part_bounds", family, ("negative",)),
+        ("_part_bounds", diag.dual, ("positive",)), ("_part_bounds", diag.dual, ("negative",))]
+    assert all((system.tol_def, system.tol_rank) == (1e-11, 1e-9) and not kwargs
+               for _, system, _, kwargs in calls)
 
 
 def test_dual_diagnostics_build_each_synthesis_and_operator_once(tilted_family, monkeypatch):

@@ -83,18 +83,20 @@ def test_orth_columns_finds_the_planted_rank_and_space(planted):
 
 @pytest.mark.parametrize("shape", [(4, 0), (0, 3), (0, 0)])
 def test_orth_columns_of_an_empty_matrix_is_empty(shape):
-    basis, svals = column_space(np.zeros(shape), TOL_RANK)
+    basis, svals, rows = column_space(np.zeros(shape), TOL_RANK)
     assert basis.shape == (shape[0], 0)
     assert svals.size == 0
+    assert rows.shape == (0, shape[1])
 
 
 @pytest.mark.parametrize("scale", SCALES)
 def test_orth_columns_of_a_zero_or_scaled_matrix(scale):
     assert orth_columns(np.zeros((5, 3)), TOL_RANK).shape == (5, 0)
     m = scale * np.array([[1.0, 2.0], [2.0, 4.0], [0.0, 0.0]])
-    basis, svals = column_space(m, TOL_RANK)
-    assert basis.shape == (3, 1)
+    basis, svals, rows = column_space(m, TOL_RANK)
+    assert basis.shape == (3, 1) and rows.shape == (1, 2)
     assert svals[0] == pytest.approx(scale * np.sqrt(25.0), rel=1e-15)
+    assert np.allclose(basis * svals[0] @ rows, m, rtol=0.0, atol=1e-15 * scale)
     assert abs(basis[:, 0] @ np.array([1.0, 2.0, 0.0])) == pytest.approx(np.sqrt(5.0), rel=1e-15)
 
 
@@ -189,9 +191,10 @@ def test_column_spaces_are_column_space_of_each():
     mats[1] = np.hstack([mats[0], 2.0 * mats[0]])  # rank 1 of 2 columns
     mats[3] = mats[3] * 2.0**600
     mats.append(np.zeros((9, 0)))
-    for m, (basis, svals) in zip(mats, column_spaces(mats, TOL_RANK), strict=True):
-        ref_basis, ref_svals = column_space(m, TOL_RANK)
+    for m, (basis, svals, rows) in zip(mats, column_spaces(mats, TOL_RANK), strict=True):
+        ref_basis, ref_svals, ref_rows = column_space(m, TOL_RANK)
         assert np.array_equal(basis, ref_basis) and np.array_equal(svals, ref_svals)
+        assert np.array_equal(rows, ref_rows) and rows.shape == (basis.shape[1], m.shape[1])
     assert column_spaces(mats, TOL_RANK)[1][0].shape == (9, 1)
 
 

@@ -6,6 +6,7 @@ import pytest
 import kreinframes as kf
 from kreinframes import oracles
 from oracle_references import (
+    definite_pair_extrema,
     gamma_brute,
     max_singular_brute,
     min_singular_brute,
@@ -178,11 +179,10 @@ def _generated_pencils():
 
 
 def test_pencil_routes_stay_within_their_error_bound():
-    """The Cholesky route of the bounds and the spectral route of the oracle each
-    stay within 16 times the first-order bound ``eps (||A|| + |lam| ||G||) /
+    """The Cholesky and the spectral reduction of a part pencil each stay
+    within 16 times the first-order bound ``eps (||A|| + |lam| ||G||) /
     lambda_min(G)`` of the exact extrema of the stored pencil."""
     mpmath = pytest.importorskip("mpmath")
-    from kreinframes._numeric import definite_pair_extrema
 
     eps = np.finfo(float).eps
     worst = 0.0
@@ -199,3 +199,24 @@ def test_pencil_routes_stay_within_their_error_bound():
                     bound = eps * (norm_a + abs(lam) * norm_g) / g_min
                     worst = max(worst, abs(value - lam) / bound)
     assert worst <= PENCIL_BOUND_FACTOR
+
+
+def test_certify_factors_each_part_denominator_once(monkeypatch):
+    """A verified report with both parts, margins above the rank cutoff,
+    takes 18 Cholesky factorizations: per part, one of G, two per bound and
+    two per modulus bracket; none of them is of the identity."""
+    cfg = kf.GeneratorConfig(kind="fusion", seed=1, dim=6, num_positive=3, tilt=0.5)
+    report = kf.verify_j_fusion_frame(kf.gen_family(cfg))
+    assert report.is_j_fusion_frame
+    factored = []
+    has_cholesky = oracles._has_cholesky
+
+    def counting(m):
+        factored.append(m)
+        return has_cholesky(m)
+
+    monkeypatch.setattr(oracles, "_has_cholesky", counting)
+    checks = oracles.certify(report, kf.TOL_RANK)["checks"]
+    assert len(checks) == 8
+    assert len(factored) == 18
+    assert not [m for m in factored if np.array_equal(m, np.eye(m.shape[0]))]
