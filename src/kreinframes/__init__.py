@@ -57,6 +57,7 @@ from .frames import (
     interlacing_identity,
     is_j_frame,
     optimal_j_frame_bounds,
+    part_pencils,
     partial_frame_operator,
     partition_by_sign,
     verify_j_frame,
@@ -84,7 +85,6 @@ from .fusion import (
     j_image_family,
     make_weighted_family,
     optimal_fusion_bounds,
-    part_pencils,
     verify_j_fusion_frame,
 )
 from .problem_io import (
@@ -157,7 +157,7 @@ __all__ = [
     # frames
     "VectorFrame", "partition_by_sign", "frame_operator",
     "partial_frame_operator", "PartReport", "JFrameReport", "verify_j_frame",
-    "is_j_frame", "optimal_j_frame_bounds", "frame_part_pencils",
+    "is_j_frame", "optimal_j_frame_bounds", "part_pencils", "frame_part_pencils",
     "canonical_dual", "ReciprocityReport",
     "dual_reciprocity", "interlacing_identity",
     # fusion
@@ -165,7 +165,7 @@ __all__ = [
     "direct_sum_space", "fusion_synthesis", "fusion_analysis",
     "fusion_frame_operator", "fusion_operator_parts", "bessel_bound",
     "JFusionReport", "verify_j_fusion_frame",
-    "optimal_fusion_bounds", "fusion_bound_estimates", "part_pencils",
+    "optimal_fusion_bounds", "fusion_bound_estimates",
     "canonical_dual_fusion", "FusionDualReport", "fusion_dual_diagnostics",
     "j_image_family", "adjoint_identity_residual", "RpsEntry",
     "check_rps_corollary", "EquivalenceReport", "equivalence_check",

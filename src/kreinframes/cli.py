@@ -16,11 +16,12 @@ that did not converge), so there is no answer to report; the message names
 the kernel.
 
 Every verifying command whose verdict is true brackets each bound, margin
-and reduced modulus it reports (:func:`kreinframes.oracles.certify`), and
-``classify`` each entry's margin; ``oracle`` compares a stored result with
-its recomputation.  A failed check exits 3.  :mod:`kreinframes.oracles`
-decides how close each number must be; this module only says where each
-number, and its tolerance, sits in the report.
+and reduced modulus it reports (:func:`kreinframes.oracles.certify`, in the
+pencils of :func:`kreinframes.frames.part_pencils`, which no verification
+forms), and ``classify`` each entry's margin; ``oracle`` compares a stored
+result with its recomputation.  A failed check exits 3.
+:mod:`kreinframes.oracles` decides how close each number must be; this
+module only says where each number, and its tolerance, sits in the report.
 
 Every command but ``gen`` and ``oracle`` takes the two tolerance flags,
 which default to ``TOL_DEF`` and ``TOL_RANK``; ``oracle`` re-runs at, and
@@ -51,7 +52,13 @@ from .errors import (
     NumericalFailure,
     SchemaError,
 )
-from .frames import _verify_sign_parts, dual_reciprocity, partition_by_sign, verify_j_frame
+from .frames import (
+    _verify_sign_parts,
+    dual_reciprocity,
+    part_pencils,
+    partition_by_sign,
+    verify_j_frame,
+)
 from .fusion import (
     check_rps_corollary,
     family_from_spans,
@@ -222,7 +229,8 @@ def run_verify(parsed: ParsedProblem, params: Params) -> Outcome:
         "negative": report.negative,
         "reasons": list(report.reasons),
         "projection_alignment": rps,
-        "oracle": oracles.certify(report, params.tol_rank) if report.is_j_fusion_frame else None,
+        "oracle": (oracles.certify(report, part_pencils(family), params.tol_rank)
+                   if report.is_j_fusion_frame else None),
     }
     tolerances = _bound_tolerances("bounds", report)
     for i, cls in enumerate(family.entry_classifications if rps else ()):
@@ -246,7 +254,8 @@ def run_verify_frame(parsed: ParsedProblem, params: Params) -> Outcome:
         "positive": report.positive,
         "negative": report.negative,
         "reasons": list(report.reasons),
-        "oracle": oracles.certify(report, params.tol_rank) if report.is_j_frame else None,
+        "oracle": (oracles.certify(report, part_pencils(frame), params.tol_rank)
+                   if report.is_j_frame else None),
     }
     return Outcome(result, 0 if report.is_j_frame else 1,
                    _verdict_lines(report.is_j_frame, report),
@@ -291,7 +300,8 @@ def run_bounds(parsed: ParsedProblem, params: Params) -> Outcome:
         "bound_estimates": list(report.bound_estimates),
         "estimates_contain_optimal": _sandwich_flags(report),
         "reasons": list(report.reasons),
-        "oracle": oracles.certify(report, params.tol_rank) if verdict else None,
+        "oracle": (oracles.certify(report, part_pencils(system), params.tol_rank)
+                   if verdict else None),
     }
     return Outcome(result, 0 if verdict else 1,
                    [f"{kind} bounds={report.bounds} estimates={report.bound_estimates}"],

@@ -12,12 +12,14 @@ over the positive span; the negative pair is the sharp range of the analogous
 ratio over the negative span (both entries negative, ``B- <= A- < 0``).
 Missing parts contribute ``None`` slots.
 
-A frame, like a weighted family, is verified by its part bounds alone
+A frame, like a weighted family, is judged by its class checks alone
+(:func:`_class_checks`) and verified by its part bounds
 (:func:`_verify_bounds`), each the square of an extreme singular value of
 a factor with one row per dimension of its part span (:func:`_part_bounds`); only
 the reports (:func:`_verify_sign_parts`) add the Bessel bound, the bound
-estimates, the bound widths and, for their oracle block, the Rayleigh
-pencils.
+estimates and the bound widths.  No report holds the Rayleigh pencils of the
+bounds: :func:`part_pencils` forms them for whoever brackets the bounds in
+them.
 """
 
 from functools import cached_property
@@ -63,8 +65,8 @@ class _SignClasses:
     ``_numerator(indices, basis)``; the factor of its bounds,
     ``_bound_factor(indices, chol, coefficients, rows)`` (see
     :func:`_part_bounds`); the matrix of S, ``_operator_matrix()``; its
-    canonical dual from S^{-1}, ``_dual(s_inv)``; what it is called,
-    ``_what``; and the error that refuses it, ``_refusal``.  The span of
+    canonical dual from S^{-1}, ``_dual(s_inv)``; and the error that
+    refuses it, ``_refusal``.  The span of
     each nonempty class, the singular values of its columns and its factors
     come from one SVD of them (:func:`~kreinframes._numeric.column_space`); a
     canonical dual's spans and factors are set when it is built (see
@@ -129,10 +131,6 @@ class _SignClasses:
         _require_finite(s, "the frame operator")
         return s, _singular_values(s, self.space.symmetry)
 
-    def _refuse_ill_conditioned(self, svals: np.ndarray) -> None:
-        """A hook that may refuse a verified system by the singular values of
-        S before :func:`_require_invertible` does; by default it refuses none."""
-
     @property
     def positive_span(self) -> Subspace | None:
         return self._class_spans.get("positive", (None, None))[1]
@@ -145,7 +143,7 @@ class _SignClasses:
 class VectorFrame(_SignClasses):
     """A sign-partitioned vector sequence (rows of ``vectors``)."""
 
-    _what, _refusal = "frame", NotAJFrame
+    _refusal = NotAJFrame
 
     def __init__(self, space: KreinSpace, vectors: np.ndarray, signs: np.ndarray,
                  tol_def: float, tol_rank: float):
@@ -178,10 +176,6 @@ class VectorFrame(_SignClasses):
         ``G K W W^T K^T G``, and W, the class's V^T rows, which a dual keeps,
         has orthonormal rows, so the pencil reduces to ``L^T K K^T L``."""
         return chol.T @ coefficients
-
-    def _refuse_ill_conditioned(self, svals: np.ndarray) -> None:
-        """Refuse a condition number beyond the double range, as :func:`verify_j_frame` does."""
-        _condition_number(self, svals)
 
     def _dual(self, s_inv: np.ndarray) -> "VectorFrame":
         """The vectors S^{-1} f_i, from one product with S^{-1}, with the frame's
@@ -296,15 +290,12 @@ class SignParts(NamedTuple):
     bound_estimates: Bounds4
     bound_widths: Bounds4
     reasons: tuple[str, ...]
-    pencils: dict
 
 
 class JFrameReport(NamedTuple):
     """Verdict, bounds and estimates of a vector frame.
 
-    ``pencils`` holds the Rayleigh pencils of the bounds, as
-    :func:`frame_part_pencils` returns them, where the verdict is true (else
-    none), and ``bound_widths`` the rounding width of each bound
+    ``bound_widths`` holds the rounding width of each bound
     (:func:`~kreinframes.oracles.bound_width`).
     """
 
@@ -317,7 +308,6 @@ class JFrameReport(NamedTuple):
     bound_widths: Bounds4
     condition_number: float | None
     reasons: tuple[str, ...]
-    pencils: dict
 
 
 _PART_KINDS = (("positive", SubspaceKind.UNIFORMLY_POSITIVE),
@@ -346,12 +336,6 @@ def _pencil(system: _SignClasses, label: str, class_span: ClassSpan
     return numerator, part_span.gram if label == "positive" else -part_span.gram
 
 
-def _class_pencils(system: _SignClasses) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """The :func:`_pencil` of each nonempty class."""
-    return {label: _pencil(system, label, class_span)
-            for label, class_span in system._class_spans.items()}
-
-
 def _part_bounds(system: _SignClasses, label: str) -> tuple[float, float]:
     """The bounds of a nonempty class of the right kind, the extreme
     eigenvalues of its signed Rayleigh pencil (N, G), with no N formed: with
@@ -376,7 +360,8 @@ def _part_bounds(system: _SignClasses, label: str) -> tuple[float, float]:
 
 
 def _class_checks(system: _SignClasses) -> tuple[dict, dict, tuple[str, ...]]:
-    """The checks of :func:`_verify_bounds`, without the bounds, taken once.
+    """The checks of :func:`_verify_bounds`, without the bounds, taken once:
+    the verdict of a frame or family (:func:`_passes`).
 
     The span of each nonempty sign class must be a maximal uniformly
     definite subspace of its sign: the span is classified, at the system's
@@ -412,6 +397,12 @@ def _class_checks(system: _SignClasses) -> tuple[dict, dict, tuple[str, ...]]:
             passed[label] = parts[label].ok
         system._checks = parts, passed, tuple(reasons)
     return system._checks
+
+
+def _passes(system: _SignClasses) -> bool:
+    """Whether both classes pass :func:`_class_checks`: the verdict, with no bound computed."""
+    passed = _class_checks(system)[1]
+    return passed["positive"] and passed["negative"]
 
 
 def _verify_bounds(system: _SignClasses) -> tuple[bool, dict]:
@@ -477,10 +468,8 @@ def _widths(part: PartReport | None, bessel: float) -> tuple:
 def _verify_sign_parts(system: _SignClasses) -> SignParts:
     """The verification that the reports write: the Bessel bound, then
     :func:`_verify_bounds`, then the estimates (:func:`_with_estimates`) and
-    the rounding widths (:func:`_widths`) of each class with bounds, and,
-    where the verdict is true, the pencils that the oracle block brackets
-    the bounds in (:func:`_class_pencils`).  A Bessel constant beyond the
-    double range raises :class:`InputError`.
+    the rounding widths (:func:`_widths`) of each class with bounds.  A
+    Bessel constant beyond the double range raises :class:`InputError`.
     """
     bessel = _bessel_bound(system.synthesis)
     verdict, fields = _verify_bounds(system)
@@ -496,7 +485,6 @@ def _verify_sign_parts(system: _SignClasses) -> SignParts:
                          *_pair(pos, "estimate_range", True)),
         bound_widths=(*_widths(neg, bessel), *_widths(pos, bessel)),
         reasons=fields["reasons"],
-        pencils=_class_pencils(system) if verdict else {},
     )
 
 
@@ -523,11 +511,10 @@ def _singular_values(s: np.ndarray, j: np.ndarray) -> np.ndarray:
 
 def _require_invertible(system: _SignClasses) -> tuple[np.ndarray, np.ndarray]:
     """S and its singular values of a verified frame or family, refused when
-    S^{-1} exceeds the double range (:class:`InputError`, after the class's
-    ``_refuse_ill_conditioned``).  A verified system has an invertible S, by
-    the theorem, however small its smallest singular value."""
+    S^{-1} exceeds the double range (:class:`InputError`).  A verified
+    system has an invertible S, by the theorem, however small its smallest
+    singular value, and however large its condition number."""
     s, svals = system._operator
-    system._refuse_ill_conditioned(svals)
     with np.errstate(divide="ignore", over="ignore"):
         _require_finite(1.0 / svals[-1], "the inverse frame operator")
     return s, svals
@@ -597,22 +584,29 @@ def _verified(system: _SignClasses) -> dict:
 
 
 def is_j_frame(frame: VectorFrame) -> bool:
-    return verify_j_frame(frame).is_j_frame
+    """The verdict of :func:`verify_j_frame`, from the class checks alone."""
+    return _passes(frame)
 
 
 def optimal_j_frame_bounds(frame: VectorFrame) -> Bounds4:
     return _verified(frame)["bounds"]
 
 
-def frame_part_pencils(frame: VectorFrame) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Rayleigh pencils ``(numerator, denominator)`` per nonempty sign part.
+def part_pencils(system: _SignClasses) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Rayleigh pencils ``(numerator, denominator)`` per nonempty sign part
+    of a frame or a weighted family: the :func:`_pencil` of each class.
 
     Each denominator is positive definite and the generalized eigenvalue
     range of the pencil equals the corresponding pair of optimal bounds
     directly (negative values for the negative part); the bounds themselves
-    are computed from factors of it (:func:`_part_bounds`).
+    are computed from factors of it (:func:`_part_bounds`), and no
+    verification forms it.
     """
-    return _class_pencils(frame)
+    return {label: _pencil(system, label, class_span)
+            for label, class_span in system._class_spans.items()}
+
+
+frame_part_pencils = part_pencils
 
 
 def canonical_dual(frame: VectorFrame) -> VectorFrame:

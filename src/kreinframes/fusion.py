@@ -13,9 +13,11 @@ computed as that product.
 
 Bound conventions match :mod:`kreinframes.frames`: ascending four-tuples
 ``(B-, A-, A+, B+)`` with ``None`` slots for missing parts.  So does the
-verification: a family is verified by its part bounds alone; only
-:func:`verify_j_fusion_frame` adds the Bessel bound, estimates and
-widths, and the optimal bounds and the canonical dual read the bounds only.
+verification: a family is judged by its class checks alone and verified by
+its part bounds; only :func:`verify_j_fusion_frame` adds the Bessel bound,
+estimates and widths, and the optimal bounds and the canonical dual read the
+bounds only.  The Rayleigh pencils of the bounds are
+:func:`~kreinframes.frames.part_pencils`, for frames and families alike.
 """
 
 from functools import cached_property
@@ -46,14 +48,13 @@ from .frames import (
     VectorFrame,
     _bessel_bound,
     _canonical_dual_of,
-    _class_pencils,
     _dual_diagnostics,
+    _passes,
     _report_fields,
     _SignClasses,
     _verified,
     _verify_sign_parts,
     partition_by_sign,
-    verify_j_frame,
 )
 from .subspaces import (
     Classification,
@@ -75,7 +76,7 @@ class WeightedSubspaceFamily(_SignClasses):
     bases themselves, since every weight is strictly positive.
     """
 
-    _what, _refusal = "fusion frame", NotAJFusionFrame
+    _refusal = NotAJFusionFrame
 
     # The R factors that a canonical dual's entry bases carry (see ``_dual``).
     _entry_r: list[np.ndarray] | None = None
@@ -327,8 +328,7 @@ def bessel_bound(family: WeightedSubspaceFamily) -> float:
 class JFusionReport(NamedTuple):
     """Verdict, bounds and estimates of a weighted family.
 
-    ``pencils`` and ``bound_widths`` as in
-    :class:`~kreinframes.frames.JFrameReport`.
+    ``bound_widths`` as in :class:`~kreinframes.frames.JFrameReport`.
     """
 
     is_j_fusion_frame: bool
@@ -340,7 +340,6 @@ class JFusionReport(NamedTuple):
     bound_widths: Bounds4
     complete: bool
     reasons: tuple[str, ...]
-    pencils: dict
 
 
 def verify_j_fusion_frame(family: WeightedSubspaceFamily) -> JFusionReport:
@@ -363,18 +362,8 @@ def optimal_fusion_bounds(family: WeightedSubspaceFamily) -> Bounds4:
 
 
 def fusion_bound_estimates(family: WeightedSubspaceFamily) -> Bounds4:
-    return verify_j_fusion_frame(family).bound_estimates
-
-
-def part_pencils(family: WeightedSubspaceFamily
-                 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Rayleigh pencils ``(numerator, denominator)`` per nonempty sign part.
-
-    Each denominator is positive definite and the generalized eigenvalue
-    range of the pencil equals the corresponding pair of optimal bounds
-    directly (negative values for the negative part).
-    """
-    return _class_pencils(family)
+    """The bound estimates of :func:`verify_j_fusion_frame`, without its completeness check."""
+    return _verify_sign_parts(family).bound_estimates
 
 
 def canonical_dual_fusion(family: WeightedSubspaceFamily
@@ -546,13 +535,14 @@ def equivalence_check(entry_vectors, weights, space: KreinSpace,
     Route one spans each entry and verifies the weighted family; route two
     scales every local vector by its entry weight, concatenates, and verifies
     the result as a plain vector frame.  Under the hypothesis that every
-    local span is uniformly definite the two verdicts coincide.
+    local span is uniformly definite the two verdicts coincide.  Each
+    verdict is that of the class checks alone, with no bound computed.
     """
     w = np.asarray(weights, dtype=float)
     hypothesis_ok = True
     try:
         family = family_from_spans(entry_vectors, w, space, tol_def)
-        fusion_verdict = verify_j_fusion_frame(family).is_j_fusion_frame
+        fusion_verdict = _passes(family)
     except IndefiniteOrNeutralSubspace:
         hypothesis_ok = False
         fusion_verdict = False
@@ -564,7 +554,7 @@ def equivalence_check(entry_vectors, weights, space: KreinSpace,
     stacked = np.vstack(flat)
     try:
         frame = partition_by_sign(stacked, space, tol_def)
-        frame_verdict = verify_j_frame(frame).is_j_frame
+        frame_verdict = _passes(frame)
     except KreinFrameError:
         frame_verdict = False
     return EquivalenceReport(

@@ -127,10 +127,11 @@ def _bracket(a: np.ndarray, g: np.ndarray, lam: float, delta: float, what: str) 
                                     f"is more than {delta!r} above it")
 
 
-def certify(report, tol_rank: float) -> dict:
+def certify(report, pencils: dict, tol_rank: float) -> dict:
     """The ``oracle`` block of a verified frame or family ``report``: the
     half-width of each :func:`bracket_lowest` by quantity.  Each bound is
     bracketed as the lower or upper extreme of its part pencil ``(A, G)``
+    in ``pencils`` (:func:`~kreinframes.frames.part_pencils` of the system)
     within its ``report.bound_widths``, and the margin and reduced modulus
     of each part span as the lowest eigenvalue of ``(G, I)`` within
     :func:`modulus_width` (``G``, the signed Gram, is positive definite).
@@ -140,7 +141,7 @@ def certify(report, tol_rank: float) -> dict:
     positive definite, and the identity not at all."""
     checks = {}
     widths = {"negative": report.bound_widths[:2], "positive": report.bound_widths[2:]}
-    for label, (numerator, denominator) in report.pencils.items():
+    for label, (numerator, denominator) in pencils.items():
         part = getattr(report, label)
         numerator = 0.5 * (numerator + numerator.T)
         denominator = 0.5 * (denominator + denominator.T)

@@ -42,17 +42,17 @@ from .subspaces import (
 def _operator_matrix(operator, space: KreinSpace) -> np.ndarray:
     """The matrix of T, rescaled by a power of two when it is near the double limit.
 
-    Images T(W), ranks and the sign of every image are unchanged by a
-    positive scale of T, and the rescale keeps T W from overflowing.
+    T is an :class:`Operator` on ``space`` or a raw matrix, which is
+    validated as :class:`Operator` validates it: square of the dimension of
+    ``space``, with finite entries.  Images T(W), ranks and the sign of
+    every image are unchanged by a positive scale of T, and the rescale
+    keeps T W from overflowing.
     """
-    if isinstance(operator, Operator):
-        if operator.space != space:
-            raise DimensionMismatch("operator and family live in different spaces")
-        return scaled_below_overflow(operator.matrix)
-    m = np.asarray(operator, dtype=float)
-    if m.shape != (space.dim, space.dim):
-        raise DimensionMismatch(f"operator matrix has shape {m.shape}, expected {(space.dim, space.dim)}")
-    return scaled_below_overflow(m)
+    if not isinstance(operator, Operator):
+        operator = Operator(space, operator)
+    elif operator.space != space:
+        raise DimensionMismatch("operator and family live in different spaces")
+    return scaled_below_overflow(operator.matrix)
 
 
 def apply_operator(operator, family: WeightedSubspaceFamily) -> WeightedSubspaceFamily:

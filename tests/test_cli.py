@@ -770,6 +770,88 @@ def test_removed_flags_exit_two(capsys, flag, value):
     assert flag in err
 
 
+# A problem of two eigenlines, and edits of it or of its saved ``verify``
+# report, each refused with its message.
+SMALL_PROBLEM = {"dimension": 2, "J": {"type": "diagonal", "signs": [1, -1]},
+                 "family": {"entries": [{"basis": [[1.0, 0.0]], "weight": 1.0},
+                                        {"basis": [[0.0, 1.0]], "weight": 1.0}]}}
+
+
+def _setting(key: str, *value):
+    """An edit that sets the item at the dotted path ``key`` to ``value``,
+    or, with no value, removes it."""
+    def edit(doc):
+        *head, last = key.split(".")
+        node = doc
+        for name in head:
+            node = node[name]
+        if value:
+            node[last] = value[0]
+        else:
+            del node[last]
+        return doc
+    return edit
+
+
+# (arguments, where PROBLEM and REPORT stand for the edited files; the edit of
+# the problem, or of its report, or None; exit code; the message of stderr)
+REFUSALS = {
+    "tol-def 0": (["verify", "PROBLEM", "--tol-def", "0"], None, 2,
+                  "--tol-def must be a positive float, got 0.0"),
+    "tol-rank nan": (["verify", "PROBLEM", "--tol-rank", "nan"], None, 2,
+                     "--tol-rank must be a positive float, got nan"),
+    "no section": (["bounds", "PROBLEM"], _setting("family"), 2,
+                   "problem has neither 'family' nor 'vectors'"),
+    "gen dims": (["gen", "--dims-pos", "1,x"], None, 2,
+                 "expected comma-separated integers, got '1,x'"),
+    "top-level array": (["verify", "PROBLEM"], lambda doc: [doc], 2,
+                        "$: top-level value must be an object"),
+    "dimension 0": (["verify", "PROBLEM"], _setting("dimension", 0), 2,
+                    "$.dimension: dimension must be a positive integer"),
+    "J list": (["verify", "PROBLEM"], _setting("J", [[1.0, 0.0], [0.0, -1.0]]), 2,
+               "$.J: J must be an object"),
+    "J sparse": (["verify", "PROBLEM"], _setting("J.type", "sparse"), 2,
+                 "$.J.type: J.type must be 'diagonal' or 'matrix'"),
+    "J rows": (["verify", "PROBLEM"],
+               _setting("J", {"type": "matrix", "rows": [[1.0, 0.0], [0.0, -1.0], [0.0, 0.0]]}),
+               2, "$.J.rows: 3 rows, expected 2"),
+    "family list": (["verify", "PROBLEM"], _setting("family", []), 2,
+                    "$.family: family must be an object"),
+    "no entries": (["verify", "PROBLEM"], _setting("family.entries", []), 2,
+                   "$.family.entries: entries must be a non-empty list"),
+    "comment 3": (["verify", "PROBLEM"], _setting("comment", 3), 2,
+                  "$.comment: comment must be a string"),
+    "report of gen": (["oracle", "REPORT"], _setting("command", "gen"), 2,
+                      "cannot re-derive reports for command 'gen'"),
+    "no tol_rank": (["oracle", "REPORT"], _setting("parameters.tol_rank"), 2,
+                    "$.parameters: missing parameter 'tol_rank'"),
+    "command 7": (["oracle", "REPORT"], _setting("command", 7), 2,
+                  "$.command: command must be a string"),
+    **{f"{key} list": (["oracle", "REPORT"], _setting(key, []), 2,
+                       f"$.{key}: {key} must be an object")
+       for key in ("problem", "parameters", "result")},
+    "one more reason": (["oracle", "REPORT"], _setting("result.reasons", ["added"]), 3,
+                        "stored report disagrees with recomputation: "
+                        "result.reasons: length 1 vs 0"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refusal_exits_with_its_code_and_message(capsys, tmp_path, case):
+    """Each refusal writes no report, and names on stderr what it refused:
+    exit 2 for an input error, 3 for a report that disagrees with its problem."""
+    argv, edit, code, message = REFUSALS[case]
+    problem, report = tmp_path / "problem.json", tmp_path / "report.json"
+    problem.write_text(json.dumps(SMALL_PROBLEM))
+    assert run_cli(capsys, "verify", problem, "-o", report)[0] == 0
+    if edit is not None:
+        target = report if "REPORT" in argv else problem
+        target.write_text(json.dumps(edit(json.loads(target.read_text()))))
+    argv = [{"PROBLEM": problem, "REPORT": report}.get(arg, arg) for arg in argv]
+    assert run_cli(capsys, *argv) == (code, None, {
+        2: "input error: ", 3: "internal inconsistency: "}[code] + message + "\n")
+
+
 def test_part_spans_take_the_callers_tol_rank(capsys, tmp_path):
     """Two positive lines 1e-3 apart span one dimension at --tol-rank 0.01:
     ``classify`` says so, and every verifying command decides its part spans
@@ -947,9 +1029,11 @@ OVERFLOWING_BOUNDS = {
                       "input error: the Bessel bound overflows a double"),
 }
 # ``dual`` verifies the original for its bounds only, so it names the first
-# quantity that it computes and that overflows: a bound, or S itself
+# quantity that it computes and that overflows: a bound, S itself, or S^-1,
+# never the condition number, which it does not compute
 DUAL_OVERFLOWS = {
     "bessel": "input error: the positive frame bound overflows a double",
+    "condition_number": "input error: the inverse frame operator overflows a double",
     "estimate": "input error: the frame operator overflows a double",
     "operator": "input error: the frame operator overflows a double",
     "operator_norm": "input error: the frame operator overflows a double",
@@ -1012,6 +1096,28 @@ def test_dual_of_an_ill_conditioned_frame_is_answered(capsys, tmp_path, recwarn)
     assert report["result"]["dual_bounds"] == pytest.approx([-1e12, -1e12, 1e-12, 1e-12])
     code, _, err = run_cli(capsys, "oracle", report_file)
     assert code == 0, err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_dual_of_a_frame_whose_condition_number_alone_overflows_is_answered(capsys, tmp_path,
+                                                                         recwarn):
+    """S of [[1e100, 0], [0, 1e-110]] under diag(1, -1) is diag(1e200,
+    1e-220): its condition number overflows a double, which ``verify-frame``
+    writes and so refuses, but its dual, S^-1 and every number ``dual``
+    reports are finite, so ``dual`` answers and ``oracle`` agrees."""
+    problem = tmp_path / "condition_overflow.json"
+    problem.write_text(json.dumps({"dimension": 2, "J": DIAG_J,
+                                   "vectors": [[1e100, 0.0], [0.0, 1e-110]]}))
+    report_file = tmp_path / "report.json"
+    code, report, err = run_cli(capsys, "dual", problem, "-o", report_file)
+    assert code == 0, err
+    assert report["result"]["dual_bounds"] == pytest.approx([-1e220, -1e220, 1e-200, 1e-200])
+    code, _, err = run_cli(capsys, "oracle", report_file)
+    assert code == 0, err
+    code, report, err = run_cli(capsys, "verify-frame", problem)
+    assert (code, report) == (2, None)
+    assert err == ("input error: the condition number of the frame operator overflows "
+                   "a double\n")
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 

@@ -54,6 +54,15 @@ def test_make_krein_space_rejects_matrices_whose_defects_overflow(rows):
         kf.make_krein_space(np.array(rows))
 
 
+@pytest.mark.parametrize("shape, message", [
+    ((2, 3), r"^symmetry must be square, got \(2, 3\)$"),
+    ((0, 0), "^symmetry must be at least 1x1$"),
+])
+def test_make_krein_space_rejects_a_matrix_of_the_wrong_shape(shape, message):
+    with pytest.raises(kf.DimensionMismatch, match=message):
+        kf.make_krein_space(np.zeros(shape))
+
+
 def test_projectors_resolve_identity():
     space = kf.make_krein_space(np.diag([1.0, -1.0, -1.0]))
     p_plus = space.positive_projector
@@ -122,8 +131,15 @@ def test_space_equality_is_by_symmetry():
     a = kf.make_krein_space(np.diag([1.0, -1.0]))
     b = kf.make_krein_space(np.diag([1.0, -1.0]))
     c = kf.make_krein_space(np.diag([-1.0, 1.0]))
-    assert a == b
+    assert a == b and hash(a) == hash(b)
     assert a != c
+    assert (a == "diag(1, -1)") is False
+
+
+def test_space_product_and_operator_application(minkowski2):
+    x, y = np.array([1.0, 2.0]), np.array([3.0, 1.0])
+    assert minkowski2.product(x, y) == kf.indefinite_product(x, y, minkowski2) == 1.0
+    assert kf.Operator(minkowski2, [[0.0, 1.0], [1.0, 0.0]])(x).tolist() == [2.0, 1.0]
 
 
 def test_every_exported_name_resolves():

@@ -61,10 +61,19 @@ def test_partial_operators_sum_to_full(minkowski2):
     assert np.allclose(s0 + s12, full, atol=EXACT_TOL)
 
 
-def test_partial_operator_rejects_bad_indices(minkowski2):
+@pytest.mark.parametrize("indices, message", [
+    pytest.param([0, 5], "^index 5 outside range 0..1$", id="out-of-range"),
+    pytest.param([1, 1], "^index subset contains duplicates$", id="duplicate"),
+])
+def test_partial_operator_rejects_bad_indices(minkowski2, indices, message):
     frame = kf.partition_by_sign(EIGEN_VECTORS, minkowski2)
-    with pytest.raises(kf.IndexOutOfRange):
-        kf.partial_frame_operator(frame, [0, 5])
+    with pytest.raises(kf.IndexOutOfRange, match=message):
+        kf.partial_frame_operator(frame, indices)
+
+
+def test_partition_rejects_vectors_of_the_wrong_length(minkowski2):
+    with pytest.raises(kf.DimensionMismatch, match="^vectors have length 3, expected 2$"):
+        kf.partition_by_sign(np.ones((2, 3)), minkowski2)
 
 
 def test_verify_eigen_frame(minkowski2):
@@ -363,9 +372,8 @@ def _same_arrays(a, b) -> bool:
 def test_bounds_verification_and_report_agree_on_a_failing_frame():
     """The verification core (bounds only) and the report agree on verdict,
     reasons and parts (but for the estimates, which only the report takes).
-    Neither forms a pencil: only the report of a true verdict does, for its
-    oracle block, and those are the pencils of :func:`frame_part_pencils`,
-    which has one for every nonempty class whatever its kind."""
+    Neither holds a pencil: :func:`frame_part_pencils` forms them, one for
+    every nonempty class whatever its kind."""
     space = kf.make_krein_space(np.diag([1.0, 1.0, -1.0]))
     frame = kf.partition_by_sign(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
                                            [2.0, 0.0, 1.9], [0.0, 0.0, 1.0]]), space)
@@ -380,13 +388,45 @@ def test_bounds_verification_and_report_agree_on_a_failing_frame():
         assert (part._replace(classification=None)
                 == full._replace(classification=None, estimate_range=None))
         assert _same_arrays(part.classification, full.classification)
-    assert "pencils" not in fields and report.pencils == {}
+    assert "pencils" not in fields and "pencils" not in report._fields
     assert list(kf.frame_part_pencils(frame)) == ["positive", "negative"]
-    verified = _tilted_frame()
-    pencils = kf.frame_part_pencils(verified)
-    assert list(kf.verify_j_frame(verified).pencils) == list(pencils) == ["positive", "negative"]
-    for label, pencil in pencils.items():
-        assert _same_arrays(kf.verify_j_frame(verified).pencils[label], pencil)
+    assert list(kf.frame_part_pencils(_tilted_frame())) == ["positive", "negative"]
+
+
+@pytest.mark.parametrize("kind", ["frame", "fusion"])
+def test_a_verification_forms_no_pencil(kind, monkeypatch):
+    """A report holds no pencil, so a verification forms none: the pencils
+    are :func:`part_pencils`, one function for frames and families alike,
+    which forms one per nonempty class when it is called."""
+    formed = []
+    monkeypatch.setattr(kf.frames, "_pencil", _recording(formed, "_pencil", kf.frames._pencil))
+    if kind == "frame":
+        system, verify = _tilted_frame(), kf.verify_j_frame
+    else:
+        system = kf.gen_family(kf.GeneratorConfig(kind="fusion", seed=1, dim=6, num_positive=3,
+                                                  tilt=0.5))
+        verify = kf.verify_j_fusion_frame
+    report = verify(system)
+    assert report[0] and "pencils" not in report._fields
+    assert formed == []
+    assert kf.frame_part_pencils is kf.part_pencils is kf.frames.part_pencils
+    assert list(kf.part_pencils(system)) == ["positive", "negative"]
+    assert [(name, first, args[0]) for name, first, args, _ in formed] == [
+        ("_pencil", system, "positive"), ("_pencil", system, "negative")]
+
+
+def test_is_j_frame_is_the_verdict_of_the_class_checks(minkowski2, monkeypatch):
+    """``is_j_frame`` reads the class checks alone, with no bound, Bessel
+    bound or pencil: [[1, 0], [0, 1e-200]] is a J-frame, whose condition
+    number, which :func:`verify_j_frame` writes, overflows a double."""
+    vectors = [[1.0, 0.0], [0.0, 1e-200]]
+    calls = []
+    for name in ("_part_bounds", "_bessel_bound", "_pencil", "_condition_number"):
+        monkeypatch.setattr(kf.frames, name, _recording(calls, name, getattr(kf.frames, name)))
+    assert kf.is_j_frame(kf.partition_by_sign(vectors, minkowski2)) is True
+    assert calls == []
+    with pytest.raises(kf.InputError, match="^the condition number of the frame operator"):
+        kf.verify_j_frame(kf.partition_by_sign(vectors, minkowski2))
 
 
 TINY_FRAME = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])

@@ -113,6 +113,40 @@ def test_family_rejects_nonpositive_weight(minkowski2):
         kf.make_weighted_family(subs, [0.0])
 
 
+def _lines(space, *rows):
+    return [kf.span(np.array([row]), space) for row in rows]
+
+
+# Each refusal of a family's entries or weights, by its message.
+FAMILY_REFUSALS = {
+    "no entry": (lambda s2, s3: ([], []), "^a weighted family needs at least one entry$"),
+    "two spaces": (lambda s2, s3: (_lines(s2, [1.0, 0.0]) + _lines(s3, [0.0, 0.0, 1.0]),
+                                   [1.0, 1.0]),
+                   "^entry 1 lives in a different space$"),
+    "too many weights": (lambda s2, s3: (_lines(s2, [1.0, 0.0], [0.0, 1.0]), [1.0, 1.0, 1.0]),
+                         r"^2 entries but weight array of shape \(3,\)$"),
+    "weight matrix": (lambda s2, s3: (_lines(s2, [1.0, 0.0], [0.0, 1.0]), [[1.0, 1.0]]),
+                      r"^2 entries but weight array of shape \(1, 2\)$"),
+}
+
+
+@pytest.mark.parametrize("case", FAMILY_REFUSALS)
+def test_family_refuses_malformed_entries_or_weights(minkowski2, minkowski3, case):
+    build, message = FAMILY_REFUSALS[case]
+    with pytest.raises(kf.DimensionMismatch, match=message):
+        kf.make_weighted_family(*build(minkowski2, minkowski3))
+
+
+def test_dual_entries_are_uniformly_definite_of_their_signs(tilted_family):
+    """A canonical dual's entries are classified only when read; by the
+    theorem each is uniformly definite with the sign of its family entry."""
+    dual, _ = kf.canonical_dual_fusion(tilted_family)
+    kinds = [cls.kind for cls in dual.entry_classifications]
+    assert kinds == [SubspaceKind.UNIFORMLY_POSITIVE if sign > 0
+                     else SubspaceKind.UNIFORMLY_NEGATIVE for sign in tilted_family.signs]
+    assert all(cls.margin > kf.TOL_DEF for cls in dual.entry_classifications)
+
+
 def test_family_rejects_entry_of_dimension_zero(minkowski2):
     subs = [kf.span(np.array([[1.0, 0.0]]), minkowski2), kf.Subspace(minkowski2, np.zeros((2, 0)))]
     with pytest.raises(kf.ZeroSubspace, match="^entry 1: subspace has dimension zero$"):
@@ -609,6 +643,34 @@ def test_equivalence_check_planted_failure(minkowski3):
     report = kf.equivalence_check([rows_pos, rows_neg], [1.0, 1.0], minkowski3)
     assert report.agree
     assert not report.fusion_verdict and not report.frame_verdict
+
+
+def test_equivalence_check_outside_its_hypothesis(minkowski2):
+    """A neutral entry refuses the family, and its vector the flattened frame:
+    both verdicts are false, and the hypothesis is reported as failing."""
+    report = kf.equivalence_check([np.array([[1.0, 1.0]]), np.array([[0.0, 1.0]])], [1.0, 1.0],
+                                  minkowski2)
+    assert not report.hypothesis_ok
+    assert not report.fusion_verdict and not report.frame_verdict and report.agree
+
+
+def test_estimates_and_equivalence_compute_no_more_than_they_return(minkowski3, monkeypatch):
+    """On a family whose positive span falls one dimension short,
+    ``fusion_bound_estimates`` takes the report fields without the rank of
+    the stacked bases, which only the completeness flag reads, and
+    ``equivalence_check`` the verdict of the class checks of both routes,
+    with no bound."""
+    rows = [np.array([[1.0, 0.0, 0.0]]), np.array([[0.0, 0.0, 1.0]])]
+
+    def unread(*args, **kwargs):
+        raise AssertionError("computed what the call does not return")
+
+    monkeypatch.setattr(kf.fusion, "subspace_sum", unread)
+    family = kf.family_from_spans(rows, [1.0, 1.0], minkowski3)
+    assert kf.fusion_bound_estimates(family) == pytest.approx((-1.0, -1.0, 1.0, 1.0))
+    monkeypatch.setattr(kf.frames, "_part_bounds", unread)
+    report = kf.equivalence_check(rows, [1.0, 1.0], minkowski3)
+    assert report.agree and report.hypothesis_ok and not report.fusion_verdict
 
 
 def test_direct_sum_space_pairing(tilted_family):

@@ -206,8 +206,10 @@ def test_certify_factors_each_part_denominator_once(monkeypatch):
     takes 18 Cholesky factorizations: per part, one of G, two per bound and
     two per modulus bracket; none of them is of the identity."""
     cfg = kf.GeneratorConfig(kind="fusion", seed=1, dim=6, num_positive=3, tilt=0.5)
-    report = kf.verify_j_fusion_frame(kf.gen_family(cfg))
+    family = kf.gen_family(cfg)
+    report = kf.verify_j_fusion_frame(family)
     assert report.is_j_fusion_frame
+    pencils = kf.part_pencils(family)
     factored = []
     has_cholesky = oracles._has_cholesky
 
@@ -216,7 +218,7 @@ def test_certify_factors_each_part_denominator_once(monkeypatch):
         return has_cholesky(m)
 
     monkeypatch.setattr(oracles, "_has_cholesky", counting)
-    checks = oracles.certify(report, kf.TOL_RANK)["checks"]
+    checks = oracles.certify(report, pencils, kf.TOL_RANK)["checks"]
     assert len(checks) == 8
     assert len(factored) == 18
     assert not [m for m in factored if np.array_equal(m, np.eye(m.shape[0]))]

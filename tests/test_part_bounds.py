@@ -76,7 +76,7 @@ def test_duals_of_duals_take_their_bounds_from_the_composed_factors(kind):
     dual_of = kf.canonical_dual if kind == "frame" else lambda s: kf.canonical_dual_fusion(s)[0]
     dual = dual_of(system)
     for derived in (dual, dual_of(dual)):
-        pencils = kf.frames._class_pencils(derived)
+        pencils = kf.part_pencils(derived)
         for label, pencil in pencils.items():
             assert kf.frames._part_bounds(derived, label) == pytest.approx(
                 definite_pair_extrema(*pencil), rel=1e-12)

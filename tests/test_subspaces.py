@@ -27,6 +27,12 @@ def test_span_rejects_zero_input(minkowski2):
         kf.span(np.zeros((2, 2)), minkowski2)
 
 
+def test_span_rejects_rows_of_the_wrong_length(minkowski2):
+    with pytest.raises(kf.DimensionMismatch,
+                       match="^spanning vectors have length 3, expected 2$"):
+        kf.span(np.ones((1, 3)), minkowski2)
+
+
 def test_classify_rejects_zero_dimensional_subspace(minkowski2):
     with pytest.raises(kf.ZeroSubspace, match="^subspace has dimension zero$"):
         kf.classify(kf.Subspace(minkowski2, np.zeros((2, 0))))
@@ -156,6 +162,15 @@ def test_is_contained_and_subspace_sum(minkowski3):
     total = kf.subspace_sum([line, kf.span(np.array([[0, 1.0, 0]]), minkowski3)])
     assert total.dim == 2
     assert kf.is_contained(total, plane) and kf.is_contained(plane, total)
+
+
+def test_subspace_sum_refuses_no_parts_and_two_spaces(minkowski2, minkowski3):
+    with pytest.raises(kf.ZeroSubspace, match="^cannot form the span of no subspaces$"):
+        kf.subspace_sum([])
+    parts = [kf.span(np.array([[1.0, 0.0]]), minkowski2),
+             kf.span(np.array([[1.0, 0.0, 0.0]]), minkowski3)]
+    with pytest.raises(kf.DimensionMismatch, match="^subspaces live in different spaces$"):
+        kf.subspace_sum(parts)
 
 
 # ---------------------------------------------------------------------------

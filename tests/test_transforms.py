@@ -205,3 +205,60 @@ def test_projection_commutation_requires_regular_image(minkowski2):
     t = np.array([[1.0, 1.0], [1.0, 2.0]])  # image of e1 is neutral
     with pytest.raises(kf.KreinFrameError):
         kf.projection_commutation_residual(t, sub)
+
+
+# Each entry point of the module with its argument: the family, or, for the
+# commutation residual, the family's first entry.
+TRANSPORTS = {
+    "apply_operator": (kf.apply_operator, False),
+    "preservation_audit": (kf.preservation_audit, False),
+    "image_fusion_check": (kf.image_fusion_check, False),
+    "projection_commutation_residual": (kf.projection_commutation_residual, True),
+}
+# A raw matrix is refused as :class:`kf.Operator` refuses it.
+BAD_MATRICES = {
+    "nan": (np.array([[1.0, np.nan], [0.0, 1.0]]),
+            "^operator matrix contains non-finite entries$"),
+    "nan everywhere": (np.full((2, 2), np.nan), "^operator matrix contains non-finite entries$"),
+    "inf": (np.array([[1.0, 0.0], [0.0, np.inf]]),
+            "^operator matrix contains non-finite entries$"),
+    "-inf": (np.array([[-np.inf, 0.0], [0.0, 1.0]]),
+             "^operator matrix contains non-finite entries$"),
+    "3x3": (np.eye(3), r"^operator matrix has shape \(3, 3\), expected square of size 2$"),
+    "vector": (np.ones(2), "^operator matrix must be 2-dimensional, got ndim=1$"),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_MATRICES)
+@pytest.mark.parametrize("name", TRANSPORTS)
+def test_a_malformed_operator_matrix_is_refused_as_an_input(minkowski2, name, bad):
+    """A non-finite entry or a wrong shape is an input error that names
+    what is wrong, not numpy's ``LinAlgError``, an exit-4
+    :class:`kf.NumericalFailure` or :class:`kf.NotRegular`."""
+    call, of_entry = TRANSPORTS[name]
+    family = _eigenline_family(minkowski2)
+    matrix, message = BAD_MATRICES[bad]
+    with pytest.raises(kf.DimensionMismatch, match=message):
+        call(matrix, family.subspaces[0] if of_entry else family)
+
+
+@pytest.mark.parametrize("name", TRANSPORTS)
+def test_an_operator_of_another_space_is_refused(minkowski2, name):
+    """An :class:`kf.Operator` on a space of the same dimension but another J."""
+    call, of_entry = TRANSPORTS[name]
+    family = _eigenline_family(minkowski2)
+    other = kf.Operator(kf.make_krein_space(np.diag([-1.0, 1.0])), np.eye(2))
+    with pytest.raises(kf.DimensionMismatch, match="^operator and family live in different spaces$"):
+        call(other, family.subspaces[0] if of_entry else family)
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0**520])
+def test_an_operator_argument_is_its_matrix(tilted_family, scale):
+    """An :class:`kf.Operator` gives the image check of its matrix, at unit
+    scale and past the power-of-two rescale."""
+    space = tilted_family.space
+    t = scale * np.diag(np.linspace(1.0, 1.5, space.dim))
+    by_matrix = kf.image_fusion_check(t, tilted_family)
+    by_operator = kf.image_fusion_check(kf.Operator(space, t), tilted_family)
+    assert by_matrix.image_verdict
+    assert kf.dumps_canonical(kf.jsonify(by_operator)) == kf.dumps_canonical(kf.jsonify(by_matrix))
