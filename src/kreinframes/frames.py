@@ -360,8 +360,8 @@ def _part_bounds(system: _SignClasses, label: str) -> tuple[float, float]:
 
 
 def _class_checks(system: _SignClasses) -> tuple[dict, dict, tuple[str, ...]]:
-    """The checks of :func:`_verify_bounds`, without the bounds, taken once:
-    the verdict of a frame or family (:func:`_passes`).
+    """The checks of :func:`_verify_bounds`, without the bounds, taken once;
+    the verdict (:func:`_passes`) is theirs alone.
 
     The span of each nonempty sign class must be a maximal uniformly
     definite subspace of its sign: the span is classified, at the system's
